@@ -37,7 +37,6 @@ from .txn import (
     StepContext,
     StepOutcome,
     TriggerSpec,
-    acquire_logical_lock,
     apply_pending_actions,
     commit,
     execute_step,
@@ -75,7 +74,6 @@ __all__ = [
     "StepOutcome",
     "TriggerSpec",
     "VersionVector",
-    "acquire_logical_lock",
     "apply_pending_actions",
     "canonical_sort",
     "commit",

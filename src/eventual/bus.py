@@ -9,7 +9,6 @@ yields exactly-once effect.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 from .errors import OutsideTransaction
@@ -30,21 +29,6 @@ class QueueMessage:
 
     def delivered(self, count: int) -> QueueMessage:
         return replace(self, delivery_count=count)
-
-    def to_line(self) -> str:
-        return json.dumps(
-            {
-                "message_id": self.message_id,
-                "destination": list(self.destination),
-                "msg_type": self.msg_type,
-                "payload": self.payload,
-                "idempotence_key": self.idempotence_key,
-                "enqueue_stamp": self.enqueue_stamp,
-                "sender": self.sender,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
 
 
 @dataclass
@@ -98,9 +82,6 @@ class Inbox:
         copy = message.delivered(count)
         self.arrivals.append(copy)
         return copy
-
-    def arrival_count(self, message_id: str) -> int:
-        return self._arrival_counts.get(message_id, 0)
 
     def remove(self, message_id: str) -> None:
         """Drop every copy of the message (it has been fully consumed)."""

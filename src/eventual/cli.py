@@ -100,24 +100,28 @@ def _sweep_seeds(args) -> int:
     return EXIT_OK if not violations else EXIT_VIOLATION
 
 
-def _sweep_crash(args) -> int:
-    seed = args.seed if args.seed is not None else load_scenario(args.scenario).config.seed
-    baseline = run(load_scenario(args.scenario), seed=seed)
+def crash_sweep(path, seed: int | None = None) -> tuple[int, list[tuple[str | None, int, list[str]]]]:
+    """Crash each replica at each tick of the no-crash run, recovering it
+    CRASH_RECOVERY_GAP ticks later. Every crashed run must hold the
+    invariants and reach the no-crash run's semantic digest.
+
+    Returns the number of crash points and the violations as
+    (target, tick, reasons). A no-crash run that already fails is the one
+    violation (None, 0, reasons), and no crash point is tried.
+    """
+    scenario = load_scenario(path)
+    replicas = sorted({r for reps in scenario.config.partitions.values() for r in reps})
+    baseline = run(scenario, seed=seed)
     base_failures = check_invariants(baseline)
     if base_failures:
-        for failure in base_failures:
-            print(f"FAIL baseline {failure}")
-        return EXIT_VIOLATION
+        return 0, [(None, 0, base_failures)]
     digest = baseline.semantic_digest()
-    replicas = sorted(
-        {r for reps in load_scenario(args.scenario).config.partitions.values() for r in reps}
-    )
     violations = []
     points = 0
     for target in replicas:
         for tick in range(1, baseline.end_time + 1):
             points += 1
-            scenario = load_scenario(args.scenario)
+            scenario = load_scenario(path)
             scenario.faults.append(Fault(kind="crash", at=tick, target=target))
             scenario.faults.append(Fault(kind="recover", at=tick + CRASH_RECOVERY_GAP, target=target))
             report = run(scenario, seed=seed)
@@ -125,11 +129,17 @@ def _sweep_crash(args) -> int:
             if failures or report.semantic_digest() != digest:
                 reason = failures or ["STATE_MISMATCH: differs from no-crash run"]
                 violations.append((target, tick, reason))
+    return points, violations
+
+
+def _sweep_crash(args) -> int:
+    points, violations = crash_sweep(args.scenario, args.seed)
     print(f"crash_points: {points}")
     print(f"violations: {len(violations)}")
     for target, tick, reasons in violations:
+        where = "baseline" if target is None else f"crash target={target} tick={tick}"
         for reason in reasons:
-            print(f"FAIL crash target={target} tick={tick} {reason}")
+            print(f"FAIL {where} {reason}")
     return EXIT_OK if not violations else EXIT_VIOLATION
 
 

@@ -76,5 +76,3 @@ class VersionVector:
         inner = ", ".join(f"{r}:{s}" for r, s in sorted(self._v.items()))
         return f"<{inner}>"
 
-
-EMPTY_VECTOR = VersionVector()

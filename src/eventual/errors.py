@@ -58,10 +58,6 @@ class OutsideTransaction(EngineError):
     """Enqueue attempted with no open commit batch."""
 
 
-class Partitioned(EngineError):
-    """Peers are separated by an active network partition."""
-
-
 class ResurrectionAfterTombstone(EngineError):
     """An insert causally follows a tombstone for the same entity."""
 
@@ -101,7 +97,3 @@ class ScenarioInvalid(EngineError):
 
 class UnknownTarget(EngineError):
     """Fault injection names a replica or entity that does not exist."""
-
-
-class MaxTimeExceeded(EngineError):
-    """Run did not quiesce before the configured time bound."""

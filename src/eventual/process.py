@@ -20,15 +20,6 @@ from .replica import Replica
 from .store import EntityRef, canonical_sort
 from .txn import ProcessStepDef, TriggerSpec
 
-EXCEPTION_KINDS = (
-    "referential_violation",
-    "discrepancy",
-    "uncompensatable",
-    "unmergeable",
-    "resurrection",
-)
-
-
 @dataclass
 class ProcessDef:
     """A step graph: steps plus wiring from emitted event types to steps."""
@@ -150,65 +141,62 @@ def join_merged_payload(replica: Replica, ref: EntityRef, trigger: TriggerSpec) 
 # -- derived views ------------------------------------------------------------
 
 
+def _hosted_values(replica: Replica, entity_type: str | None = None):
+    """(ref, rolled-up value) of every hosted entity, optionally one type."""
+    for partition_id in replica.partitions_hosted():
+        for ref in replica.store.log(partition_id).entity_refs():
+            if entity_type is None or ref.entity_type == entity_type:
+                yield ref, replica.store.rollup(partition_id, ref).value
+
+
 def scan_exceptions(replica: Replica) -> list[ManagedException]:
     """All managed exceptions visible in this replica's rollups."""
     out = []
-    for partition_id in replica.partitions_hosted():
-        log = replica.store.log(partition_id)
-        for ref in log.entity_refs():
-            value = replica.store.rollup(partition_id, ref).value
-            for exc_id, entry in value.get("exceptions", {}).items():
-                out.append(
-                    ManagedException(
-                        exception_id=exc_id,
-                        kind=entry.get("kind", "discrepancy"),
-                        entity_ref=ref,
-                        detail=entry.get("detail", {}),
-                        status="resolved" if entry.get("resolved") else "open",
-                    )
+    for ref, value in _hosted_values(replica):
+        for exc_id, entry in value.get("exceptions", {}).items():
+            out.append(
+                ManagedException(
+                    exception_id=exc_id,
+                    kind=entry.get("kind", "discrepancy"),
+                    entity_ref=ref,
+                    detail=entry.get("detail", {}),
+                    status="resolved" if entry.get("resolved") else "open",
                 )
+            )
     out.sort(key=lambda e: e.exception_id)
     return out
 
 
 def scan_reservations(replica: Replica) -> list[Reservation]:
     out = []
-    for partition_id in replica.partitions_hosted():
-        log = replica.store.log(partition_id)
-        for ref in log.entity_refs():
-            value = replica.store.rollup(partition_id, ref).value
-            for rid, entry in value.get("reservations", {}).items():
-                out.append(
-                    Reservation(
-                        reservation_id=rid,
-                        entity_ref=ref,
-                        quantity=entry["quantity"],
-                        deadline=entry["deadline"],
-                        state=entry["state"],
-                        cause=entry.get("cause"),
-                    )
+    for ref, value in _hosted_values(replica):
+        for rid, entry in value.get("reservations", {}).items():
+            out.append(
+                Reservation(
+                    reservation_id=rid,
+                    entity_ref=ref,
+                    quantity=entry["quantity"],
+                    deadline=entry["deadline"],
+                    state=entry["state"],
+                    cause=entry.get("cause"),
                 )
+            )
     out.sort(key=lambda r: r.reservation_id)
     return out
 
 
 def scan_apologies(replica: Replica) -> list[ApologyRecord]:
     out = []
-    for partition_id in replica.partitions_hosted():
-        log = replica.store.log(partition_id)
-        for ref in log.entity_refs():
-            if ref.entity_type != APOLOGY_TYPE:
-                continue
-            value = replica.store.rollup(partition_id, ref).value
-            for apology_id, entry in value.get("apologies", {}).items():
-                out.append(
-                    ApologyRecord(
-                        apology_id=apology_id,
-                        subject=entry.get("subject", ref.key),
-                        cause=entry.get("cause", "overbooking"),
-                        compensation_keys=list(entry.get("compensation_keys", [])),
-                    )
+    for ref, value in _hosted_values(replica, APOLOGY_TYPE):
+        for apology_id, entry in value.get("apologies", {}).items():
+            out.append(
+                ApologyRecord(
+                    apology_id=apology_id,
+                    subject=entry.get("subject", ref.key),
+                    cause=entry.get("cause", "overbooking"),
+                    compensation_keys=list(entry.get("compensation_keys", [])),
                 )
+            )
     out.sort(key=lambda a: a.apology_id)
     return out
 

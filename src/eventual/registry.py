@@ -24,11 +24,6 @@ class MergePolicy(str, Enum):
     ARRIVAL_LWW = "arrival_lww"
 
 
-class ConsistencyMode(str, Enum):
-    SUBJECTIVE = "subjective"
-    SINGLE_HOME = "single_home"  # declared but unimplemented extension point
-
-
 @dataclass(frozen=True)
 class ParentConstraint:
     """Referential constraint: payload field naming a parent entity key."""
@@ -52,7 +47,6 @@ class RollupSpec:
     aggregates: tuple[str, ...] = ()
     capacity_field: str | None = None
     parents: tuple[ParentConstraint, ...] = ()
-    consistency: ConsistencyMode = ConsistencyMode.SUBJECTIVE
     fold: Callable[[dict, object], dict] | None = None
 
     @property
@@ -83,12 +77,6 @@ class SchemaRegistry:
             return self._specs[entity_type]
         except KeyError:
             raise UnknownEntityType(entity_type) from None
-
-    def has(self, entity_type: str) -> bool:
-        return entity_type in self._specs
-
-    def entity_types(self) -> list[str]:
-        return sorted(self._specs)
 
     def validate_payload(self, entity_type: str, payload: dict) -> None:
         """Reject payloads that carry a rollup aggregate as a top-level field.

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .clocks import VersionVector
 from .errors import ResurrectionAfterTombstone, Uncompensatable, UnmergeableCustom
 from .registry import MergePolicy, RollupSpec
 from .replica import Replica
@@ -28,13 +27,6 @@ from .store import (
     EventRecord,
     canonical_sort,
 )
-
-
-@dataclass
-class ReplicaFrontier:
-    replica_id: str
-    partition_id: str
-    vector: VersionVector
 
 
 @dataclass

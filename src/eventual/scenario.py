@@ -17,7 +17,6 @@ from .registry import (
     APOLOGY_TYPE,
     EXCEPTION_TYPE,
     JOIN_TYPE,
-    ConsistencyMode,
     MergePolicy,
     ParentConstraint,
     RollupSpec,
@@ -44,7 +43,7 @@ TOP_FIELDS = {
     "actions",
 }
 
-ENTITY_FIELDS = {"merge", "initial", "aggregates", "capacity_field", "parents", "consistency"}
+ENTITY_FIELDS = {"merge", "initial", "aggregates", "capacity_field", "parents"}
 NETWORK_FIELDS = {"delay_min", "delay_max", "drop", "duplicate", "reorder"}
 RETRY_FIELDS = {"base", "cap"}
 LAG_FIELDS = {"pending", "cleanse", "lock_backoff"}
@@ -157,14 +156,6 @@ def _build_registry(data: dict, lines: _Lines) -> tuple[SchemaRegistry, list[str
             merge = MergePolicy(merge_text)
         except ValueError:
             _fail(f"entity {name!r}: unknown merge policy {merge_text!r}", lines, "entities", name, "merge")
-        consistency_text = spec.get("consistency", "subjective")
-        try:
-            consistency = ConsistencyMode(consistency_text)
-        except ValueError:
-            _fail(
-                f"entity {name!r}: unknown consistency mode {consistency_text!r}",
-                lines, "entities", name, "consistency",
-            )
         parents = tuple(
             ParentConstraint(p["field"], p["type"]) for p in spec.get("parents", [])
         )
@@ -176,7 +167,6 @@ def _build_registry(data: dict, lines: _Lines) -> tuple[SchemaRegistry, list[str
                 aggregates=tuple(spec.get("aggregates", [])),
                 capacity_field=spec.get("capacity_field"),
                 parents=parents,
-                consistency=consistency,
             )
         )
     return registry, sorted(entities)

@@ -285,6 +285,14 @@ class Simulator:
             task["epoch"] = self.replicas[task["replica"]].epoch
         heapq.heappush(self._heap, _HeapItem(max(at, self.now), self._seq, task))
 
+    def _schedule_consume(self, rid: str, partition: str) -> None:
+        """Drain (rid, partition)'s inbox now; volatile, so a crash drops it."""
+        self._schedule(
+            self.now,
+            {"kind": "consume", "replica": rid, "partition": partition,
+             "volatile": True, "detail": f"{rid}:{partition}"},
+        )
+
     def _trace_task(self, task: dict) -> None:
         detail = task.get("detail", "")
         self._trace.update(f"{self.now}|{task['kind']}|{detail}\n".encode())
@@ -364,24 +372,6 @@ class Simulator:
             handler = getattr(self, f"_task_{task['kind']}")
             handler(task)
         return self._build_report(max_time_exceeded)
-
-    def inject_fault(
-        self,
-        kind: str,
-        at: int,
-        target: str | None = None,
-        groups: list[list[str]] | None = None,
-        entity: str | None = None,
-    ) -> Fault:
-        """Schedule a fault at a future tick (crashes discard volatile
-        state, never committed batches)."""
-        if at < self.now:
-            raise ValueError(f"cannot inject a fault in the past (at={at}, now={self.now})")
-        if kind in ("crash", "recover") and target not in self.replicas:
-            raise UnknownTarget(str(target))
-        fault = Fault(kind=kind, at=at, target=target, groups=groups, entity=entity)
-        self._schedule(at, {"kind": "fault", "fault": fault, "detail": f"{kind}:{target}"})
-        return fault
 
     # -- quiescence ----------------------------------------------------------
 
@@ -470,11 +460,7 @@ class Simulator:
         )
         # client requests land in the durable inbox even across a crash
         replica.inbox.add(message)
-        self._schedule(
-            self.now,
-            {"kind": "consume", "replica": replica.replica_id, "partition": partition,
-             "volatile": True, "detail": f"{replica.replica_id}:{partition}"},
-        )
+        self._schedule_consume(replica.replica_id, partition)
 
     def _default_partition(self, replica: Replica) -> str:
         return replica.partitions_hosted()[0]
@@ -587,11 +573,7 @@ class Simulator:
         rid = replica.replica_id
         for partition_id in replica.partitions_hosted():
             if any(m.destination[1] == partition_id for m in replica.inbox.arrivals):
-                self._schedule(
-                    self.now,
-                    {"kind": "consume", "replica": rid, "partition": partition_id,
-                     "volatile": True, "detail": f"{rid}:{partition_id}"},
-                )
+                self._schedule_consume(rid, partition_id)
         for entry in replica.outbox.pending():
             self._schedule(
                 self.now + 1,
@@ -678,11 +660,7 @@ class Simulator:
             self._delivered_ids.add(message.message_id)
             replica.inbox.add(message)
             self._send(dst, src, "ack", {"message_id": message.message_id}, message.message_id)
-            self._schedule(
-                self.now,
-                {"kind": "consume", "replica": dst, "partition": message.destination[1],
-                 "volatile": True, "detail": f"{dst}:{message.destination[1]}"},
-            )
+            self._schedule_consume(dst, message.destination[1])
         elif env_kind == "ack":
             replica.outbox.mark_acked(body["message_id"])
         elif env_kind == "sync_req":
@@ -708,11 +686,7 @@ class Simulator:
             # local destination: enqueue/dequeue are local, no network at all
             replica.inbox.add(message)
             entry.acked = True
-            self._schedule(
-                self.now,
-                {"kind": "consume", "replica": dst, "partition": message.destination[1],
-                 "volatile": True, "detail": f"{dst}:{message.destination[1]}"},
-            )
+            self._schedule_consume(dst, message.destination[1])
             return
         self._send(
             replica.replica_id,
@@ -806,11 +780,7 @@ class Simulator:
 
     def _reconsume(self, replica: Replica, partition: str) -> None:
         if any(m.destination[1] == partition for m in replica.inbox.arrivals):
-            self._schedule(
-                self.now,
-                {"kind": "consume", "replica": replica.replica_id, "partition": partition,
-                 "volatile": True, "detail": f"{replica.replica_id}:{partition}"},
-            )
+            self._schedule_consume(replica.replica_id, partition)
 
     def _execute_guarded(self, step_def: ProcessStepDef, ctx: StepContext):
         """Run one step; commit is instrumented to prove it never touches
@@ -1177,11 +1147,10 @@ class Simulator:
                         "compensation_keys": apology.compensation_keys,
                     },
                 )
+            exceptions = scan_exceptions(replica)
             report.exceptions[rid] = {
-                "open": sorted(e.exception_id for e in scan_exceptions(replica) if e.status == "open"),
-                "resolved": sorted(
-                    e.exception_id for e in scan_exceptions(replica) if e.status == "resolved"
-                ),
+                "open": sorted(e.exception_id for e in exceptions if e.status == "open"),
+                "resolved": sorted(e.exception_id for e in exceptions if e.status == "resolved"),
             }
             report.reservations[rid] = {
                 r.reservation_id: r.state for r in scan_reservations(replica)

@@ -39,17 +39,6 @@ OP_CANCEL = "cancel"
 OP_APOLOGY = "apology"
 OP_DISCREPANCY = "discrepancy"
 
-OP_KINDS = (
-    OP_INSERT,
-    OP_DELTA,
-    OP_TOMBSTONE,
-    OP_TENTATIVE,
-    OP_CONFIRM,
-    OP_CANCEL,
-    OP_APOLOGY,
-    OP_DISCREPANCY,
-)
-
 # Reservation states, weakest to strongest. When concurrent lifecycle
 # events disagree, the strongest state wins, which makes the derived
 # state a join-semilattice: insensitive to fold order and checkpoint cuts.
@@ -190,7 +179,7 @@ class EntityState:
 class Checkpoint:
     """Summarized prefix of an entity's log.
 
-    Folding the retained suffix on top of ``summarized_value`` reproduces
+    Folding the live events on top of ``summarized_value`` reproduces
     the full-log rollup exactly; the covered events become eligible for
     archival export.
     """
@@ -198,7 +187,6 @@ class Checkpoint:
     entity_ref: EntityRef
     summarized_value: dict  # FoldState snapshot, not a bare value
     covers_up_to: VersionVector
-    retained_suffix_start: int
 
 
 class FoldState:
@@ -458,7 +446,7 @@ class PartitionLog:
         live = self._live_by_entity.get(entity_ref, [])
         covered = [e for e in live if up_to.covers(e.event_id.replica, e.event_id.seq)]
         if covered:
-            retained = [e for e in live if e not in covered]
+            retained = [e for e in live if not up_to.covers(e.event_id.replica, e.event_id.seq)]
             self._live_by_entity[entity_ref] = retained
             self.archived.setdefault(entity_ref, []).extend(covered)
         return covered
@@ -596,39 +584,7 @@ class ReplicaStore:
     ) -> EntityState:
         """Fold the entity's events (<= as_of, or all) into its state."""
         spec = self.registry.get(entity_ref.entity_type)
-        log = self.log(partition_id)
-
-        if spec.merge_policy is MergePolicy.ARRIVAL_LWW:
-            return self._rollup_arrival_order(log, entity_ref, spec, as_of)
-
-        checkpoint = log.checkpoints.get(entity_ref)
-        state = FoldState()
-        events: list[EventRecord]
-        if checkpoint is not None and (as_of is None or as_of.dominates(checkpoint.covers_up_to)):
-            state = FoldState.from_snapshot(checkpoint.summarized_value)
-            events = log.live_events_for(entity_ref)
-        else:
-            events = log.all_events_for(entity_ref)
-        if as_of is not None:
-            events = [e for e in events if as_of.covers(e.event_id.replica, e.event_id.seq)]
-        for event in canonical_sort(events):
-            state.fold(event, spec)
-        return EntityState(
-            entity_ref=entity_ref,
-            value=state.finalize(spec),
-            version=state.version,
-            deleted_flag=state.deleted,
-        )
-
-    def _rollup_arrival_order(self, log, entity_ref, spec, as_of):
-        # Negative-control policy: folds in arrival order, which diverges
-        # across replicas by construction.
-        state = FoldState()
-        events = log.all_events_for(entity_ref)
-        if as_of is not None:
-            events = [e for e in events if as_of.covers(e.event_id.replica, e.event_id.seq)]
-        for event in events:
-            state.fold(event, spec)
+        state = self.fold_state(partition_id, entity_ref, as_of)
         return EntityState(entity_ref, state.finalize(spec), state.version, state.deleted)
 
     def read_version(
@@ -643,18 +599,32 @@ class ReplicaStore:
             raise FutureVersion(f"requested {version!r} beyond frontier {frontier!r}")
         return self.rollup(partition_id, entity_ref, as_of=version)
 
-    def fold_state(self, partition_id: str, entity_ref: EntityRef) -> FoldState:
-        """Full FoldState for engine internals (reservations, exceptions)."""
+    def fold_state(
+        self,
+        partition_id: str,
+        entity_ref: EntityRef,
+        as_of: VersionVector | None = None,
+    ) -> FoldState:
+        """The one fold: reads, checkpoints and scans all come through here.
+
+        Resumes from the checkpoint when as_of reaches it, keeps the events
+        <= as_of (or all), and folds them in canonical order. The
+        ARRIVAL_LWW negative control folds in arrival order instead, which
+        diverges across replicas by construction, and never resumes.
+        """
         spec = self.registry.get(entity_ref.entity_type)
         log = self.log(partition_id)
-        checkpoint = log.checkpoints.get(entity_ref)
-        if checkpoint is not None:
+        arrival_order = spec.merge_policy is MergePolicy.ARRIVAL_LWW
+        checkpoint = None if arrival_order else log.checkpoints.get(entity_ref)
+        if checkpoint is not None and (as_of is None or as_of.dominates(checkpoint.covers_up_to)):
             state = FoldState.from_snapshot(checkpoint.summarized_value)
             events = log.live_events_for(entity_ref)
         else:
             state = FoldState()
             events = log.all_events_for(entity_ref)
-        for event in canonical_sort(events):
+        if as_of is not None:
+            events = [e for e in events if as_of.covers(e.event_id.replica, e.event_id.seq)]
+        for event in events if arrival_order else canonical_sort(events):
             state.fold(event, spec)
         return state
 
@@ -676,21 +646,12 @@ class ReplicaStore:
             raise FutureVersion(f"summarize beyond frontier: {up_to!r}")
         if self.lock_guard is not None and self.lock_guard(entity_ref):
             raise LockedEntity(str(entity_ref))
-        spec = self.registry.get(entity_ref.entity_type)
-        covered = [
-            e
-            for e in log.all_events_for(entity_ref)
-            if up_to.covers(e.event_id.replica, e.event_id.seq)
-        ]
-        state = FoldState()
-        for event in canonical_sort(covered):
-            state.fold(event, spec)
-        checkpoint = Checkpoint(
-            entity_ref=entity_ref,
-            summarized_value=state.to_snapshot(),
-            covers_up_to=up_to,
-            retained_suffix_start=len(covered),
-        )
+        previous = log.checkpoints.get(entity_ref)
+        if previous is not None:
+            # a checkpoint only moves forward: events it archived stay covered
+            up_to = up_to.merge(previous.covers_up_to)
+        state = self.fold_state(partition_id, entity_ref, as_of=up_to)
+        checkpoint = Checkpoint(entity_ref, state.to_snapshot(), up_to)
         log.checkpoints[entity_ref] = checkpoint
         log.archive_covered(entity_ref, up_to)
         return checkpoint

@@ -544,11 +544,6 @@ def commit(replica: Replica, batch: CommitBatch, now: int = 0):
     return replica.frontier(partition) if partition is not None else VersionVector()
 
 
-def acquire_logical_lock(replica: Replica, entity_ref: EntityRef, session: str, txn_id: str):
-    """Grant a replica-local logical lock (reentrant for the owner)."""
-    return replica.locks.acquire(entity_ref, session, txn_id)
-
-
 def apply_pending_actions(replica: Replica, descriptor: PendingActionDescriptor, now: int = 0) -> dict:
     """Run a committed descriptor's deferred actions.
 

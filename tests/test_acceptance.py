@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from eventual.cli import check_invariants, crash_sweep
 from eventual.clocks import VersionVector
 from eventual.registry import MergePolicy, RollupSpec, SchemaRegistry
 from eventual.scenario import load_scenario
-from eventual.sim import Fault, Simulator, run
+from eventual.sim import Simulator, run
 from eventual.store import OP_DELTA, EntityRef, ReplicaStore, canonical_sort
 
 SCENARIOS = Path(__file__).parent.parent / "src" / "eventual" / "scenarios"
@@ -35,20 +36,10 @@ def gossip_sweep():
     return reports
 
 
-def _rollup_divergences(report) -> list[str]:
-    by_entity: dict[str, set[str]] = {}
-    for replica, entities in report.rollups.items():
-        for entity, dump in entities.items():
-            by_entity.setdefault(entity, set()).add(dump)
-    return [e for e, dumps in by_entity.items() if len(dumps) > 1]
-
-
 def test_criterion_1_convergence_across_100_seeds(gossip_sweep):
     violations = []
     for seed, report in enumerate(gossip_sweep):
-        if not report.quiescent:
-            violations.append(f"seed {seed}: not quiescent")
-        violations.extend(f"seed {seed}: {e}" for e in _rollup_divergences(report))
+        violations.extend(f"seed {seed}: {failure}" for failure in check_invariants(report))
     assert violations == []  # tolerance: zero
     _passed(1, f"{SWEEP_SEEDS} seeds quiesced with byte-identical rollups on every replica")
 
@@ -176,23 +167,10 @@ def test_criterion_6_checkpoint_equivalence_on_1000_random_logs():
 
 
 def test_criterion_7_crash_sweep_matches_the_no_crash_run():
-    path = SCENARIOS / "reference.yaml"
-    baseline = run(load_scenario(path))
-    assert baseline.quiescent
-    digest = baseline.semantic_digest()
-    replicas = sorted({r for reps in load_scenario(path).config.partitions.values() for r in reps})
-    violations = []
-    points = 0
-    for target in replicas:
-        for tick in range(1, baseline.end_time + 1):
-            points += 1
-            scenario = load_scenario(path)
-            scenario.faults.append(Fault(kind="crash", at=tick, target=target))
-            scenario.faults.append(Fault(kind="recover", at=tick + 5, target=target))
-            report = run(scenario)
-            if not report.quiescent or report.semantic_digest() != digest:
-                violations.append((target, tick))
-    assert violations == []  # exact state match at every crash point
+    points, violations = crash_sweep(SCENARIOS / "reference.yaml")
+    assert points > 0
+    # every invariant held, and exact state match at every crash point
+    assert violations == []
     _passed(7, f"{points} crash points all recovered to the no-crash quiescent state")
 
 

@@ -46,6 +46,24 @@ actions:
     assert "line 7" in err
 
 
+def test_consistency_field_is_an_unknown_field(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(
+        """schema: eventual/1
+entities:
+  account:
+    merge: commutative_delta
+    consistency: single_home
+topology:
+  partitions: {p0: [A]}
+"""
+    )
+    code = main(["run", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 5: unknown field 'consistency' in entity 'account'" in err
+
+
 def test_unknown_schema_tag_is_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("schema: nope/9\nentities: {a: {}}\ntopology: {partitions: {p0: [A]}}\n")

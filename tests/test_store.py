@@ -18,6 +18,7 @@ from eventual.store import (
     OP_TOMBSTONE,
     EntityRef,
     EventRecord,
+    FoldState,
     ReplicaStore,
     canonical_sort,
 )
@@ -253,6 +254,35 @@ def test_summarize_mid_log_preserves_rollup_exactly():
     # appending one more delta folds on top of the summarized value
     delta(store, ACCOUNT, "extra", balance=11)
     assert store.rollup("p0", ACCOUNT).value["balance"] == full + 11
+
+
+def test_an_earlier_cut_never_moves_a_checkpoint_backwards():
+    store = make_store()
+    for i in range(6):
+        delta(store, ACCOUNT, f"k{i}", balance=1)
+    store.summarize("p0", ACCOUNT, VersionVector({"A": 4}))
+    ckpt = store.summarize("p0", ACCOUNT, VersionVector({"A": 2}))
+    assert store.rollup("p0", ACCOUNT).value["balance"] == 6
+    assert ckpt.covers_up_to == VersionVector({"A": 4})
+
+
+def test_a_second_checkpoint_resumes_the_first(monkeypatch):
+    store = make_store()
+    for i in range(6):
+        delta(store, ACCOUNT, f"k{i}", balance=1)
+    store.summarize("p0", ACCOUNT, VersionVector({"A": 2}))
+    folded = []
+    original = FoldState.fold
+
+    def recording_fold(state, event, spec):
+        folded.append(event.event_id.seq)
+        original(state, event, spec)
+
+    monkeypatch.setattr(FoldState, "fold", recording_fold)
+    store.summarize("p0", ACCOUNT, VersionVector({"A": 5}))
+    monkeypatch.undo()
+    assert folded == [3, 4, 5]  # only the events past the first cut
+    assert store.rollup("p0", ACCOUNT).value["balance"] == 6
 
 
 def test_summarize_refused_while_entity_locked():
