@@ -112,18 +112,14 @@ class ProcessedKeySet:
         return len(self.keys)
 
 
-def enqueue(batch, messages: list[QueueMessage]) -> list[int]:
+def enqueue(batch, messages: list[QueueMessage]) -> None:
     """Stage messages on an open commit batch.
 
     They become durable in the outbox iff the batch commits.
     """
     if batch is None or not getattr(batch, "open", False):
         raise OutsideTransaction("enqueue requires an open commit batch")
-    positions = []
-    for message in messages:
-        batch.messages.append(message)
-        positions.append(len(batch.messages) - 1)
-    return positions
+    batch.messages.extend(messages)
 
 
 def consume_next(replica, partition_id: str) -> QueueMessage | None:

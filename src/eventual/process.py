@@ -52,7 +52,6 @@ class ManagedException:
     entity_ref: EntityRef
     detail: dict
     status: str  # "open" | "resolved"
-    resolving_event_id: str | None = None
 
 
 @dataclass
@@ -216,23 +215,19 @@ def check_referential(replica: Replica, entity_ref: EntityRef, parent_ref: Entit
     }
 
 
-def plan_referential_resolutions(replica: Replica, parent_ref: EntityRef) -> list[tuple[EntityRef, dict]]:
+def plan_referential_resolutions(replica: Replica, parent_ref: EntityRef) -> list[dict]:
     """Resolution steps for open violations waiting on this parent."""
     plans = []
-    suffix = f":{parent_ref}"
     for exc in scan_exceptions(replica):
         if exc.kind != "referential_violation" or exc.status != "open":
             continue
-        if exc.detail.get("parent") == str(parent_ref) or exc.exception_id.endswith(suffix):
+        if exc.detail.get("parent") == str(parent_ref):
             plans.append(
-                (
-                    exc.entity_ref,
-                    {
-                        "kind": "resolve_exception",
-                        "entity": str(exc.entity_ref),
-                        "exception_id": exc.exception_id,
-                    },
-                )
+                {
+                    "kind": "resolve_exception",
+                    "entity": str(exc.entity_ref),
+                    "exception_id": exc.exception_id,
+                }
             )
     return plans
 

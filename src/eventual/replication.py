@@ -183,7 +183,22 @@ def detect_overbooking(value: dict, spec: RollupSpec) -> list[dict]:
     return losers
 
 
-# -- compensation ------------------------------------------------------------
+# -- apologies and compensation ------------------------------------------------
+
+
+def apology_payload(subject: str, cause: str, entity: str, compensation_keys: list[str]) -> dict:
+    """Body of the ``_apology.record`` message for one broken promise.
+
+    The apology id derives from the subject alone, so every replica that
+    decides the same apology produces the same idempotence key.
+    """
+    return {
+        "apology_id": f"apology:{subject}",
+        "subject": subject,
+        "cause": cause,
+        "entity": entity,
+        "compensation_keys": compensation_keys,
+    }
 
 
 @dataclass
@@ -240,15 +255,8 @@ def compensation_plan(replica: Replica, txn_id: str) -> CompensationPlan:
                 )
             )
             if current == "confirmed":
-                plan.apologies.append(
-                    {
-                        "apology_id": f"apology:{rid}",
-                        "subject": rid,
-                        "cause": "lost_promise",
-                        "entity": str(event.entity_ref),
-                        "compensation_keys": [key],
-                    }
-                )
+                entity = str(event.entity_ref)
+                plan.apologies.append(apology_payload(rid, "lost_promise", entity, [key]))
         elif event.op_kind == OP_CONFIRM:
             rid = event.payload["reservation_id"]
             plan.event_drafts.append(

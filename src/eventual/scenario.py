@@ -23,7 +23,8 @@ from .registry import (
     SchemaRegistry,
 )
 from .sim import ClientAction, Fault, Scenario, SimConfig
-from .txn import ProcessStepDef, TriggerSpec
+from .store import EntityRef
+from .txn import HANDLER_KINDS, ProcessStepDef, TriggerSpec
 
 SCHEMA_TAG = "eventual/1"
 
@@ -67,21 +68,6 @@ ACTION_PARAMS = {
     "summarize": {"entity"},
 }
 
-HANDLER_KINDS = {
-    "delta",
-    "insert",
-    "tombstone",
-    "reserve",
-    "confirm",
-    "cancel",
-    "physical_count",
-    "apology_record",
-    "resolve_exception",
-    "emit_only",
-    "multi_write",
-    "noop",
-}
-
 
 class _Lines:
     """Path -> source line map built from the YAML node tree."""
@@ -117,6 +103,26 @@ def _check_fields(mapping: dict, allowed: set, where: str, lines: _Lines, *path)
     for key in mapping:
         if key not in allowed:
             _fail(f"unknown field {key!r} in {where}", lines, *(path + (key,)))
+
+
+_REQUIRED = object()
+
+
+def _number(convert, mapping: dict, key: str, default, where: str, lines: _Lines, *path):
+    """``convert(mapping[key])``, or ``default`` when absent (``_REQUIRED``: an error)."""
+    if key not in mapping:
+        if default is _REQUIRED:
+            _fail(f"{where} needs field {key!r}", lines, *path)
+        return default
+    try:
+        return convert(mapping[key])
+    except (TypeError, ValueError):
+        _fail(f"{key!r} in {where} must be a number, got {mapping[key]!r}", lines, *path, key)
+
+
+def _check_entity_type(entity_type, config: SimConfig, lines: _Lines, *path) -> None:
+    if entity_type not in config.placement:
+        _fail(f"undeclared entity type {entity_type!r}", lines, *path)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -212,22 +218,22 @@ def _build_config(data: dict, lines: _Lines, entity_types: list[str]) -> SimConf
     _check_fields(lags, LAG_FIELDS, "lags", lines, "lags")
 
     return SimConfig(
-        seed=int(data.get("seed", 0)),
+        seed=_number(int, data, "seed", 0, "scenario", lines),
         partitions=partitions,
         placement=placement,
         notify_partition=notify,
-        delay_min=int(network.get("delay_min", 1)),
-        delay_max=int(network.get("delay_max", 4)),
-        drop=float(network.get("drop", 0.0)),
-        duplicate=float(network.get("duplicate", 0.0)),
+        delay_min=_number(int, network, "delay_min", 1, "network", lines, "network"),
+        delay_max=_number(int, network, "delay_max", 4, "network", lines, "network"),
+        drop=_number(float, network, "drop", 0.0, "network", lines, "network"),
+        duplicate=_number(float, network, "duplicate", 0.0, "network", lines, "network"),
         reorder=bool(network.get("reorder", True)),
-        sync_interval=int(data.get("sync_interval", 5)),
-        retry_base=int(retry.get("base", 2)),
-        retry_cap=int(retry.get("cap", 16)),
-        pending_lag=int(lags.get("pending", 2)),
-        cleanse_lag=int(lags.get("cleanse", 2)),
-        lock_backoff=int(lags.get("lock_backoff", 2)),
-        max_time=int(data.get("max_time", 10_000)),
+        sync_interval=_number(int, data, "sync_interval", 5, "scenario", lines),
+        retry_base=_number(int, retry, "base", 2, "retry", lines, "retry"),
+        retry_cap=_number(int, retry, "cap", 16, "retry", lines, "retry"),
+        pending_lag=_number(int, lags, "pending", 2, "lags", lines, "lags"),
+        cleanse_lag=_number(int, lags, "cleanse", 2, "lags", lines, "lags"),
+        lock_backoff=_number(int, lags, "lock_backoff", 2, "lags", lines, "lags"),
+        max_time=_number(int, data, "max_time", 10_000, "scenario", lines),
     )
 
 
@@ -274,10 +280,13 @@ def _build_faults(data: dict, lines: _Lines, config: SimConfig) -> list[Fault]:
                         _fail(f"partition group names unknown replica {rid!r}", lines, "faults", i)
         if kind == "disaster" and not fault.get("entity"):
             _fail("disaster faults need an entity", lines, "faults", i)
+        if "entity" in fault:
+            ref = EntityRef.parse(str(fault["entity"]))
+            _check_entity_type(ref.entity_type, config, lines, "faults", i, "entity")
         out.append(
             Fault(
                 kind=kind,
-                at=int(fault["at"]),
+                at=_number(int, fault, "at", _REQUIRED, "fault", lines, "faults", i),
                 target=fault.get("target"),
                 groups=fault.get("groups"),
                 entity=fault.get("entity"),
@@ -297,12 +306,21 @@ def _build_actions(data: dict, lines: _Lines, config: SimConfig) -> list[ClientA
         _check_fields(action, allowed, f"action {do!r}", lines, "actions", i)
         if action.get("replica") not in replicas:
             _fail(f"action replica {action.get('replica')!r} is unknown", lines, "actions", i)
+        at = _number(int, action, "at", _REQUIRED, f"action {do!r}", lines, "actions", i)
         params = {k: v for k, v in action.items() if k not in ACTION_BASE_FIELDS}
+        if "entity" in params:
+            ref = EntityRef.parse(str(params["entity"]))
+            _check_entity_type(ref.entity_type, config, lines, "actions", i, "entity")
+        if "entity_type" in params:
+            _check_entity_type(params["entity_type"], config, lines, "actions", i, "entity_type")
+        for j, deferred in enumerate(params.get("deferred", [])):
+            ref = EntityRef.parse(str(deferred.get("entity")))
+            _check_entity_type(ref.entity_type, config, lines, "actions", i, "deferred", j)
         if do == "lww_set":
             do, params = "insert", dict(params)
         out.append(
             ClientAction(
-                at=int(action["at"]),
+                at=at,
                 replica=action["replica"],
                 do=do,
                 params=params,

@@ -18,6 +18,7 @@ import hashlib
 import heapq
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import bus
@@ -33,6 +34,7 @@ from .errors import (
 )
 from .bus import QueueMessage
 from .process import (
+    ManagedException,
     ProcessDef,
     ProcessManager,
     join_entity,
@@ -48,7 +50,7 @@ from .process import (
 )
 from .registry import SchemaRegistry
 from .replica import Replica
-from .replication import detect_overbooking, resolve
+from .replication import apology_payload, compensation_plan, detect_overbooking, resolve
 from .store import (
     OP_DISCREPANCY,
     OP_INSERT,
@@ -57,7 +59,6 @@ from .store import (
     EventRecord,
     canon,
 )
-from .replication import compensation_plan
 from .txn import (
     CommitBatch,
     ProcessStepDef,
@@ -285,13 +286,40 @@ class Simulator:
             task["epoch"] = self.replicas[task["replica"]].epoch
         heapq.heappush(self._heap, _HeapItem(max(at, self.now), self._seq, task))
 
-    def _schedule_consume(self, rid: str, partition: str) -> None:
-        """Drain (rid, partition)'s inbox now; volatile, so a crash drops it."""
+    def _schedule_task(self, at: int, kind: str, replica_id: str, detail: str, **fields) -> None:
+        """Schedule work of one replica; it is volatile, so a crash drops it."""
         self._schedule(
-            self.now,
-            {"kind": "consume", "replica": rid, "partition": partition,
-             "volatile": True, "detail": f"{rid}:{partition}"},
+            at, {"kind": kind, "replica": replica_id, "volatile": True, "detail": detail, **fields}
         )
+
+    def _schedule_consume(self, rid: str, partition: str) -> None:
+        """Drain (rid, partition)'s inbox now."""
+        self._schedule_task(self.now, "consume", rid, f"{rid}:{partition}", partition=partition)
+
+    def _schedule_retry(self, rid: str, message_id: str, at: int) -> None:
+        self._schedule_task(at, "retry", rid, message_id, message_id=message_id)
+
+    def _schedule_pending(self, rid: str, txn_id: str) -> None:
+        at = self.now + self.config.pending_lag
+        self._schedule_task(at, "pending", rid, txn_id, txn_id=txn_id)
+
+    def _schedule_expiry(self, rid: str, ref: EntityRef, reservation_id: str, deadline: int) -> None:
+        at = max(deadline, self.now + 1)
+        fields = {"entity": str(ref), "reservation_id": reservation_id}
+        self._schedule_task(at, "expiry", rid, reservation_id, **fields)
+
+    def _schedule_cleanse(self, rid: str, ref: EntityRef) -> None:
+        at = self.now + self.config.cleanse_lag
+        self._schedule_task(at, "cleanse", rid, str(ref), entity=str(ref))
+
+    @contextmanager
+    def _commit_path(self):
+        """Mark the commit path: a network send inside it breaks availability."""
+        self._in_commit = True
+        try:
+            yield
+        finally:
+            self._in_commit = False
 
     def _trace_task(self, task: dict) -> None:
         detail = task.get("detail", "")
@@ -410,10 +438,7 @@ class Simulator:
     def _arm_sync(self, rid: str, delay: int) -> None:
         if not self._sync_armed.get(rid) and self.replicas[rid].alive:
             self._sync_armed[rid] = True
-            self._schedule(
-                self.now + delay,
-                {"kind": "sync", "replica": rid, "volatile": True, "detail": rid},
-            )
+            self._schedule_task(self.now + delay, "sync", rid, rid)
 
     def _rearm_all_syncs(self) -> None:
         for rid in sorted(self.replicas):
@@ -515,17 +540,7 @@ class Simulator:
                     )
                 )
             for j, apology in enumerate(plan.apologies):
-                messages.append(
-                    QueueMessage(
-                        message_id=f"{batch.txn_id}:a{j}",
-                        destination=self._notify_destination(),
-                        msg_type="_apology.record",
-                        payload=apology,
-                        idempotence_key=apology["apology_id"],
-                        enqueue_stamp=self.now,
-                        sender=replica.replica_id,
-                    )
-                )
+                messages.append(self._apology_message(replica, f"{batch.txn_id}:a{j}", apology))
             bus.enqueue(batch, messages)
             self._commit_batch(replica, batch)
             self._launch_outbox(replica)
@@ -575,11 +590,7 @@ class Simulator:
             if any(m.destination[1] == partition_id for m in replica.inbox.arrivals):
                 self._schedule_consume(rid, partition_id)
         for entry in replica.outbox.pending():
-            self._schedule(
-                self.now + 1,
-                {"kind": "retry", "replica": rid, "message_id": entry.message.message_id,
-                 "volatile": True, "detail": entry.message.message_id},
-            )
+            self._schedule_retry(rid, entry.message.message_id, self.now + 1)
         for descriptor in replica.unapplied_descriptors():
             # recovery owns incomplete deferred work: re-derive its locks, re-run
             for ref in descriptor.lock_scope:
@@ -587,35 +598,25 @@ class Simulator:
                     replica.locks.acquire(ref, descriptor.owner_session, descriptor.txn_id)
                 except LockConflict:
                     pass
-            self._schedule(
-                self.now + self.config.pending_lag,
-                {"kind": "pending", "replica": rid, "txn_id": descriptor.txn_id,
-                 "volatile": True, "detail": descriptor.txn_id},
-            )
+            self._schedule_pending(rid, descriptor.txn_id)
         for reservation in scan_reservations(replica):
             if reservation.state == "tentative" and reservation.deadline is not None:
-                self._schedule(
-                    max(reservation.deadline, self.now + 1),
-                    {"kind": "expiry", "replica": rid, "entity": str(reservation.entity_ref),
-                     "rid": reservation.reservation_id, "volatile": True,
-                     "detail": reservation.reservation_id},
+                self._schedule_expiry(
+                    rid, reservation.entity_ref, reservation.reservation_id, reservation.deadline
                 )
         for exc in scan_exceptions(replica):
             if exc.status == "open" and exc.kind == "discrepancy":
-                if self._exception_origin(replica, exc.exception_id) == rid:
-                    self._schedule(
-                        self.now + self.config.cleanse_lag,
-                        {"kind": "cleanse", "replica": rid, "entity": str(exc.entity_ref),
-                         "volatile": True, "detail": str(exc.entity_ref)},
-                    )
+                if self._exception_origin(replica, exc) == rid:
+                    self._schedule_cleanse(rid, exc.entity_ref)
         self._sync_armed[rid] = False
         self._arm_sync(rid, self.config.sync_interval)
 
-    def _exception_origin(self, replica: Replica, exception_id: str) -> str | None:
-        for partition_id in replica.partitions_hosted():
-            for event in replica.store.log(partition_id).events:
-                if event.idempotence_key == exception_id:
-                    return event.event_id.replica
+    def _exception_origin(self, replica: Replica, exc: ManagedException) -> str | None:
+        """The replica that recorded the exception, read from its entity's events."""
+        partition = replica.store.route(exc.entity_ref)
+        for event in replica.store.log(partition).all_events_for(exc.entity_ref):
+            if event.idempotence_key == exc.exception_id:
+                return event.event_id.replica
         return None
 
     def _disaster(self, fault: Fault) -> None:
@@ -628,15 +629,7 @@ class Simulator:
             return
         replica = self.replicas[sorted(hosts)[0]]
         rid = fault.target
-        template = {
-            "kind": "cancel",
-            "entity": str(ref),
-            "reservation_id": rid,
-            "cause": "disaster",
-        }
-        outcome = self._run_infra_step(replica, f"disaster.{rid}", template, f"disaster:{rid}")
-        if outcome is not None and outcome.status == "committed":
-            self._send_apology(replica, rid, "disaster", str(ref), [f"cancel:{rid}:disaster"])
+        self._cancel_reservation(replica, ref, rid, "disaster", f"disaster.{rid}", f"disaster:{rid}")
 
     # -- message flow -----------------------------------------------------------
 
@@ -706,11 +699,7 @@ class Simulator:
         backoff = min(
             self.config.retry_base * (2 ** min(entry.attempts - 1, 10)), self.config.retry_cap
         )
-        self._schedule(
-            self.now + backoff,
-            {"kind": "retry", "replica": replica.replica_id, "message_id": message.message_id,
-             "volatile": True, "detail": message.message_id},
-        )
+        self._schedule_retry(replica.replica_id, message.message_id, self.now + backoff)
 
     def _task_consume(self, task: dict) -> None:
         replica = self.replicas[task["replica"]]
@@ -718,11 +707,9 @@ class Simulator:
         message = bus.consume_next(replica, partition)
         if message is None:
             return
-        self._schedule(
-            self.now,
-            {"kind": "exec", "replica": replica.replica_id, "partition": partition,
-             "message_id": message.message_id, "volatile": True,
-             "detail": f"{replica.replica_id}:{message.message_id}"},
+        self._schedule_task(
+            self.now, "exec", replica.replica_id, f"{replica.replica_id}:{message.message_id}",
+            partition=partition, message_id=message.message_id,
         )
 
     def _task_exec(self, task: dict) -> None:
@@ -748,7 +735,6 @@ class Simulator:
                     session=session,
                     payload=payload,
                     idempotence_base=message.idempotence_key,
-                    msg_type=message.msg_type,
                     consume_marker=marker,
                     route_message=self._router(replica, partition),
                 )
@@ -756,11 +742,9 @@ class Simulator:
                 if outcome is not None and outcome.status == "committed":
                     self._after_commit(replica, outcome, message)
         except LockConflict:
-            self._schedule(
-                self.now + self.config.lock_backoff,
-                {"kind": "exec", "replica": replica.replica_id, "partition": partition,
-                 "message_id": message.message_id, "volatile": True,
-                 "detail": f"defer:{message.message_id}"},
+            self._schedule_task(
+                self.now + self.config.lock_backoff, "exec", replica.replica_id,
+                f"defer:{message.message_id}", partition=partition, message_id=message.message_id,
             )
             return
         if message.idempotence_key not in replica.processed:
@@ -785,32 +769,25 @@ class Simulator:
     def _execute_guarded(self, step_def: ProcessStepDef, ctx: StepContext):
         """Run one step; commit is instrumented to prove it never touches
         the network."""
-        self._in_commit = True
-        try:
-            return execute_step(step_def, ctx)
-        except MultiEntityWriteRejected as exc:
-            self.multi_entity_rejections += 1
-            ctx.replica.audit_log.append({"audit": "multi_entity_rejected", "detail": str(exc)})
-            return None
-        except (UnknownReservation, AlreadyTerminal) as exc:
-            self.notes.append(f"{type(exc).__name__}: {exc}")
-            return None
-        finally:
-            self._in_commit = False
+        with self._commit_path():
+            try:
+                return execute_step(step_def, ctx)
+            except MultiEntityWriteRejected as exc:
+                self.multi_entity_rejections += 1
+                ctx.replica.audit_log.append({"audit": "multi_entity_rejected", "detail": str(exc)})
+                return None
+            except (UnknownReservation, AlreadyTerminal) as exc:
+                self.notes.append(f"{type(exc).__name__}: {exc}")
+                return None
 
     def _commit_batch(self, replica: Replica, batch: CommitBatch) -> None:
-        self._in_commit = True
-        try:
+        with self._commit_path():
             txn_commit(replica, batch, self.now)
-        finally:
-            self._in_commit = False
 
     def _router(self, replica: Replica, trigger_partition: str):
         def route(to, written):
             if to == "notify":
                 return self._notify_destination()
-            if isinstance(to, (tuple, list)):
-                return (to[0], to[1])
             partition = trigger_partition
             if written is not None:
                 partition = replica.store.route(written)
@@ -889,31 +866,16 @@ class Simulator:
             if event.op_kind == OP_TENTATIVE:
                 deadline = event.payload.get("deadline")
                 if deadline is not None:
-                    self._schedule(
-                        max(deadline, self.now + 1),
-                        {"kind": "expiry", "replica": replica.replica_id,
-                         "entity": str(event.entity_ref),
-                         "rid": event.payload["reservation_id"], "volatile": True,
-                         "detail": event.payload["reservation_id"]},
-                    )
+                    rid = event.payload["reservation_id"]
+                    self._schedule_expiry(replica.replica_id, event.entity_ref, rid, deadline)
             if event.op_kind == OP_DISCREPANCY and event.payload.get("kind") == "discrepancy":
-                self._schedule(
-                    self.now + self.config.cleanse_lag,
-                    {"kind": "cleanse", "replica": replica.replica_id,
-                     "entity": str(event.entity_ref), "volatile": True,
-                     "detail": str(event.entity_ref)},
-                )
+                self._schedule_cleanse(replica.replica_id, event.entity_ref)
             if event.op_kind == OP_INSERT:
                 self._resolve_waiting_references(replica, event.entity_ref)
             if spec.has_capacity:
                 self._remediate_overbooking(replica, event.entity_ref)
         if outcome.pending_descriptor is not None:
-            self._schedule(
-                self.now + self.config.pending_lag,
-                {"kind": "pending", "replica": replica.replica_id,
-                 "txn_id": outcome.pending_descriptor.txn_id, "volatile": True,
-                 "detail": outcome.pending_descriptor.txn_id},
-            )
+            self._schedule_pending(replica.replica_id, outcome.pending_descriptor.txn_id)
         if outcome.enqueued_messages:
             self._launch_outbox(replica)
         self._rearm_all_syncs()
@@ -923,11 +885,8 @@ class Simulator:
         descriptor = replica.descriptors.get(task["txn_id"])
         if descriptor is None or task["txn_id"] in replica.descriptors_done:
             return
-        self._in_commit = True
-        try:
+        with self._commit_path():
             apply_pending_actions(replica, descriptor, self.now)
-        finally:
-            self._in_commit = False
         self._rearm_all_syncs()
 
     def _task_expiry(self, task: dict) -> None:
@@ -935,19 +894,16 @@ class Simulator:
         ref = EntityRef.parse(task["entity"])
         partition = replica.store.route(ref)
         view = replica.store.rollup(partition, ref).value.get("reservations", {})
-        entry = view.get(task["rid"])
+        reservation_id = task["reservation_id"]
+        entry = view.get(reservation_id)
         if entry is None or entry["state"] != "tentative":
             return
         if entry["deadline"] is not None and entry["deadline"] > self.now:
             self._schedule(entry["deadline"], dict(task))
             return
-        template = {
-            "kind": "cancel",
-            "entity": str(ref),
-            "reservation_id": task["rid"],
-            "cause": "expired",
-        }
-        self._run_infra_step(replica, "expire", template, f"expire:{task['rid']}")
+        self._cancel_reservation(
+            replica, ref, reservation_id, "expired", "expire", f"expire:{reservation_id}"
+        )
 
     def _task_cleanse(self, task: dict) -> None:
         replica = self.replicas[task["replica"]]
@@ -957,7 +913,7 @@ class Simulator:
             self._run_infra_step(replica, "cleanse", template, f"adjust:{exc_id}")
 
     def _resolve_waiting_references(self, replica: Replica, parent_ref: EntityRef) -> None:
-        for child_ref, template in plan_referential_resolutions(replica, parent_ref):
+        for template in plan_referential_resolutions(replica, parent_ref):
             self._run_infra_step(
                 replica, "refresolve", template, f"resolve:{template['exception_id']}"
             )
@@ -969,39 +925,39 @@ class Simulator:
         for loser in detect_overbooking(state.value, spec):
             rid = loser["reservation_id"]
             cause = "lost_promise" if loser["state"] == "confirmed" else "overbooking"
-            template = {
-                "kind": "cancel",
-                "entity": str(ref),
-                "reservation_id": rid,
-                "cause": cause,
-            }
-            outcome = self._run_infra_step(
-                replica, "overbook", template, f"overbook:{rid}"
-            )
-            if outcome is not None and outcome.status == "committed":
-                self._send_apology(replica, rid, cause, str(ref), [f"cancel:{rid}:{cause}"])
+            self._cancel_reservation(replica, ref, rid, cause, "overbook", f"overbook:{rid}")
 
-    def _send_apology(self, replica: Replica, subject: str, cause: str, entity: str,
-                      compensation_keys: list[str]) -> None:
+    def _cancel_reservation(self, replica: Replica, ref: EntityRef, reservation_id: str,
+                            cause: str, step_id: str, base: str) -> None:
+        """Cancel a reservation as the infrastructure. A committed cancel is a
+        broken promise and gets an apology, except an expiry: that is the
+        agreed deal."""
+        template = {
+            "kind": "cancel",
+            "entity": str(ref),
+            "reservation_id": reservation_id,
+            "cause": cause,
+        }
+        outcome = self._run_infra_step(replica, step_id, template, base)
+        if cause == "expired" or outcome is None or outcome.status != "committed":
+            return
+        keys = [f"cancel:{reservation_id}:{cause}"]
+        payload = apology_payload(reservation_id, cause, str(ref), keys)
         batch = CommitBatch(txn_id=replica.next_txn_id("sys"), session="sys")
-        message = QueueMessage(
-            message_id=f"{batch.txn_id}:m0",
+        bus.enqueue(batch, [self._apology_message(replica, f"{batch.txn_id}:m0", payload)])
+        self._commit_batch(replica, batch)
+        self._launch_outbox(replica)
+
+    def _apology_message(self, replica: Replica, message_id: str, payload: dict) -> QueueMessage:
+        return QueueMessage(
+            message_id=message_id,
             destination=self._notify_destination(),
             msg_type="_apology.record",
-            payload={
-                "apology_id": f"apology:{subject}",
-                "subject": subject,
-                "cause": cause,
-                "entity": entity,
-                "compensation_keys": compensation_keys,
-            },
-            idempotence_key=f"apology:{subject}",
+            payload=payload,
+            idempotence_key=payload["apology_id"],
             enqueue_stamp=self.now,
             sender=replica.replica_id,
         )
-        bus.enqueue(batch, [message])
-        self._commit_batch(replica, batch)
-        self._launch_outbox(replica)
 
     # -- anti-entropy ----------------------------------------------------------
 
@@ -1030,14 +986,8 @@ class Simulator:
     def _answer_sync(self, src: str, dst: str, body: dict) -> None:
         """dst received a frontier request from src: ship what src lacks."""
         replica = self.replicas[dst]
-        events: dict[str, list[str]] = {}
-        my_frontiers: dict[str, dict] = {}
-        for pid, frontier in sorted(body["frontiers"].items()):
-            log = replica.store.log(pid)
-            missing = log.missing_for(VersionVector.from_dict(frontier))
-            if missing:
-                events[pid] = [e.to_line() for e in missing]
-            my_frontiers[pid] = replica.frontier(pid).to_dict()
+        events = self._missing_lines(replica, body["frontiers"])
+        my_frontiers = {pid: replica.frontier(pid).to_dict() for pid in sorted(body["frontiers"])}
         self._send(dst, src, "sync_resp", {"events": events, "frontiers": my_frontiers},
                    f"resp:{dst}->{src}")
 
@@ -1045,14 +995,18 @@ class Simulator:
         """dst (the initiator) merges the diff and returns the peer's gap."""
         replica = self.replicas[dst]
         self._merge_remote_events(replica, body["events"])
-        back: dict[str, list[str]] = {}
-        for pid, frontier in sorted(body["frontiers"].items()):
-            log = replica.store.log(pid)
-            missing = log.missing_for(VersionVector.from_dict(frontier))
-            if missing:
-                back[pid] = [e.to_line() for e in missing]
+        back = self._missing_lines(replica, body["frontiers"])
         if back:
             self._send(dst, src, "sync_back", {"events": back}, f"back:{dst}->{src}")
+
+    def _missing_lines(self, replica: Replica, frontiers: dict[str, dict]) -> dict[str, list[str]]:
+        """Archival lines of the events the replica holds beyond each partition frontier."""
+        lines = {}
+        for pid, frontier in sorted(frontiers.items()):
+            missing = replica.store.log(pid).missing_for(VersionVector.from_dict(frontier))
+            if missing:
+                lines[pid] = [e.to_line() for e in missing]
+        return lines
 
     def _merge_remote_events(self, replica: Replica, events_by_partition: dict) -> None:
         touched: set[EntityRef] = set()

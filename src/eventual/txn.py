@@ -17,18 +17,16 @@ from typing import Callable
 
 from . import bus
 from .bus import QueueMessage
-from .clocks import VersionVector
 from .errors import (
     AlreadyTerminal,
     DuplicateEventId,
     LockConflict,
     MultiEntityWriteRejected,
     UnknownReservation,
-    WrongPartition,
 )
 from .registry import APOLOGY_TYPE
 from .replica import Replica
-from .replication import detect_overbooking
+from .replication import apology_payload, detect_overbooking
 from .store import (
     OP_APOLOGY,
     OP_CANCEL,
@@ -132,7 +130,6 @@ class StepOutcome:
     appended_events: list[EventRecord] = field(default_factory=list)
     enqueued_messages: list[QueueMessage] = field(default_factory=list)
     pending_descriptor: PendingActionDescriptor | None = None
-    non_transactional_writes: list[dict] = field(default_factory=list)
 
 
 @dataclass
@@ -144,7 +141,6 @@ class StepContext:
     session: str
     payload: dict
     idempotence_base: str
-    msg_type: str | None = None
     consume_marker: tuple[str, str] | None = None  # (message_id, idempotence_key)
     route_message: Callable | None = None
 
@@ -154,6 +150,21 @@ class StepContext:
 
 
 # -- template interpretation ---------------------------------------------
+
+HANDLER_KINDS = {
+    "delta",
+    "insert",
+    "tombstone",
+    "reserve",
+    "confirm",
+    "cancel",
+    "physical_count",
+    "apology_record",
+    "resolve_exception",
+    "emit_only",
+    "multi_write",
+    "noop",
+}
 
 
 def _param(template: dict, payload: dict, name: str, default=None):
@@ -332,8 +343,7 @@ def interpret(template: dict, ctx: StepContext) -> StepPlan:
 
 def _plan_confirm(ctx: StepContext, entity: EntityRef, rid: str, emits: list[MessageDraft]) -> StepPlan:
     plan = StepPlan()
-    partition = ctx.replica.store.route(entity)
-    state = ctx.replica.store.rollup(partition, entity)
+    state = ctx.rollup(entity)
     view = state.value.get("reservations", {})
     if rid not in view:
         raise UnknownReservation(rid)
@@ -358,13 +368,9 @@ def _plan_confirm(ctx: StepContext, entity: EntityRef, rid: str, emits: list[Mes
         plan.messages.append(
             MessageDraft(
                 msg_type="_apology.record",
-                payload={
-                    "apology_id": f"apology:{rid}",
-                    "subject": rid,
-                    "cause": "overbooking",
-                    "entity": str(entity),
-                    "compensation_keys": [f"overbook-cancel:{rid}"],
-                },
+                payload=apology_payload(
+                    rid, "overbooking", str(entity), [f"overbook-cancel:{rid}"]
+                ),
                 to="notify",
                 key=f"apology:{rid}",
             )
@@ -397,11 +403,7 @@ def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
 
     if plan.reject is not None:
         ctx.replica.audit_log.extend(plan.audit)  # survives the rollback
-        return StepOutcome(
-            txn_id="",
-            status="rolled_back",
-            non_transactional_writes=list(plan.audit),
-        )
+        return StepOutcome(txn_id="", status="rolled_back")
 
     refs = sorted({str(ref) for ref, _, _, _ in plan.events})
     if len(refs) > 1:
@@ -446,13 +448,8 @@ def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
     actions.extend(_referential_checks(ctx.replica, events))
     descriptor = None
     if actions:
-        scope = []
-        if written is not None:
-            scope.append(written)
-        for action in actions:
-            if action.kind == AGGREGATE_UPDATE:
-                scope.append(EntityRef.parse(action.params["target"]))
-        descriptor = PendingActionDescriptor(txn_id, ctx.session, actions, scope)
+        # referential checks take no lock, so the scope is what was checked above
+        descriptor = PendingActionDescriptor(txn_id, ctx.session, actions, lock_needs)
 
     batch = CommitBatch(txn_id=txn_id, session=ctx.session, events=events, descriptor=descriptor)
     bus.enqueue(batch, messages)
@@ -468,14 +465,11 @@ def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
         appended_events=events,
         enqueued_messages=messages,
         pending_descriptor=descriptor,
-        non_transactional_writes=list(plan.audit),
     )
 
 
 def _route(ctx: StepContext, to, written: EntityRef | None) -> tuple[str, str]:
-    if isinstance(to, tuple):
-        return to
-    if isinstance(to, list):
+    if isinstance(to, (tuple, list)):
         return (to[0], to[1])
     if ctx.route_message is not None:
         return ctx.route_message(to, written)
@@ -506,10 +500,9 @@ def _referential_checks(replica: Replica, events: list[EventRecord]) -> list[Pen
     return actions
 
 
-def commit(replica: Replica, batch: CommitBatch, now: int = 0):
-    """Apply one batch atomically to local storage; returns the committed
-    frontier of the written partition. Purely local: no network traffic,
-    no waiting, no conflict validation.
+def commit(replica: Replica, batch: CommitBatch, now: int = 0) -> None:
+    """Apply one batch atomically to local storage. Purely local: no
+    network traffic, no waiting, no conflict validation.
 
     Replaying an identical batch is a no-op (idempotent by event id), so
     crash-recovery replays leave the log byte-identical.
@@ -521,7 +514,6 @@ def commit(replica: Replica, batch: CommitBatch, now: int = 0):
     # so taking them up front keeps the batch all-or-nothing
     for ref in batch.lock_scope:
         replica.locks.acquire(ref, batch.session, batch.txn_id)
-    partition = None
     for event in batch.events:
         partition = replica.store.route(event.entity_ref)
         try:
@@ -541,7 +533,6 @@ def commit(replica: Replica, batch: CommitBatch, now: int = 0):
     replica.audit_log.extend(batch.audit)
     batch.open = False
     replica.commit_times.append(now)
-    return replica.frontier(partition) if partition is not None else VersionVector()
 
 
 def apply_pending_actions(replica: Replica, descriptor: PendingActionDescriptor, now: int = 0) -> dict:
@@ -551,38 +542,39 @@ def apply_pending_actions(replica: Replica, descriptor: PendingActionDescriptor,
     (txn_id, index): re-invocation is a per-action no-op. Locks release
     only once every action has completed.
     """
+    from .process import check_referential  # process imports this module
+
     report = {"txn_id": descriptor.txn_id, "applied": [], "skipped": [], "exceptions": []}
     for idx, action in enumerate(descriptor.actions):
         ckey = f"{descriptor.txn_id}:a{idx}"
         if ckey in replica.action_completions:
             report["skipped"].append(ckey)
             continue
+        txn_id = replica.next_txn_id("sys")
+        batch = CommitBatch(txn_id=txn_id, session=descriptor.owner_session, completions=[ckey])
         if action.kind == AGGREGATE_UPDATE:
             target = EntityRef.parse(action.params["target"])
-            txn_id = replica.next_txn_id("sys")
-            event = replica.store.make_event(
-                target, OP_DELTA, {"deltas": action.params["deltas"]}, ckey, txn_id
+            batch.events.append(
+                replica.store.make_event(
+                    target, OP_DELTA, {"deltas": action.params["deltas"]}, ckey, txn_id
+                )
             )
-            batch = CommitBatch(
-                txn_id=txn_id, session=descriptor.owner_session, events=[event], completions=[ckey]
-            )
-            commit(replica, batch, now)
-            report["applied"].append(ckey)
         elif action.kind == REFERENTIAL_CHECK:
-            exc_id = _run_referential_check(replica, descriptor, action, ckey, now)
-            if exc_id is not None:
+            # a missing parent opens a managed exception; the child write
+            # already committed, and the whole point is not to refuse it
+            child = EntityRef.parse(action.params["child"])
+            violation = check_referential(replica, child, EntityRef.parse(action.params["parent"]))
+            if violation is not None:
+                exc_id = violation["exception_id"]
+                batch.events.append(
+                    replica.store.make_event(child, OP_DISCREPANCY, violation, exc_id, txn_id)
+                )
                 report["exceptions"].append(exc_id)
-            report["applied"].append(ckey)
         else:
             # custom action kinds are an extension point; record and complete
-            batch = CommitBatch(
-                txn_id=replica.next_txn_id("sys"),
-                session=descriptor.owner_session,
-                completions=[ckey],
-                audit=[{"audit": "custom_action_skipped", "action": action.kind}],
-            )
-            commit(replica, batch, now)
-            report["applied"].append(ckey)
+            batch.audit.append({"audit": "custom_action_skipped", "action": action.kind})
+        commit(replica, batch, now)
+        report["applied"].append(ckey)
     if all(
         f"{descriptor.txn_id}:a{i}" in replica.action_completions
         for i in range(len(descriptor.actions))
@@ -590,42 +582,3 @@ def apply_pending_actions(replica: Replica, descriptor: PendingActionDescriptor,
         replica.locks.release_txn(descriptor.txn_id)
         replica.descriptors_done.add(descriptor.txn_id)
     return report
-
-
-def _run_referential_check(
-    replica: Replica, descriptor: PendingActionDescriptor, action: PendingAction, ckey: str, now: int
-) -> str | None:
-    """Open a managed exception if the referenced parent has no local events.
-
-    The child write already committed; the whole point is not to refuse it.
-    """
-    child = EntityRef.parse(action.params["child"])
-    parent = EntityRef.parse(action.params["parent"])
-    exc_id = None
-    events = []
-    try:
-        parent_partition = replica.store.route(parent)
-        parent_known = bool(replica.store.log(parent_partition).all_events_for(parent))
-    except WrongPartition:
-        parent_known = True  # parent lives on a partition this replica cannot see
-    txn_id = replica.next_txn_id("sys")
-    if not parent_known:
-        exc_id = f"refviol:{child}:{parent}"
-        events.append(
-            replica.store.make_event(
-                child,
-                OP_DISCREPANCY,
-                {
-                    "exception_id": exc_id,
-                    "kind": "referential_violation",
-                    "detail": {"parent": str(parent)},
-                },
-                exc_id,
-                txn_id,
-            )
-        )
-    batch = CommitBatch(
-        txn_id=txn_id, session=descriptor.owner_session, events=events, completions=[ckey]
-    )
-    commit(replica, batch, now)
-    return exc_id

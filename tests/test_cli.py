@@ -64,6 +64,50 @@ topology:
     assert "line 5: unknown field 'consistency' in entity 'account'" in err
 
 
+BOOKS = """schema: eventual/1
+entities:
+  book: {merge: commutative_delta, initial: {on_hand: 5}, aggregates: [on_hand], capacity_field: on_hand}
+  order: {merge: lww_register}
+topology:
+  partitions: {p0: [A]}
+max_time: 200
+"""
+
+
+@pytest.mark.parametrize(
+    "tail, line, message",
+    [
+        ("actions:\n  - {at: 1, replica: A, do: delta, entity: boook/moby, deltas: {on_hand: 1}}\n",
+         9, "undeclared entity type 'boook'"),
+        ("actions:\n  - {at: 1, replica: A, do: insert, entity_type: ordr, key: o1, fields: {}}\n",
+         9, "undeclared entity type 'ordr'"),
+        ("faults:\n  - {kind: disaster, at: 5, target: r1, entity: boook/moby}\n",
+         9, "undeclared entity type 'boook'"),
+        ("actions:\n  - {at: 1, replica: A, do: delta, entity: book/moby, deltas: {on_hand: 1},\n"
+         "     deferred: [{entity: ordr/o1, deltas: {n: 1}}]}\n",
+         10, "undeclared entity type 'ordr'"),
+        ("actions:\n  - {at: soon, replica: A, do: read, entity: book/moby}\n",
+         9, "'at' in action 'read' must be a number, got 'soon'"),
+        ("actions:\n  - {replica: A, do: read, entity: book/moby}\n",
+         9, "action 'read' needs field 'at'"),
+        ("faults:\n  - {kind: crash, at: 2.5x, target: A}\n",
+         9, "'at' in fault must be a number, got '2.5x'"),
+        ("network:\n  drop: lots\n", 9, "'drop' in network must be a number, got 'lots'"),
+        ("lags: {pending: never}\n", 8, "'pending' in lags must be a number, got 'never'"),
+        ("sync_interval: [5]\n", 8, "'sync_interval' in scenario must be a number, got [5]"),
+    ],
+    ids=["action-entity", "action-entity-type", "disaster-entity", "deferred-entity", "action-at",
+         "missing-at", "fault-at", "network-drop", "lags-pending", "sync-interval"],
+)
+def test_malformed_entities_and_numbers_exit_two_with_the_line(tmp_path, capsys, tail, line, message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(BOOKS + tail)
+    code = main(["run", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"line {line}: {message}" in err
+
+
 def test_unknown_schema_tag_is_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("schema: nope/9\nentities: {a: {}}\ntopology: {partitions: {p0: [A]}}\n")

@@ -1,55 +1,106 @@
-"""Golden digests: every bundled scenario, seeds 0-9, byte for byte.
+"""Golden digests: byte-for-byte pins of whole runs.
 
-For each run the checked-in ``golden_digests.json`` holds the sha256 of
-the persisted report file (``cli.render_report_file``: the stable report
-text plus every replica's archival event dump) and the trace hash. A
-refactor that claims "same behaviour" must leave all of them unchanged;
-a change that moves one must say why, not regenerate the file.
+``golden_digests.json`` covers every bundled scenario at seeds 0-9.
+``golden_fault_digests.json`` covers the paths the bundled scenarios
+never reach (disaster, compensation, expiry, joins, crash recovery):
+every complete inline scenario of ``test_sim.py`` at seeds 0-9, and
+``reference.yaml`` with each replica crashed at every tick of its
+no-crash run and recovered ``CRASH_RECOVERY_GAP`` ticks later.
+
+Each entry holds the sha256 of the persisted report file
+(``cli.render_report_file``: the stable report text plus every replica's
+archival event dump) and the trace hash. A refactor that claims "same
+behaviour" must leave all of them unchanged; a change that moves one
+must say why, not regenerate the files.
 
 To print the current digests (for a deliberate, explained change):
 ``PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json``
+``PYTHONPATH=src python tests/test_golden.py faults > tests/golden_fault_digests.json``
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
-from eventual.cli import render_report_file
-from eventual.scenario import load_scenario
-from eventual.sim import Simulator
+import test_sim
+from eventual.cli import CRASH_RECOVERY_GAP, render_report_file
+from eventual.scenario import load_scenario, parse_scenario
+from eventual.sim import Fault, Simulator
 
 SCENARIOS = Path(__file__).parent.parent / "src" / "eventual" / "scenarios"
 GOLDEN = Path(__file__).parent / "golden_digests.json"
+GOLDEN_FAULTS = Path(__file__).parent / "golden_fault_digests.json"
 SEEDS = range(10)
+PLACEHOLDER = re.compile(r"\b[A-Z]{2,}_[A-Z]{2,}\b")  # e.g. CHILD_AT in a template
+
+
+def _digest(scenario, seed: int | None = None) -> dict[str, str]:
+    if seed is not None:
+        scenario.config.seed = seed
+    sim = Simulator(scenario)
+    report = sim.run()
+    return {
+        "report_sha256": hashlib.sha256(render_report_file(report, sim).encode()).hexdigest(),
+        "trace_hash": report.trace_hash,
+    }
 
 
 def digests() -> dict[str, dict[str, str]]:
     out = {}
     for path in sorted(SCENARIOS.glob("*.yaml")):
         for seed in SEEDS:
-            scenario = load_scenario(path)
-            scenario.config.seed = seed
-            sim = Simulator(scenario)
-            report = sim.run()
-            out[f"{path.stem}@{seed}"] = {
-                "report_sha256": hashlib.sha256(render_report_file(report, sim).encode()).hexdigest(),
-                "trace_hash": report.trace_hash,
-            }
+            out[f"{path.stem}@{seed}"] = _digest(load_scenario(path), seed)
     return out
+
+
+def inline_scenarios() -> dict[str, str]:
+    """Complete scenario texts defined at module level in test_sim.py."""
+    return {
+        name: text
+        for name, text in sorted(vars(test_sim).items())
+        if isinstance(text, str) and "schema: eventual/1" in text and not PLACEHOLDER.search(text)
+    }
+
+
+def fault_digests() -> dict[str, dict[str, str]]:
+    out = {}
+    for name, text in inline_scenarios().items():
+        for seed in SEEDS:
+            out[f"test_sim.{name}@{seed}"] = _digest(parse_scenario(text), seed)
+    path = SCENARIOS / "reference.yaml"
+    sim = Simulator(load_scenario(path))
+    baseline = sim.run()
+    for target in sorted(sim.replicas):
+        for tick in range(1, baseline.end_time + 1):
+            scenario = load_scenario(path)
+            scenario.faults.append(Fault(kind="crash", at=tick, target=target))
+            scenario.faults.append(Fault(kind="recover", at=tick + CRASH_RECOVERY_GAP, target=target))
+            out[f"reference+crash:{target}@{tick}"] = _digest(scenario)
+    return out
+
+
+def _moved(expected: dict, actual: dict) -> list[str]:
+    assert sorted(actual) == sorted(expected)
+    return sorted(k for k in expected if actual[k] != expected[k])
 
 
 def test_bundled_scenarios_match_the_golden_digests():
     expected = json.loads(GOLDEN.read_text())
-    actual = digests()
     assert len(expected) == 90
-    moved = sorted(k for k in expected if actual.get(k) != expected[k])
-    assert sorted(actual) == sorted(expected)
-    assert moved == []
+    assert _moved(expected, digests()) == []
+
+
+def test_fault_paths_match_the_golden_digests():
+    expected = json.loads(GOLDEN_FAULTS.read_text())
+    assert len(expected) == 323
+    assert _moved(expected, fault_digests()) == []
 
 
 if __name__ == "__main__":
-    json.dump(digests(), sys.stdout, indent=1, sort_keys=True)
+    pick = fault_digests if sys.argv[1:] == ["faults"] else digests
+    json.dump(pick(), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

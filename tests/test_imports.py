@@ -1,0 +1,36 @@
+"""No module of the engine imports a name it never uses.
+
+A name counts as used when the module reads it anywhere (including in
+annotations) or re-exports it through ``__all__``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).parent.parent / "src" / "eventual"
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_module_imports_an_unused_name():
+    found = {
+        path.name: unused_imports(ast.parse(path.read_text()))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: names for name, names in found.items() if names} == {}
