@@ -23,6 +23,14 @@ class WrongPartition(EngineError):
     """Entity is not routed to the partition the caller addressed."""
 
 
+class MalformedEvent(EngineError):
+    """An archive or sync line does not decode to an event record."""
+
+    def __init__(self, line: str, cause: Exception):
+        super().__init__(f"malformed event line ({type(cause).__name__}: {cause}): {line!r}")
+        self.line = line
+
+
 class SequenceGap(EngineError):
     """Append would leave a hole in an origin replica's sequence."""
 

@@ -120,9 +120,16 @@ def _number(convert, mapping: dict, key: str, default, where: str, lines: _Lines
         _fail(f"{key!r} in {where} must be a number, got {mapping[key]!r}", lines, *path, key)
 
 
-def _check_entity_type(entity_type, config: SimConfig, lines: _Lines, *path) -> None:
+def _check_entity_type(entity_type, config: SimConfig, lines: _Lines, *path, replica=None) -> None:
+    """Fail unless the type is declared (and, given a replica, hosted there)."""
     if entity_type not in config.placement:
         _fail(f"undeclared entity type {entity_type!r}", lines, *path)
+    partition = config.placement[entity_type]
+    if replica is not None and replica not in config.partitions[partition]:
+        _fail(
+            f"replica {replica!r} does not host partition {partition!r} of entity type {entity_type!r}",
+            lines, *path,
+        )
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -141,7 +148,7 @@ def parse_scenario(text: str) -> Scenario:
 
     registry, placement_defaults = _build_registry(data, lines)
     config = _build_config(data, lines, placement_defaults)
-    processes = _build_processes(data, lines)
+    processes = _build_processes(data, lines, config)
     faults = _build_faults(data, lines, config)
     actions = _build_actions(data, lines, config)
     return Scenario(
@@ -237,7 +244,7 @@ def _build_config(data: dict, lines: _Lines, entity_types: list[str]) -> SimConf
     )
 
 
-def _build_processes(data: dict, lines: _Lines) -> list[ProcessDef]:
+def _build_processes(data: dict, lines: _Lines, config: SimConfig) -> list[ProcessDef]:
     out = []
     for i, proc in enumerate(data.get("processes", []) or []):
         _check_fields(proc, PROCESS_FIELDS, "process", lines, "processes", i)
@@ -258,9 +265,24 @@ def _build_processes(data: dict, lines: _Lines) -> list[ProcessDef]:
             if handler.get("kind") not in HANDLER_KINDS:
                 _fail(f"unknown handler kind {handler.get('kind')!r}", lines,
                       "processes", i, "steps", j, "handler")
+            for subpath, entity_type in _template_entity_types(handler):
+                _check_entity_type(entity_type, config, lines,
+                                   "processes", i, "steps", j, "handler", *subpath)
             steps.append(ProcessStepDef(step["id"], trigger, handler))
         out.append(ProcessDef(proc["id"], steps, dict(proc.get("wiring", {}) or {})))
     return out
+
+
+def _template_entity_types(template: dict):
+    """(path below the template, entity type) for every entity a template names."""
+    if "entity" in template:
+        yield ("entity",), EntityRef.parse(str(template["entity"])).entity_type
+    if "entity_type" in template:
+        yield ("entity_type",), template["entity_type"]
+    for j, entity in enumerate(template.get("entities", [])):
+        yield ("entities", j), EntityRef.parse(str(entity)).entity_type
+    for j, deferred in enumerate(template.get("deferred", [])):
+        yield ("deferred", j), EntityRef.parse(str(deferred.get("entity"))).entity_type
 
 
 def _build_faults(data: dict, lines: _Lines, config: SimConfig) -> list[Fault]:
@@ -308,14 +330,9 @@ def _build_actions(data: dict, lines: _Lines, config: SimConfig) -> list[ClientA
             _fail(f"action replica {action.get('replica')!r} is unknown", lines, "actions", i)
         at = _number(int, action, "at", _REQUIRED, f"action {do!r}", lines, "actions", i)
         params = {k: v for k, v in action.items() if k not in ACTION_BASE_FIELDS}
-        if "entity" in params:
-            ref = EntityRef.parse(str(params["entity"]))
-            _check_entity_type(ref.entity_type, config, lines, "actions", i, "entity")
-        if "entity_type" in params:
-            _check_entity_type(params["entity_type"], config, lines, "actions", i, "entity_type")
-        for j, deferred in enumerate(params.get("deferred", [])):
-            ref = EntityRef.parse(str(deferred.get("entity")))
-            _check_entity_type(ref.entity_type, config, lines, "actions", i, "deferred", j)
+        for subpath, entity_type in _template_entity_types(params):
+            _check_entity_type(entity_type, config, lines, "actions", i, *subpath,
+                               replica=action["replica"])
         if do == "lww_set":
             do, params = "insert", dict(params)
         out.append(

@@ -24,6 +24,7 @@ from .errors import (
     DuplicateEventId,
     FutureVersion,
     LockedEntity,
+    MalformedEvent,
     SequenceGap,
     UnknownEntity,
     WrongPartition,
@@ -131,17 +132,21 @@ class EventRecord:
 
     @classmethod
     def from_line(cls, line: str) -> EventRecord:
-        raw = json.loads(line)
-        return cls(
-            event_id=EventId.parse(raw["event_id"]),
-            entity_ref=EntityRef.parse(raw["entity_ref"]),
-            op_kind=raw["op_kind"],
-            payload=canon(raw["payload"]),
-            causal_stamp=VersionVector.from_dict(raw["causal_stamp"]),
-            lww_hint=raw["lww_hint"],
-            idempotence_key=raw["idempotence_key"],
-            origin_txn_id=raw["origin_txn_id"],
-        )
+        """Inverse of ``to_line``; raises MalformedEvent naming a bad line."""
+        try:
+            raw = json.loads(line)
+            return cls(
+                event_id=EventId.parse(raw["event_id"]),
+                entity_ref=EntityRef.parse(raw["entity_ref"]),
+                op_kind=raw["op_kind"],
+                payload=canon(raw["payload"]),
+                causal_stamp=VersionVector.from_dict(raw["causal_stamp"]),
+                lww_hint=raw["lww_hint"],
+                idempotence_key=raw["idempotence_key"],
+                origin_txn_id=raw["origin_txn_id"],
+            )
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise MalformedEvent(line, exc) from exc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventRecord):
@@ -663,7 +668,11 @@ class ReplicaStore:
         return [e.to_line() for e in events]
 
     def import_partition(self, partition_id: str, lines: list[str]) -> int:
-        """Re-ingest an archival export (e.g. into a fresh replica)."""
+        """Re-ingest an archival export (e.g. into a fresh replica).
+
+        A line that is not an event record raises MalformedEvent before
+        anything is appended.
+        """
         events = [EventRecord.from_line(line) for line in lines]
         events.sort(key=lambda e: (e.event_id.replica, e.event_id.seq))
         appended = 0

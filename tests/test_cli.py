@@ -95,13 +95,53 @@ max_time: 200
         ("network:\n  drop: lots\n", 9, "'drop' in network must be a number, got 'lots'"),
         ("lags: {pending: never}\n", 8, "'pending' in lags must be a number, got 'never'"),
         ("sync_interval: [5]\n", 8, "'sync_interval' in scenario must be a number, got [5]"),
+        ("processes:\n  - id: audit\n    steps:\n"
+         "      - {id: note, trigger: audit.note, handler: {kind: delta, entity: bok/x, deltas: {n: 1}}}\n",
+         11, "undeclared entity type 'bok'"),
+        ("processes:\n  - id: audit\n    steps:\n      - id: note\n        trigger: audit.note\n"
+         "        handler:\n          kind: multi_write\n          entities: [order/o, ordr/u]\n",
+         15, "undeclared entity type 'ordr'"),
     ],
     ids=["action-entity", "action-entity-type", "disaster-entity", "deferred-entity", "action-at",
-         "missing-at", "fault-at", "network-drop", "lags-pending", "sync-interval"],
+         "missing-at", "fault-at", "network-drop", "lags-pending", "sync-interval", "handler-entity",
+         "handler-entities"],
 )
 def test_malformed_entities_and_numbers_exit_two_with_the_line(tmp_path, capsys, tail, line, message):
     bad = tmp_path / "bad.yaml"
     bad.write_text(BOOKS + tail)
+    code = main(["run", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"line {line}: {message}" in err
+
+
+HOSTS = """schema: eventual/1
+entities:
+  book: {merge: commutative_delta, initial: {on_hand: 5}, aggregates: [on_hand]}
+  tally: {merge: commutative_delta}
+topology:
+  partitions: {p0: [A], p1: [A, B]}
+  placement: {tally: p1}
+max_time: 200
+"""
+
+
+@pytest.mark.parametrize(
+    "tail, line, message",
+    [
+        ("actions:\n  - {at: 1, replica: B, do: delta, entity: book/moby, deltas: {on_hand: 1}}\n",
+         10, "replica 'B' does not host partition 'p0' of entity type 'book'"),
+        ("actions:\n  - {at: 1, replica: B, do: insert, entity_type: book, key: b1, fields: {}}\n",
+         10, "replica 'B' does not host partition 'p0' of entity type 'book'"),
+        ("actions:\n  - {at: 1, replica: B, do: delta, entity: tally/t, deltas: {n: 1},\n"
+         "     deferred: [{entity: book/moby, deltas: {on_hand: -1}}]}\n",
+         11, "replica 'B' does not host partition 'p0' of entity type 'book'"),
+    ],
+    ids=["entity", "entity-type", "deferred"],
+)
+def test_actions_on_unhosted_partitions_exit_two_with_the_line(tmp_path, capsys, tail, line, message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(HOSTS + tail)
     code = main(["run", str(bad)])
     err = capsys.readouterr().err
     assert code == 2

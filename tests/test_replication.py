@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eventual.clocks import VersionVector
 from eventual.errors import ResurrectionAfterTombstone, Uncompensatable, UnmergeableCustom
 from eventual.registry import MergePolicy, RollupSpec, SchemaRegistry
 from eventual.replica import Replica
@@ -177,6 +178,96 @@ def test_custom_merge_without_hook_escalates_on_concurrency():
         resolve(ref, [ea, eb], reg.get("custom_thing"))
     # sequential writes on a custom type are fine
     resolve(ref, [ea], reg.get("custom_thing"))
+
+
+# -- concurrency groups ----------------------------------------------------
+
+
+def pairwise_groups(events):
+    """Reference: union-find over every concurrent pair, in canonical order."""
+    ordered = canonical_sort(events)
+    parent = list(range(len(ordered)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(ordered)):
+        for j in range(i + 1, len(ordered)):
+            if ordered[i].causal_stamp.concurrent_with(ordered[j].causal_stamp):
+                parent[find(i)] = find(j)
+    components = {}
+    for i, event in enumerate(ordered):
+        components.setdefault(find(i), []).append(str(event.event_id))
+    return [ids for ids in components.values() if len(ids) > 1]
+
+
+def gossip_history(replicas, moves, entities):
+    """Apply (writer, entity) writes and ("sync", a, b) exchanges in order."""
+    for i, move in enumerate(moves):
+        if move[0] == "sync":
+            sync(replicas[move[1] % len(replicas)], replicas[move[2] % len(replicas)])
+        else:
+            who = replicas[move[0] % len(replicas)]
+            local_delta(who, entities[move[1] % len(entities)], f"{who.replica_id}-w{i}", balance=1)
+
+
+MOVES = st.lists(
+    st.one_of(
+        st.tuples(st.integers(0, 3), st.integers(0, 2)),
+        st.tuples(st.just("sync"), st.integers(0, 3), st.integers(0, 3)),
+    ),
+    min_size=10,
+    max_size=80,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=2, max_value=4), MOVES)
+def test_concurrent_groups_match_the_pairwise_reference(n_replicas, moves):
+    reg = make_registry()
+    replicas = [make_replica(r, reg) for r in "ABCD"[:n_replicas]]
+    entities = [ACCOUNT, EntityRef("account", "bob"), EntityRef("account", "carol")]
+    gossip_history(replicas, moves, entities)
+    for replica in replicas:
+        for entity in entities:
+            events = replica.store.log("p0").all_events_for(entity)
+            assert concurrent_groups(canonical_sort(events)) == pairwise_groups(events)
+
+
+def test_concurrent_groups_work_grows_linearly(monkeypatch):
+    calls = [0]
+    dominates = VersionVector.dominates
+
+    def counted(self, other):
+        calls[0] += 1
+        return dominates(self, other)
+
+    monkeypatch.setattr(VersionVector, "dominates", counted)
+
+    def work(n_events):
+        rng = random.Random(11)
+        reg = make_registry()
+        replicas = [make_replica(r, reg) for r in "ABC"]
+        moves = []
+        for i in range(n_events):
+            moves.append((rng.randrange(3), 0))
+            if i % 8 == 7:
+                moves.append(("sync", *rng.sample(range(3), 2)))
+        gossip_history(replicas, moves, [ACCOUNT])
+        for i in range(1, 3):
+            sync(replicas[0], replicas[i])
+        ordered = canonical_sort(replicas[0].store.log("p0").all_events_for(ACCOUNT))
+        assert len(ordered) == n_events
+        calls[0] = 0
+        groups = concurrent_groups(ordered)
+        count = calls[0]
+        assert groups == pairwise_groups(ordered) and groups
+        return count
+
+    small, large = work(500), work(1000)
+    assert 0 < large <= 2.2 * small
 
 
 # -- overbooking -----------------------------------------------------------

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eventual.clocks import VersionVector
-from eventual.errors import DuplicateEventId, FutureVersion, UnknownEntity, WrongPartition
+from eventual.errors import (
+    DuplicateEventId,
+    FutureVersion,
+    MalformedEvent,
+    UnknownEntity,
+    WrongPartition,
+)
 from eventual.registry import MergePolicy, RollupSpec, SchemaRegistry
 from eventual.store import (
     OP_DELTA,
@@ -339,6 +345,31 @@ def test_event_lines_are_byte_stable_across_reads():
     assert ev.to_line() == again.to_line()
     assert EventRecord.from_line(ev.to_line()) == ev
 
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda line: line[: len(line) // 2],  # truncated JSON
+        lambda line: line.replace('"lww_hint"', '"lww_hnt"'),  # a missing field
+        lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:one"'),  # a bad event_id
+    ],
+    ids=["truncated", "missing-field", "bad-event-id"],
+)
+def test_malformed_archive_lines_raise_a_typed_error_naming_the_line(corrupt):
+    store = make_store()
+    delta(store, ACCOUNT, "d1", balance=100)
+    delta(store, ACCOUNT, "d2", balance=5)
+    lines = store.export_partition("p0")
+    bad = corrupt(lines[0])
+    assert bad != lines[0]
+    with pytest.raises(MalformedEvent) as caught:
+        EventRecord.from_line(bad)
+    assert caught.value.line == bad and repr(bad) in str(caught.value)
+    clone = make_store("Z")
+    with pytest.raises(MalformedEvent):
+        clone.import_partition("p0", [bad, lines[1]])
+    assert clone.export_partition("p0") == []
 
 # -- property tests ------------------------------------------------------
 
