@@ -140,19 +140,22 @@ def join_merged_payload(replica: Replica, ref: EntityRef, trigger: TriggerSpec) 
 # -- derived views ------------------------------------------------------------
 
 
-def _hosted_values(replica: Replica, entity_type: str | None = None):
-    """(ref, rolled-up value) of every hosted entity, optionally one type."""
+def _hosted_states(replica: Replica, entity_type: str | None = None):
+    """(ref, fold state) of every hosted entity, optionally one type.
+
+    The states are the store's cached folds: read them, never mutate.
+    """
     for partition_id in replica.partitions_hosted():
         for ref in replica.store.log(partition_id).entity_refs():
             if entity_type is None or ref.entity_type == entity_type:
-                yield ref, replica.store.rollup(partition_id, ref).value
+                yield ref, replica.store.fold_state(partition_id, ref)
 
 
 def scan_exceptions(replica: Replica) -> list[ManagedException]:
     """All managed exceptions visible in this replica's rollups."""
     out = []
-    for ref, value in _hosted_values(replica):
-        for exc_id, entry in value.get("exceptions", {}).items():
+    for ref, state in _hosted_states(replica):
+        for exc_id, entry in state.exceptions.items():
             out.append(
                 ManagedException(
                     exception_id=exc_id,
@@ -168,8 +171,8 @@ def scan_exceptions(replica: Replica) -> list[ManagedException]:
 
 def scan_reservations(replica: Replica) -> list[Reservation]:
     out = []
-    for ref, value in _hosted_values(replica):
-        for rid, entry in value.get("reservations", {}).items():
+    for ref, state in _hosted_states(replica):
+        for rid, entry in state.reservation_view().items():
             out.append(
                 Reservation(
                     reservation_id=rid,
@@ -186,8 +189,8 @@ def scan_reservations(replica: Replica) -> list[Reservation]:
 
 def scan_apologies(replica: Replica) -> list[ApologyRecord]:
     out = []
-    for ref, value in _hosted_values(replica, APOLOGY_TYPE):
-        for apology_id, entry in value.get("apologies", {}).items():
+    for ref, state in _hosted_states(replica, APOLOGY_TYPE):
+        for apology_id, entry in state.apologies.items():
             out.append(
                 ApologyRecord(
                     apology_id=apology_id,

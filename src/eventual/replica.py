@@ -2,8 +2,9 @@
 
 Durable (survives a crash): partition logs, outbox, inbox, processed-key
 set, pending-action descriptors and their completion marks, audit log.
-Volatile (lost on crash): the logical lock table and anything scheduled;
-locks are re-derived from unapplied descriptors during recovery.
+Volatile (lost on crash): the logical lock table, the store's fold cache
+and anything scheduled; locks are re-derived from unapplied descriptors
+during recovery, folds on the next read.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ class Replica:
         self.alive = False
         self.epoch += 1
         self.locks.clear()
+        self.store.clear_fold_cache()
 
     def recover(self) -> None:
         self.alive = True

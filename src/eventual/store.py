@@ -12,6 +12,15 @@ hint is maintained as a Lamport clock (bumped past every hint a replica
 observes), so a causal predecessor always carries a smaller hint and the
 sort is a topological extension of the causal partial order. Concurrent
 events land in a deterministic, replica-independent position.
+
+The fold of an entity's whole log is kept, not recomputed: the store
+holds one FoldState per entity that has been read, and advances it
+lazily on the next read. Events past the last folded canonical key
+(every local commit, whose Lamport hint is maximal) are folded onto it;
+a foreign event that sorts earlier makes that read rebuild from the
+checkpoint. The cache is derived, volatile state: summarizing an entity
+drops its entry, and a crash drops them all. Reads at an ``as_of`` cut
+and the arrival-order negative control are never cached.
 """
 
 from __future__ import annotations
@@ -203,6 +212,12 @@ class FoldState:
     lossless and replicas convergent.
     """
 
+    __slots__ = (
+        "version", "seen_keys", "deleted", "tombstone_stamps", "base_winner", "base_fields",
+        "sums", "reservations", "exceptions", "apologies", "resurrections", "custom_value",
+        "folded_count",
+    )
+
     def __init__(self) -> None:
         self.version = VersionVector()
         self.seen_keys: set[str] = set()
@@ -386,7 +401,8 @@ class FoldState:
         st.exceptions = {k: dict(v) for k, v in snap["exceptions"].items()}
         st.apologies = {k: dict(v) for k, v in snap["apologies"].items()}
         st.resurrections = list(snap["resurrections"])
-        st.custom_value = dict(snap["custom_value"]) if snap["custom_value"] else None
+        custom = snap["custom_value"]
+        st.custom_value = dict(custom) if custom is not None else None
         st.folded_count = snap["folded_count"]
         return st
 
@@ -511,6 +527,10 @@ class ReplicaStore:
         self.placement = dict(placement)
         self.factory = EventFactory(replica_id)
         self.lock_guard = None  # set by the txn engine; callable(entity_ref) -> bool
+        # partition -> ref -> (state, live events folded, last event folded)
+        self._folds: dict[str, dict[EntityRef, tuple[FoldState, int, EventRecord | None]]] = {
+            p: {} for p in partitions
+        }
 
     # -- routing ---------------------------------------------------------
 
@@ -616,10 +636,32 @@ class ReplicaStore:
         <= as_of (or all), and folds them in canonical order. The
         ARRIVAL_LWW negative control folds in arrival order instead, which
         diverges across replicas by construction, and never resumes.
+
+        A read of the whole log (as_of None) returns the entity's cached
+        state. If the live events appended since the last read all sort
+        past the last folded canonical key, only they are folded onto it;
+        otherwise the state is rebuilt from the checkpoint. The returned
+        state is shared with the cache and later reads: callers must not
+        mutate it. Reads at a cut and the ARRIVAL_LWW control build a fresh
+        state every time.
         """
         spec = self.registry.get(entity_ref.entity_type)
         log = self.log(partition_id)
         arrival_order = spec.merge_policy is MergePolicy.ARRIVAL_LWW
+        cached = as_of is None and not arrival_order
+        folds = self._folds[partition_id]
+        entry = folds.get(entity_ref) if cached else None
+        if entry is not None:
+            state, done, last = entry
+            live = log._live_by_entity[entity_ref]
+            if len(live) == done:
+                return state
+            tail = canonical_sort(live[done:])
+            if last is None or tail[0].canonical_key > last.canonical_key:
+                for event in tail:
+                    state.fold(event, spec)
+                folds[entity_ref] = (state, len(live), tail[-1])
+                return state
         checkpoint = None if arrival_order else log.checkpoints.get(entity_ref)
         if checkpoint is not None and (as_of is None or as_of.dominates(checkpoint.covers_up_to)):
             state = FoldState.from_snapshot(checkpoint.summarized_value)
@@ -629,9 +671,19 @@ class ReplicaStore:
             events = log.all_events_for(entity_ref)
         if as_of is not None:
             events = [e for e in events if as_of.covers(e.event_id.replica, e.event_id.seq)]
-        for event in events if arrival_order else canonical_sort(events):
+        if not arrival_order:
+            events = canonical_sort(events)
+        for event in events:
             state.fold(event, spec)
+        if cached and (events or checkpoint is not None):
+            # without a checkpoint nothing is archived: events are the live list
+            folds[entity_ref] = (state, len(events), events[-1] if events else None)
         return state
+
+    def clear_fold_cache(self) -> None:
+        """Forget every cached fold; the next read of each entity rebuilds."""
+        for folds in self._folds.values():
+            folds.clear()
 
     def list_history(self, partition_id: str, entity_ref: EntityRef) -> list[EventRecord]:
         """All events for the entity in canonical order (archived included)."""
@@ -659,6 +711,7 @@ class ReplicaStore:
         checkpoint = Checkpoint(entity_ref, state.to_snapshot(), up_to)
         log.checkpoints[entity_ref] = checkpoint
         log.archive_covered(entity_ref, up_to)
+        self._folds[partition_id].pop(entity_ref, None)
         return checkpoint
 
     def export_partition(self, partition_id: str) -> list[str]:

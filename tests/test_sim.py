@@ -620,3 +620,36 @@ def test_parent_on_second_replica_converges_in_either_interleaving():
     assert {k: v for k, v in va.items() if k != "exceptions"} == {
         k: v for k, v in vb.items() if k != "exceptions"
     }
+
+
+def insert_heavy(blocks: int) -> str:
+    """Three inserts a block on two replicas: a child before its parent, the
+    parent, and a child after it."""
+    actions = []
+    for k in range(blocks):
+        at = 2 * k + 1
+        actions += [
+            f"  - {{at: {at}, replica: A, do: insert, id: o{k}a, entity: opportunity/o{k}a,"
+            f" fields: {{customer_id: c{k}}}}}",
+            f"  - {{at: {at + 1}, replica: B, do: insert, id: c{k}, entity: customer/c{k},"
+            f" fields: {{name: n{k}}}}}",
+            f"  - {{at: {at + 2}, replica: A, do: insert, id: o{k}b, entity: opportunity/o{k}b,"
+            f" fields: {{customer_id: c{k}}}}}",
+        ]
+    head = REF_TWO_REPLICA[: REF_TWO_REPLICA.index("actions:")]
+    return head.replace("max_time: 1000", "max_time: 5000") + "actions:\n" + "\n".join(actions) + "\n"
+
+
+def test_folds_grow_linearly_with_inserts(folds):
+    # Every insert plans referential resolutions by scanning the exceptions
+    # of every hosted entity; the scan reads the cached folds, so it folds
+    # only what is new.
+    def work(blocks):
+        folds[0] = 0
+        report = run(parse_scenario(insert_heavy(blocks)), seed=3)
+        assert report.quiescent and converged(report)
+        assert report.exceptions["A"]["open"] == [] and report.exceptions["A"]["resolved"]
+        return folds[0]
+
+    small, large = work(20), work(40)
+    assert 0 < large <= 2.2 * small

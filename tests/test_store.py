@@ -18,6 +18,7 @@ from eventual.errors import (
     WrongPartition,
 )
 from eventual.registry import MergePolicy, RollupSpec, SchemaRegistry
+from eventual.replica import Replica
 from eventual.store import (
     OP_DELTA,
     OP_INSERT,
@@ -28,6 +29,8 @@ from eventual.store import (
     ReplicaStore,
     canonical_sort,
 )
+
+from conftest import scratch_fold
 
 ACCOUNT = EntityRef("account", "alice")
 INVENTORY = EntityRef("inventory", "w1")
@@ -370,6 +373,104 @@ def test_malformed_archive_lines_raise_a_typed_error_naming_the_line(corrupt):
     with pytest.raises(MalformedEvent):
         clone.import_partition("p0", [bad, lines[1]])
     assert clone.export_partition("p0") == []
+
+# -- the fold cache ------------------------------------------------------
+
+
+def scratch_snapshot(store: ReplicaStore, ref: EntityRef) -> dict:
+    return scratch_fold(store, "p0", ref).to_snapshot()
+
+
+def read(store: ReplicaStore, ref: EntityRef, folds: list[int]) -> tuple[FoldState, int]:
+    """A whole-log read, and how many events it folded."""
+    before = folds[0]
+    state = store.fold_state("p0", ref)
+    return state, folds[0] - before
+
+
+def test_a_foreign_event_sorting_before_the_last_folded_key_forces_a_rebuild(folds):
+    reg = make_registry()
+    store, peer = make_store("A", reg), make_store("B", reg)
+    early = peer.make_event(ACCOUNT, OP_DELTA, {"deltas": {"balance": 100}}, "b1", "t")
+    for i in range(3):
+        delta(store, ACCOUNT, f"a{i}", balance=1)
+    state, folded = read(store, ACCOUNT, folds)
+    assert folded == 3
+    assert read(store, ACCOUNT, folds) == (state, 0)
+    delta(store, ACCOUNT, "a3", balance=1)  # a local commit sorts last
+    assert read(store, ACCOUNT, folds)[1] == 1
+    assert early.canonical_key < store.log("p0").live_events_for(ACCOUNT)[-1].canonical_key
+    store.ingest_foreign("p0", early)
+    state, folded = read(store, ACCOUNT, folds)
+    assert folded == 5
+    assert state.to_snapshot() == scratch_snapshot(store, ACCOUNT)
+    assert store.rollup("p0", ACCOUNT).value["balance"] == 104
+
+
+def test_summarize_drops_the_cached_fold_and_appends_fold_on_the_checkpoint(folds):
+    store = make_store()
+    for i in range(6):
+        delta(store, ACCOUNT, f"k{i}", balance=1)
+    read(store, ACCOUNT, folds)
+    store.summarize("p0", ACCOUNT, VersionVector({"A": 4}))
+    delta(store, ACCOUNT, "k6", balance=1)
+    state, folded = read(store, ACCOUNT, folds)
+    assert folded == 3  # resumed from the checkpoint: only the live events
+    assert state.to_snapshot() == scratch_snapshot(store, ACCOUNT)
+    assert read(store, ACCOUNT, folds) == (state, 0)
+    assert store.rollup("p0", ACCOUNT).value["balance"] == 7
+
+
+def test_a_read_after_import_into_a_fresh_replica_matches_the_full_fold(folds):
+    reg = make_registry()
+    source, peer = make_store("A", reg), make_store("B", reg)
+    for i in range(4):
+        delta(source, ACCOUNT, f"a{i}", balance=i)
+        event = delta(peer, ACCOUNT, f"b{i}", balance=10 * i)
+        source.ingest_foreign("p0", event)
+    clone = make_store("Z", reg)
+    clone.import_partition("p0", source.export_partition("p0"))
+    state, folded = read(clone, ACCOUNT, folds)
+    assert folded == 8
+    assert state.to_snapshot() == scratch_snapshot(clone, ACCOUNT)
+    assert read(clone, ACCOUNT, folds) == (state, 0)
+    delta(source, ACCOUNT, "a4", balance=1000)
+    clone.import_partition("p0", source.export_partition("p0"))
+    state, folded = read(clone, ACCOUNT, folds)
+    assert folded == 1
+    assert state.to_snapshot() == scratch_snapshot(clone, ACCOUNT)
+    assert clone.rollup("p0", ACCOUNT).value["balance"] == 1066
+
+
+def test_a_crash_drops_the_fold_cache_and_the_next_read_rebuilds(folds):
+    replica = Replica("A", make_registry(), ["p0"], {"account": "p0"})
+    for i in range(3):
+        delta(replica.store, ACCOUNT, f"k{i}", balance=2)
+    before, _ = read(replica.store, ACCOUNT, folds)
+    replica.crash()
+    replica.recover()
+    state, folded = read(replica.store, ACCOUNT, folds)
+    assert state is not before and folded == 3
+    assert state.to_snapshot() == scratch_snapshot(replica.store, ACCOUNT)
+    assert read(replica.store, ACCOUNT, folds) == (state, 0)
+
+
+def test_a_checkpointed_empty_custom_value_stays_empty():
+    def counter(value, event):
+        return {} if event.payload.get("clear") else {"n": value.get("n", 0) + 1}
+
+    reg = SchemaRegistry()
+    reg.register(RollupSpec("counter", MergePolicy.CUSTOM_MERGE, {"n": 100}, fold=counter))
+    ref = EntityRef("counter", "c")
+    store = ReplicaStore("A", reg, ["p0"], {"counter": "p0"})
+    store.append_event("p0", store.make_event(ref, OP_INSERT, {"clear": True}, "k0", "t0"))
+    assert store.rollup("p0", ref).value == {}
+    store.summarize("p0", ref, store.log("p0").frontier())
+    assert store.rollup("p0", ref).value == {}
+    store.append_event("p0", store.make_event(ref, OP_INSERT, {}, "k1", "t1"))
+    assert store.rollup("p0", ref).value == {"n": 1}
+    assert store.fold_state("p0", ref).to_snapshot() == scratch_snapshot(store, ref)
+
 
 # -- property tests ------------------------------------------------------
 
