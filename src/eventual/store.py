@@ -212,12 +212,6 @@ class FoldState:
     lossless and replicas convergent.
     """
 
-    __slots__ = (
-        "version", "seen_keys", "deleted", "tombstone_stamps", "base_winner", "base_fields",
-        "sums", "reservations", "exceptions", "apologies", "resurrections", "custom_value",
-        "folded_count",
-    )
-
     def __init__(self) -> None:
         self.version = VersionVector()
         self.seen_keys: set[str] = set()
@@ -527,8 +521,8 @@ class ReplicaStore:
         self.placement = dict(placement)
         self.factory = EventFactory(replica_id)
         self.lock_guard = None  # set by the txn engine; callable(entity_ref) -> bool
-        # partition -> ref -> (state, live events folded, last event folded)
-        self._folds: dict[str, dict[EntityRef, tuple[FoldState, int, EventRecord | None]]] = {
+        # partition -> ref -> (state, live events folded, canonical key of the last one)
+        self._folds: dict[str, dict[EntityRef, tuple[FoldState, int, tuple | None]]] = {
             p: {} for p in partitions
         }
 
@@ -653,14 +647,15 @@ class ReplicaStore:
         entry = folds.get(entity_ref) if cached else None
         if entry is not None:
             state, done, last = entry
-            live = log._live_by_entity[entity_ref]
+            # a checkpoint may exist before the entity has any live events here
+            live = log._live_by_entity.get(entity_ref, ())
             if len(live) == done:
                 return state
             tail = canonical_sort(live[done:])
-            if last is None or tail[0].canonical_key > last.canonical_key:
+            if last is None or tail[0].canonical_key > last:
                 for event in tail:
                     state.fold(event, spec)
-                folds[entity_ref] = (state, len(live), tail[-1])
+                folds[entity_ref] = (state, len(live), tail[-1].canonical_key)
                 return state
         checkpoint = None if arrival_order else log.checkpoints.get(entity_ref)
         if checkpoint is not None and (as_of is None or as_of.dominates(checkpoint.covers_up_to)):
@@ -677,7 +672,7 @@ class ReplicaStore:
             state.fold(event, spec)
         if cached and (events or checkpoint is not None):
             # without a checkpoint nothing is archived: events are the live list
-            folds[entity_ref] = (state, len(events), events[-1] if events else None)
+            folds[entity_ref] = (state, len(events), events[-1].canonical_key if events else None)
         return state
 
     def clear_fold_cache(self) -> None:

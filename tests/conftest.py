@@ -17,7 +17,7 @@ _FOLD = FoldState.fold  # bound at import: the cross-check's own folds are never
 _FOLD_STATE = ReplicaStore.fold_state
 
 
-def scratch_fold(store: ReplicaStore, partition_id: str, ref) -> FoldState:
+def _scratch_fold(store: ReplicaStore, partition_id: str, ref) -> FoldState:
     """The entity's full log folded in canonical order, ignoring checkpoints."""
     spec = store.registry.get(ref.entity_type)
     state = FoldState()
@@ -30,7 +30,7 @@ def _checked_fold_state(store, partition_id, entity_ref, as_of=None):
     state = _FOLD_STATE(store, partition_id, entity_ref, as_of)
     spec = store.registry.get(entity_ref.entity_type)
     if as_of is None and spec.merge_policy is not MergePolicy.ARRIVAL_LWW:
-        expected = scratch_fold(store, partition_id, entity_ref).to_snapshot()
+        expected = _scratch_fold(store, partition_id, entity_ref).to_snapshot()
         assert state.to_snapshot() == expected, f"cached fold of {entity_ref} diverged"
     return state
 
@@ -40,6 +40,12 @@ def cross_check_fold_cache():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ReplicaStore, "fold_state", _checked_fold_state)
         yield
+
+
+@pytest.fixture
+def scratch_fold():
+    """The cross-check's reference: ``scratch_fold(store, partition_id, ref)``."""
+    return _scratch_fold
 
 
 @pytest.fixture

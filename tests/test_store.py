@@ -30,8 +30,6 @@ from eventual.store import (
     canonical_sort,
 )
 
-from conftest import scratch_fold
-
 ACCOUNT = EntityRef("account", "alice")
 INVENTORY = EntityRef("inventory", "w1")
 
@@ -377,10 +375,6 @@ def test_malformed_archive_lines_raise_a_typed_error_naming_the_line(corrupt):
 # -- the fold cache ------------------------------------------------------
 
 
-def scratch_snapshot(store: ReplicaStore, ref: EntityRef) -> dict:
-    return scratch_fold(store, "p0", ref).to_snapshot()
-
-
 def read(store: ReplicaStore, ref: EntityRef, folds: list[int]) -> tuple[FoldState, int]:
     """A whole-log read, and how many events it folded."""
     before = folds[0]
@@ -388,7 +382,7 @@ def read(store: ReplicaStore, ref: EntityRef, folds: list[int]) -> tuple[FoldSta
     return state, folds[0] - before
 
 
-def test_a_foreign_event_sorting_before_the_last_folded_key_forces_a_rebuild(folds):
+def test_a_foreign_event_sorting_before_the_last_folded_key_forces_a_rebuild(folds, scratch_fold):
     reg = make_registry()
     store, peer = make_store("A", reg), make_store("B", reg)
     early = peer.make_event(ACCOUNT, OP_DELTA, {"deltas": {"balance": 100}}, "b1", "t")
@@ -403,11 +397,11 @@ def test_a_foreign_event_sorting_before_the_last_folded_key_forces_a_rebuild(fol
     store.ingest_foreign("p0", early)
     state, folded = read(store, ACCOUNT, folds)
     assert folded == 5
-    assert state.to_snapshot() == scratch_snapshot(store, ACCOUNT)
+    assert state.to_snapshot() == scratch_fold(store, "p0", ACCOUNT).to_snapshot()
     assert store.rollup("p0", ACCOUNT).value["balance"] == 104
 
 
-def test_summarize_drops_the_cached_fold_and_appends_fold_on_the_checkpoint(folds):
+def test_summarize_drops_the_cached_fold_and_appends_fold_on_the_checkpoint(folds, scratch_fold):
     store = make_store()
     for i in range(6):
         delta(store, ACCOUNT, f"k{i}", balance=1)
@@ -416,12 +410,12 @@ def test_summarize_drops_the_cached_fold_and_appends_fold_on_the_checkpoint(fold
     delta(store, ACCOUNT, "k6", balance=1)
     state, folded = read(store, ACCOUNT, folds)
     assert folded == 3  # resumed from the checkpoint: only the live events
-    assert state.to_snapshot() == scratch_snapshot(store, ACCOUNT)
+    assert state.to_snapshot() == scratch_fold(store, "p0", ACCOUNT).to_snapshot()
     assert read(store, ACCOUNT, folds) == (state, 0)
     assert store.rollup("p0", ACCOUNT).value["balance"] == 7
 
 
-def test_a_read_after_import_into_a_fresh_replica_matches_the_full_fold(folds):
+def test_a_read_after_import_into_a_fresh_replica_matches_the_full_fold(folds, scratch_fold):
     reg = make_registry()
     source, peer = make_store("A", reg), make_store("B", reg)
     for i in range(4):
@@ -432,17 +426,17 @@ def test_a_read_after_import_into_a_fresh_replica_matches_the_full_fold(folds):
     clone.import_partition("p0", source.export_partition("p0"))
     state, folded = read(clone, ACCOUNT, folds)
     assert folded == 8
-    assert state.to_snapshot() == scratch_snapshot(clone, ACCOUNT)
+    assert state.to_snapshot() == scratch_fold(clone, "p0", ACCOUNT).to_snapshot()
     assert read(clone, ACCOUNT, folds) == (state, 0)
     delta(source, ACCOUNT, "a4", balance=1000)
     clone.import_partition("p0", source.export_partition("p0"))
     state, folded = read(clone, ACCOUNT, folds)
     assert folded == 1
-    assert state.to_snapshot() == scratch_snapshot(clone, ACCOUNT)
+    assert state.to_snapshot() == scratch_fold(clone, "p0", ACCOUNT).to_snapshot()
     assert clone.rollup("p0", ACCOUNT).value["balance"] == 1066
 
 
-def test_a_crash_drops_the_fold_cache_and_the_next_read_rebuilds(folds):
+def test_a_crash_drops_the_fold_cache_and_the_next_read_rebuilds(folds, scratch_fold):
     replica = Replica("A", make_registry(), ["p0"], {"account": "p0"})
     for i in range(3):
         delta(replica.store, ACCOUNT, f"k{i}", balance=2)
@@ -451,11 +445,24 @@ def test_a_crash_drops_the_fold_cache_and_the_next_read_rebuilds(folds):
     replica.recover()
     state, folded = read(replica.store, ACCOUNT, folds)
     assert state is not before and folded == 3
-    assert state.to_snapshot() == scratch_snapshot(replica.store, ACCOUNT)
+    assert state.to_snapshot() == scratch_fold(replica.store, "p0", ACCOUNT).to_snapshot()
     assert read(replica.store, ACCOUNT, folds) == (state, 0)
 
 
-def test_a_checkpointed_empty_custom_value_stays_empty():
+def test_a_checkpoint_of_an_entity_with_no_events_reads_the_initial_value(scratch_fold):
+    store = make_store()
+    delta(store, ACCOUNT, "k0", balance=5)
+    store.summarize("p0", INVENTORY, store.log("p0").frontier())
+    assert store.rollup("p0", INVENTORY).value == {"on_hand": 0}
+    assert store.rollup("p0", INVENTORY).value == {"on_hand": 0}  # the cached read
+    delta(store, INVENTORY, "i0", on_hand=3)
+    assert store.rollup("p0", INVENTORY).value == {"on_hand": 3}
+    assert store.fold_state("p0", INVENTORY).to_snapshot() == (
+        scratch_fold(store, "p0", INVENTORY).to_snapshot()
+    )
+
+
+def test_a_checkpointed_empty_custom_value_stays_empty(scratch_fold):
     def counter(value, event):
         return {} if event.payload.get("clear") else {"n": value.get("n", 0) + 1}
 
@@ -469,7 +476,7 @@ def test_a_checkpointed_empty_custom_value_stays_empty():
     assert store.rollup("p0", ref).value == {}
     store.append_event("p0", store.make_event(ref, OP_INSERT, {}, "k1", "t1"))
     assert store.rollup("p0", ref).value == {"n": 1}
-    assert store.fold_state("p0", ref).to_snapshot() == scratch_snapshot(store, ref)
+    assert store.fold_state("p0", ref).to_snapshot() == scratch_fold(store, "p0", ref).to_snapshot()
 
 
 # -- property tests ------------------------------------------------------
