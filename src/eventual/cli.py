@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 invariant violation, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -59,14 +60,19 @@ def render_report_file(report: RunReport, sim) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_run(args) -> int:
+def _simulate(args):
+    """The scenario at ``--seed`` (else its own seed), run to the end: (simulator, report)."""
     from .sim import Simulator
 
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.config.seed = args.seed
-    sim = Simulator(scenario)
-    report = sim.run()
+    sim = Simulator(scenario)  # seeds its generator and hashes the config here
+    return sim, sim.run()
+
+
+def cmd_run(args) -> int:
+    sim, report = _simulate(args)
     failures = check_invariants(report)
     if args.report:
         Path(args.report).write_text(render_report_file(report, sim))
@@ -86,9 +92,10 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_seeds(args) -> int:
+    scenario = load_scenario(args.scenario)
     violations: dict[int, list[str]] = {}
     for seed in range(args.sweep_seeds):
-        report = run(load_scenario(args.scenario), seed=seed)
+        report = run(scenario, seed=seed)
         failures = check_invariants(report)
         if failures:
             violations[seed] = failures
@@ -104,6 +111,9 @@ def crash_sweep(path, seed: int | None = None) -> tuple[int, list[tuple[str | No
     """Crash each replica at each tick of the no-crash run, recovering it
     CRASH_RECOVERY_GAP ticks later. Every crashed run must hold the
     invariants and reach the no-crash run's semantic digest.
+
+    The scenario is parsed once; each crash point runs a copy of it with
+    the crash and recover faults appended.
 
     Returns the number of crash points and the violations as
     (target, tick, reasons). A no-crash run that already fails is the one
@@ -121,10 +131,9 @@ def crash_sweep(path, seed: int | None = None) -> tuple[int, list[tuple[str | No
     for target in replicas:
         for tick in range(1, baseline.end_time + 1):
             points += 1
-            scenario = load_scenario(path)
-            scenario.faults.append(Fault(kind="crash", at=tick, target=target))
-            scenario.faults.append(Fault(kind="recover", at=tick + CRASH_RECOVERY_GAP, target=target))
-            report = run(scenario, seed=seed)
+            crash = Fault(kind="crash", at=tick, target=target)
+            recover = Fault(kind="recover", at=tick + CRASH_RECOVERY_GAP, target=target)
+            report = run(dataclasses.replace(scenario, faults=[*scenario.faults, crash, recover]), seed=seed)
             failures = check_invariants(report)
             if failures or report.semantic_digest() != digest:
                 reason = failures or ["STATE_MISMATCH: differs from no-crash run"]
@@ -144,13 +153,7 @@ def _sweep_crash(args) -> int:
 
 
 def cmd_history(args) -> int:
-    scenario = load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else scenario.config.seed
-    from .sim import Simulator
-
-    sim = Simulator(scenario)
-    sim.config.seed = seed
-    sim.run()
+    sim, _ = _simulate(args)
     replica = sim.replicas.get(args.replica)
     if replica is None:
         print(f"UnknownEntity: replica {args.replica!r} does not exist", file=sys.stderr)

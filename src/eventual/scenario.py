@@ -28,6 +28,8 @@ from .txn import HANDLER_KINDS, ProcessStepDef, TriggerSpec
 
 SCHEMA_TAG = "eventual/1"
 
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 TOP_FIELDS = {
     "schema",
     "entities",
@@ -72,13 +74,8 @@ ACTION_PARAMS = {
 class _Lines:
     """Path -> source line map built from the YAML node tree."""
 
-    def __init__(self, text: str):
+    def __init__(self, node: yaml.Node | None):
         self._map: dict[tuple, int] = {}
-        try:
-            node = yaml.compose(text)
-        except yaml.YAMLError as exc:  # parse errors carry their own marks
-            mark = getattr(exc, "problem_mark", None)
-            raise ScenarioInvalid(str(exc).replace("\n", " "), None if mark is None else mark.line + 1)
         if node is not None:
             self._walk(node, ())
 
@@ -103,6 +100,20 @@ def _check_fields(mapping: dict, allowed: set, where: str, lines: _Lines, *path)
     for key in mapping:
         if key not in allowed:
             _fail(f"unknown field {key!r} in {where}", lines, *(path + (key,)))
+
+
+_SHAPE_NAMES = {dict: "a mapping", list: "a list"}
+
+
+def _shaped(kind: type, value, where: str, lines: _Lines, *path, required=()):
+    """``value`` if it is a ``kind`` (dict or list) holding every ``required`` key,
+    else a line-anchored error instead of a later ``KeyError`` or ``AttributeError``."""
+    if not isinstance(value, kind):
+        _fail(f"{where} must be {_SHAPE_NAMES[kind]}, got {value!r}", lines, *path)
+    for key in required:
+        if key not in value:
+            _fail(f"{where} needs field {key!r}", lines, *path)
+    return value
 
 
 _REQUIRED = object()
@@ -137,9 +148,20 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(text)
 
 
+def _compose(text: str) -> tuple[_Lines, object]:
+    """One libyaml parse (pure Python without libyaml): the line map and the data."""
+    try:
+        node = yaml.compose(text, Loader=_LOADER)
+        lines = _Lines(node)  # before construction, which flattens merge keys in place
+        data = None if node is None else yaml.constructor.SafeConstructor().construct_document(node)
+    except yaml.YAMLError as exc:  # parse errors carry their own marks
+        mark = getattr(exc, "problem_mark", None)
+        raise ScenarioInvalid(str(exc).replace("\n", " "), None if mark is None else mark.line + 1)
+    return lines, data
+
+
 def parse_scenario(text: str) -> Scenario:
-    lines = _Lines(text)
-    data = yaml.safe_load(text)
+    lines, data = _compose(text)
     if not isinstance(data, dict):
         raise ScenarioInvalid("scenario must be a mapping", 1)
     _check_fields(data, TOP_FIELDS, "scenario", lines)
@@ -162,24 +184,28 @@ def _build_registry(data: dict, lines: _Lines) -> tuple[SchemaRegistry, list[str
     if not isinstance(entities, dict) or not entities:
         _fail("entities: at least one entity type is required", lines, "entities")
     for name, spec in entities.items():
-        spec = spec or {}
+        spec = _shaped(dict, spec or {}, f"entity {name!r}", lines, "entities", name)
         _check_fields(spec, ENTITY_FIELDS, f"entity {name!r}", lines, "entities", name)
         merge_text = spec.get("merge", "commutative_delta")
         try:
             merge = MergePolicy(merge_text)
         except ValueError:
             _fail(f"entity {name!r}: unknown merge policy {merge_text!r}", lines, "entities", name, "merge")
-        parents = tuple(
-            ParentConstraint(p["field"], p["type"]) for p in spec.get("parents", [])
-        )
+        parents = []
+        path = ("entities", name, "parents")
+        for j, p in enumerate(_shaped(list, spec.get("parents", []), "parents", lines, *path)):
+            _shaped(dict, p, "parent", lines, *path, j, required=("field", "type"))
+            parents.append(ParentConstraint(p["field"], p["type"]))
         registry.register(
             RollupSpec(
                 entity_type=name,
                 merge_policy=merge,
-                initial_value=dict(spec.get("initial", {})),
-                aggregates=tuple(spec.get("aggregates", [])),
+                initial_value=dict(_shaped(dict, spec.get("initial", {}), "initial", lines,
+                                           "entities", name, "initial")),
+                aggregates=tuple(_shaped(list, spec.get("aggregates", []), "aggregates", lines,
+                                         "entities", name, "aggregates")),
                 capacity_field=spec.get("capacity_field"),
-                parents=parents,
+                parents=tuple(parents),
             )
         )
     return registry, sorted(entities)
@@ -190,7 +216,11 @@ def _build_config(data: dict, lines: _Lines, entity_types: list[str]) -> SimConf
     if not isinstance(topology, dict) or "partitions" not in topology:
         _fail("topology.partitions is required", lines, "topology")
     _check_fields(topology, {"partitions", "placement"}, "topology", lines, "topology")
-    partitions = {str(p): [str(r) for r in reps] for p, reps in topology["partitions"].items()}
+    path = ("topology", "partitions")
+    partitions = {
+        str(p): [str(r) for r in _shaped(list, reps, f"partition {p!r}", lines, *path, p)]
+        for p, reps in _shaped(dict, topology["partitions"], "topology.partitions", lines, *path).items()
+    }
     if not partitions:
         _fail("topology.partitions must not be empty", lines, "topology", "partitions")
 
@@ -204,7 +234,9 @@ def _build_config(data: dict, lines: _Lines, entity_types: list[str]) -> SimConf
     placement[APOLOGY_TYPE] = notify or default_partition
     placement[EXCEPTION_TYPE] = default_partition
     placement[JOIN_TYPE] = default_partition
-    for entity_type, partition in (topology.get("placement") or {}).items():
+    placements = topology.get("placement") or {}
+    for entity_type, partition in _shaped(dict, placements, "topology.placement", lines,
+                                          "topology", "placement").items():
         if entity_type not in placement:
             _fail(
                 f"placement names undeclared entity type {entity_type!r}",
@@ -217,11 +249,11 @@ def _build_config(data: dict, lines: _Lines, entity_types: list[str]) -> SimConf
             )
         placement[entity_type] = partition
 
-    network = data.get("network", {}) or {}
+    network = _shaped(dict, data.get("network") or {}, "network", lines, "network")
     _check_fields(network, NETWORK_FIELDS, "network", lines, "network")
-    retry = data.get("retry", {}) or {}
+    retry = _shaped(dict, data.get("retry") or {}, "retry", lines, "retry")
     _check_fields(retry, RETRY_FIELDS, "retry", lines, "retry")
-    lags = data.get("lags", {}) or {}
+    lags = _shaped(dict, data.get("lags") or {}, "lags", lines, "lags")
     _check_fields(lags, LAG_FIELDS, "lags", lines, "lags")
 
     return SimConfig(
@@ -246,49 +278,57 @@ def _build_config(data: dict, lines: _Lines, entity_types: list[str]) -> SimConf
 
 def _build_processes(data: dict, lines: _Lines, config: SimConfig) -> list[ProcessDef]:
     out = []
-    for i, proc in enumerate(data.get("processes", []) or []):
+    for i, proc in enumerate(_shaped(list, data.get("processes") or [], "processes", lines, "processes")):
+        _shaped(dict, proc, "process", lines, "processes", i, required=("id",))
         _check_fields(proc, PROCESS_FIELDS, "process", lines, "processes", i)
         steps = []
-        for j, step in enumerate(proc.get("steps", [])):
-            _check_fields(step, STEP_FIELDS, "step", lines, "processes", i, "steps", j)
+        proc_steps = _shaped(list, proc.get("steps", []), "steps", lines, "processes", i, "steps")
+        for j, step in enumerate(proc_steps):
+            path = ("processes", i, "steps", j)
+            _shaped(dict, step, "step", lines, *path, required=("id", "trigger", "handler"))
+            _check_fields(step, STEP_FIELDS, "step", lines, *path)
             trigger_raw = step["trigger"]
             if isinstance(trigger_raw, str):
                 trigger = TriggerSpec((trigger_raw,))
             else:
-                _check_fields(trigger_raw, {"all", "correlate"}, "trigger", lines,
-                              "processes", i, "steps", j, "trigger")
-                trigger = TriggerSpec(tuple(trigger_raw["all"]), trigger_raw.get("correlate"))
+                _shaped(dict, trigger_raw, "trigger", lines, *path, "trigger", required=("all",))
+                _check_fields(trigger_raw, {"all", "correlate"}, "trigger", lines, *path, "trigger")
+                types = _shaped(list, trigger_raw["all"], "trigger.all", lines, *path, "trigger", "all")
+                trigger = TriggerSpec(tuple(types), trigger_raw.get("correlate"))
                 if trigger.is_join and trigger.correlate is None:
-                    _fail("join triggers require a correlate field", lines,
-                          "processes", i, "steps", j, "trigger")
-            handler = step["handler"]
+                    _fail("join triggers require a correlate field", lines, *path, "trigger")
+            handler = _shaped(dict, step["handler"], "handler", lines, *path, "handler")
             if handler.get("kind") not in HANDLER_KINDS:
-                _fail(f"unknown handler kind {handler.get('kind')!r}", lines,
-                      "processes", i, "steps", j, "handler")
-            for subpath, entity_type in _template_entity_types(handler):
-                _check_entity_type(entity_type, config, lines,
-                                   "processes", i, "steps", j, "handler", *subpath)
+                _fail(f"unknown handler kind {handler.get('kind')!r}", lines, *path, "handler")
+            for subpath, entity_type in _template_entity_types(handler, lines, *path, "handler"):
+                _check_entity_type(entity_type, config, lines, *path, "handler", *subpath)
             steps.append(ProcessStepDef(step["id"], trigger, handler))
-        out.append(ProcessDef(proc["id"], steps, dict(proc.get("wiring", {}) or {})))
+        wiring = _shaped(dict, proc.get("wiring") or {}, "wiring", lines, "processes", i, "wiring")
+        out.append(ProcessDef(proc["id"], steps, dict(wiring)))
     return out
 
 
-def _template_entity_types(template: dict):
-    """(path below the template, entity type) for every entity a template names."""
+def _template_entity_types(template: dict, lines: _Lines, *path):
+    """(path below the template, entity type) for every entity a template at
+    ``path`` names."""
     if "entity" in template:
         yield ("entity",), EntityRef.parse(str(template["entity"])).entity_type
     if "entity_type" in template:
         yield ("entity_type",), template["entity_type"]
-    for j, entity in enumerate(template.get("entities", [])):
+    entities = _shaped(list, template.get("entities", []), "entities", lines, *path, "entities")
+    for j, entity in enumerate(entities):
         yield ("entities", j), EntityRef.parse(str(entity)).entity_type
-    for j, deferred in enumerate(template.get("deferred", [])):
+    deferred_writes = _shaped(list, template.get("deferred", []), "deferred", lines, *path, "deferred")
+    for j, deferred in enumerate(deferred_writes):
+        _shaped(dict, deferred, "deferred write", lines, *path, "deferred", j)
         yield ("deferred", j), EntityRef.parse(str(deferred.get("entity"))).entity_type
 
 
 def _build_faults(data: dict, lines: _Lines, config: SimConfig) -> list[Fault]:
     replicas = {r for reps in config.partitions.values() for r in reps}
     out = []
-    for i, fault in enumerate(data.get("faults", []) or []):
+    for i, fault in enumerate(_shaped(list, data.get("faults") or [], "faults", lines, "faults")):
+        _shaped(dict, fault, "fault", lines, "faults", i)
         _check_fields(fault, FAULT_FIELDS, "fault", lines, "faults", i)
         kind = fault.get("kind")
         if kind not in ("partition", "heal", "crash", "recover", "disaster"):
@@ -296,8 +336,9 @@ def _build_faults(data: dict, lines: _Lines, config: SimConfig) -> list[Fault]:
         if kind in ("crash", "recover") and fault.get("target") not in replicas:
             _fail(f"fault target {fault.get('target')!r} is not a replica", lines, "faults", i)
         if kind == "partition":
-            for group in fault.get("groups", []):
-                for rid in group:
+            groups = _shaped(list, fault.get("groups", []), "partition groups", lines, "faults", i, "groups")
+            for j, group in enumerate(groups):
+                for rid in _shaped(list, group, "partition group", lines, "faults", i, "groups", j):
                     if rid not in replicas:
                         _fail(f"partition group names unknown replica {rid!r}", lines, "faults", i)
         if kind == "disaster" and not fault.get("entity"):
@@ -320,8 +361,8 @@ def _build_faults(data: dict, lines: _Lines, config: SimConfig) -> list[Fault]:
 def _build_actions(data: dict, lines: _Lines, config: SimConfig) -> list[ClientAction]:
     replicas = {r for reps in config.partitions.values() for r in reps}
     out = []
-    for i, action in enumerate(data.get("actions", []) or []):
-        do = action.get("do")
+    for i, action in enumerate(_shaped(list, data.get("actions") or [], "actions", lines, "actions")):
+        do = _shaped(dict, action, "action", lines, "actions", i).get("do")
         if do not in ACTION_PARAMS:
             _fail(f"unknown action kind {do!r}", lines, "actions", i, "do")
         allowed = ACTION_BASE_FIELDS | ACTION_PARAMS[do]
@@ -330,7 +371,7 @@ def _build_actions(data: dict, lines: _Lines, config: SimConfig) -> list[ClientA
             _fail(f"action replica {action.get('replica')!r} is unknown", lines, "actions", i)
         at = _number(int, action, "at", _REQUIRED, f"action {do!r}", lines, "actions", i)
         params = {k: v for k, v in action.items() if k not in ACTION_BASE_FIELDS}
-        for subpath, entity_type in _template_entity_types(params):
+        for subpath, entity_type in _template_entity_types(params, lines, "actions", i):
             _check_entity_type(entity_type, config, lines, "actions", i, *subpath,
                                replica=action["replica"])
         if do == "lww_set":

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from eventual.cli import main
+from eventual.scenario import load_scenario
+from eventual.sim import Simulator
+from eventual.store import EntityRef
 
 SCENARIOS = Path(__file__).parent.parent / "src" / "eventual" / "scenarios"
 
@@ -148,6 +151,67 @@ def test_actions_on_unhosted_partitions_exit_two_with_the_line(tmp_path, capsys,
     assert f"line {line}: {message}" in err
 
 
+SHAPES = """schema: eventual/1
+entities:
+  account: {merge: commutative_delta}
+topology:
+  partitions: {p0: [r1, r2]}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (SHAPES + "processes:\n  - steps: []\n", 7, "process needs field 'id'"),
+        (SHAPES + "processes:\n  - id: p\n    steps:\n"
+         "      - {id: s, handler: {kind: delta, entity: account/x, deltas: {n: 1}}}\n",
+         9, "step needs field 'trigger'"),
+        (SHAPES + "processes:\n  - id: p\n    steps:\n      - {id: s, trigger: t}\n",
+         9, "step needs field 'handler'"),
+        ("schema: eventual/1\nentities:\n  account: {merge: commutative_delta}\n  child:\n"
+         "    merge: lww_register\n    parents: [{type: account}]\ntopology:\n  partitions: {p0: [r1]}\n",
+         6, "parent needs field 'field'"),
+        (SHAPES + "processes:\n  - id: p\n    steps:\n      - {id: s, trigger: t, handler: delta}\n",
+         9, "handler must be a mapping, got 'delta'"),
+        (SHAPES + "actions: [[1, 2]]\n", 6, "action must be a mapping, got [1, 2]"),
+        ("schema: eventual/1\nentities:\n  account: {merge: commutative_delta}\n"
+         "topology: {partitions: [p0]}\n",
+         4, "topology.partitions must be a mapping, got ['p0']"),
+        (SHAPES + "faults:\n  - {kind: partition, at: 3, groups: [r1]}\n",
+         7, "partition group must be a list, got 'r1'"),
+        (SHAPES + "seed: !!python/object:os.getcwd {}\n",
+         6, "could not determine a constructor for the tag"),
+        (SHAPES + "actions:\n  - {at: 1, replica: r1, do: delta, entity: account/x, deltas: {n: 1},\n"
+         "     deferred: [1]}\n",
+         8, "deferred write must be a mapping, got 1"),
+        (SHAPES + "processes:\n  - id: p\n    steps:\n"
+         "      - {id: s, trigger: t, handler: {kind: multi_write, entities: account/x}}\n",
+         9, "entities must be a list, got 'account/x'"),
+        (SHAPES + "processes:\n  - id: p\n    steps:\n      - id: s\n"
+         "        trigger: {all: ab, correlate: k}\n"
+         "        handler: {kind: delta, entity: account/x, deltas: {n: 1}}\n",
+         10, "trigger.all must be a list, got 'ab'"),
+        (SHAPES + "processes:\n  - id: p\n    wiring: [a]\n    steps: []\n",
+         8, "wiring must be a mapping, got ['a']"),
+        ("schema: eventual/1\nentities:\n  account: {aggregates: balance}\n"
+         "topology:\n  partitions: {p0: [r1]}\n",
+         3, "aggregates must be a list, got 'balance'"),
+        ("schema: eventual/1\nentities:\n  account: {initial: 5}\ntopology:\n  partitions: {p0: [r1]}\n",
+         3, "initial must be a mapping, got 5"),
+    ],
+    ids=["process-id", "step-trigger", "step-handler", "parent-field", "handler-string",
+         "action-list", "partitions-list", "group-string", "unsafe-tag", "deferred-entry",
+         "handler-entities", "trigger-all", "wiring", "aggregates", "initial"],
+)
+def test_malformed_structure_exits_two_with_the_line(tmp_path, capsys, text, line, message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    code = main(["run", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"line {line}: {message}" in err
+
+
 def test_unknown_schema_tag_is_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("schema: nope/9\nentities: {a: {}}\ntopology: {partitions: {p0: [A]}}\n")
@@ -196,6 +260,28 @@ def test_history_shows_the_negative_crossing_and_tombstones(capsys):
     ship = [l for l in lines if '"on_hand":-5' in l.replace(" ", "")]
     assert ship, out
     assert "discrepancy" in out  # the count that reconciled it is in history too
+
+
+def test_history_replays_the_requested_seed(capsys):
+    """The printed history is the one a run at ``--seed`` holds, and differs by seed."""
+    printed = {}
+    for seed in (3, 7):
+        code = main(["history", str(SCENARIOS / "gossip.yaml"), "--entity", "audit/log",
+                     "--replica", "A", "--seed", str(seed)])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = [l.split() for l in out.splitlines()
+                if not l.startswith(("history", "event_id", "checkpoint"))]
+        printed[seed] = [(row[0], row[3]) for row in rows]
+        scenario = load_scenario(SCENARIOS / "gossip.yaml")
+        scenario.config.seed = seed
+        sim = Simulator(scenario)
+        sim.run()
+        store = sim.replicas["A"].store
+        ref = EntityRef.parse("audit/log")
+        expected = [(str(e.event_id), e.origin_txn_id) for e in store.list_history(store.route(ref), ref)]
+        assert printed[seed] == expected
+    assert printed[3] != printed[7]
 
 
 def test_history_unknown_entity_is_a_diagnostic(capsys):
