@@ -66,10 +66,6 @@ class OutsideTransaction(EngineError):
     """Enqueue attempted with no open commit batch."""
 
 
-class ResurrectionAfterTombstone(EngineError):
-    """An insert causally follows a tombstone for the same entity."""
-
-
 class UnmergeableCustom(EngineError):
     """A custom merge policy declined to resolve concurrent writes."""
 

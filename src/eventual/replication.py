@@ -2,10 +2,10 @@
 
 Every conflict — two sessions on one replica or two replicas on two sides
 of a partition — is handled the same way: commit locally without
-validation, exchange events, and resolve deterministically from the event
-set. Resolution composes commutative deltas, picks last-writer-wins
-winners with a fixed (lww_hint, replica_id) tiebreak, detects overbooked
-capacity and selects losers (latest canonical order loses), and drafts
+validation, exchange events, and let the fold (``store.FoldState``)
+resolve the event set deterministically. This module ships the events,
+reports how the fold settled concurrency, detects overbooked capacity
+and selects losers (latest canonical order loses), and drafts
 compensations from recorded operation payloads.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .errors import ResurrectionAfterTombstone, Uncompensatable, UnmergeableCustom
+from .errors import Uncompensatable, UnmergeableCustom
 from .registry import MergePolicy, RollupSpec
 from .replica import Replica
 from .store import (
@@ -26,6 +26,7 @@ from .store import (
     OP_TOMBSTONE,
     EntityRef,
     EventRecord,
+    FoldState,
     canonical_sort,
 )
 
@@ -144,23 +145,16 @@ def concurrent_groups(ordered: list[EventRecord]) -> list[list[str]]:
     return groups
 
 
-def resolve(entity_ref: EntityRef, events: list[EventRecord], spec: RollupSpec) -> ConflictReport:
-    """Resolve concurrency for one entity's event set.
-
-    Raises ResurrectionAfterTombstone for inserts causally after a
-    tombstone, and UnmergeableCustom when a custom policy has no merge
-    hook to offer; callers escalate both to managed exceptions.
-    """
+def resolve(entity_ref: EntityRef, events: list[EventRecord], spec: RollupSpec,
+            state: FoldState) -> ConflictReport:
+    """Report the concurrency on one entity and how its fold ``state`` of
+    ``events`` settled it: composed deltas are the fold's sums; groups, LWW
+    winner and losers come from canonical order. Raises UnmergeableCustom
+    when a custom policy has no merge hook for concurrent writes; callers
+    escalate it to a managed exception."""
     ordered = canonical_sort(events)
     report = ConflictReport(entity_ref=entity_ref, policy=spec.merge_policy.value)
     report.groups = concurrent_groups(ordered)
-
-    tombstones = [e for e in ordered if e.op_kind == OP_TOMBSTONE]
-    for event in ordered:
-        if event.op_kind == OP_INSERT and any(
-            event.causal_stamp.strictly_dominates(t.causal_stamp) for t in tombstones
-        ):
-            raise ResurrectionAfterTombstone(str(event.event_id))
 
     if spec.merge_policy is MergePolicy.CUSTOM_MERGE and spec.fold is None and report.groups:
         raise UnmergeableCustom(str(entity_ref))
@@ -174,12 +168,7 @@ def resolve(entity_ref: EntityRef, events: list[EventRecord], spec: RollupSpec) 
                 "losers": [str(e.event_id) for e in writes[:-1]],
             }
     elif spec.merge_policy is MergePolicy.COMMUTATIVE_DELTA:
-        composed: dict[str, float] = {}
-        for event in ordered:
-            if event.op_kind == OP_DELTA:
-                for f, d in event.payload.get("deltas", {}).items():
-                    composed[f] = composed.get(f, 0) + d
-        report.resolution = {"composed": composed}
+        report.resolution = {"composed": dict(state.sums)}
     return report
 
 

@@ -300,6 +300,7 @@ def _build_processes(data: dict, lines: _Lines, config: SimConfig) -> list[Proce
             handler = _shaped(dict, step["handler"], "handler", lines, *path, "handler")
             if handler.get("kind") not in HANDLER_KINDS:
                 _fail(f"unknown handler kind {handler.get('kind')!r}", lines, *path, "handler")
+            _check_payload(handler, lines, *path, "handler")
             for subpath, entity_type in _template_entity_types(handler, lines, *path, "handler"):
                 _check_entity_type(entity_type, config, lines, *path, "handler", *subpath)
             steps.append(ProcessStepDef(step["id"], trigger, handler))
@@ -320,8 +321,16 @@ def _template_entity_types(template: dict, lines: _Lines, *path):
         yield ("entities", j), EntityRef.parse(str(entity)).entity_type
     deferred_writes = _shaped(list, template.get("deferred", []), "deferred", lines, *path, "deferred")
     for j, deferred in enumerate(deferred_writes):
-        _shaped(dict, deferred, "deferred write", lines, *path, "deferred", j)
+        _shaped(dict, deferred, "deferred write", lines, *path, "deferred", j, required=("entity", "deltas"))
+        _check_payload(deferred, lines, *path, "deferred", j)
         yield ("deferred", j), EntityRef.parse(str(deferred.get("entity"))).entity_type
+
+
+def _check_payload(template: dict, lines: _Lines, *path) -> None:
+    """The payload fields a handler reads as mappings are mappings."""
+    for key, required in {"deltas": (), "guard": ("field",), "fields": (), "observed": ()}.items():
+        if key in template:
+            _shaped(dict, template[key], key, lines, *path, key, required=required)
 
 
 def _build_faults(data: dict, lines: _Lines, config: SimConfig) -> list[Fault]:
@@ -371,6 +380,7 @@ def _build_actions(data: dict, lines: _Lines, config: SimConfig) -> list[ClientA
             _fail(f"action replica {action.get('replica')!r} is unknown", lines, "actions", i)
         at = _number(int, action, "at", _REQUIRED, f"action {do!r}", lines, "actions", i)
         params = {k: v for k, v in action.items() if k not in ACTION_BASE_FIELDS}
+        _check_payload(params, lines, "actions", i)
         for subpath, entity_type in _template_entity_types(params, lines, "actions", i):
             _check_entity_type(entity_type, config, lines, "actions", i, *subpath,
                                replica=action["replica"])

@@ -18,6 +18,7 @@ import hashlib
 import heapq
 import json
 import random
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -27,7 +28,6 @@ from .errors import (
     AlreadyTerminal,
     LockConflict,
     MultiEntityWriteRejected,
-    ResurrectionAfterTombstone,
     UnknownReservation,
     UnknownTarget,
     UnmergeableCustom,
@@ -893,7 +893,7 @@ class Simulator:
         replica = self.replicas[task["replica"]]
         ref = EntityRef.parse(task["entity"])
         partition = replica.store.route(ref)
-        view = replica.store.rollup(partition, ref).value.get("reservations", {})
+        view = replica.store.fold_state(partition, ref).reservation_view()
         reservation_id = task["reservation_id"]
         entry = view.get(reservation_id)
         if entry is None or entry["state"] != "tentative":
@@ -1009,44 +1009,45 @@ class Simulator:
         return lines
 
     def _merge_remote_events(self, replica: Replica, events_by_partition: dict) -> None:
-        touched: set[EntityRef] = set()
+        touched: dict[EntityRef, bool] = defaultdict(bool)  # ref -> the batch carried an insert on it
         for pid, lines in sorted(events_by_partition.items()):
             for line in lines:
                 event = EventRecord.from_line(line)
                 if replica.store.ingest_foreign(pid, event):
-                    touched.add(event.entity_ref)
+                    touched[event.entity_ref] |= event.op_kind == OP_INSERT
         if touched:
             self._reconcile(replica, touched)
             self._rearm_all_syncs()
 
-    def _reconcile(self, replica: Replica, touched: set[EntityRef]) -> None:
-        """After learning new events: detect conflicts, remediate capacity,
-        resolve waiting references — all through normal single-entity steps."""
+    def _reconcile(self, replica: Replica, touched: dict[EntityRef, bool]) -> None:
+        """For each touched entity (mapped to whether the batch held an insert
+        on it): read its fold once, escalate a resurrection it recorded or else
+        report conflicts until one report per replica and entity is kept, then
+        remediate capacity and resolve waiting references, as normal steps."""
         for ref in sorted(touched, key=str):
             spec = self.registry.get(ref.entity_type)
             partition = replica.store.route(ref)
-            events = replica.store.log(partition).all_events_for(ref)
-            try:
-                report = resolve(ref, events, spec)
-                if report.groups:
-                    self.conflict_reports.setdefault(
-                        f"{replica.replica_id}:{ref}", report.dump()
-                    )
-            except ResurrectionAfterTombstone as exc:
-                self._open_reconcile_exception(replica, ref, "resurrection", str(exc))
-            except UnmergeableCustom:
-                self._open_reconcile_exception(replica, ref, "unmergeable", str(ref))
+            state = replica.store.fold_state(partition, ref)
+            report_key = f"{replica.replica_id}:{ref}"
+            if state.resurrections:
+                self._open_reconcile_exception(replica, ref, "resurrection", state.resurrections[0])
+            elif report_key not in self.conflict_reports:
+                events = replica.store.log(partition).all_events_for(ref)
+                try:
+                    report = resolve(ref, events, spec, state)
+                    if report.groups:
+                        self.conflict_reports[report_key] = report.dump()
+                except UnmergeableCustom:
+                    self._open_reconcile_exception(replica, ref, "unmergeable", str(ref))
             if spec.has_capacity:
                 self._remediate_overbooking(replica, ref)
-            has_insert = any(e.op_kind == OP_INSERT for e in events)
-            if has_insert:
+            if touched[ref]:
                 self._resolve_waiting_references(replica, ref)
 
     def _open_reconcile_exception(self, replica: Replica, ref: EntityRef, kind: str, detail: str) -> None:
         exc_id = f"{kind}:{ref}"
         partition = replica.store.route(ref)
-        state = replica.store.rollup(partition, ref)
-        if exc_id in state.value.get("exceptions", {}):
+        if exc_id in replica.store.fold_state(partition, ref).exceptions:
             return
         txn_id = replica.next_txn_id("sys")
         event = replica.store.make_event(

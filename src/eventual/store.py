@@ -223,6 +223,8 @@ class FoldState:
         self.reservations: dict[str, dict] = {}
         self.exceptions: dict[str, dict] = {}
         self.apologies: dict[str, dict] = {}
+        # ids of inserts causally after a folded tombstone, which the rollup
+        # ignores: the engine's only resurrection rule
         self.resurrections: list[str] = []
         self.custom_value: dict | None = None
         self.folded_count = 0
@@ -248,7 +250,7 @@ class FoldState:
             self.tombstone_stamps.append(event.causal_stamp)
         elif op == OP_INSERT:
             if self._is_resurrection(event):
-                self.resurrections.append(event.idempotence_key)
+                self.resurrections.append(str(event.event_id))
                 return
             self._take_base(event, arrival_wins=spec.merge_policy is MergePolicy.ARRIVAL_LWW)
         elif op == OP_DELTA:

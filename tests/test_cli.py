@@ -198,10 +198,31 @@ topology:
          3, "aggregates must be a list, got 'balance'"),
         ("schema: eventual/1\nentities:\n  account: {initial: 5}\ntopology:\n  partitions: {p0: [r1]}\n",
          3, "initial must be a mapping, got 5"),
+        (SHAPES + "actions:\n  - {at: 1, replica: r1, do: delta, entity: account/x, deltas: 5}\n",
+         7, "deltas must be a mapping, got 5"),
+        (SHAPES + "actions:\n  - {at: 1, replica: r1, do: delta, entity: account/x, deltas: {n: 1},\n"
+         "     guard: 5}\n",
+         8, "guard must be a mapping, got 5"),
+        (SHAPES + "actions:\n  - {at: 1, replica: r1, do: insert, entity: account/x, fields: 5}\n",
+         7, "fields must be a mapping, got 5"),
+        (SHAPES + "processes:\n  - id: p\n    steps:\n      - id: s\n        trigger: t\n"
+         "        handler: {kind: physical_count, entity: account/x, observed: [1]}\n",
+         11, "observed must be a mapping, got [1]"),
+        (SHAPES + "processes:\n  - id: p\n    steps:\n      - id: s\n        trigger: t\n"
+         "        handler: {kind: delta, entity: account/x, deltas: {n: 1}, guard: {min: 0}}\n",
+         11, "guard needs field 'field'"),
+        (SHAPES + "actions:\n  - {at: 1, replica: r1, do: delta, entity: account/x, deltas: {n: 1},\n"
+         "     deferred: [{entity: account/y, deltas: 3}]}\n",
+         8, "deltas must be a mapping, got 3"),
+        (SHAPES + "actions:\n  - {at: 1, replica: r1, do: delta, entity: account/x, deltas: {n: 1},\n"
+         "     deferred: [{entity: account/y}]}\n",
+         8, "deferred write needs field 'deltas'"),
     ],
     ids=["process-id", "step-trigger", "step-handler", "parent-field", "handler-string",
          "action-list", "partitions-list", "group-string", "unsafe-tag", "deferred-entry",
-         "handler-entities", "trigger-all", "wiring", "aggregates", "initial"],
+         "handler-entities", "trigger-all", "wiring", "aggregates", "initial", "action-deltas",
+         "action-guard", "action-fields", "handler-observed", "handler-guard-field",
+         "deferred-deltas", "deferred-no-deltas"],
 )
 def test_malformed_structure_exits_two_with_the_line(tmp_path, capsys, text, line, message):
     bad = tmp_path / "bad.yaml"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eventual.clocks import VersionVector
-from eventual.errors import ResurrectionAfterTombstone, Uncompensatable, UnmergeableCustom
+from eventual.errors import Uncompensatable, UnmergeableCustom
 from eventual.registry import MergePolicy, RollupSpec, SchemaRegistry
 from eventual.replica import Replica
 from eventual.replication import (
@@ -19,7 +19,7 @@ from eventual.replication import (
     resolve,
     sync,
 )
-from eventual.store import OP_DELTA, OP_INSERT, OP_TENTATIVE, EntityRef, canonical_sort
+from eventual.store import OP_DELTA, OP_INSERT, OP_TENTATIVE, EntityRef, FoldState, canonical_sort
 from eventual.txn import CommitBatch, commit, execute_step
 
 from test_txn import ctx_for, step
@@ -59,6 +59,14 @@ def local_delta(replica: Replica, entity: EntityRef, key: str, **deltas):
     ev = replica.store.make_event(entity, OP_DELTA, {"deltas": deltas}, key, f"t-{key}")
     replica.store.append_event("p0", ev)
     return ev
+
+
+def resolve_folded(entity: EntityRef, events, spec):
+    """``resolve`` with the fold a replica holding exactly ``events`` keeps."""
+    state = FoldState()
+    for event in canonical_sort(events):
+        state.fold(event, spec)
+    return resolve(entity, events, spec, state)
 
 
 def test_sync_of_identical_replicas_exchanges_nothing():
@@ -105,7 +113,7 @@ def test_resolve_no_concurrency_has_empty_groups():
     a = make_replica("A", reg)
     e1 = local_delta(a, ACCOUNT, "d1", balance=1)
     e2 = local_delta(a, ACCOUNT, "d2", balance=2)
-    report = resolve(ACCOUNT, [e1, e2], reg.get("account"))
+    report = resolve_folded(ACCOUNT, [e1, e2], reg.get("account"))
     assert report.groups == []
 
 
@@ -117,7 +125,7 @@ def test_lww_concurrent_writes_tiebreak_by_replica_id():
     eb = b.store.make_event(PROFILE, OP_INSERT, {"fields": {"x": 2}}, "kb", "t2")
     b.store.append_event("p0", eb)
     assert ea.lww_hint == eb.lww_hint  # genuinely tied logical timestamps
-    report = resolve(PROFILE, [ea, eb], reg.get("profile"))
+    report = resolve_folded(PROFILE, [ea, eb], reg.get("profile"))
     assert report.groups == [[str(ea.event_id), str(eb.event_id)]]
     assert report.resolution["winner"] == str(eb.event_id)  # B > A
     assert report.resolution["losers"] == [str(ea.event_id)]
@@ -132,7 +140,7 @@ def test_concurrent_commutative_deltas_compose_with_no_loser():
     a, b = make_replica("A", reg), make_replica("B", reg)
     ea = local_delta(a, ACCOUNT, "da", balance=10)
     eb = local_delta(b, ACCOUNT, "db", balance=-4)
-    report = resolve(ACCOUNT, [ea, eb], reg.get("account"))
+    report = resolve_folded(ACCOUNT, [ea, eb], reg.get("account"))
     assert report.resolution == {"composed": {"balance": 6}}
     assert "winner" not in report.resolution
 
@@ -146,24 +154,26 @@ def test_resolution_is_a_pure_function_of_the_event_set():
         local_delta(c, ACCOUNT, "dc", balance=1),
     ]
     spec = reg.get("account")
-    baseline = resolve(ACCOUNT, events, spec).dump()
+    baseline = resolve_folded(ACCOUNT, events, spec).dump()
     rng = random.Random(42)
     for _ in range(100):
         shuffled = list(events)
         rng.shuffle(shuffled)
-        assert resolve(ACCOUNT, shuffled, spec).dump() == baseline
+        assert resolve_folded(ACCOUNT, shuffled, spec).dump() == baseline
 
 
-def test_resurrection_after_tombstone_is_rejected():
+def test_the_fold_names_an_insert_after_a_tombstone_and_ignores_it():
     reg = make_registry()
     a = make_replica("A", reg)
     e1 = a.store.make_event(PROFILE, OP_INSERT, {"fields": {"x": 1}}, "k1", "t1")
     a.store.append_event("p0", e1)
-    tomb = a.store.mark_deleted("p0", PROFILE, "t2")
+    a.store.mark_deleted("p0", PROFILE, "t2")
     revive = a.store.make_event(PROFILE, OP_INSERT, {"fields": {"x": 9}}, "k2", "t3")
     a.store.append_event("p0", revive)
-    with pytest.raises(ResurrectionAfterTombstone):
-        resolve(PROFILE, [e1, tomb, revive], reg.get("profile"))
+    assert a.store.fold_state("p0", PROFILE).resurrections == [str(revive.event_id)]
+    state = a.store.rollup("p0", PROFILE)
+    assert state.deleted_flag
+    assert state.value == {"x": 1}
 
 
 def test_custom_merge_without_hook_escalates_on_concurrency():
@@ -175,9 +185,9 @@ def test_custom_merge_without_hook_escalates_on_concurrency():
     eb = b.store.make_event(ref, OP_INSERT, {"fields": {"x": 2}}, "kb", "t2")
     b.store.append_event("p0", eb)
     with pytest.raises(UnmergeableCustom):
-        resolve(ref, [ea, eb], reg.get("custom_thing"))
+        resolve_folded(ref, [ea, eb], reg.get("custom_thing"))
     # sequential writes on a custom type are fine
-    resolve(ref, [ea], reg.get("custom_thing"))
+    resolve_folded(ref, [ea], reg.get("custom_thing"))
 
 
 # -- concurrency groups ----------------------------------------------------

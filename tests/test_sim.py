@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
-from eventual.scenario import parse_scenario
-from eventual.sim import run
+import eventual.sim
+from eventual.process import scan_exceptions
+from eventual.scenario import load_scenario, parse_scenario
+from eventual.sim import Simulator, run
+from eventual.store import OP_INSERT, EntityRef
+
+SCENARIOS = Path(__file__).parent.parent / "src" / "eventual" / "scenarios"
 
 BANK = """
 schema: eventual/1
@@ -560,8 +566,6 @@ def test_unmatched_event_types_are_recorded_and_ignored():
 
 
 def test_quiesce_is_structural():
-    from eventual.sim import Simulator
-
     sim = Simulator(parse_scenario(BANK))
     assert sim.quiesce()  # fresh idle system
     sim._in_flight = 1  # message in flight
@@ -653,3 +657,51 @@ def test_folds_grow_linearly_with_inserts(folds):
 
     small, large = work(20), work(40)
     assert 0 < large <= 2.2 * small
+
+
+def test_an_insert_after_a_tombstone_opens_one_resurrection_exception_everywhere():
+    text = """
+schema: eventual/1
+entities:
+  profile: {merge: lww_register}
+topology:
+  partitions: {p0: [A, B]}
+network: {delay_min: 1, delay_max: 2, drop: 0.0, duplicate: 0.0}
+sync_interval: 3
+max_time: 500
+actions:
+  - {at: 1, replica: A, do: lww_set, id: set, entity: profile/p, fields: {color: red}}
+  - {at: 2, replica: A, do: tombstone, id: kill, entity: profile/p}
+  - {at: 30, replica: B, do: lww_set, id: revive, entity: profile/p, fields: {color: blue}}
+"""
+    sim = Simulator(parse_scenario(text))
+    report = sim.run()
+    assert report.quiescent and converged(report)
+    ref = EntityRef.parse("profile/p")
+    history = sim.replicas["B"].store.list_history("p0", ref)
+    revive = [e for e in history if e.op_kind == OP_INSERT and e.event_id.replica == "B"]
+    assert len(revive) == 1
+    for rid in ("A", "B"):
+        exceptions = [e for e in scan_exceptions(sim.replicas[rid]) if e.kind == "resurrection"]
+        assert [(e.exception_id, e.status) for e in exceptions] == [("resurrection:profile/p", "open")]
+        assert exceptions[0].detail == {"info": str(revive[0].event_id)}
+        assert json.loads(report.rollups[rid]["profile/p"])["value"]["color"] == "red"
+
+
+def test_each_kept_conflict_report_is_computed_once(monkeypatch):
+    # A merge reads the entity's fold; ``resolve`` runs only until the
+    # first report for that replica and entity is kept.
+    resolve = eventual.sim.resolve
+    with_groups = [0]
+
+    def counted(*args):
+        report = resolve(*args)
+        with_groups[0] += bool(report.groups)
+        return report
+
+    monkeypatch.setattr(eventual.sim, "resolve", counted)
+    for name in ("gossip.yaml", "overbooking.yaml", "reference.yaml"):
+        with_groups[0] = 0
+        report = run(load_scenario(SCENARIOS / name), seed=0)
+        assert report.conflicts, name
+        assert with_groups[0] == len(report.conflicts), name
