@@ -219,20 +219,30 @@ def check_referential(replica: Replica, entity_ref: EntityRef, parent_ref: Entit
 
 
 def plan_referential_resolutions(replica: Replica, parent_ref: EntityRef) -> list[dict]:
-    """Resolution steps for open violations waiting on this parent."""
-    plans = []
-    for exc in scan_exceptions(replica):
-        if exc.kind != "referential_violation" or exc.status != "open":
-            continue
-        if exc.detail.get("parent") == str(parent_ref):
-            plans.append(
-                {
-                    "kind": "resolve_exception",
-                    "entity": str(exc.entity_ref),
-                    "exception_id": exc.exception_id,
-                }
-            )
-    return plans
+    """Resolution steps for open violations waiting on this parent, by exception id.
+
+    Reads the folds of only the entities each hosted partition log indexes
+    under this parent (``PartitionLog.refs_naming_parent``), so planning
+    costs O(waiting children) instead of a walk of every hosted entity. The
+    plans equal those of filtering ``scan_exceptions`` by kind, open status
+    and parent.
+    """
+    parent = str(parent_ref)
+    waiting = []
+    for partition_id in replica.partitions_hosted():
+        for ref in replica.store.log(partition_id).refs_naming_parent(parent):
+            for exc_id, entry in replica.store.fold_state(partition_id, ref).exceptions.items():
+                if (
+                    entry.get("kind") == "referential_violation"
+                    and not entry.get("resolved")
+                    and entry.get("detail", {}).get("parent") == parent
+                ):
+                    waiting.append((exc_id, ref))
+    waiting.sort(key=lambda w: w[0])
+    return [
+        {"kind": "resolve_exception", "entity": str(ref), "exception_id": exc_id}
+        for exc_id, ref in waiting
+    ]
 
 
 def plan_cleansing(replica: Replica, entity_ref: EntityRef) -> list[dict]:

@@ -119,16 +119,24 @@ def _shaped(kind: type, value, where: str, lines: _Lines, *path, required=()):
 _REQUIRED = object()
 
 
-def _number(convert, mapping: dict, key: str, default, where: str, lines: _Lines, *path):
-    """``convert(mapping[key])``, or ``default`` when absent (``_REQUIRED``: an error)."""
+def _number(convert, mapping: dict, key: str, default, where: str, lines: _Lines, *path,
+            least=None, most=None):
+    """``convert(mapping[key])``, or ``default`` when absent (``_REQUIRED``: an error),
+    which must lie in [``least``, ``most``] where those are given."""
     if key not in mapping:
         if default is _REQUIRED:
             _fail(f"{where} needs field {key!r}", lines, *path)
-        return default
-    try:
-        return convert(mapping[key])
-    except (TypeError, ValueError):
-        _fail(f"{key!r} in {where} must be a number, got {mapping[key]!r}", lines, *path, key)
+        value = default
+    else:
+        try:
+            value = convert(mapping[key])
+        except (TypeError, ValueError):
+            _fail(f"{key!r} in {where} must be a number, got {mapping[key]!r}", lines, *path, key)
+        path += (key,)
+    if least is not None and (value < least or most is not None and not value <= most):
+        bound = f"at least {least}" if most is None else f"between {least} and {most}"
+        _fail(f"{key!r} in {where} must be {bound}, got {value!r}", lines, *path)
+    return value
 
 
 def _check_entity_type(entity_type, config: SimConfig, lines: _Lines, *path, replica=None) -> None:
@@ -256,22 +264,26 @@ def _build_config(data: dict, lines: _Lines, entity_types: list[str]) -> SimConf
     lags = _shaped(dict, data.get("lags") or {}, "lags", lines, "lags")
     _check_fields(lags, LAG_FIELDS, "lags", lines, "lags")
 
+    delay_max = _number(int, network, "delay_max", 4, "network", lines, "network")
     return SimConfig(
         seed=_number(int, data, "seed", 0, "scenario", lines),
         partitions=partitions,
         placement=placement,
         notify_partition=notify,
-        delay_min=_number(int, network, "delay_min", 1, "network", lines, "network"),
-        delay_max=_number(int, network, "delay_max", 4, "network", lines, "network"),
-        drop=_number(float, network, "drop", 0.0, "network", lines, "network"),
-        duplicate=_number(float, network, "duplicate", 0.0, "network", lines, "network"),
+        delay_min=_number(int, network, "delay_min", 1, "network", lines, "network",
+                          least=0, most=delay_max),
+        delay_max=delay_max,
+        drop=_number(float, network, "drop", 0.0, "network", lines, "network", least=0, most=1),
+        duplicate=_number(float, network, "duplicate", 0.0, "network", lines, "network",
+                          least=0, most=1),
         reorder=bool(network.get("reorder", True)),
-        sync_interval=_number(int, data, "sync_interval", 5, "scenario", lines),
-        retry_base=_number(int, retry, "base", 2, "retry", lines, "retry"),
-        retry_cap=_number(int, retry, "cap", 16, "retry", lines, "retry"),
+        # a timer of zero ticks would re-arm at the same tick forever
+        sync_interval=_number(int, data, "sync_interval", 5, "scenario", lines, least=1),
+        retry_base=_number(int, retry, "base", 2, "retry", lines, "retry", least=1),
+        retry_cap=_number(int, retry, "cap", 16, "retry", lines, "retry", least=1),
         pending_lag=_number(int, lags, "pending", 2, "lags", lines, "lags"),
         cleanse_lag=_number(int, lags, "cleanse", 2, "lags", lines, "lags"),
-        lock_backoff=_number(int, lags, "lock_backoff", 2, "lags", lines, "lags"),
+        lock_backoff=_number(int, lags, "lock_backoff", 2, "lags", lines, "lags", least=1),
         max_time=_number(int, data, "max_time", 10_000, "scenario", lines),
     )
 

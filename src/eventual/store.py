@@ -102,9 +102,9 @@ class EntityRef:
         return cls(entity_type, key)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EventRecord:
-    """Immutable description of one operation.
+    """Immutable description of one operation; equal when every field is.
 
     The payload holds the parameters of the business action (the deposit
     amount, the reserved quantity), never the resulting state.
@@ -156,11 +156,6 @@ class EventRecord:
             )
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise MalformedEvent(line, exc) from exc
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EventRecord):
-            return NotImplemented
-        return self.to_line() == other.to_line()
 
 
 def canonical_sort(events: list[EventRecord]) -> list[EventRecord]:
@@ -404,13 +399,21 @@ class FoldState:
 
 
 class PartitionLog:
-    """Insert-only event log for one partition on one replica."""
+    """Insert-only event log for one partition on one replica.
+
+    Beside each entity's live events, ``append`` indexes the entities whose
+    discrepancy events name a parent (``payload["detail"]["parent"]``), the
+    ref a referential violation waits on. The index only grows, like the
+    log, and survives a crash with it, so it needs no rebuild; summarizing
+    archives an entity's events but keeps its entries.
+    """
 
     def __init__(self, partition_id: str):
         self.partition_id = partition_id
         self.events: list[EventRecord] = []
         self._by_id: dict[EventId, EventRecord] = {}
         self._live_by_entity: dict[EntityRef, list[EventRecord]] = {}
+        self._by_parent: dict[str, set[EntityRef]] = {}
         self._max_seq: dict[str, int] = {}
         self.checkpoints: dict[EntityRef, Checkpoint] = {}
         self.archived: dict[EntityRef, list[EventRecord]] = {}
@@ -430,6 +433,10 @@ class PartitionLog:
         self.events.append(event)
         self._by_id[event.event_id] = event
         self._live_by_entity.setdefault(event.entity_ref, []).append(event)
+        if event.op_kind == OP_DISCREPANCY:
+            detail = event.payload.get("detail")
+            if isinstance(detail, dict) and isinstance(detail.get("parent"), str):
+                self._by_parent.setdefault(detail["parent"], set()).add(event.entity_ref)
         return len(self.events) - 1
 
     def frontier(self) -> VersionVector:
@@ -443,6 +450,10 @@ class PartitionLog:
 
     def all_events_for(self, entity_ref: EntityRef) -> list[EventRecord]:
         return self.archived.get(entity_ref, []) + self.live_events_for(entity_ref)
+
+    def refs_naming_parent(self, parent: str) -> list[EntityRef]:
+        """Entities with a discrepancy naming ``parent`` (a ref's text), sorted."""
+        return sorted(self._by_parent.get(parent, ()), key=str)
 
     def entity_refs(self) -> list[EntityRef]:
         refs = set(self._live_by_entity) | set(self.archived)

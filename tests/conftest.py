@@ -1,15 +1,23 @@
-"""Suite-wide check of the store's fold cache, and a fold counter.
+"""Suite-wide checks of the store's fold cache and the referential index,
+and a fold counter.
 
 ``ReplicaStore.fold_state`` keeps one fold per entity and advances it on
 read. For the whole session every whole-log read is compared with a fold
 of the entity's full history from scratch, in canonical order, so every
 test, golden run and Hypothesis property also checks the cache.
+
+``plan_referential_resolutions`` reads only the entities a partition log
+indexes under the parent. For the whole session every plan the simulator
+makes is compared with the walk it replaced: every hosted entity's
+exceptions, filtered by kind, open status and parent.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import eventual.sim
+from eventual.process import plan_referential_resolutions, scan_exceptions
 from eventual.registry import MergePolicy
 from eventual.store import FoldState, ReplicaStore, canonical_sort
 
@@ -39,6 +47,30 @@ def _checked_fold_state(store, partition_id, entity_ref, as_of=None):
 def cross_check_fold_cache():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ReplicaStore, "fold_state", _checked_fold_state)
+        yield
+
+
+def _walked_plans(replica, parent_ref) -> list[dict]:
+    """The referential plans of a walk over every hosted entity's exceptions."""
+    return [
+        {"kind": "resolve_exception", "entity": str(exc.entity_ref), "exception_id": exc.exception_id}
+        for exc in scan_exceptions(replica)
+        if exc.kind == "referential_violation"
+        and exc.status == "open"
+        and exc.detail.get("parent") == str(parent_ref)
+    ]
+
+
+def _checked_plans(replica, parent_ref):
+    plans = plan_referential_resolutions(replica, parent_ref)
+    assert plans == _walked_plans(replica, parent_ref), f"plans waiting on {parent_ref} diverged"
+    return plans
+
+
+@pytest.fixture(autouse=True, scope="session")
+def cross_check_referential_index():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eventual.sim, "plan_referential_resolutions", _checked_plans)
         yield
 
 

@@ -217,12 +217,28 @@ topology:
         (SHAPES + "actions:\n  - {at: 1, replica: r1, do: delta, entity: account/x, deltas: {n: 1},\n"
          "     deferred: [{entity: account/y}]}\n",
          8, "deferred write needs field 'deltas'"),
+        (SHAPES + "sync_interval: 0\n", 6, "'sync_interval' in scenario must be at least 1, got 0"),
+        (SHAPES + "sync_interval: -3\n", 6, "'sync_interval' in scenario must be at least 1, got -3"),
+        (SHAPES + "retry: {base: 0, cap: 0}\n", 6, "'base' in retry must be at least 1, got 0"),
+        (SHAPES + "retry: {base: 1,\n        cap: 0}\n", 7, "'cap' in retry must be at least 1, got 0"),
+        (SHAPES + "lags:\n  lock_backoff: 0\n", 7, "'lock_backoff' in lags must be at least 1, got 0"),
+        (SHAPES + "network:\n  delay_max: 1\n  delay_min: 5\n", 8,
+         "'delay_min' in network must be between 0 and 1, got 5"),
+        (SHAPES + "network:\n  delay_min: -1\n", 7,
+         "'delay_min' in network must be between 0 and 4, got -1"),
+        (SHAPES + "network: {delay_max: 0}\n", 6,
+         "'delay_min' in network must be between 0 and 0, got 1"),
+        (SHAPES + "network:\n  drop: 1.5\n", 7, "'drop' in network must be between 0 and 1, got 1.5"),
+        (SHAPES + "network:\n  duplicate: -0.1\n", 7,
+         "'duplicate' in network must be between 0 and 1, got -0.1"),
     ],
     ids=["process-id", "step-trigger", "step-handler", "parent-field", "handler-string",
          "action-list", "partitions-list", "group-string", "unsafe-tag", "deferred-entry",
          "handler-entities", "trigger-all", "wiring", "aggregates", "initial", "action-deltas",
          "action-guard", "action-fields", "handler-observed", "handler-guard-field",
-         "deferred-deltas", "deferred-no-deltas"],
+         "deferred-deltas", "deferred-no-deltas", "sync-zero", "sync-negative", "retry-base",
+         "retry-cap", "lock-backoff", "delay-order", "delay-negative", "delay-default-order",
+         "drop", "duplicate"],
 )
 def test_malformed_structure_exits_two_with_the_line(tmp_path, capsys, text, line, message):
     bad = tmp_path / "bad.yaml"

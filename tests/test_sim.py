@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import eventual.process
 import eventual.sim
 from eventual.process import scan_exceptions
 from eventual.scenario import load_scenario, parse_scenario
 from eventual.sim import Simulator, run
-from eventual.store import OP_INSERT, EntityRef
+from eventual.store import OP_INSERT, EntityRef, ReplicaStore
 
 SCENARIOS = Path(__file__).parent.parent / "src" / "eventual" / "scenarios"
 
@@ -645,9 +646,9 @@ def insert_heavy(blocks: int) -> str:
 
 
 def test_folds_grow_linearly_with_inserts(folds):
-    # Every insert plans referential resolutions by scanning the exceptions
-    # of every hosted entity; the scan reads the cached folds, so it folds
-    # only what is new.
+    # Every insert plans referential resolutions from the children indexed
+    # under its parent, and every read advances the cached fold, so the run
+    # folds only what is new.
     def work(blocks):
         folds[0] = 0
         report = run(parse_scenario(insert_heavy(blocks)), seed=3)
@@ -657,6 +658,40 @@ def test_folds_grow_linearly_with_inserts(folds):
 
     small, large = work(20), work(40)
     assert 0 < large <= 2.2 * small
+
+
+def test_referential_planning_reads_only_the_waiting_children(monkeypatch):
+    # Planning reads the fold of each child indexed under the parent, not of
+    # every hosted entity: at most one read per violation ever resolved.
+    fold_state = ReplicaStore.fold_state
+    plan = eventual.process.plan_referential_resolutions  # the engine's, not the cross-check
+    planning, reads = [False], [0]
+
+    def counted_fold_state(*args):
+        reads[0] += planning[0]
+        return fold_state(*args)
+
+    def traced_plan(*args):
+        planning[0] = True
+        try:
+            return plan(*args)
+        finally:
+            planning[0] = False
+
+    monkeypatch.setattr(ReplicaStore, "fold_state", counted_fold_state)
+    monkeypatch.setattr(eventual.sim, "plan_referential_resolutions", traced_plan)
+
+    def work(blocks):
+        reads[0] = 0
+        report = run(parse_scenario(insert_heavy(blocks)), seed=3)
+        assert report.quiescent and converged(report)
+        resolved = report.exceptions["A"]["resolved"]
+        assert report.exceptions["A"]["open"] == [] and resolved
+        assert 0 < reads[0] <= len(resolved)
+        return reads[0]
+
+    small, large = work(20), work(40)
+    assert large <= 2.2 * small
 
 
 def test_an_insert_after_a_tombstone_opens_one_resurrection_exception_everywhere():
