@@ -1003,15 +1003,19 @@ class Simulator:
         """Archival lines of the events the replica holds beyond each partition frontier."""
         lines = {}
         for pid, frontier in sorted(frontiers.items()):
-            missing = replica.store.log(pid).missing_for(VersionVector.from_dict(frontier))
+            log = replica.store.log(pid)
+            missing = log.missing_for(VersionVector.from_dict(frontier))
             if missing:
-                lines[pid] = [e.to_line() for e in missing]
+                lines[pid] = [log.line(e) for e in missing]
         return lines
 
     def _merge_remote_events(self, replica: Replica, events_by_partition: dict) -> None:
         touched: dict[EntityRef, bool] = defaultdict(bool)  # ref -> the batch carried an insert on it
         for pid, lines in sorted(events_by_partition.items()):
+            log = replica.store.log(pid)
             for line in lines:
+                if EventRecord.peek_id(line) in log:
+                    continue  # already held: skip the decode (an unreadable id is None)
                 event = EventRecord.from_line(line)
                 if replica.store.ingest_foreign(pid, event):
                     touched[event.entity_ref] |= event.op_kind == OP_INSERT

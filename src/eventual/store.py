@@ -15,17 +15,29 @@ events land in a deterministic, replica-independent position.
 
 The fold of an entity's whole log is kept, not recomputed: the store
 holds one FoldState per entity that has been read, and advances it
-lazily on the next read. Events past the last folded canonical key
-(every local commit, whose Lamport hint is maximal) are folded onto it;
-a foreign event that sorts earlier makes that read rebuild from the
+lazily on the next read. Events past the greatest folded canonical key
+(every local commit, whose Lamport hint is maximal) are folded onto it.
+So is a late foreign event that sorts earlier, when its rule commutes
+with what is folded (``FoldState.folds_late``): an integer delta onto
+integer sums, an insert that resurrects nothing, a reservation's first
+tentative, a confirm or cancel, a new apology or discrepancy. A late
+tombstone, a second copy of an idempotence key, a float delta, a
+resurrection or a custom fold makes that read rebuild from the
 checkpoint. The cache is derived, volatile state: summarizing an entity
 drops its entry, and a crash drops them all. Reads at an ``as_of`` cut
 and the arrival-order negative control are never cached.
+
+Anti-entropy costs what the merge changed. A partition log indexes its
+events by origin in sequence order, so ``missing_for`` bisects each
+origin at the remote frontier, and the log encodes each event's line
+once (``PartitionLog.line``). A receiver reads a line's id with
+``EventRecord.peek_id`` and skips the ids it holds without decoding.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .clocks import VersionVector
@@ -63,6 +75,10 @@ _CANCEL_STATE = {
     "disaster": "abrogated",
     "lost_promise": "abrogated",
 }
+
+# how every ``EventRecord.to_line`` line starts, and its last field
+_LINE_HEAD = '{"event_id":"'
+_LINE_LAST = ',"origin_txn_id":"'
 
 
 def canon(obj):
@@ -157,6 +173,26 @@ class EventRecord:
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise MalformedEvent(line, exc) from exc
 
+    @staticmethod
+    def peek_id(line: str) -> EventId | None:
+        """The event id of a whole ``to_line`` line, read without decoding it.
+
+        None when the line does not start and end as ``to_line`` writes
+        them (cut short, not JSON, another field order, escapes in the id
+        or the last field): decode such a line with ``from_line``, which
+        raises MalformedEvent on a bad one.
+        """
+        if not (line.startswith(_LINE_HEAD) and line.endswith('"}')):
+            return None
+        last = line.rfind(_LINE_LAST)
+        if last < 0 or line.find('"', last + len(_LINE_LAST)) != len(line) - 2:
+            return None
+        text = line[len(_LINE_HEAD) : line.find('"', len(_LINE_HEAD))]
+        replica, _, seq = text.rpartition(":")
+        if not (replica and seq.isascii() and seq.isdigit()):
+            return None
+        return EventId(replica, int(seq))
+
 
 def canonical_sort(events: list[EventRecord]) -> list[EventRecord]:
     return sorted(events, key=lambda e: e.canonical_key)
@@ -204,7 +240,8 @@ class FoldState:
     Every rule here is insensitive to the order events are folded in
     beyond the canonical sort of each batch, and a snapshot taken at any
     version-vector cut resumes exactly. That is what makes checkpoints
-    lossless and replicas convergent.
+    lossless and replicas convergent. ``folds_late`` names the events
+    whose rule does not care about that sort either.
     """
 
     def __init__(self) -> None:
@@ -271,6 +308,40 @@ class FoldState:
             entry["observed"] = event.payload.get("observed", {})
             entry["expected"] = event.payload.get("expected", {})
 
+    def folds_late(self, event: EventRecord, spec: RollupSpec) -> bool:
+        """Whether folding ``event`` after folded events that sort past it
+        leaves the state a fold in canonical order would.
+
+        True for an unseen idempotence key whose rule commutes with every
+        folded event: a delta whose deltas and current sums are all int
+        (float addition does not commute bit-for-bit), an insert that is
+        not a resurrection (a tombstone it dominates sorts earlier, by the
+        Lamport hint), the first tentative of a reservation, a confirm or
+        cancel (each keeps its minimum key), and an apology or discrepancy
+        whose id is new. A seen key, a tombstone, a resurrection and a
+        custom fold depend on order, and so does any other event.
+        """
+        if event.idempotence_key in self.seen_keys:
+            return False
+        if spec.merge_policy is MergePolicy.CUSTOM_MERGE and spec.fold is not None:
+            return False
+        op, payload = event.op_kind, event.payload
+        if op == OP_DELTA:
+            return all(
+                isinstance(d, int) and isinstance(self.sums.get(f, 0), int)
+                for f, d in payload.get("deltas", {}).items()
+            )
+        if op == OP_INSERT:
+            return not self._is_resurrection(event)
+        if op == OP_TENTATIVE:
+            entry = self.reservations.get(payload["reservation_id"])
+            return entry is None or "tentative" not in entry["ops"]
+        if op == OP_APOLOGY:
+            return payload["apology_id"] not in self.apologies
+        if op == OP_DISCREPANCY:
+            return payload["exception_id"] not in self.exceptions
+        return op in (OP_CONFIRM, OP_CANCEL)
+
     def _is_resurrection(self, event: EventRecord) -> bool:
         return any(event.causal_stamp.strictly_dominates(t) for t in self.tombstone_stamps)
 
@@ -296,14 +367,15 @@ class FoldState:
         entry = self.reservations.setdefault(rid, {"ops": {}})
         key = list(event.canonical_key)
         if event.op_kind == OP_CONFIRM:
-            entry["ops"].setdefault("confirm", key)
-            return
-        cause = event.payload.get("cause", "cancelled")
-        state = _CANCEL_STATE.get(cause, "cancelled")
+            state, cause = "confirm", None
+        else:
+            cause = event.payload.get("cause", "cancelled")
+            state = _CANCEL_STATE.get(cause, "cancelled")
         existing = entry["ops"].get(state)
         if existing is None or key < existing:
             entry["ops"][state] = key
-            entry.setdefault("causes", {})[state] = cause
+            if cause is not None:
+                entry.setdefault("causes", {})[state] = cause
 
     # -- finalization ----------------------------------------------------
 
@@ -401,11 +473,14 @@ class FoldState:
 class PartitionLog:
     """Insert-only event log for one partition on one replica.
 
-    Beside each entity's live events, ``append`` indexes the entities whose
-    discrepancy events name a parent (``payload["detail"]["parent"]``), the
-    ref a referential violation waits on. The index only grows, like the
-    log, and survives a crash with it, so it needs no rebuild; summarizing
-    archives an entity's events but keeps its entries.
+    Beside each entity's live events, ``append`` indexes the events of
+    each origin, in sequence order (which ``missing_for`` bisects), and
+    the entities whose discrepancy events name a parent
+    (``payload["detail"]["parent"]``), the ref a referential violation
+    waits on. The indexes only grow, like the log, and survive a crash
+    with it, so they need no rebuild; summarizing archives an entity's
+    events but keeps its entries. ``line`` keeps each event's archival
+    line once it is first encoded.
     """
 
     def __init__(self, partition_id: str):
@@ -413,8 +488,11 @@ class PartitionLog:
         self.events: list[EventRecord] = []
         self._by_id: dict[EventId, EventRecord] = {}
         self._live_by_entity: dict[EntityRef, list[EventRecord]] = {}
+        self._by_origin: dict[str, list[EventRecord]] = {}
         self._by_parent: dict[str, set[EntityRef]] = {}
+        # the last seq of each origin's list, kept apart: the frontier copies it per event made
         self._max_seq: dict[str, int] = {}
+        self._lines: dict[EventId, str] = {}
         self.checkpoints: dict[EntityRef, Checkpoint] = {}
         self.archived: dict[EntityRef, list[EventRecord]] = {}
 
@@ -430,6 +508,7 @@ class PartitionLog:
         if seq <= self._max_seq.get(origin, 0):
             raise SequenceGap(f"{event.event_id} arrived after {origin}:{self._max_seq[origin]}")
         self._max_seq[origin] = seq
+        self._by_origin.setdefault(origin, []).append(event)
         self.events.append(event)
         self._by_id[event.event_id] = event
         self._live_by_entity.setdefault(event.entity_ref, []).append(event)
@@ -444,6 +523,13 @@ class PartitionLog:
 
     def get(self, event_id: EventId) -> EventRecord:
         return self._by_id[event_id]
+
+    def line(self, event: EventRecord) -> str:
+        """The event's archival line (``to_line``), encoded on first use only."""
+        line = self._lines.get(event.event_id)
+        if line is None:
+            line = self._lines[event.event_id] = event.to_line()
+        return line
 
     def live_events_for(self, entity_ref: EntityRef) -> list[EventRecord]:
         return list(self._live_by_entity.get(entity_ref, []))
@@ -461,12 +547,11 @@ class PartitionLog:
 
     def missing_for(self, remote_frontier: VersionVector) -> list[EventRecord]:
         """Events the remote lacks, in per-origin sequence order."""
-        out = [
-            e
-            for e in self.events
-            if e.event_id.seq > remote_frontier.get(e.event_id.replica)
-        ]
-        out.sort(key=lambda e: (e.event_id.replica, e.event_id.seq))
+        out: list[EventRecord] = []
+        for origin in sorted(self._by_origin):
+            held = self._by_origin[origin]
+            start = bisect_right(held, remote_frontier.get(origin), key=lambda e: e.event_id.seq)
+            out += held[start:]
         return out
 
     def archive_covered(self, entity_ref: EntityRef, up_to: VersionVector) -> list[EventRecord]:
@@ -534,7 +619,7 @@ class ReplicaStore:
         self.placement = dict(placement)
         self.factory = EventFactory(replica_id)
         self.lock_guard = None  # set by the txn engine; callable(entity_ref) -> bool
-        # partition -> ref -> (state, live events folded, canonical key of the last one)
+        # partition -> ref -> (state, live events folded, greatest canonical key among them)
         self._folds: dict[str, dict[EntityRef, tuple[FoldState, int, tuple | None]]] = {
             p: {} for p in partitions
         }
@@ -645,12 +730,14 @@ class ReplicaStore:
         diverges across replicas by construction, and never resumes.
 
         A read of the whole log (as_of None) returns the entity's cached
-        state. If the live events appended since the last read all sort
-        past the last folded canonical key, only they are folded onto it;
-        otherwise the state is rebuilt from the checkpoint. The returned
-        state is shared with the cache and later reads: callers must not
-        mutate it. Reads at a cut and the ARRIVAL_LWW control build a fresh
-        state every time.
+        state, advanced by the live events appended since the last read, in
+        canonical order. Each one that sorts past the greatest folded
+        canonical key is folded onto it, and so is a late one that
+        ``FoldState.folds_late`` allows; any other late event makes the
+        read rebuild the state from the checkpoint. The returned state is
+        shared with the cache and later reads: callers must not mutate it.
+        Reads at a cut and the ARRIVAL_LWW control build a fresh state
+        every time.
         """
         spec = self.registry.get(entity_ref.entity_type)
         log = self.log(partition_id)
@@ -659,16 +746,22 @@ class ReplicaStore:
         folds = self._folds[partition_id]
         entry = folds.get(entity_ref) if cached else None
         if entry is not None:
-            state, done, last = entry
+            state, done, top = entry
             # a checkpoint may exist before the entity has any live events here
             live = log._live_by_entity.get(entity_ref, ())
             if len(live) == done:
                 return state
             tail = canonical_sort(live[done:])
-            if last is None or tail[0].canonical_key > last:
-                for event in tail:
-                    state.fold(event, spec)
-                folds[entity_ref] = (state, len(live), tail[-1].canonical_key)
+            # whether the tail starts with late events, sorting before the greatest folded key
+            late = top is not None and tail[0].canonical_key < top
+            for event in tail:
+                # each fold keeps the state a canonical fold of what it holds
+                if late and event.canonical_key < top and not state.folds_late(event, spec):
+                    break
+                state.fold(event, spec)
+            else:
+                last = tail[-1].canonical_key
+                folds[entity_ref] = (state, len(live), last if top is None or last > top else top)
                 return state
         checkpoint = None if arrival_order else log.checkpoints.get(entity_ref)
         if checkpoint is not None and (as_of is None or as_of.dominates(checkpoint.covers_up_to)):
@@ -724,9 +817,7 @@ class ReplicaStore:
 
     def export_partition(self, partition_id: str) -> list[str]:
         """Archival export: one event per line, re-ingestable losslessly."""
-        log = self.log(partition_id)
-        events = sorted(log.events, key=lambda e: (e.event_id.replica, e.event_id.seq))
-        return [e.to_line() for e in events]
+        return [e.to_line() for e in self.log(partition_id).missing_for(VersionVector())]
 
     def import_partition(self, partition_id: str, lines: list[str]) -> int:
         """Re-ingest an archival export (e.g. into a fresh replica).

@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 import eventual.process
 import eventual.sim
+from eventual.errors import MalformedEvent
 from eventual.process import scan_exceptions
 from eventual.scenario import load_scenario, parse_scenario
 from eventual.sim import Simulator, run
-from eventual.store import OP_INSERT, EntityRef, ReplicaStore
+from eventual.store import OP_INSERT, EventId, EntityRef, EventRecord, ReplicaStore
 
 SCENARIOS = Path(__file__).parent.parent / "src" / "eventual" / "scenarios"
 
@@ -740,3 +743,107 @@ def test_each_kept_conflict_report_is_computed_once(monkeypatch):
         report = run(load_scenario(SCENARIOS / name), seed=0)
         assert report.conflicts, name
         assert with_groups[0] == len(report.conflicts), name
+
+
+def partitioned_deltas(blocks: int) -> str:
+    """Integer deltas on two accounts, one from each of three replicas a
+    block, with A cut off from B and C over the middle third."""
+    actions = [
+        f"  - {{at: {3 * k + j + 1}, replica: {r}, do: delta, id: d{k}{r},"
+        f" entity: account/h{(k + j) % 2}, deltas: {{balance: {k % 5 - 2}}}}}"
+        for k in range(blocks)
+        for j, r in enumerate("ABC")
+    ]
+    t = 3 * blocks
+    return f"""
+schema: eventual/1
+entities:
+  account: {{merge: commutative_delta, initial: {{balance: 0}}, aggregates: [balance]}}
+topology:
+  partitions: {{p0: [A, B, C]}}
+network: {{delay_min: 1, delay_max: 3, drop: 0.0, duplicate: 0.0}}
+sync_interval: 4
+max_time: {20 * t}
+faults:
+  - {{kind: partition, at: {t // 3}, groups: [[A], [B, C]]}}
+  - {{kind: heal, at: {2 * t // 3}}}
+actions:
+""" + "\n".join(actions) + "\n"
+
+
+def test_sync_work_grows_with_the_diff(folds, monkeypatch):
+    # Integer deltas fold in place however late they arrive, so with no
+    # crash nothing rebuilds: each replica folds each event it holds at
+    # most once. Each replica encodes an event's line at most once however
+    # often it ships it, and decodes only lines whose id it lacks.
+    to_line, from_line = EventRecord.to_line, EventRecord.from_line
+    missing_lines, merge = Simulator._missing_lines, Simulator._merge_remote_events
+    encodes, decodes, unheld, shipped = [0], [0], [0], set()
+
+    def counted_to_line(event):
+        encodes[0] += 1
+        return to_line(event)
+
+    def counted_from_line(cls, line):
+        decodes[0] += 1
+        return from_line(line)
+
+    def recorded_missing_lines(sim, replica, frontiers):
+        lines = missing_lines(sim, replica, frontiers)
+        for pid, batch in lines.items():
+            shipped.update((replica.replica_id, pid, json.loads(line)["event_id"]) for line in batch)
+        return lines
+
+    def recorded_merge(sim, replica, events_by_partition):
+        for pid, batch in events_by_partition.items():
+            log = replica.store.log(pid)
+            unheld[0] += sum(EventId.parse(json.loads(line)["event_id"]) not in log for line in batch)
+        merge(sim, replica, events_by_partition)
+
+    monkeypatch.setattr(EventRecord, "to_line", counted_to_line)
+    monkeypatch.setattr(EventRecord, "from_line", classmethod(counted_from_line))
+    monkeypatch.setattr(Simulator, "_missing_lines", recorded_missing_lines)
+    monkeypatch.setattr(Simulator, "_merge_remote_events", recorded_merge)
+
+    def work(blocks):
+        folds[0] = encodes[0] = decodes[0] = unheld[0] = 0
+        shipped.clear()
+        sim = Simulator(parse_scenario(partitioned_deltas(blocks)))
+        report = sim.run()
+        assert report.quiescent and converged(report)
+        appended = sum(len(r.store.log("p0").events) for r in sim.replicas.values())
+        assert appended == 3 * 3 * blocks
+        assert 0 < folds[0] <= appended
+        assert 0 < encodes[0] <= len(shipped)
+        assert 0 < decodes[0] <= unheld[0]
+        return folds[0], encodes[0], decodes[0]
+
+    small, large = work(20), work(40)
+    for s, b in zip(small, large):
+        assert b <= 2.2 * s
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda line: line[: len(line) // 2],  # truncated
+        lambda line: line[:-1],  # the closing brace cut off
+        lambda line: line[: line.index(',"origin_txn_id"')] + "}",  # the last field cut off
+        lambda line: "not json",
+        lambda line: "",
+        lambda line: '{"event_id":"',
+        lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:one"'),
+        lambda line: line.replace('"event_id":"A:1"', '"event_id":"A1"'),
+    ],
+    ids=["truncated", "no-brace", "no-last-field", "not-json", "empty", "bare-head", "bad-seq", "no-colon"],
+)
+def test_a_malformed_sync_line_raises_a_typed_error(corrupt):
+    sim = Simulator(parse_scenario(GOSSIP))
+    sim.run()
+    replica = sim.replicas["A"]
+    held = replica.store.export_partition("p0")[0]
+    assert held.startswith('{"event_id":"A:1"')
+    sim._merge_remote_events(replica, {"p0": [held]})  # a held id is skipped unread
+    bad = corrupt(held)
+    with pytest.raises(MalformedEvent):
+        sim._merge_remote_events(replica, {"p0": [bad]})

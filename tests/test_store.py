@@ -20,12 +20,19 @@ from eventual.errors import (
 from eventual.registry import MergePolicy, RollupSpec, SchemaRegistry
 from eventual.replica import Replica
 from eventual.store import (
+    OP_APOLOGY,
+    OP_CANCEL,
+    OP_CONFIRM,
     OP_DELTA,
+    OP_DISCREPANCY,
     OP_INSERT,
+    OP_TENTATIVE,
     OP_TOMBSTONE,
     EntityRef,
+    EventId,
     EventRecord,
     FoldState,
+    PartitionLog,
     ReplicaStore,
     canonical_sort,
 )
@@ -382,7 +389,7 @@ def read(store: ReplicaStore, ref: EntityRef, folds: list[int]) -> tuple[FoldSta
     return state, folds[0] - before
 
 
-def test_a_foreign_event_sorting_before_the_last_folded_key_forces_a_rebuild(folds, scratch_fold):
+def test_a_late_int_delta_folds_in_place(folds, scratch_fold):
     reg = make_registry()
     store, peer = make_store("A", reg), make_store("B", reg)
     early = peer.make_event(ACCOUNT, OP_DELTA, {"deltas": {"balance": 100}}, "b1", "t")
@@ -395,10 +402,95 @@ def test_a_foreign_event_sorting_before_the_last_folded_key_forces_a_rebuild(fol
     assert read(store, ACCOUNT, folds)[1] == 1
     assert early.canonical_key < store.log("p0").live_events_for(ACCOUNT)[-1].canonical_key
     store.ingest_foreign("p0", early)
-    state, folded = read(store, ACCOUNT, folds)
-    assert folded == 5
+    assert read(store, ACCOUNT, folds) == (state, 1)
     assert state.to_snapshot() == scratch_fold(store, "p0", ACCOUNT).to_snapshot()
     assert store.rollup("p0", ACCOUNT).value["balance"] == 104
+
+
+def _late_tombstone(store, peer):
+    return peer.make_event(ACCOUNT, OP_TOMBSTONE, {}, "b:tombstone", "t")
+
+
+def _late_copy_of_a_seen_key(store, peer):
+    # sorts before the local copy of "a2", so it is the copy whose effect counts
+    return peer.make_event(ACCOUNT, OP_DELTA, {"deltas": {"balance": 100}}, "a2", "t")
+
+
+def _late_float_delta(store, peer):
+    return peer.make_event(ACCOUNT, OP_DELTA, {"deltas": {"balance": 0.5}}, "b1", "t")
+
+
+def _late_int_delta_onto_a_float_sum(store, peer):
+    delta(store, ACCOUNT, "a:float", balance=0.5)
+    return peer.make_event(ACCOUNT, OP_DELTA, {"deltas": {"balance": 1}}, "b1", "t")
+
+
+def _late_second_copy_of_an_id(op, payload):
+    def late(store, peer):
+        store.append_event("p0", store.make_event(ACCOUNT, op, payload, "a:first", "t"))
+        return peer.make_event(ACCOUNT, op, payload, "b:second", "t")
+
+    return late
+
+
+def _late_resurrecting_insert(store, peer):
+    for event in store.list_history("p0", ACCOUNT)[:2]:  # the insert and the tombstone
+        peer.ingest_foreign("p0", event)
+    return peer.make_event(ACCOUNT, OP_INSERT, {"fields": {"owner": "bob"}}, "b:revive", "t")
+
+
+@pytest.mark.parametrize(
+    "late",
+    [
+        _late_tombstone,
+        _late_copy_of_a_seen_key,
+        _late_float_delta,
+        _late_int_delta_onto_a_float_sum,
+        _late_resurrecting_insert,
+        _late_second_copy_of_an_id(OP_TENTATIVE, {"reservation_id": "r0", "quantity": 1}),
+        _late_second_copy_of_an_id(OP_APOLOGY, {"apology_id": "p0"}),
+        _late_second_copy_of_an_id(OP_DISCREPANCY, {"exception_id": "x0"}),
+    ],
+    ids=[
+        "tombstone",
+        "seen-key",
+        "float-delta",
+        "int-onto-float-sum",
+        "resurrection",
+        "second-tentative",
+        "second-apology",
+        "second-discrepancy",
+    ],
+)
+def test_a_late_order_dependent_event_rebuilds(late, folds, scratch_fold):
+    reg = make_registry()
+    store, peer = make_store("A", reg), make_store("B", reg)
+    store.append_event("p0", store.make_event(ACCOUNT, OP_INSERT, {"fields": {"owner": "ann"}}, "a:ins", "t"))
+    store.mark_deleted("p0", ACCOUNT, "t", "a:del")
+    for i in range(4):
+        delta(store, ACCOUNT, f"a{i}", balance=1)
+    event = late(store, peer)
+    read(store, ACCOUNT, folds)
+    assert event.canonical_key < store.list_history("p0", ACCOUNT)[-1].canonical_key
+    store.ingest_foreign("p0", event)
+    state, folded = read(store, ACCOUNT, folds)
+    assert folded == len(store.log("p0").live_events_for(ACCOUNT))  # the whole log again
+    assert state.to_snapshot() == scratch_fold(store, "p0", ACCOUNT).to_snapshot()
+
+
+def test_float_deltas_in_opposite_orders_dump_byte_equal():
+    reg = make_registry()
+    events = []
+    for origin, amount in (("A", 0.1), ("B", 0.2), ("C", 0.7)):
+        events.append(delta(make_store(origin, reg), ACCOUNT, origin, balance=amount))
+    dumps = []
+    for arrival in (events, events[::-1]):
+        store = make_store("X", reg)
+        for event in arrival:
+            store.ingest_foreign("p0", event)
+            store.fold_state("p0", ACCOUNT)
+        dumps.append(store.rollup("p0", ACCOUNT).canonical_dump())
+    assert dumps[0] == dumps[1]
 
 
 def test_summarize_drops_the_cached_fold_and_appends_fold_on_the_checkpoint(folds, scratch_fold):
@@ -561,6 +653,91 @@ def test_prefix_reads_match_brute_force(batch):
         assert store.read_version("p0", ACCOUNT, vv).value["balance"] == brute_balance(
             ordered[:k], "balance"
         )
+
+
+OPS = {
+    OP_DELTA: st.fixed_dictionaries(
+        {"deltas": st.fixed_dictionaries({"balance": st.integers(-9, 9)})},
+        optional={"resolves": st.sampled_from(["x0", "x1"])},
+    ),
+    OP_INSERT: st.fixed_dictionaries({"fields": st.fixed_dictionaries({"owner": st.sampled_from("abc")})}),
+    OP_TOMBSTONE: st.just({}),
+    OP_TENTATIVE: st.fixed_dictionaries({"reservation_id": st.just("r0"), "quantity": st.integers(1, 3)}),
+    OP_CONFIRM: st.fixed_dictionaries({"reservation_id": st.just("r0")}),
+    OP_CANCEL: st.fixed_dictionaries(
+        {
+            "reservation_id": st.just("r0"),
+            "cause": st.sampled_from(["cancelled", "expired", "disaster", "lost_promise"]),
+        }
+    ),
+    OP_APOLOGY: st.fixed_dictionaries(
+        {"apology_id": st.sampled_from(["p0", "p1"]), "text": st.sampled_from("xy")}
+    ),
+    OP_DISCREPANCY: st.fixed_dictionaries(
+        {
+            "exception_id": st.sampled_from(["x0", "x1"]),
+            "kind": st.sampled_from(["negative", "referential_violation"]),
+            "detail": st.fixed_dictionaries({"n": st.integers(0, 3)}),
+        }
+    ),
+}
+
+
+@st.composite
+def entity_histories(draw):
+    """Events on one entity from origins A and B, each of which sometimes
+    learns the other's events first, with some idempotence keys reused."""
+    reg = make_registry()
+    stores = {o: make_store(o, reg) for o in "AB"}
+    keys: list[str] = []
+    for i in range(draw(st.integers(min_value=1, max_value=14))):
+        origin = draw(st.sampled_from("AB"))
+        store = stores[origin]
+        if draw(st.booleans()):
+            other = stores["B" if origin == "A" else "A"]
+            for event in other.log("p0").missing_for(store.log("p0").frontier()):
+                store.ingest_foreign("p0", event)
+        op = draw(st.sampled_from(sorted(OPS)))
+        key = draw(st.sampled_from(keys)) if keys and draw(st.booleans()) else f"k{i}"
+        keys.append(key)
+        store.append_event("p0", store.make_event(ACCOUNT, op, draw(OPS[op]), key, "t"))
+    return [e for s in stores.values() for e in s.log("p0").events if e.event_id.replica == s.replica_id]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_any_arrival_order_with_reads_between_folds_to_the_canonical_state(data):
+    events = data.draw(entity_histories())
+    arrival = data.draw(st.permutations([e.event_id.replica for e in events]))
+    pending = {o: [e for e in events if e.event_id.replica == o] for o in "AB"}
+    store = make_store("X")
+    for origin in arrival:
+        store.ingest_foreign("p0", pending[origin].pop(0))  # each origin in sequence order
+        store.fold_state("p0", ACCOUNT)
+    reference = FoldState()
+    for event in canonical_sort(events):
+        reference.fold(event, store.registry.get("account"))
+    assert store.fold_state("p0", ACCOUNT).to_snapshot() == reference.to_snapshot()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("ABC"), st.integers(min_value=1, max_value=3)), max_size=30),
+    st.dictionaries(st.sampled_from("ABCD"), st.integers(min_value=0, max_value=40)),
+)
+def test_indexed_missing_for_matches_a_full_log_filter_and_sort(arrivals, remote):
+    log = PartitionLog("p0")
+    seqs: dict[str, int] = {}
+    for origin, gap in arrivals:
+        seqs[origin] = seqs.get(origin, 0) + gap
+        event_id = EventId(origin, seqs[origin])
+        log.append(EventRecord(event_id, ACCOUNT, OP_DELTA, {}, VersionVector(), 0, str(event_id), "t"))
+    frontier = VersionVector(remote)
+    full_scan = sorted(
+        (e.event_id for e in log.events if e.event_id.seq > frontier.get(e.event_id.replica)),
+        key=lambda i: (i.replica, i.seq),
+    )
+    assert [e.event_id for e in log.missing_for(frontier)] == full_scan
 
 
 def test_canonical_order_extends_causality():
