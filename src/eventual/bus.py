@@ -9,14 +9,17 @@ yields exactly-once effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OutsideTransaction
 
 
-@dataclass(frozen=True)
-class QueueMessage:
-    """One message: a trigger notification or an event hand-off."""
+class QueueMessage(NamedTuple):
+    """One message: a trigger notification or an event hand-off.
+
+    An immutable tuple; ``delivered`` returns a copy.
+    """
 
     message_id: str
     destination: tuple[str, str]  # (replica_id, partition_id)
@@ -28,7 +31,7 @@ class QueueMessage:
     delivery_count: int = 0
 
     def delivered(self, count: int) -> QueueMessage:
-        return replace(self, delivery_count=count)
+        return self._replace(delivery_count=count)
 
 
 @dataclass

@@ -16,6 +16,13 @@ class VersionVector:
     def __init__(self, entries: dict[str, int] | None = None):
         self._v = {r: s for r, s in (entries or {}).items() if s > 0}
 
+    @classmethod
+    def _of(cls, entries: dict[str, int]) -> VersionVector:
+        """Wrap ``entries`` as is: a dict the caller owns, with no zero entries."""
+        vector = cls.__new__(cls)
+        vector._v = entries
+        return vector
+
     def get(self, replica_id: str) -> int:
         return self._v.get(replica_id, 0)
 
@@ -26,15 +33,16 @@ class VersionVector:
     def with_entry(self, replica_id: str, seq: int) -> VersionVector:
         """Copy with one entry raised to seq (never lowered)."""
         out = dict(self._v)
-        out[replica_id] = max(out.get(replica_id, 0), seq)
-        return VersionVector(out)
+        if seq > out.get(replica_id, 0):
+            out[replica_id] = seq
+        return VersionVector._of(out)
 
     def merge(self, other: VersionVector) -> VersionVector:
         """Pointwise maximum of both vectors."""
         out = dict(self._v)
         for r, s in other._v.items():
             out[r] = max(out.get(r, 0), s)
-        return VersionVector(out)
+        return VersionVector._of(out)
 
     def dominates(self, other: VersionVector) -> bool:
         """True if self >= other on every entry."""

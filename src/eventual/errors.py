@@ -32,7 +32,21 @@ class MalformedEvent(EngineError):
 
 
 class SequenceGap(EngineError):
-    """Append would leave a hole in an origin replica's sequence."""
+    """An event's sequence number is at or below the last one appended
+    from its origin in this partition.
+
+    Holes are normal: an origin's sequence numbers span all of its
+    partitions, so each partition sees a rising subsequence of them.
+    """
+
+
+class CutNotClosed(EngineError):
+    """A summarize cut covers an event but not the event's causal stamp."""
+
+    def __init__(self, cut, event_id, stamp):
+        super().__init__(f"cut {cut!r} covers {event_id} but not its causal stamp {stamp!r}")
+        self.event_id = event_id
+        self.stamp = stamp
 
 
 class UnknownEntityType(EngineError):

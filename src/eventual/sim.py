@@ -219,13 +219,6 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(order=True)
-class _HeapItem:
-    time: int
-    seq: int
-    task: dict = field(compare=False)
-
-
 class Simulator:
     """Executes one scenario under one seed."""
 
@@ -235,7 +228,8 @@ class Simulator:
         self.registry = scenario.registry
         self.rng = random.Random(self.config.seed)
         self.now = 0
-        self._heap: list[_HeapItem] = []
+        # (time, seq, task): seq is unique, so ties never compare tasks
+        self._heap: list[tuple[int, int, dict]] = []
         self._seq = 0
         self._trace = hashlib.sha256()
         self._trace.update(self.config.fingerprint().encode())
@@ -284,7 +278,7 @@ class Simulator:
         self._seq += 1
         if task.get("volatile"):
             task["epoch"] = self.replicas[task["replica"]].epoch
-        heapq.heappush(self._heap, _HeapItem(max(at, self.now), self._seq, task))
+        heapq.heappush(self._heap, (max(at, self.now), self._seq, task))
 
     def _schedule_task(self, at: int, kind: str, replica_id: str, detail: str, **fields) -> None:
         """Schedule work of one replica; it is volatile, so a crash drops it."""
@@ -386,12 +380,11 @@ class Simulator:
 
         max_time_exceeded = False
         while self._heap:
-            item = heapq.heappop(self._heap)
-            if item.time > self.config.max_time:
+            at, _, task = heapq.heappop(self._heap)
+            if at > self.config.max_time:
                 max_time_exceeded = True
                 break
-            self.now = item.time
-            task = item.task
+            self.now = at
             if task.get("volatile"):
                 replica = self.replicas[task["replica"]]
                 if task.get("epoch", 0) != replica.epoch or not replica.alive:

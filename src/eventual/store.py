@@ -27,6 +27,13 @@ checkpoint. The cache is derived, volatile state: summarizing an entity
 drops its entry, and a crash drops them all. Reads at an ``as_of`` cut
 and the arrival-order negative control are never cached.
 
+Records are immutable tuples (``typing.NamedTuple``): the fields of an
+event, its id and its entity ref are read and compared in C, ids and refs
+hash in C, and records never pass through ``canon`` or JSON; an event's
+only serial form is its archival line. A checkpoint's cut must be
+causally closed over the entity's events (``summarize`` raises
+``CutNotClosed`` otherwise).
+
 Anti-entropy costs what the merge changed. A partition log indexes its
 events by origin in sequence order, so ``missing_for`` bisects each
 origin at the remote frontier, and the log encodes each event's line
@@ -39,9 +46,11 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .clocks import VersionVector
 from .errors import (
+    CutNotClosed,
     DuplicateEventId,
     FutureVersion,
     LockedEntity,
@@ -90,8 +99,7 @@ def canon(obj):
     return obj
 
 
-@dataclass(frozen=True)
-class EventId:
+class EventId(NamedTuple):
     replica: str
     seq: int
 
@@ -104,8 +112,7 @@ class EventId:
         return cls(replica, int(seq))
 
 
-@dataclass(frozen=True)
-class EntityRef:
+class EntityRef(NamedTuple):
     entity_type: str
     key: str
 
@@ -118,12 +125,14 @@ class EntityRef:
         return cls(entity_type, key)
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """Immutable description of one operation; equal when every field is.
 
-    The payload holds the parameters of the business action (the deposit
-    amount, the reserved quantity), never the resulting state.
+    A tuple: its fields are read and compared in C. Records never pass
+    through ``canon`` or JSON themselves; ``to_line`` and ``from_line``
+    are their only serial form. The payload holds the parameters of the
+    business action (the deposit amount, the reserved quantity), never
+    the resulting state.
     """
 
     event_id: EventId
@@ -134,6 +143,9 @@ class EventRecord:
     lww_hint: int
     idempotence_key: str
     origin_txn_id: str
+
+    # bound in the class body, so the per-layer tracer can wrap it by name
+    __eq__ = tuple.__eq__
 
     @property
     def canonical_key(self) -> tuple[int, str, int]:
@@ -211,7 +223,7 @@ class EntityState:
         return json.dumps(
             {
                 "entity": str(self.entity_ref),
-                "value": canon(self.value),
+                "value": self.value,
                 "version": self.version.to_dict(),
                 "deleted": self.deleted_flag,
             },
@@ -519,7 +531,7 @@ class PartitionLog:
         return len(self.events) - 1
 
     def frontier(self) -> VersionVector:
-        return VersionVector(dict(self._max_seq))
+        return VersionVector._of(dict(self._max_seq))
 
     def get(self, event_id: EventId) -> EventRecord:
         return self._by_id[event_id]
@@ -798,7 +810,13 @@ class ReplicaStore:
         entity_ref: EntityRef,
         up_to: VersionVector,
     ) -> Checkpoint:
-        """Checkpoint the entity's log prefix; rollup output is unchanged."""
+        """Checkpoint the entity's log prefix; rollup output is unchanged.
+
+        The cut must be causally closed over the entity's events: one that
+        covers an event but not its causal stamp raises CutNotClosed, since
+        the checkpoint would fold the event without a predecessor it
+        depends on.
+        """
         log = self.log(partition_id)
         if not log.frontier().dominates(up_to):
             raise FutureVersion(f"summarize beyond frontier: {up_to!r}")
@@ -808,6 +826,11 @@ class ReplicaStore:
         if previous is not None:
             # a checkpoint only moves forward: events it archived stay covered
             up_to = up_to.merge(previous.covers_up_to)
+        # archived events were checked by the cut that archived them
+        for event in log._live_by_entity.get(entity_ref, ()):
+            covered = up_to.covers(event.event_id.replica, event.event_id.seq)
+            if covered and not up_to.dominates(event.causal_stamp):
+                raise CutNotClosed(up_to, event.event_id, event.causal_stamp)
         state = self.fold_state(partition_id, entity_ref, as_of=up_to)
         checkpoint = Checkpoint(entity_ref, state.to_snapshot(), up_to)
         log.checkpoints[entity_ref] = checkpoint

@@ -405,10 +405,11 @@ def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
         ctx.replica.audit_log.extend(plan.audit)  # survives the rollback
         return StepOutcome(txn_id="", status="rolled_back")
 
-    refs = sorted({str(ref) for ref, _, _, _ in plan.events})
+    refs = {ref for ref, _, _, _ in plan.events}
     if len(refs) > 1:
-        raise MultiEntityWriteRejected(f"step {step.step_id} plans writes on {refs}")
-    written = EntityRef.parse(refs[0]) if refs else None
+        named = sorted(map(str, refs))
+        raise MultiEntityWriteRejected(f"step {step.step_id} plans writes on {named}")
+    written = next(iter(refs)) if refs else None
 
     # check every lock the batch will need before touching anything, so a
     # conflict defers the whole step instead of poisoning a half-commit
@@ -507,9 +508,9 @@ def commit(replica: Replica, batch: CommitBatch, now: int = 0) -> None:
     Replaying an identical batch is a no-op (idempotent by event id), so
     crash-recovery replays leave the log byte-identical.
     """
-    refs = {str(e.entity_ref) for e in batch.events}
+    refs = {e.entity_ref for e in batch.events}
     if len(refs) > 1:
-        raise MultiEntityWriteRejected(sorted(refs))
+        raise MultiEntityWriteRejected(sorted(map(str, refs)))
     # locks first: acquisition is the only part of a batch that can refuse,
     # so taking them up front keeps the batch all-or-nothing
     for ref in batch.lock_scope:

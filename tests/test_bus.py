@@ -109,6 +109,16 @@ def test_inbox_may_hold_duplicate_copies():
     assert len(inbox) == 0
 
 
+def test_a_message_is_an_immutable_record():
+    original = msg("m1")
+    with pytest.raises(AttributeError):
+        original.delivery_count = 3
+    assert msg("m1") == original != msg("m2")
+    copy = original.delivered(2)
+    assert copy.delivery_count == 2 and original.delivery_count == 0
+    assert copy._replace(delivery_count=0) == original
+
+
 def test_outbox_collapses_reemissions_of_the_same_logical_send():
     replica = make_replica()
     batch1 = CommitBatch(txn_id="t1", session="s")

@@ -309,6 +309,36 @@ def test_summarize_refused_while_entity_locked():
         store.summarize("p0", ACCOUNT, store.log("p0").frontier())
 
 
+def test_a_cut_that_is_not_causally_closed_is_refused():
+    from eventual.errors import CutNotClosed
+
+    reg = make_registry()
+    a, b = make_store("A", reg), make_store("B", reg)
+    profile = EntityRef("profile", "p")
+    red = a.make_event(profile, OP_INSERT, {"fields": {"color": "red"}}, "i1", "t1")
+    a.append_event("p0", red)
+    b.ingest_foreign("p0", red)
+    tombstone = b.mark_deleted("p0", profile, "t-del")
+    a.ingest_foreign("p0", tombstone)
+    blue = a.make_event(profile, OP_INSERT, {"fields": {"color": "blue"}}, "i2", "t2")
+    a.append_event("p0", blue)
+    before = a.rollup("p0", profile).canonical_dump()
+    assert a.fold_state("p0", profile).resurrections == ["A:2"]
+    assert '"color":"red"' in before
+    # A:2 is after B:1, so a cut holding A:2 without B:1 would fold blue as live
+    a.summarize("p0", profile, VersionVector({"A": 1}))
+    with pytest.raises(CutNotClosed, match="A:2") as refused:
+        a.summarize("p0", profile, VersionVector({"A": 2}))
+    assert refused.value.event_id == blue.event_id
+    assert refused.value.stamp == blue.causal_stamp
+    a.clear_fold_cache()
+    assert a.rollup("p0", profile).canonical_dump() == before
+    a.summarize("p0", profile, a.log("p0").frontier())
+    a.clear_fold_cache()
+    assert a.rollup("p0", profile).canonical_dump() == before
+    assert a.fold_state("p0", profile).resurrections == ["A:2"]
+
+
 def test_history_unknown_entity_is_empty():
     store = make_store()
     assert store.list_history("p0", EntityRef("account", "ghost")) == []
@@ -353,6 +383,80 @@ def test_event_lines_are_byte_stable_across_reads():
     assert ev.to_line() == again.to_line()
     assert EventRecord.from_line(ev.to_line()) == ev
 
+
+
+# -- the records are immutable tuples -------------------------------------
+
+
+def _record() -> EventRecord:
+    stamp = VersionVector({"A": 3, "B": 1})
+    return EventRecord(EventId("A", 3), ACCOUNT, OP_DELTA, {"deltas": {"balance": 1}}, stamp, 4, "k", "t")
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [(EventId("A", 1), "seq"), (ACCOUNT, "key"), (_record(), "payload"), (_record(), "lww_hint")],
+)
+def test_assigning_a_record_field_raises(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+def test_records_with_equal_fields_are_equal():
+    assert EventId("A", 1) == EventId("A", 1) != EventId("A", 2)
+    assert hash(EventId("A", 1)) == hash(EventId.parse("A:1"))
+    assert EntityRef("account", "alice") == ACCOUNT != INVENTORY
+    assert hash(EntityRef("account", "alice")) == hash(ACCOUNT)
+    assert _record() == _record()
+    assert _record() != _record()._replace(lww_hint=5)
+
+
+@given(st.text(alphabet="abc_", min_size=1), st.text())
+def test_an_entity_ref_parses_back_from_its_text(entity_type, key):
+    ref = EntityRef(entity_type, key)
+    assert EntityRef.parse(str(ref)) == ref
+
+
+_payloads = st.recursive(
+    st.integers() | st.floats(allow_nan=False) | st.text() | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.text(), _payloads, max_size=4),
+    st.dictionaries(st.sampled_from("ABC"), st.integers(min_value=0, max_value=9)),
+    st.text(alphabet="ABC:", min_size=1),
+    st.integers(min_value=1),
+)
+def test_an_event_line_decodes_to_an_equal_record(payload, stamp, replica, seq):
+    event = EventRecord(
+        EventId(replica, seq), ACCOUNT, OP_DELTA, payload, VersionVector(stamp), seq, "k", "t"
+    )
+    assert EventRecord.from_line(event.to_line()) == event
+
+
+def test_vector_stamps_never_share_a_dict():
+    log = PartitionLog("p0")
+    log.append(_record())
+    frontier = log.frontier()
+    log.append(_record()._replace(event_id=EventId("A", 4)))
+    assert frontier == VersionVector({"A": 3})
+    assert log.frontier() == VersionVector({"A": 4})
+    assert log.frontier()._v is not log.frontier()._v
+    vector = VersionVector({"A": 2})
+    for derived in (vector.with_entry("A", 1), vector.with_entry("B", 1), vector.merge(VersionVector())):
+        assert derived._v is not vector._v
+    assert vector == VersionVector({"A": 2})
+
+
+def test_a_zero_entry_is_absent():
+    assert VersionVector({"A": 0}) == VersionVector()
+    assert hash(VersionVector({"A": 0})) == hash(VersionVector())
+    assert VersionVector().with_entry("A", 0) == VersionVector()
+    assert VersionVector.from_dict({"A": 0, "B": 2}) == VersionVector({"B": 2})
 
 
 @pytest.mark.parametrize(

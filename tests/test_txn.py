@@ -97,6 +97,23 @@ def test_two_entity_write_is_rejected_with_zero_events():
     assert replica.store.log("p0").events == []
 
 
+def test_the_one_entity_rule_names_the_refs_as_text():
+    replica = make_replica()
+    named = r"\['account/alice', 'account/bob'\]"
+    with pytest.raises(MultiEntityWriteRejected, match=f"bad plans writes on {named}"):
+        execute_step(
+            step("bad", {"kind": "multi_write", "entities": ["account/bob", "account/alice"]}),
+            ctx_for(replica, "act1"),
+        )
+    events = [
+        replica.store.make_event(ref, "delta", {"deltas": {"balance": 1}}, f"k{i}", "t1")
+        for i, ref in enumerate([EntityRef("account", "bob"), ACCOUNT])
+    ]
+    with pytest.raises(MultiEntityWriteRejected, match=f"^{named}$"):
+        commit(replica, CommitBatch(txn_id="t1", session="s1", events=events))
+    assert replica.store.log("p0").events == []
+
+
 def test_guard_rejection_rolls_back_but_audit_survives():
     replica = make_replica()
     outcome = execute_step(
