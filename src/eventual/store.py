@@ -25,14 +25,15 @@ tombstone, a second copy of an idempotence key, a float delta, a
 resurrection or a custom fold makes that read rebuild from the
 checkpoint. The cache is derived, volatile state: summarizing an entity
 drops its entry, and a crash drops them all. Reads at an ``as_of`` cut
-and the arrival-order negative control are never cached.
+and the arrival-order negative control are never cached. Each kept fold
+also keeps its reservation view until a reservation event folds onto it.
 
 Records are immutable tuples (``typing.NamedTuple``): the fields of an
 event, its id and its entity ref are read and compared in C, ids and refs
-hash in C, and records never pass through ``canon`` or JSON; an event's
-only serial form is its archival line. A checkpoint's cut must be
-causally closed over the entity's events (``summarize`` raises
-``CutNotClosed`` otherwise).
+hash in C, and a record's payload is made canonical once, where the
+record is made or decoded; an event's only serial form is its archival
+line. A checkpoint's cut must be causally closed over the entity's
+events (``summarize`` raises ``CutNotClosed`` otherwise).
 
 Anti-entropy costs what the merge changed. A partition log indexes its
 events by origin in sequence order, so ``missing_for`` bisects each
@@ -128,11 +129,13 @@ class EntityRef(NamedTuple):
 class EventRecord(NamedTuple):
     """Immutable description of one operation; equal when every field is.
 
-    A tuple: its fields are read and compared in C. Records never pass
-    through ``canon`` or JSON themselves; ``to_line`` and ``from_line``
-    are their only serial form. The payload holds the parameters of the
-    business action (the deposit amount, the reserved quantity), never
-    the resulting state.
+    A tuple: its fields are read and compared in C. ``to_line`` and
+    ``from_line`` are its only serial form. The payload holds the
+    parameters of the business action (the deposit amount, the reserved
+    quantity), never the resulting state. It becomes canonical (``canon``:
+    keys sorted at every depth) where a record is made, in
+    ``EventFactory.make_event`` and ``from_line``, so ``to_line`` writes
+    it as it is.
     """
 
     event_id: EventId
@@ -158,7 +161,7 @@ class EventRecord(NamedTuple):
                 "event_id": str(self.event_id),
                 "entity_ref": str(self.entity_ref),
                 "op_kind": self.op_kind,
-                "payload": canon(self.payload),
+                "payload": self.payload,
                 "causal_stamp": self.causal_stamp.to_dict(),
                 "lww_hint": self.lww_hint,
                 "idempotence_key": self.idempotence_key,
@@ -212,7 +215,12 @@ def canonical_sort(events: list[EventRecord]) -> list[EventRecord]:
 
 @dataclass
 class EntityState:
-    """Derived value: a pure function of (rollup spec, event set)."""
+    """Derived value: a pure function of (rollup spec, event set).
+
+    ``value`` is a new dict per read, but its ``reservations`` entry is the
+    fold's kept reservation view (``FoldState.reservation_view``), shared
+    with later reads: read it, never mutate it.
+    """
 
     entity_ref: EntityRef
     value: dict
@@ -254,6 +262,11 @@ class FoldState:
     version-vector cut resumes exactly. That is what makes checkpoints
     lossless and replicas convergent. ``folds_late`` names the events
     whose rule does not care about that sort either.
+
+    The state keeps its reservation view (``reservation_view``) once it is
+    built: the tentative and lifecycle rules, the only writers of
+    ``reservations``, drop it, and no other rule touches it. A state made
+    by ``from_snapshot`` or a rebuild starts without one.
     """
 
     def __init__(self) -> None:
@@ -272,6 +285,7 @@ class FoldState:
         self.resurrections: list[str] = []
         self.custom_value: dict | None = None
         self.folded_count = 0
+        self._view: dict | None = None
 
     # -- folding ---------------------------------------------------------
 
@@ -364,6 +378,7 @@ class FoldState:
             self.base_fields = dict(event.payload.get("fields", {}))
 
     def _fold_tentative(self, event: EventRecord) -> None:
+        self._view = None
         rid = event.payload["reservation_id"]
         entry = self.reservations.setdefault(rid, {"ops": {}})
         entry.setdefault("quantity", event.payload.get("quantity", 1))
@@ -375,6 +390,7 @@ class FoldState:
         entry["ops"].setdefault("tentative", order)
 
     def _fold_lifecycle(self, event: EventRecord) -> None:
+        self._view = None
         rid = event.payload["reservation_id"]
         entry = self.reservations.setdefault(rid, {"ops": {}})
         key = list(event.canonical_key)
@@ -401,6 +417,17 @@ class FoldState:
         return state
 
     def reservation_view(self) -> dict:
+        """Each reservation's quantity, deadline, state, order and cause, by id.
+
+        Built on the first read, and again on the first read after a
+        reservation rule folds; every read in between returns the same
+        dict, so callers must not mutate it.
+        """
+        if self._view is None:
+            self._view = self._build_reservation_view()
+        return self._view
+
+    def _build_reservation_view(self) -> dict:
         view = {}
         for rid in sorted(self.reservations):
             entry = self.reservations[rid]
@@ -711,7 +738,11 @@ class ReplicaStore:
         entity_ref: EntityRef,
         as_of: VersionVector | None = None,
     ) -> EntityState:
-        """Fold the entity's events (<= as_of, or all) into its state."""
+        """Fold the entity's events (<= as_of, or all) into its state.
+
+        A whole-log read finalizes the cached fold, whose reservation view
+        is built once and shared: ``value["reservations"]`` is read-only.
+        """
         spec = self.registry.get(entity_ref.entity_type)
         state = self.fold_state(partition_id, entity_ref, as_of)
         return EntityState(entity_ref, state.finalize(spec), state.version, state.deleted)

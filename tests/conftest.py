@@ -4,7 +4,11 @@ and a fold counter.
 ``ReplicaStore.fold_state`` keeps one fold per entity and advances it on
 read. For the whole session every whole-log read is compared with a fold
 of the entity's full history from scratch, in canonical order, so every
-test, golden run and Hypothesis property also checks the cache.
+test, golden run and Hypothesis property also checks the cache. Every
+whole-log ``ReplicaStore.rollup`` also compares its value with the
+finalized scratch fold, so the fold's kept reservation view is checked
+too: one not dropped when a reservation event folded, or mutated by a
+caller, differs from the scratch fold's fresh view.
 
 ``plan_referential_resolutions`` reads only the entities a partition log
 indexes under the parent. For the whole session every plan the simulator
@@ -23,12 +27,19 @@ from eventual.store import FoldState, ReplicaStore, canonical_sort
 
 _FOLD = FoldState.fold  # bound at import: the cross-check's own folds are never counted
 _FOLD_STATE = ReplicaStore.fold_state
+_ROLLUP = ReplicaStore.rollup
+
+
+class _ScratchFoldState(FoldState):
+    """A FoldState whose view builds, like ``_FOLD``, bypass a test's counter."""
+
+    _build_reservation_view = FoldState._build_reservation_view
 
 
 def _scratch_fold(store: ReplicaStore, partition_id: str, ref) -> FoldState:
     """The entity's full log folded in canonical order, ignoring checkpoints."""
     spec = store.registry.get(ref.entity_type)
-    state = FoldState()
+    state = _ScratchFoldState()
     for event in canonical_sort(store.log(partition_id).all_events_for(ref)):
         _FOLD(state, event, spec)
     return state
@@ -43,10 +54,20 @@ def _checked_fold_state(store, partition_id, entity_ref, as_of=None):
     return state
 
 
+def _checked_rollup(store, partition_id, entity_ref, as_of=None):
+    result = _ROLLUP(store, partition_id, entity_ref, as_of)
+    spec = store.registry.get(entity_ref.entity_type)
+    if as_of is None and spec.merge_policy is not MergePolicy.ARRIVAL_LWW:
+        expected = _scratch_fold(store, partition_id, entity_ref).finalize(spec)
+        assert result.value == expected, f"rollup of {entity_ref} diverged"
+    return result
+
+
 @pytest.fixture(autouse=True, scope="session")
 def cross_check_fold_cache():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ReplicaStore, "fold_state", _checked_fold_state)
+        patch.setattr(ReplicaStore, "rollup", _checked_rollup)
         yield
 
 

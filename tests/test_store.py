@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -384,6 +385,19 @@ def test_event_lines_are_byte_stable_across_reads():
     assert EventRecord.from_line(ev.to_line()) == ev
 
 
+def test_a_made_and_a_decoded_event_encode_the_same_canonical_line():
+    payload = {"note": {"z": 1, "a": [{"y": 2, "x": 1}]}, "deltas": {"balance": 1}}
+    made = make_store().make_event(ACCOUNT, OP_DELTA, payload, "k", "t")
+    raw = json.loads(made.to_line())
+    raw["payload"] = payload  # the line as a writer that keeps insertion order would write it
+    unsorted = json.dumps(raw, separators=(",", ":"))
+    assert '"payload":{"note":{"z":1' in unsorted
+    decoded = EventRecord.from_line(unsorted)
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert made.to_line() == decoded.to_line()
+    assert f'"payload":{canonical},' in made.to_line()
+
+
 
 # -- the records are immutable tuples -------------------------------------
 
@@ -675,6 +689,95 @@ def test_a_checkpointed_empty_custom_value_stays_empty(scratch_fold):
     assert store.fold_state("p0", ref).to_snapshot() == scratch_fold(store, "p0", ref).to_snapshot()
 
 
+# -- the kept reservation view ------------------------------------------
+
+
+@pytest.fixture
+def view_builds(monkeypatch):
+    """Counts the reservation views the engine's folds build: ``view_builds[0]``."""
+    calls = [0]
+    build = FoldState._build_reservation_view
+
+    def counted(state):
+        calls[0] += 1
+        return build(state)
+
+    monkeypatch.setattr(FoldState, "_build_reservation_view", counted)
+    return calls
+
+
+def reservation_event(store: ReplicaStore, op: str, rid: str, key: str, **extra) -> EventRecord:
+    event = store.make_event(ACCOUNT, op, {"reservation_id": rid, **extra}, key, f"txn-{key}")
+    store.append_event("p0", event)
+    return event
+
+
+def test_reads_between_local_deltas_build_the_reservation_view_once(view_builds):
+    store = make_store()
+    for i in range(18):
+        reservation_event(store, OP_TENTATIVE, f"r{i}", f"reserve:r{i}", quantity=1)
+    for i in range(100):
+        delta(store, ACCOUNT, f"d{i}", balance=1)
+        assert len(store.rollup("p0", ACCOUNT).value["reservations"]) == 18
+    assert view_builds[0] == 1
+
+
+def test_each_reservation_event_drops_the_view_and_no_other_event_does(view_builds):
+    store = make_store()
+    reservation_event(store, OP_TENTATIVE, "r0", "reserve:r0")
+    store.rollup("p0", ACCOUNT)
+    assert view_builds[0] == 1
+    for builds, (op, rid, key, extra) in enumerate(
+        [
+            (OP_TENTATIVE, "r1", "reserve:r1", {"quantity": 2}),
+            (OP_CONFIRM, "r0", "confirm:r0", {}),
+            (OP_CANCEL, "r1", "cancel:r1", {"cause": "cancelled"}),
+        ],
+        start=2,
+    ):
+        reservation_event(store, op, rid, key, **extra)
+        for _ in range(2):
+            store.rollup("p0", ACCOUNT)
+        assert view_builds[0] == builds
+    view = store.fold_state("p0", ACCOUNT).reservation_view()
+    assert {rid: entry["state"] for rid, entry in view.items()} == {"r0": "confirmed", "r1": "cancelled"}
+    for op, payload, key in [
+        (OP_DELTA, {"deltas": {"balance": 1}}, "d0"),
+        (OP_INSERT, {"fields": {"owner": "ann"}}, "ins"),
+        (OP_APOLOGY, {"apology_id": "p0"}, "apology"),
+        (OP_DISCREPANCY, {"exception_id": "x0"}, "disc"),
+        (OP_DELTA, {"deltas": {}, "resolves": "x0"}, "resolve"),
+        (OP_CANCEL, {"reservation_id": "r0", "cause": "disaster"}, "cancel:r1"),  # a seen key
+        (OP_TOMBSTONE, {}, "del"),
+    ]:
+        store.append_event("p0", store.make_event(ACCOUNT, op, payload, key, "t"))
+        assert store.fold_state("p0", ACCOUNT).reservation_view() is view
+        assert store.rollup("p0", ACCOUNT).value["reservations"] is view
+    assert view["r0"]["state"] == "confirmed"
+    assert view_builds[0] == 4
+
+
+def test_a_summarized_or_rebuilt_fold_starts_without_a_view(view_builds):
+    reg = make_registry()
+    store, peer = make_store("A", reg), make_store("B", reg)
+    early = peer.make_event(ACCOUNT, OP_TOMBSTONE, {}, "b:tombstone", "t")
+    for i in range(3):
+        reservation_event(store, OP_TENTATIVE, f"r{i}", f"reserve:r{i}")
+    kept = store.fold_state("p0", ACCOUNT)
+    view = kept.reservation_view()
+    store.summarize("p0", ACCOUNT, VersionVector({"A": 2}))
+    resumed = store.fold_state("p0", ACCOUNT)
+    assert resumed is not kept
+    assert resumed.reservation_view() == view
+    assert view_builds[0] == 2
+    assert early.canonical_key < store.list_history("p0", ACCOUNT)[-1].canonical_key
+    store.ingest_foreign("p0", early)  # a late tombstone: the next read rebuilds
+    rebuilt = store.fold_state("p0", ACCOUNT)
+    assert rebuilt is not resumed and rebuilt.deleted
+    assert rebuilt.reservation_view() == view
+    assert view_builds[0] == 3
+
+
 # -- property tests ------------------------------------------------------
 
 
@@ -766,11 +869,13 @@ OPS = {
     ),
     OP_INSERT: st.fixed_dictionaries({"fields": st.fixed_dictionaries({"owner": st.sampled_from("abc")})}),
     OP_TOMBSTONE: st.just({}),
-    OP_TENTATIVE: st.fixed_dictionaries({"reservation_id": st.just("r0"), "quantity": st.integers(1, 3)}),
-    OP_CONFIRM: st.fixed_dictionaries({"reservation_id": st.just("r0")}),
+    OP_TENTATIVE: st.fixed_dictionaries(
+        {"reservation_id": st.sampled_from(["r0", "r1"]), "quantity": st.integers(1, 3)}
+    ),
+    OP_CONFIRM: st.fixed_dictionaries({"reservation_id": st.sampled_from(["r0", "r1"])}),
     OP_CANCEL: st.fixed_dictionaries(
         {
-            "reservation_id": st.just("r0"),
+            "reservation_id": st.sampled_from(["r0", "r1"]),
             "cause": st.sampled_from(["cancelled", "expired", "disaster", "lost_promise"]),
         }
     ),
@@ -815,12 +920,17 @@ def test_any_arrival_order_with_reads_between_folds_to_the_canonical_state(data)
     arrival = data.draw(st.permutations([e.event_id.replica for e in events]))
     pending = {o: [e for e in events if e.event_id.replica == o] for o in "AB"}
     store = make_store("X")
+    spec = store.registry.get("account")
     for origin in arrival:
         store.ingest_foreign("p0", pending[origin].pop(0))  # each origin in sequence order
-        store.fold_state("p0", ACCOUNT)
+        # the kept view, built by an earlier read or this one, is a fresh fold's view
+        fresh = FoldState()
+        for event in store.list_history("p0", ACCOUNT):
+            fresh.fold(event, spec)
+        assert store.fold_state("p0", ACCOUNT).reservation_view() == fresh.reservation_view()
     reference = FoldState()
     for event in canonical_sort(events):
-        reference.fold(event, store.registry.get("account"))
+        reference.fold(event, spec)
     assert store.fold_state("p0", ACCOUNT).to_snapshot() == reference.to_snapshot()
 
 
