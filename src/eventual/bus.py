@@ -42,11 +42,17 @@ class OutboxEntry:
 
 
 class Outbox:
-    """Durable send queue; an entry exists iff its producing batch committed."""
+    """Durable send queue; an entry exists iff its producing batch committed.
+
+    ``entries`` keeps the order of addition. Entries are also indexed by
+    idempotence key and by message id; a message id is unique, since it is
+    made from a transaction id, which a replica never reuses.
+    """
 
     def __init__(self) -> None:
         self.entries: list[OutboxEntry] = []
         self._by_key: dict[str, OutboxEntry] = {}
+        self._by_id: dict[str, OutboxEntry] = {}
 
     def add(self, message: QueueMessage) -> bool:
         """Add one message; re-emissions of the same logical send collapse."""
@@ -55,12 +61,16 @@ class Outbox:
         entry = OutboxEntry(message)
         self.entries.append(entry)
         self._by_key[message.idempotence_key] = entry
+        self._by_id[message.message_id] = entry
         return True
 
+    def get(self, message_id: str) -> OutboxEntry | None:
+        return self._by_id.get(message_id)
+
     def mark_acked(self, message_id: str) -> None:
-        for entry in self.entries:
-            if entry.message.message_id == message_id:
-                entry.acked = True
+        entry = self._by_id.get(message_id)
+        if entry is not None:
+            entry.acked = True
 
     def pending(self) -> list[OutboxEntry]:
         return [e for e in self.entries if not e.acked]

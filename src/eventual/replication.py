@@ -27,6 +27,7 @@ from .store import (
     EntityRef,
     EventRecord,
     FoldState,
+    canonical_json,
     canonical_sort,
 )
 
@@ -46,18 +47,14 @@ class ConflictReport:
     compensations: list[str] = field(default_factory=list)
 
     def dump(self) -> str:
-        import json
-
-        return json.dumps(
+        return canonical_json(
             {
                 "entity": str(self.entity_ref),
                 "policy": self.policy,
                 "groups": self.groups,
                 "resolution": self.resolution,
                 "compensations": self.compensations,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
 

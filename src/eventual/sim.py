@@ -658,8 +658,7 @@ class Simulator:
 
     def _task_retry(self, task: dict) -> None:
         replica = self.replicas[task["replica"]]
-        message_id = task["message_id"]
-        entry = next((e for e in replica.outbox.entries if e.message.message_id == message_id), None)
+        entry = replica.outbox.get(task["message_id"])
         if entry is None or entry.acked:
             return
         entry.attempts += 1

@@ -23,10 +23,18 @@ integer sums, an insert that resurrects nothing, a reservation's first
 tentative, a confirm or cancel, a new apology or discrepancy. A late
 tombstone, a second copy of an idempotence key, a float delta, a
 resurrection or a custom fold makes that read rebuild from the
-checkpoint. The cache is derived, volatile state: summarizing an entity
-drops its entry, and a crash drops them all. Reads at an ``as_of`` cut
-and the arrival-order negative control are never cached. Each kept fold
-also keeps its reservation view until a reservation event folds onto it.
+checkpoint. A read of one new event, most often a local commit, folds
+it without a sort. The cache is derived, volatile state: summarizing an
+entity drops its entry, and a crash drops them all. Reads at an
+``as_of`` cut and the arrival-order negative control are never cached.
+
+Each kept fold also keeps its finalized value, and the value's
+reservation, exception and apology sections, until a fold drops them:
+any event that takes effect drops the value, and only the rules that
+write a section drop that section. A reread of an unchanged entity
+copies nothing, and after an int delta the value is rebuilt from its
+fields and the kept sections. A drop never edits a handed-out dict, so
+every value read earlier stays an unchanged, read-only snapshot.
 
 Records are immutable tuples (``typing.NamedTuple``): the fields of an
 event, its id and its entity ref are read and compared in C, ids and refs
@@ -85,6 +93,11 @@ _CANCEL_STATE = {
     "disaster": "abrogated",
     "lost_promise": "abrogated",
 }
+
+# One encoder per JSON form, built once: ``json.dumps`` with keyword
+# arguments builds a new ``JSONEncoder`` on every call.
+_line_json = json.JSONEncoder(separators=(",", ":")).encode
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 # how every ``EventRecord.to_line`` line starts, and its last field
 _LINE_HEAD = '{"event_id":"'
@@ -156,7 +169,7 @@ class EventRecord(NamedTuple):
 
     def to_line(self) -> str:
         """One-line archival form, fields in fixed canonical order."""
-        return json.dumps(
+        return _line_json(
             {
                 "event_id": str(self.event_id),
                 "entity_ref": str(self.entity_ref),
@@ -166,8 +179,7 @@ class EventRecord(NamedTuple):
                 "lww_hint": self.lww_hint,
                 "idempotence_key": self.idempotence_key,
                 "origin_txn_id": self.origin_txn_id,
-            },
-            separators=(",", ":"),
+            }
         )
 
     @classmethod
@@ -217,9 +229,10 @@ def canonical_sort(events: list[EventRecord]) -> list[EventRecord]:
 class EntityState:
     """Derived value: a pure function of (rollup spec, event set).
 
-    ``value`` is a new dict per read, but its ``reservations`` entry is the
-    fold's kept reservation view (``FoldState.reservation_view``), shared
-    with later reads: read it, never mutate it.
+    ``value`` is the fold's kept finalized value (``FoldState.finalize``):
+    every read of the entity until its next effective event returns the
+    same dict, and it stays unchanged after later folds. It is shared, so
+    read it and never mutate it, its sections included.
     """
 
     entity_ref: EntityRef
@@ -228,15 +241,13 @@ class EntityState:
     deleted_flag: bool = False
 
     def canonical_dump(self) -> str:
-        return json.dumps(
+        return canonical_json(
             {
                 "entity": str(self.entity_ref),
                 "value": self.value,
                 "version": self.version.to_dict(),
                 "deleted": self.deleted_flag,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
 
@@ -263,10 +274,15 @@ class FoldState:
     lossless and replicas convergent. ``folds_late`` names the events
     whose rule does not care about that sort either.
 
-    The state keeps its reservation view (``reservation_view``) once it is
-    built: the tentative and lifecycle rules, the only writers of
-    ``reservations``, drop it, and no other rule touches it. A state made
-    by ``from_snapshot`` or a rebuild starts without one.
+    The state keeps its finalized value (``finalize``) and the value's
+    sections once they are built, and a fold drops them, never edits them.
+    An event whose idempotence key is seen drops nothing; every other
+    event drops the value. The tentative and lifecycle rules, the only
+    writers of ``reservations``, drop the reservation view
+    (``reservation_view``); the discrepancy rule and a delta that resolves
+    an exception drop the exceptions section; the apology rule drops the
+    apologies section. A state made by ``from_snapshot`` or a rebuild
+    starts with none of them.
     """
 
     def __init__(self) -> None:
@@ -285,7 +301,11 @@ class FoldState:
         self.resurrections: list[str] = []
         self.custom_value: dict | None = None
         self.folded_count = 0
+        # kept derived dicts, each None until built and after a fold drops it
+        self._value: dict | None = None
         self._view: dict | None = None
+        self._exceptions_view: dict | None = None
+        self._apologies_view: dict | None = None
 
     # -- folding ---------------------------------------------------------
 
@@ -295,6 +315,7 @@ class FoldState:
             return  # redelivered logical action: effect applies once
         self.seen_keys.add(event.idempotence_key)
         self.folded_count += 1
+        self._value = None
 
         if spec.merge_policy is MergePolicy.CUSTOM_MERGE and spec.fold is not None:
             if self.custom_value is None:
@@ -302,8 +323,17 @@ class FoldState:
             self.custom_value = spec.fold(self.custom_value, event)
             return
 
+        # the rules are disjoint; the most frequent one is tested first
         op = event.op_kind
-        if op == OP_TOMBSTONE:
+        if op == OP_DELTA:
+            for f, d in event.payload.get("deltas", {}).items():
+                self.sums[f] = self.sums.get(f, 0) + d
+            resolves = event.payload.get("resolves")
+            if resolves is not None:
+                self._exceptions_view = None
+                entry = self.exceptions.setdefault(resolves, {"kind": "unknown", "detail": {}})
+                entry["resolved"] = True
+        elif op == OP_TOMBSTONE:
             self.deleted = True
             self.tombstone_stamps.append(event.causal_stamp)
         elif op == OP_INSERT:
@@ -311,13 +341,6 @@ class FoldState:
                 self.resurrections.append(str(event.event_id))
                 return
             self._take_base(event, arrival_wins=spec.merge_policy is MergePolicy.ARRIVAL_LWW)
-        elif op == OP_DELTA:
-            for f, d in event.payload.get("deltas", {}).items():
-                self.sums[f] = self.sums.get(f, 0) + d
-            resolves = event.payload.get("resolves")
-            if resolves is not None:
-                entry = self.exceptions.setdefault(resolves, {"kind": "unknown", "detail": {}})
-                entry["resolved"] = True
         elif op == OP_TENTATIVE:
             self._fold_tentative(event)
         elif op in (OP_CONFIRM, OP_CANCEL):
@@ -325,8 +348,10 @@ class FoldState:
         elif op == OP_APOLOGY:
             aid = event.payload["apology_id"]
             if aid not in self.apologies:
+                self._apologies_view = None
                 self.apologies[aid] = dict(event.payload)
         elif op == OP_DISCREPANCY:
+            self._exceptions_view = None
             exc = event.payload["exception_id"]
             entry = self.exceptions.setdefault(exc, {"resolved": False})
             entry["kind"] = event.payload.get("kind", "discrepancy")
@@ -443,6 +468,21 @@ class FoldState:
         return view
 
     def finalize(self, spec: RollupSpec) -> dict:
+        """The entity's value: its fields, then its non-empty reservation,
+        exception and apology sections.
+
+        Built on the first call, and again on the first call after an
+        event takes effect; every call in between returns the same dict.
+        A rebuild reuses each section no rule has dropped since it was
+        built, so it costs the number of fields, not of entries. A state
+        is the fold of one entity, so ``spec`` is always that entity's.
+        Callers must not mutate the value or its sections.
+        """
+        if self._value is None:
+            self._value = self._build_value(spec)
+        return self._value
+
+    def _build_value(self, spec: RollupSpec) -> dict:
         if spec.merge_policy is MergePolicy.CUSTOM_MERGE and spec.fold is not None:
             value = dict(self.custom_value if self.custom_value is not None else spec.initial_value)
         elif spec.merge_policy in (MergePolicy.LWW_REGISTER, MergePolicy.ARRIVAL_LWW):
@@ -456,9 +496,13 @@ class FoldState:
         if self.reservations:
             value["reservations"] = self.reservation_view()
         if self.exceptions:
-            value["exceptions"] = {k: dict(v) for k, v in sorted(self.exceptions.items())}
+            if self._exceptions_view is None:
+                self._exceptions_view = {k: dict(v) for k, v in sorted(self.exceptions.items())}
+            value["exceptions"] = self._exceptions_view
         if self.apologies:
-            value["apologies"] = {k: dict(v) for k, v in sorted(self.apologies.items())}
+            if self._apologies_view is None:
+                self._apologies_view = {k: dict(v) for k, v in sorted(self.apologies.items())}
+            value["apologies"] = self._apologies_view
         return value
 
     # -- snapshots (checkpoint payload) -----------------------------------
@@ -740,8 +784,9 @@ class ReplicaStore:
     ) -> EntityState:
         """Fold the entity's events (<= as_of, or all) into its state.
 
-        A whole-log read finalizes the cached fold, whose reservation view
-        is built once and shared: ``value["reservations"]`` is read-only.
+        A whole-log read returns the cached fold's kept value
+        (``FoldState.finalize``), shared with every read until the entity's
+        next effective event and unchanged after it: ``value`` is read-only.
         """
         spec = self.registry.get(entity_ref.entity_type)
         state = self.fold_state(partition_id, entity_ref, as_of)
@@ -777,10 +822,11 @@ class ReplicaStore:
         canonical order. Each one that sorts past the greatest folded
         canonical key is folded onto it, and so is a late one that
         ``FoldState.folds_late`` allows; any other late event makes the
-        read rebuild the state from the checkpoint. The returned state is
-        shared with the cache and later reads: callers must not mutate it.
-        Reads at a cut and the ARRIVAL_LWW control build a fresh state
-        every time.
+        read rebuild the state from the checkpoint. A single new event, the
+        tail of a read after one commit, is tested and folded without a
+        sort. The returned state is shared with the cache and later reads:
+        callers must not mutate it. Reads at a cut and the ARRIVAL_LWW
+        control build a fresh state every time.
         """
         spec = self.registry.get(entity_ref.entity_type)
         log = self.log(partition_id)
@@ -794,18 +840,28 @@ class ReplicaStore:
             live = log._live_by_entity.get(entity_ref, ())
             if len(live) == done:
                 return state
-            tail = canonical_sort(live[done:])
-            # whether the tail starts with late events, sorting before the greatest folded key
-            late = top is not None and tail[0].canonical_key < top
-            for event in tail:
-                # each fold keeps the state a canonical fold of what it holds
-                if late and event.canonical_key < top and not state.folds_late(event, spec):
-                    break
-                state.fold(event, spec)
+            if len(live) == done + 1:
+                # one new event, most often a local commit: one key, no sort
+                event = live[done]
+                key = event.canonical_key
+                ahead = top is None or key > top
+                if ahead or state.folds_late(event, spec):
+                    state.fold(event, spec)
+                    folds[entity_ref] = (state, done + 1, key if ahead else top)
+                    return state
             else:
-                last = tail[-1].canonical_key
-                folds[entity_ref] = (state, len(live), last if top is None or last > top else top)
-                return state
+                tail = canonical_sort(live[done:])
+                # whether the tail starts with late events, sorting before the greatest folded key
+                late = top is not None and tail[0].canonical_key < top
+                for event in tail:
+                    # each fold keeps the state a canonical fold of what it holds
+                    if late and event.canonical_key < top and not state.folds_late(event, spec):
+                        break
+                    state.fold(event, spec)
+                else:
+                    last = tail[-1].canonical_key
+                    folds[entity_ref] = (state, len(live), last if top is None or last > top else top)
+                    return state
         checkpoint = None if arrival_order else log.checkpoints.get(entity_ref)
         if checkpoint is not None and (as_of is None or as_of.dominates(checkpoint.covers_up_to)):
             state = FoldState.from_snapshot(checkpoint.summarized_value)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from eventual import bus
-from eventual.bus import Inbox, ProcessedKeySet, QueueMessage
+from eventual.bus import Inbox, Outbox, ProcessedKeySet, QueueMessage
 from eventual.errors import OutsideTransaction
 from eventual.txn import CommitBatch, ProcessStepDef, StepContext, TriggerSpec, execute_step
 
@@ -130,6 +130,25 @@ def test_outbox_collapses_reemissions_of_the_same_logical_send():
     bus.enqueue(batch2, [msg("t2:m0", key="K")])  # crash-replay re-emission
     commit(replica, batch2)
     assert len(replica.outbox) == 1
+
+
+def test_acking_one_of_two_messages_marks_only_that_one():
+    outbox = Outbox()
+    first, second = msg("t1:m0"), msg("t1:m1")
+    outbox.add(first)
+    outbox.add(second)
+    outbox.mark_acked("t1:m1")
+    assert [entry.acked for entry in outbox.entries] == [False, True]
+    assert outbox.get("t1:m1") is outbox.entries[1]
+    assert [entry.message for entry in outbox.pending()] == [first]
+
+
+def test_acking_an_unknown_message_id_changes_nothing():
+    outbox = Outbox()
+    outbox.add(msg("t1:m0"))
+    outbox.mark_acked("t9:m0")
+    assert outbox.get("t9:m0") is None
+    assert [entry.acked for entry in outbox.entries] == [False]
 
 
 def test_crash_between_dequeue_and_commit_redelivers_for_one_net_effect():

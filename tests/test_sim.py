@@ -9,6 +9,7 @@ import pytest
 
 import eventual.process
 import eventual.sim
+from eventual.bus import QueueMessage
 from eventual.errors import MalformedEvent
 from eventual.process import scan_exceptions
 from eventual.scenario import load_scenario, parse_scenario
@@ -567,6 +568,18 @@ def test_unmatched_event_types_are_recorded_and_ignored():
     assert any("nobody.cares" in note for note in report.notes)
     # the stray event consumed its key exactly once and changed nothing
     assert report.handler_effects["client:stray"] == 1
+
+
+def test_a_retry_of_an_acked_message_sends_nothing():
+    sim = Simulator(parse_scenario(GOSSIP))
+    outbox = sim.replicas["A"].outbox
+    outbox.add(QueueMessage("A:t:m0", ("B", "p0"), "thing.happened", {}, "K", 0, "A"))
+    sim._task_retry({"replica": "A", "message_id": "A:t:m0"})
+    assert sim.counters["sent"] == 1 and outbox.get("A:t:m0").attempts == 1
+    outbox.mark_acked("A:t:m0")
+    sim._task_retry({"replica": "A", "message_id": "A:t:m0"})
+    sim._task_retry({"replica": "A", "message_id": "A:t:m9"})  # never added
+    assert sim.counters["sent"] == 1 and outbox.get("A:t:m0").attempts == 1
 
 
 def test_quiesce_is_structural():

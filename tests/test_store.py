@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import random
@@ -19,7 +20,9 @@ from eventual.errors import (
     WrongPartition,
 )
 from eventual.registry import MergePolicy, RollupSpec, SchemaRegistry
+from eventual import store as store_module
 from eventual.replica import Replica
+from eventual.replication import ConflictReport
 from eventual.store import (
     OP_APOLOGY,
     OP_CANCEL,
@@ -30,6 +33,7 @@ from eventual.store import (
     OP_TENTATIVE,
     OP_TOMBSTONE,
     EntityRef,
+    EntityState,
     EventId,
     EventRecord,
     FoldState,
@@ -452,6 +456,43 @@ def test_an_event_line_decodes_to_an_equal_record(payload, stamp, replica, seq):
     assert EventRecord.from_line(event.to_line()) == event
 
 
+@settings(max_examples=100, deadline=None)
+@given(_payloads, st.dictionaries(st.text(), _payloads, max_size=4), st.booleans())
+def test_the_kept_encoders_write_what_json_dumps_writes(value, payload, deleted):
+    compact = {"separators": (",", ":")}
+    canonical = {"sort_keys": True, **compact}
+    event = _record()._replace(payload=payload)
+    assert event.to_line() == json.dumps(
+        {
+            "event_id": "A:3",
+            "entity_ref": "account/alice",
+            "op_kind": OP_DELTA,
+            "payload": payload,
+            "causal_stamp": {"A": 3, "B": 1},
+            "lww_hint": 4,
+            "idempotence_key": "k",
+            "origin_txn_id": "t",
+        },
+        **compact,
+    )
+    state = EntityState(ACCOUNT, {"n": value, **payload}, VersionVector({"A": 1}), deleted)
+    assert state.canonical_dump() == json.dumps(
+        {"entity": "account/alice", "value": state.value, "version": {"A": 1}, "deleted": deleted},
+        **canonical,
+    )
+    report = ConflictReport(ACCOUNT, "lww_register", [["A:1", "B:1"]], {"v": value}, ["é"])
+    assert report.dump() == json.dumps(
+        {
+            "entity": "account/alice",
+            "policy": "lww_register",
+            "groups": [["A:1", "B:1"]],
+            "resolution": {"v": value},
+            "compensations": ["é"],
+        },
+        **canonical,
+    )
+
+
 def test_vector_stamps_never_share_a_dict():
     log = PartitionLog("p0")
     log.append(_record())
@@ -778,6 +819,152 @@ def test_a_summarized_or_rebuilt_fold_starts_without_a_view(view_builds):
     assert view_builds[0] == 3
 
 
+# -- the kept value ------------------------------------------------------
+
+
+@pytest.fixture
+def value_builds(monkeypatch):
+    """Counts the values the engine's folds build: ``value_builds[0]``.
+
+    The suite's cross-check folds a ``FoldState`` subclass, which is not
+    counted.
+    """
+    calls = [0]
+    build = FoldState._build_value
+
+    def counted(state, spec):
+        calls[0] += type(state) is FoldState
+        return build(state, spec)
+
+    monkeypatch.setattr(FoldState, "_build_value", counted)
+    return calls
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """Counts the store's ``canonical_sort`` calls: ``sorts[0]``."""
+    calls = [0]
+
+    def counted(events):
+        calls[0] += 1
+        return canonical_sort(events)
+
+    monkeypatch.setattr(store_module, "canonical_sort", counted)
+    return calls
+
+
+def append(store: ReplicaStore, op: str, payload: dict, key: str) -> EventRecord:
+    event = store.make_event(ACCOUNT, op, payload, key, f"txn-{key}")
+    store.append_event("p0", event)
+    return event
+
+
+def test_rereads_of_an_unchanged_entity_build_its_value_once(value_builds):
+    store = make_store()
+    delta(store, ACCOUNT, "d0", balance=5)
+    first = store.rollup("p0", ACCOUNT)
+    for _ in range(100):
+        assert store.rollup("p0", ACCOUNT).value is first.value
+    assert value_builds[0] == 1
+    delta(store, ACCOUNT, "d0", balance=5)  # a redelivery: a new event id, a seen key
+    again = store.rollup("p0", ACCOUNT)
+    assert again.version != first.version
+    assert again.value is first.value == {"balance": 5}
+    assert value_builds[0] == 1
+    delta(store, ACCOUNT, "d1", balance=1)
+    assert store.rollup("p0", ACCOUNT).value == {"balance": 6}
+    assert value_builds[0] == 2
+
+
+def test_a_read_after_an_int_delta_copies_no_apology_or_exception(value_builds):
+    store = make_store()
+    for i in range(100):
+        append(store, OP_APOLOGY, {"apology_id": f"p{i}", "text": "sorry"}, f"apology:{i}")
+    append(store, OP_DISCREPANCY, {"exception_id": "x0", "kind": "negative"}, "disc")
+    before = store.rollup("p0", ACCOUNT).value
+    delta(store, ACCOUNT, "d0", balance=1)
+    after = store.rollup("p0", ACCOUNT).value
+    assert after is not before and after["balance"] == 1
+    assert after["apologies"] is before["apologies"]
+    assert after["exceptions"] is before["exceptions"]
+    assert value_builds[0] == 2
+
+
+@pytest.mark.parametrize(
+    "op, payload, dropped",
+    [
+        (OP_DELTA, {"deltas": {"balance": 1}}, set()),
+        (OP_INSERT, {"fields": {"owner": "ann"}}, set()),
+        (OP_TOMBSTONE, {}, set()),
+        (OP_DELTA, {"deltas": {}, "resolves": "x0"}, {"exceptions"}),
+        (OP_DISCREPANCY, {"exception_id": "x1"}, {"exceptions"}),
+        (OP_APOLOGY, {"apology_id": "p1"}, {"apologies"}),
+        (OP_TENTATIVE, {"reservation_id": "r1"}, {"reservations"}),
+        (OP_CONFIRM, {"reservation_id": "r0"}, {"reservations"}),
+        (OP_CANCEL, {"reservation_id": "r0", "cause": "expired"}, {"reservations"}),
+    ],
+)
+def test_each_rule_drops_the_value_and_only_the_sections_it_writes(op, payload, dropped):
+    store = make_store()
+    append(store, OP_TENTATIVE, {"reservation_id": "r0"}, "reserve:r0")
+    append(store, OP_DISCREPANCY, {"exception_id": "x0"}, "disc")
+    append(store, OP_APOLOGY, {"apology_id": "p0"}, "apology")
+    before = store.rollup("p0", ACCOUNT).value
+    append(store, op, payload, "next")
+    after = store.rollup("p0", ACCOUNT).value
+    assert after is not before
+    sections = {"reservations", "exceptions", "apologies"}
+    assert {s for s in sections if after[s] is before[s]} == sections - dropped
+
+
+def test_a_read_after_one_commit_folds_it_without_sorting(folds, sorts):
+    reg = make_registry()
+    store, peer = make_store("A", reg), make_store("B", reg)
+    early = peer.make_event(ACCOUNT, OP_DELTA, {"deltas": {"balance": 100}}, "b1", "t")
+    for i in range(5):
+        delta(store, ACCOUNT, f"a{i}", balance=1)
+    assert read(store, ACCOUNT, folds)[1] == 5
+    assert sorts[0] == 1
+    delta(store, ACCOUNT, "a5", balance=1)
+    assert read(store, ACCOUNT, folds)[1] == 1
+    store.ingest_foreign("p0", early)  # one late event whose rule commutes
+    assert read(store, ACCOUNT, folds)[1] == 1
+    assert sorts[0] == 1
+    assert store.rollup("p0", ACCOUNT).value == {"balance": 106}
+    store.ingest_foreign("p0", peer.make_event(ACCOUNT, OP_TOMBSTONE, {}, "b:tombstone", "t"))
+    assert read(store, ACCOUNT, folds)[1] == 8  # one late tombstone: a rebuild
+    assert sorts[0] == 2
+
+
+def test_a_value_read_earlier_is_unchanged_by_later_folds():
+    reg = make_registry()
+    store, peer = make_store("A", reg), make_store("B", reg)
+    late = peer.make_event(ACCOUNT, OP_DISCREPANCY, {"exception_id": "x9", "kind": "negative"}, "b", "t")
+    reads = []
+    for op, payload in [
+        (OP_INSERT, {"fields": {"owner": "ann"}}),
+        (OP_DELTA, {"deltas": {"balance": 3}}),
+        (OP_TENTATIVE, {"reservation_id": "r0", "quantity": 2}),
+        (OP_DISCREPANCY, {"exception_id": "x0", "observed": {"balance": 1}}),
+        (OP_APOLOGY, {"apology_id": "p0"}),
+        (OP_CONFIRM, {"reservation_id": "r0"}),
+        (OP_TENTATIVE, {"reservation_id": "r1"}),
+        (OP_DELTA, {"deltas": {"balance": -2}, "resolves": "x0"}),
+        (OP_CANCEL, {"reservation_id": "r1", "cause": "disaster"}),
+        (OP_APOLOGY, {"apology_id": "p1"}),
+        (OP_TOMBSTONE, {}),
+    ]:
+        append(store, op, payload, f"{op}:{len(reads)}")
+        value = store.rollup("p0", ACCOUNT).value
+        reads.append((value, copy.deepcopy(value)))
+    store.ingest_foreign("p0", late)
+    store.rollup("p0", ACCOUNT)
+    for value, as_read in reads:
+        assert value == as_read
+    assert reads[2][0]["reservations"]["r0"]["state"] == "tentative"
+    assert reads[3][0]["exceptions"]["x0"]["resolved"] is False
+
+
 # -- property tests ------------------------------------------------------
 
 
@@ -921,13 +1108,19 @@ def test_any_arrival_order_with_reads_between_folds_to_the_canonical_state(data)
     pending = {o: [e for e in events if e.event_id.replica == o] for o in "AB"}
     store = make_store("X")
     spec = store.registry.get("account")
+    reads = []
     for origin in arrival:
         store.ingest_foreign("p0", pending[origin].pop(0))  # each origin in sequence order
-        # the kept view, built by an earlier read or this one, is a fresh fold's view
+        # the kept view and value, built by an earlier read or this one, are a fresh fold's
         fresh = FoldState()
         for event in store.list_history("p0", ACCOUNT):
             fresh.fold(event, spec)
         assert store.fold_state("p0", ACCOUNT).reservation_view() == fresh.reservation_view()
+        value = store.rollup("p0", ACCOUNT).value
+        assert value == fresh.finalize(spec)
+        reads.append((value, copy.deepcopy(value)))
+    for value, as_read in reads:
+        assert value == as_read  # later folds left every earlier value as it was read
     reference = FoldState()
     for event in canonical_sort(events):
         reference.fold(event, spec)
