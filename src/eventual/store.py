@@ -28,13 +28,11 @@ it without a sort. The cache is derived, volatile state: summarizing an
 entity drops its entry, and a crash drops them all. Reads at an
 ``as_of`` cut and the arrival-order negative control are never cached.
 
-Each kept fold also keeps its finalized value, and the value's
-reservation, exception and apology sections, until a fold drops them:
-any event that takes effect drops the value, and only the rules that
-write a section drop that section. A reread of an unchanged entity
-copies nothing, and after an int delta the value is rebuilt from its
-fields and the kept sections. A drop never edits a handed-out dict, so
-every value read earlier stays an unchanged, read-only snapshot.
+Each kept fold also keeps its finalized value until an event that takes
+effect drops it, and its reservation view until a reservation event
+folds onto it. A reread of an unchanged entity copies nothing. A drop
+never edits a handed-out dict, so every value read earlier stays an
+unchanged, read-only snapshot.
 
 Records are immutable tuples (``typing.NamedTuple``): the fields of an
 event, its id and its entity ref are read and compared in C, ids and refs
@@ -274,15 +272,13 @@ class FoldState:
     lossless and replicas convergent. ``folds_late`` names the events
     whose rule does not care about that sort either.
 
-    The state keeps its finalized value (``finalize``) and the value's
-    sections once they are built, and a fold drops them, never edits them.
-    An event whose idempotence key is seen drops nothing; every other
-    event drops the value. The tentative and lifecycle rules, the only
-    writers of ``reservations``, drop the reservation view
-    (``reservation_view``); the discrepancy rule and a delta that resolves
-    an exception drop the exceptions section; the apology rule drops the
-    apologies section. A state made by ``from_snapshot`` or a rebuild
-    starts with none of them.
+    The state keeps its finalized value (``finalize``) and its reservation
+    view (``reservation_view``) once they are built, and a fold drops them,
+    never edits them. An event whose idempotence key is seen drops
+    nothing; every other event drops the value. The tentative and
+    lifecycle rules, the only writers of ``reservations``, also drop the
+    reservation view. A state made by ``from_snapshot`` or a rebuild
+    starts with neither.
     """
 
     def __init__(self) -> None:
@@ -304,8 +300,6 @@ class FoldState:
         # kept derived dicts, each None until built and after a fold drops it
         self._value: dict | None = None
         self._view: dict | None = None
-        self._exceptions_view: dict | None = None
-        self._apologies_view: dict | None = None
 
     # -- folding ---------------------------------------------------------
 
@@ -330,7 +324,6 @@ class FoldState:
                 self.sums[f] = self.sums.get(f, 0) + d
             resolves = event.payload.get("resolves")
             if resolves is not None:
-                self._exceptions_view = None
                 entry = self.exceptions.setdefault(resolves, {"kind": "unknown", "detail": {}})
                 entry["resolved"] = True
         elif op == OP_TOMBSTONE:
@@ -348,10 +341,8 @@ class FoldState:
         elif op == OP_APOLOGY:
             aid = event.payload["apology_id"]
             if aid not in self.apologies:
-                self._apologies_view = None
                 self.apologies[aid] = dict(event.payload)
         elif op == OP_DISCREPANCY:
-            self._exceptions_view = None
             exc = event.payload["exception_id"]
             entry = self.exceptions.setdefault(exc, {"resolved": False})
             entry["kind"] = event.payload.get("kind", "discrepancy")
@@ -473,10 +464,10 @@ class FoldState:
 
         Built on the first call, and again on the first call after an
         event takes effect; every call in between returns the same dict.
-        A rebuild reuses each section no rule has dropped since it was
-        built, so it costs the number of fields, not of entries. A state
-        is the fold of one entity, so ``spec`` is always that entity's.
-        Callers must not mutate the value or its sections.
+        A rebuild reuses the kept reservation view and copies the
+        exception and apology entries. A state is the fold of one entity,
+        so ``spec`` is always that entity's. Callers must not mutate the
+        value or its sections.
         """
         if self._value is None:
             self._value = self._build_value(spec)
@@ -496,13 +487,9 @@ class FoldState:
         if self.reservations:
             value["reservations"] = self.reservation_view()
         if self.exceptions:
-            if self._exceptions_view is None:
-                self._exceptions_view = {k: dict(v) for k, v in sorted(self.exceptions.items())}
-            value["exceptions"] = self._exceptions_view
+            value["exceptions"] = {k: dict(v) for k, v in sorted(self.exceptions.items())}
         if self.apologies:
-            if self._apologies_view is None:
-                self._apologies_view = {k: dict(v) for k, v in sorted(self.apologies.items())}
-            value["apologies"] = self._apologies_view
+            value["apologies"] = {k: dict(v) for k, v in sorted(self.apologies.items())}
         return value
 
     # -- snapshots (checkpoint payload) -----------------------------------
@@ -823,10 +810,10 @@ class ReplicaStore:
         canonical key is folded onto it, and so is a late one that
         ``FoldState.folds_late`` allows; any other late event makes the
         read rebuild the state from the checkpoint. A single new event, the
-        tail of a read after one commit, is tested and folded without a
-        sort. The returned state is shared with the cache and later reads:
-        callers must not mutate it. Reads at a cut and the ARRIVAL_LWW
-        control build a fresh state every time.
+        tail of a read after one commit, is not sorted. The returned state
+        is shared with the cache and later reads: callers must not mutate
+        it. Reads at a cut and the ARRIVAL_LWW control build a fresh state
+        every time.
         """
         spec = self.registry.get(entity_ref.entity_type)
         log = self.log(partition_id)
@@ -840,28 +827,19 @@ class ReplicaStore:
             live = log._live_by_entity.get(entity_ref, ())
             if len(live) == done:
                 return state
-            if len(live) == done + 1:
-                # one new event, most often a local commit: one key, no sort
-                event = live[done]
-                key = event.canonical_key
-                ahead = top is None or key > top
-                if ahead or state.folds_late(event, spec):
-                    state.fold(event, spec)
-                    folds[entity_ref] = (state, done + 1, key if ahead else top)
-                    return state
+            # one new event, most often a local commit, needs no sort
+            tail = live[done:] if len(live) == done + 1 else canonical_sort(live[done:])
+            # whether the tail starts with late events, sorting before the greatest folded key
+            late = top is not None and tail[0].canonical_key < top
+            for event in tail:
+                # each fold keeps the state a canonical fold of what it holds
+                if late and event.canonical_key < top and not state.folds_late(event, spec):
+                    break
+                state.fold(event, spec)
             else:
-                tail = canonical_sort(live[done:])
-                # whether the tail starts with late events, sorting before the greatest folded key
-                late = top is not None and tail[0].canonical_key < top
-                for event in tail:
-                    # each fold keeps the state a canonical fold of what it holds
-                    if late and event.canonical_key < top and not state.folds_late(event, spec):
-                        break
-                    state.fold(event, spec)
-                else:
-                    last = tail[-1].canonical_key
-                    folds[entity_ref] = (state, len(live), last if top is None or last > top else top)
-                    return state
+                last = tail[-1].canonical_key
+                folds[entity_ref] = (state, len(live), last if top is None or last > top else top)
+                return state
         checkpoint = None if arrival_order else log.checkpoints.get(entity_ref)
         if checkpoint is not None and (as_of is None or as_of.dominates(checkpoint.covers_up_to)):
             state = FoldState.from_snapshot(checkpoint.summarized_value)
