@@ -13,13 +13,20 @@ archival event dump) and the trace hash. A refactor that claims "same
 behaviour" must leave all of them unchanged; a change that moves one
 must say why, not regenerate the files.
 
+``golden_semantic_digests.json`` holds, for the same runs, the sha256 of
+``RunReport.semantic_digest``: business state only. A change that moves
+report or trace bytes on purpose (a different batch layout, another
+schedule) must still leave every one of these unchanged.
+
 To print the current digests (for a deliberate, explained change):
 ``PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json``
 ``PYTHONPATH=src python tests/test_golden.py faults > tests/golden_fault_digests.json``
+``PYTHONPATH=src python tests/test_golden.py semantic > tests/golden_semantic_digests.json``
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -34,22 +41,30 @@ from eventual.sim import Fault, Simulator
 SCENARIOS = Path(__file__).parent.parent / "src" / "eventual" / "scenarios"
 GOLDEN = Path(__file__).parent / "golden_digests.json"
 GOLDEN_FAULTS = Path(__file__).parent / "golden_fault_digests.json"
+GOLDEN_SEMANTIC = Path(__file__).parent / "golden_semantic_digests.json"
 SEEDS = range(10)
 PLACEHOLDER = re.compile(r"\b[A-Z]{2,}_[A-Z]{2,}\b")  # e.g. CHILD_AT in a template
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _digest(scenario, seed: int | None = None) -> dict[str, str]:
+    """The byte pins of one run, plus its semantic digest under ``"semantic"``."""
     if seed is not None:
         scenario.config.seed = seed
     sim = Simulator(scenario)
     report = sim.run()
     return {
-        "report_sha256": hashlib.sha256(render_report_file(report, sim).encode()).hexdigest(),
+        "report_sha256": _sha256(render_report_file(report, sim)),
         "trace_hash": report.trace_hash,
+        "semantic": _sha256(report.semantic_digest()),
     }
 
 
-def digests() -> dict[str, dict[str, str]]:
+@functools.cache
+def _bundled_runs() -> dict[str, dict[str, str]]:
     out = {}
     for path in sorted(SCENARIOS.glob("*.yaml")):
         for seed in SEEDS:
@@ -66,7 +81,8 @@ def inline_scenarios() -> dict[str, str]:
     }
 
 
-def fault_digests() -> dict[str, dict[str, str]]:
+@functools.cache
+def _fault_runs() -> dict[str, dict[str, str]]:
     out = {}
     for name, text in inline_scenarios().items():
         for seed in SEEDS:
@@ -81,6 +97,24 @@ def fault_digests() -> dict[str, dict[str, str]]:
             scenario.faults.append(Fault(kind="recover", at=tick + CRASH_RECOVERY_GAP, target=target))
             out[f"reference+crash:{target}@{tick}"] = _digest(scenario)
     return out
+
+
+def _pins(runs: dict[str, dict[str, str]]) -> dict[str, dict[str, str]]:
+    return {key: {k: v for k, v in pins.items() if k != "semantic"} for key, pins in runs.items()}
+
+
+def digests() -> dict[str, dict[str, str]]:
+    return _pins(_bundled_runs())
+
+
+def fault_digests() -> dict[str, dict[str, str]]:
+    return _pins(_fault_runs())
+
+
+def semantic_digests() -> dict[str, str]:
+    """Every golden run's semantic digest sha256, bundled and fault runs alike."""
+    runs = {**_bundled_runs(), **_fault_runs()}
+    return {key: pins["semantic"] for key, pins in runs.items()}
 
 
 def _moved(expected: dict, actual: dict) -> list[str]:
@@ -100,7 +134,13 @@ def test_fault_paths_match_the_golden_digests():
     assert _moved(expected, fault_digests()) == []
 
 
+def test_every_golden_run_keeps_its_semantic_digest():
+    expected = json.loads(GOLDEN_SEMANTIC.read_text())
+    assert len(expected) == 90 + 323
+    assert _moved(expected, semantic_digests()) == []
+
+
 if __name__ == "__main__":
-    pick = fault_digests if sys.argv[1:] == ["faults"] else digests
+    pick = {"faults": fault_digests, "semantic": semantic_digests}.get(" ".join(sys.argv[1:]), digests)
     json.dump(pick(), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
