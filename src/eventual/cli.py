@@ -14,14 +14,12 @@ from pathlib import Path
 
 from .errors import ScenarioInvalid
 from .scenario import load_scenario
-from .sim import Fault, RunReport, run
+from .sim import CRASH_RECOVERY_GAP, Fault, RunReport, Scenario, Simulator, run
 from .store import EntityRef
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-
-CRASH_RECOVERY_GAP = 5
 
 
 def check_invariants(report: RunReport) -> list[str]:
@@ -45,7 +43,49 @@ def check_invariants(report: RunReport) -> list[str]:
         failures.append(f"COMMIT_PATH_SENDS: {report.commit_path_sends} network sends during commit")
     if report.quiescent and report.locks_held_at_end:
         failures.append(f"LOCKS_HELD: {report.locks_held_at_end} logical locks never released")
+    if report.quiescent:
+        failures += _apology_failures(report) + _reference_failures(report)
     return failures
+
+
+APOLOGY_CAUSES = ("overbooking", "disaster", "lost_promise")
+
+
+def _apology_failures(report: RunReport) -> list[str]:
+    """One apology per broken promise: every reservation whose rollup cause
+    is an APOLOGY_CAUSES entry has exactly one apology, and every apology
+    names such a reservation."""
+    broken = set()
+    for entities in report.rollups.values():
+        for dump in entities.values():
+            if '"reservations"' not in dump:
+                continue  # no reservation ledger: skip decoding the dump
+            for rid, entry in json.loads(dump)["value"].get("reservations", {}).items():
+                if entry.get("cause") in APOLOGY_CAUSES:
+                    broken.add(rid)
+    subjects = [apology["subject"] for apology in report.apologies]
+    failures = [
+        f"APOLOGY_COUNT: {rid} broke a promise and has {subjects.count(rid)} apologies"
+        for rid in sorted(broken)
+        if subjects.count(rid) != 1
+    ]
+    failures += [
+        f"APOLOGY_COUNT: apology for {subject}, which broke no promise"
+        for subject in sorted(set(subjects) - broken)
+    ]
+    return failures
+
+
+def _reference_failures(report: RunReport) -> list[str]:
+    """No referential violation ``refviol:<child>:<parent>`` stays open on a
+    replica whose rollups list the parent."""
+    return [
+        f"REFERENCE_OPEN: {exc_id} open on {replica}, which holds the parent"
+        for replica, exceptions in sorted(report.exceptions.items())
+        for exc_id in exceptions["open"]
+        if exc_id.startswith("refviol:")
+        and exc_id.rsplit(":", 1)[1] in report.rollups.get(replica, {})
+    ]
 
 
 def render_report_file(report: RunReport, sim) -> str:
@@ -62,8 +102,6 @@ def render_report_file(report: RunReport, sim) -> str:
 
 def _simulate(args):
     """The scenario at ``--seed`` (else its own seed), run to the end: (simulator, report)."""
-    from .sim import Simulator
-
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.config.seed = args.seed
@@ -107,46 +145,75 @@ def _sweep_seeds(args) -> int:
     return EXIT_OK if not violations else EXIT_VIOLATION
 
 
-def crash_sweep(path, seed: int | None = None) -> tuple[int, list[tuple[str | None, int, list[str]]]]:
-    """Crash each replica at each tick of the no-crash run, recovering it
-    CRASH_RECOVERY_GAP ticks later. Every crashed run must hold the
-    invariants and reach the no-crash run's semantic digest.
+def crash_sweep(path, seed: int | None = None) -> tuple[int, list[tuple[str | None, str, list[str]]]]:
+    """Crash each replica at each tick of the no-crash run, and right after
+    each of its commits in that run, recovering it CRASH_RECOVERY_GAP ticks
+    later. Every crashed run must hold the invariants and reach the
+    no-crash run's semantic digest.
 
-    The scenario is parsed once; each crash point runs a copy of it with
-    the crash and recover faults appended.
+    The scenario is parsed once; each crash point runs a copy of it.
 
     Returns the number of crash points and the violations as
-    (target, tick, reasons). A no-crash run that already fails is the one
-    violation (None, 0, reasons), and no crash point is tried.
+    (target, point, reasons), where a point reads ``tick=N`` or
+    ``commit=K``. A no-crash run that already fails is the one violation
+    (None, "baseline", reasons), and no crash point is tried.
     """
     scenario = load_scenario(path)
-    replicas = sorted({r for reps in scenario.config.partitions.values() for r in reps})
     baseline = run(scenario, seed=seed)
     base_failures = check_invariants(baseline)
     if base_failures:
-        return 0, [(None, 0, base_failures)]
+        return 0, [(None, "baseline", base_failures)]
+    points = [
+        (target, "tick", tick)
+        for target in sorted(baseline.commits)
+        for tick in range(1, baseline.end_time + 1)
+    ]
+    points += commit_points(baseline)
+    return len(points), crash_violations(scenario, baseline, points)
+
+
+def commit_points(baseline: RunReport) -> list[tuple[str, str, int]]:
+    """(replica, "commit", k) for every commit of every replica in a run."""
+    return [
+        (target, "commit", k)
+        for target, count in sorted(baseline.commits.items())
+        for k in range(1, count + 1)
+    ]
+
+
+def crashed_run(scenario: Scenario, target: str, kind: str, n: int) -> RunReport:
+    """The scenario with ``target`` crashed at tick ``n`` (kind ``tick``) or
+    right after its ``n``-th commit (kind ``commit``), recovering
+    CRASH_RECOVERY_GAP ticks later."""
+    if kind == "tick":
+        crash = Fault(kind="crash", at=n, target=target)
+        recover = Fault(kind="recover", at=n + CRASH_RECOVERY_GAP, target=target)
+        return run(dataclasses.replace(scenario, faults=[*scenario.faults, crash, recover]))
+    sim = Simulator(scenario)
+    sim.crash_after_commit(target, n)
+    return sim.run()
+
+
+def crash_violations(scenario: Scenario, baseline: RunReport, points) -> list[tuple[str, str, list[str]]]:
+    """(target, point, reasons) of each crash point whose run fails an
+    invariant or ends in another business state than ``baseline``."""
     digest = baseline.semantic_digest()
     violations = []
-    points = 0
-    for target in replicas:
-        for tick in range(1, baseline.end_time + 1):
-            points += 1
-            crash = Fault(kind="crash", at=tick, target=target)
-            recover = Fault(kind="recover", at=tick + CRASH_RECOVERY_GAP, target=target)
-            report = run(dataclasses.replace(scenario, faults=[*scenario.faults, crash, recover]), seed=seed)
-            failures = check_invariants(report)
-            if failures or report.semantic_digest() != digest:
-                reason = failures or ["STATE_MISMATCH: differs from no-crash run"]
-                violations.append((target, tick, reason))
-    return points, violations
+    for target, kind, n in points:
+        report = crashed_run(scenario, target, kind, n)
+        failures = check_invariants(report)
+        if failures or report.semantic_digest() != digest:
+            reason = failures or ["STATE_MISMATCH: differs from no-crash run"]
+            violations.append((target, f"{kind}={n}", reason))
+    return violations
 
 
 def _sweep_crash(args) -> int:
     points, violations = crash_sweep(args.scenario, args.seed)
     print(f"crash_points: {points}")
     print(f"violations: {len(violations)}")
-    for target, tick, reasons in violations:
-        where = "baseline" if target is None else f"crash target={target} tick={tick}"
+    for target, point, reasons in violations:
+        where = "baseline" if target is None else f"crash target={target} {point}"
         for reason in reasons:
             print(f"FAIL {where} {reason}")
     return EXIT_OK if not violations else EXIT_VIOLATION

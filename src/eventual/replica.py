@@ -10,6 +10,7 @@ during recovery, folds on the next read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .bus import Inbox, Outbox, ProcessedKeySet
 from .errors import LockConflict
@@ -89,6 +90,8 @@ class Replica:
         self.epoch = 0  # bumped on crash; stale scheduled work is skipped
         self._txn_counter = 0
         self.commit_times: list[int] = []
+        # called at the end of every commit; a simulator's crash point raises here
+        self.on_commit: Callable[[], None] | None = None
 
     def next_txn_id(self, session: str) -> str:
         self._txn_counter += 1

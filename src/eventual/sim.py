@@ -9,7 +9,11 @@ structurally, never by timeout.
 
 Crash model: durable state is the logs, outbox, inbox, processed keys,
 descriptors, and audit log. Scheduled work, retry timers, and logical
-locks are volatile; recovery re-derives them from durable state.
+locks are volatile; recovery re-derives them from durable state. A
+replica crashes at a tick (a ``crash`` fault, between tasks) or right
+after one of its commits (``Simulator.crash_after_commit``): then the rest
+of the running task is lost, and the replica recovers
+``CRASH_RECOVERY_GAP`` ticks later.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .errors import (
 )
 from .bus import QueueMessage
 from .process import (
-    ManagedException,
     ProcessDef,
     ProcessManager,
     join_entity,
@@ -50,7 +53,7 @@ from .process import (
 )
 from .registry import SchemaRegistry
 from .replica import Replica
-from .replication import apology_payload, compensation_plan, detect_overbooking, resolve
+from .replication import compensation_plan, detect_overbooking, resolve
 from .store import (
     OP_DISCREPANCY,
     OP_INSERT,
@@ -68,6 +71,12 @@ from .txn import (
     commit as txn_commit,
     execute_step,
 )
+
+CRASH_RECOVERY_GAP = 5
+
+
+class _CrashedAfterCommit(Exception):
+    """Unwinds the task of a replica that crashed right after a commit."""
 
 
 @dataclass
@@ -272,6 +281,24 @@ class Simulator:
         self.notes: list[str] = []
         self.partition_windows: list[dict] = []
 
+    def crash_after_commit(self, replica_id: str, k: int) -> None:
+        """Crash the replica right after its k-th commit: the batch is
+        durable, the rest of the task is lost, and the replica recovers
+        CRASH_RECOVERY_GAP ticks later."""
+        replica = self.replicas[replica_id]
+
+        def crash_point() -> None:
+            if len(replica.commit_times) != k:
+                return
+            replica.on_commit = None
+            self._crash(replica_id)
+            recover = Fault(kind="recover", at=self.now + CRASH_RECOVERY_GAP, target=replica_id)
+            detail = f"{recover.kind}:{replica_id}"
+            self._schedule(recover.at, {"kind": "fault", "fault": recover, "detail": detail})
+            raise _CrashedAfterCommit(replica_id)
+
+        replica.on_commit = crash_point
+
     # -- scheduling --------------------------------------------------------
 
     def _schedule(self, at: int, task: dict) -> None:
@@ -391,7 +418,10 @@ class Simulator:
                     continue  # scheduled before a crash: volatile state is gone
             self._trace_task(task)
             handler = getattr(self, f"_task_{task['kind']}")
-            handler(task)
+            try:
+                handler(task)
+            except _CrashedAfterCommit:
+                pass  # the replica is down: the rest of its task is lost
         return self._build_report(max_time_exceeded)
 
     # -- quiescence ----------------------------------------------------------
@@ -510,32 +540,36 @@ class Simulator:
         for ref, op_kind, payload, key in plan.event_drafts:
             by_entity.setdefault(str(ref), []).append((ref, op_kind, payload, key))
         for entity_text in sorted(by_entity):
-            drafts = by_entity[entity_text]
             comp_txn = replica.next_txn_id("sys")
             events = [
                 replica.store.make_event(ref, op_kind, payload, key, comp_txn)
-                for ref, op_kind, payload, key in drafts
+                for ref, op_kind, payload, key in by_entity[entity_text]
             ]
-            self._commit_batch(replica, CommitBatch(txn_id=comp_txn, session="sys", events=events))
-        if plan.message_drafts or plan.apologies:
+            batch = CommitBatch(txn_id=comp_txn, session="sys", events=events)
+            # each broken promise's apology rides in the batch of its cancel
+            apologies = [a for a in plan.apologies if a["entity"] == entity_text]
+            bus.enqueue(batch, [
+                self._apology_message(replica, f"{comp_txn}:a{j}", apology)
+                for j, apology in enumerate(apologies)
+            ])
+            self._commit_batch(replica, batch)
+        if plan.message_drafts:
             batch = CommitBatch(txn_id=replica.next_txn_id("sys"), session="sys")
-            messages = []
-            for i, draft in enumerate(plan.message_drafts):
-                messages.append(
-                    QueueMessage(
-                        message_id=f"{batch.txn_id}:m{i}",
-                        destination=tuple(draft["destination"]),
-                        msg_type=draft["msg_type"],
-                        payload=draft["payload"],
-                        idempotence_key=draft["idempotence_key"],
-                        enqueue_stamp=self.now,
-                        sender=replica.replica_id,
-                    )
+            messages = [
+                QueueMessage(
+                    message_id=f"{batch.txn_id}:m{i}",
+                    destination=tuple(draft["destination"]),
+                    msg_type=draft["msg_type"],
+                    payload=draft["payload"],
+                    idempotence_key=draft["idempotence_key"],
+                    enqueue_stamp=self.now,
+                    sender=replica.replica_id,
                 )
-            for j, apology in enumerate(plan.apologies):
-                messages.append(self._apology_message(replica, f"{batch.txn_id}:a{j}", apology))
+                for i, draft in enumerate(plan.message_drafts)
+            ]
             bus.enqueue(batch, messages)
             self._commit_batch(replica, batch)
+        if plan.message_drafts or plan.apologies:
             self._launch_outbox(replica)
 
     def _launch_outbox(self, replica: Replica) -> None:
@@ -565,8 +599,7 @@ class Simulator:
         elif fault.kind == "crash":
             if fault.target not in self.replicas:
                 raise UnknownTarget(str(fault.target))
-            self.replicas[fault.target].crash()
-            self._sync_armed[fault.target] = False
+            self._crash(fault.target)
         elif fault.kind == "recover":
             if fault.target not in self.replicas:
                 raise UnknownTarget(str(fault.target))
@@ -575,6 +608,10 @@ class Simulator:
             self._disaster(fault)
         else:
             raise UnknownTarget(f"unknown fault kind {fault.kind!r}")
+
+    def _crash(self, rid: str) -> None:
+        self.replicas[rid].crash()
+        self._sync_armed[rid] = False
 
     def _recover(self, replica: Replica) -> None:
         replica.recover()
@@ -592,25 +629,11 @@ class Simulator:
                 except LockConflict:
                     pass
             self._schedule_pending(rid, descriptor.txn_id)
-        for reservation in scan_reservations(replica):
-            if reservation.state == "tentative" and reservation.deadline is not None:
-                self._schedule_expiry(
-                    rid, reservation.entity_ref, reservation.reservation_id, reservation.deadline
-                )
-        for exc in scan_exceptions(replica):
-            if exc.status == "open" and exc.kind == "discrepancy":
-                if self._exception_origin(replica, exc) == rid:
-                    self._schedule_cleanse(rid, exc.entity_ref)
-        self._sync_armed[rid] = False
+        for partition_id in replica.partitions_hosted():
+            log = replica.store.log(partition_id)
+            for ref in log.entity_refs():
+                self._follow_up(replica, ref, log.all_events_for(ref))
         self._arm_sync(rid, self.config.sync_interval)
-
-    def _exception_origin(self, replica: Replica, exc: ManagedException) -> str | None:
-        """The replica that recorded the exception, read from its entity's events."""
-        partition = replica.store.route(exc.entity_ref)
-        for event in replica.store.log(partition).all_events_for(exc.entity_ref):
-            if event.idempotence_key == exc.exception_id:
-                return event.event_id.replica
-        return None
 
     def _disaster(self, fault: Fault) -> None:
         """A real-world failure abrogates a fulfillment promise."""
@@ -832,7 +855,7 @@ class Simulator:
                 matches.append((step_def, merged, session))
         return matches
 
-    def _run_infra_step(self, replica: Replica, step_id: str, template: dict, base: str):
+    def _run_infra_step(self, replica: Replica, step_id: str, template: dict, base: str) -> None:
         step_def = ProcessStepDef(step_id, TriggerSpec((step_id,)), template)
         ctx = StepContext(
             replica=replica,
@@ -845,7 +868,6 @@ class Simulator:
         outcome = self._execute_guarded(step_def, ctx)
         if outcome is not None and outcome.status == "committed":
             self._after_commit(replica, outcome, None)
-        return outcome
 
     # -- post-commit hooks -------------------------------------------------------
 
@@ -853,24 +875,52 @@ class Simulator:
         if message is not None and message.msg_type.startswith("client."):
             action_id = message.idempotence_key.removeprefix("client:")
             self.action_txns.setdefault(action_id, outcome.txn_id)
-        for event in outcome.appended_events:
-            spec = self.registry.get(event.entity_ref.entity_type)
-            if event.op_kind == OP_TENTATIVE:
-                deadline = event.payload.get("deadline")
-                if deadline is not None:
-                    rid = event.payload["reservation_id"]
-                    self._schedule_expiry(replica.replica_id, event.entity_ref, rid, deadline)
-            if event.op_kind == OP_DISCREPANCY and event.payload.get("kind") == "discrepancy":
-                self._schedule_cleanse(replica.replica_id, event.entity_ref)
-            if event.op_kind == OP_INSERT:
-                self._resolve_waiting_references(replica, event.entity_ref)
-            if spec.has_capacity:
-                self._remediate_overbooking(replica, event.entity_ref)
+        if outcome.appended_events:
+            self._follow_up(replica, outcome.appended_events[0].entity_ref, outcome.appended_events)
         if outcome.pending_descriptor is not None:
             self._schedule_pending(replica.replica_id, outcome.pending_descriptor.txn_id)
         if outcome.enqueued_messages:
             self._launch_outbox(replica)
         self._rearm_all_syncs()
+
+    def _follow_up(self, replica: Replica, ref: EntityRef, events: list[EventRecord]) -> None:
+        """What a change to ``ref`` obliges this replica to do, given the
+        events that made it (a commit's, a merge's, or on recovery all of
+        them): an expiry for each of its own reservations still tentative
+        with a deadline, a cleansing for each of its own open discrepancies,
+        the resolution of references waiting on an inserted parent, and the
+        remediation of a capacity entity."""
+        rid = replica.replica_id
+        inserted = False
+        for event in events:
+            op = event.op_kind
+            if op == OP_INSERT:
+                inserted = True
+            elif event.event_id.replica != rid:
+                continue
+            elif op == OP_TENTATIVE and event.payload.get("deadline") is not None:
+                reservation_id = event.payload["reservation_id"]
+                view = replica.store.fold_state(replica.store.route(ref), ref).reservation_view()
+                if view.get(reservation_id, {}).get("state") == "tentative":
+                    self._schedule_expiry(rid, ref, reservation_id, event.payload["deadline"])
+            elif op == OP_DISCREPANCY and event.payload.get("kind") == "discrepancy":
+                exceptions = replica.store.fold_state(replica.store.route(ref), ref).exceptions
+                if not exceptions.get(event.payload["exception_id"], {}).get("resolved"):
+                    self._schedule_cleanse(rid, ref)
+        if inserted:
+            for template in plan_referential_resolutions(replica, ref):
+                self._run_infra_step(
+                    replica, "refresolve", template, f"resolve:{template['exception_id']}"
+                )
+        spec = self.registry.get(ref.entity_type)
+        if spec.has_capacity:
+            value = replica.store.rollup(replica.store.route(ref), ref).value
+            for loser in detect_overbooking(value, spec):
+                reservation_id = loser["reservation_id"]
+                cause = "lost_promise" if loser["state"] == "confirmed" else "overbooking"
+                self._cancel_reservation(
+                    replica, ref, reservation_id, cause, "overbook", f"overbook:{reservation_id}"
+                )
 
     def _task_pending(self, task: dict) -> None:
         replica = self.replicas[task["replica"]]
@@ -904,41 +954,19 @@ class Simulator:
             exc_id = template["resolves"]
             self._run_infra_step(replica, "cleanse", template, f"adjust:{exc_id}")
 
-    def _resolve_waiting_references(self, replica: Replica, parent_ref: EntityRef) -> None:
-        for template in plan_referential_resolutions(replica, parent_ref):
-            self._run_infra_step(
-                replica, "refresolve", template, f"resolve:{template['exception_id']}"
-            )
-
-    def _remediate_overbooking(self, replica: Replica, ref: EntityRef) -> None:
-        spec = self.registry.get(ref.entity_type)
-        partition = replica.store.route(ref)
-        state = replica.store.rollup(partition, ref)
-        for loser in detect_overbooking(state.value, spec):
-            rid = loser["reservation_id"]
-            cause = "lost_promise" if loser["state"] == "confirmed" else "overbooking"
-            self._cancel_reservation(replica, ref, rid, cause, "overbook", f"overbook:{rid}")
-
     def _cancel_reservation(self, replica: Replica, ref: EntityRef, reservation_id: str,
                             cause: str, step_id: str, base: str) -> None:
-        """Cancel a reservation as the infrastructure. A committed cancel is a
-        broken promise and gets an apology, except an expiry: that is the
-        agreed deal."""
+        """Cancel a reservation as the infrastructure. A cancel is a broken
+        promise, and its batch carries the apology, except an expiry: that is
+        the agreed deal."""
         template = {
             "kind": "cancel",
             "entity": str(ref),
             "reservation_id": reservation_id,
             "cause": cause,
+            "apologize": cause != "expired",
         }
-        outcome = self._run_infra_step(replica, step_id, template, base)
-        if cause == "expired" or outcome is None or outcome.status != "committed":
-            return
-        keys = [f"cancel:{reservation_id}:{cause}"]
-        payload = apology_payload(reservation_id, cause, str(ref), keys)
-        batch = CommitBatch(txn_id=replica.next_txn_id("sys"), session="sys")
-        bus.enqueue(batch, [self._apology_message(replica, f"{batch.txn_id}:m0", payload)])
-        self._commit_batch(replica, batch)
-        self._launch_outbox(replica)
+        self._run_infra_step(replica, step_id, template, base)
 
     def _apology_message(self, replica: Replica, message_id: str, payload: dict) -> QueueMessage:
         return QueueMessage(
@@ -1002,7 +1030,7 @@ class Simulator:
         return lines
 
     def _merge_remote_events(self, replica: Replica, events_by_partition: dict) -> None:
-        touched: dict[EntityRef, bool] = defaultdict(bool)  # ref -> the batch carried an insert on it
+        touched: dict[EntityRef, list[EventRecord]] = defaultdict(list)  # ref -> the events added
         for pid, lines in sorted(events_by_partition.items()):
             log = replica.store.log(pid)
             for line in lines:
@@ -1010,16 +1038,16 @@ class Simulator:
                     continue  # already held: skip the decode (an unreadable id is None)
                 event = EventRecord.from_line(line)
                 if replica.store.ingest_foreign(pid, event):
-                    touched[event.entity_ref] |= event.op_kind == OP_INSERT
+                    touched[event.entity_ref].append(event)
         if touched:
             self._reconcile(replica, touched)
             self._rearm_all_syncs()
 
-    def _reconcile(self, replica: Replica, touched: dict[EntityRef, bool]) -> None:
-        """For each touched entity (mapped to whether the batch held an insert
-        on it): read its fold once, escalate a resurrection it recorded or else
-        report conflicts until one report per replica and entity is kept, then
-        remediate capacity and resolve waiting references, as normal steps."""
+    def _reconcile(self, replica: Replica, touched: dict[EntityRef, list[EventRecord]]) -> None:
+        """For each touched entity (mapped to the events the merge added):
+        read its fold once, escalate a resurrection it recorded or else
+        report conflicts until one report per replica and entity is kept,
+        then run the follow-up of the added events."""
         for ref in sorted(touched, key=str):
             spec = self.registry.get(ref.entity_type)
             partition = replica.store.route(ref)
@@ -1035,10 +1063,7 @@ class Simulator:
                         self.conflict_reports[report_key] = report.dump()
                 except UnmergeableCustom:
                     self._open_reconcile_exception(replica, ref, "unmergeable", str(ref))
-            if spec.has_capacity:
-                self._remediate_overbooking(replica, ref)
-            if touched[ref]:
-                self._resolve_waiting_references(replica, ref)
+            self._follow_up(replica, ref, touched[ref])
 
     def _open_reconcile_exception(self, replica: Replica, ref: EntityRef, kind: str, detail: str) -> None:
         exc_id = f"{kind}:{ref}"

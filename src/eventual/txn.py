@@ -304,9 +304,10 @@ def interpret(template: dict, ctx: StepContext) -> StepPlan:
         view = ctx.rollup(entity).value.get("reservations", {})
         if rid not in view:
             raise UnknownReservation(rid)
-        plan.events.append(
-            (entity, OP_CANCEL, {"reservation_id": rid, "cause": cause}, f"cancel:{rid}:{cause}")
-        )
+        key = f"cancel:{rid}:{cause}"
+        plan.events.append((entity, OP_CANCEL, {"reservation_id": rid, "cause": cause}, key))
+        if template.get("apologize"):
+            plan.messages.append(_apology_draft(rid, cause, entity, key))
         return plan
 
     if kind == "physical_count":
@@ -357,24 +358,9 @@ def _plan_confirm(ctx: StepContext, entity: EntityRef, rid: str, emits: list[Mes
     losers = {l["reservation_id"] for l in detect_overbooking(state.value, spec)}
     if rid in losers:
         # reconciliation already doomed this reservation: apologize, don't confirm
-        plan.events.append(
-            (
-                entity,
-                OP_CANCEL,
-                {"reservation_id": rid, "cause": "overbooking"},
-                f"overbook-cancel:{rid}",
-            )
-        )
-        plan.messages.append(
-            MessageDraft(
-                msg_type="_apology.record",
-                payload=apology_payload(
-                    rid, "overbooking", str(entity), [f"overbook-cancel:{rid}"]
-                ),
-                to="notify",
-                key=f"apology:{rid}",
-            )
-        )
+        key = f"overbook-cancel:{rid}"
+        plan.events.append((entity, OP_CANCEL, {"reservation_id": rid, "cause": "overbooking"}, key))
+        plan.messages.append(_apology_draft(rid, "overbooking", entity, key))
         plan.messages.append(
             MessageDraft(
                 msg_type="reservation.rejected",
@@ -387,6 +373,14 @@ def _plan_confirm(ctx: StepContext, entity: EntityRef, rid: str, emits: list[Mes
     plan.events.append((entity, OP_CONFIRM, {"reservation_id": rid}, f"confirm:{rid}"))
     plan.messages.extend(emits)
     return plan
+
+
+def _apology_draft(subject: str, cause: str, entity: EntityRef, cancel_key: str) -> MessageDraft:
+    """The apology for the promise a cancel (keyed ``cancel_key``) breaks,
+    sent in that cancel's batch. Its key is the apology id, so every replica
+    that decides the same apology sends one logical message."""
+    body = apology_payload(subject, cause, str(entity), [cancel_key])
+    return MessageDraft("_apology.record", body, to="notify", key=body["apology_id"])
 
 
 # -- execution ------------------------------------------------------------
@@ -506,7 +500,8 @@ def commit(replica: Replica, batch: CommitBatch, now: int = 0) -> None:
     network traffic, no waiting, no conflict validation.
 
     Replaying an identical batch is a no-op (idempotent by event id), so
-    crash-recovery replays leave the log byte-identical.
+    crash-recovery replays leave the log byte-identical. The replica's
+    ``on_commit`` hook runs last, once the whole batch is durable.
     """
     refs = {e.entity_ref for e in batch.events}
     if len(refs) > 1:
@@ -534,6 +529,8 @@ def commit(replica: Replica, batch: CommitBatch, now: int = 0) -> None:
     replica.audit_log.extend(batch.audit)
     batch.open = False
     replica.commit_times.append(now)
+    if replica.on_commit is not None:
+        replica.on_commit()
 
 
 def apply_pending_actions(replica: Replica, descriptor: PendingActionDescriptor, now: int = 0) -> dict:

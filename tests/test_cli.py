@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from eventual.cli import main
+from eventual.cli import check_invariants, main
 from eventual.scenario import load_scenario
-from eventual.sim import Simulator
+from eventual.sim import RunReport, Simulator
 from eventual.store import EntityRef
 
 SCENARIOS = Path(__file__).parent.parent / "src" / "eventual" / "scenarios"
@@ -333,3 +333,47 @@ def test_history_unknown_entity_is_a_diagnostic(capsys):
 def test_usage_error_exits_two(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def _report(reservations: dict, apologies=(), open_exceptions=(), quiescent=True) -> RunReport:
+    """A quiescent report of replica A holding book/moby with ``reservations``
+    (id -> cause) and customer/c1, plus the given apology subjects and open
+    exception ids."""
+    entry = {rid: {"state": "cancelled", "cause": cause} for rid, cause in reservations.items()}
+    return RunReport(
+        quiescent=quiescent,
+        rollups={"A": {
+            "book/moby": json.dumps({"value": {"reservations": entry}, "deleted": False}),
+            "customer/c1": json.dumps({"value": {}, "deleted": False}),
+        }},
+        apologies=[{"apology_id": f"apology:{s}", "subject": s} for s in apologies],
+        exceptions={"A": {"open": list(open_exceptions), "resolved": []}},
+    )
+
+
+def test_each_broken_promise_has_exactly_one_apology():
+    assert check_invariants(_report({"r1": "overbooking", "r2": "expired"}, ["r1"])) == []
+    assert check_invariants(_report({"r1": "disaster"})) == [
+        "APOLOGY_COUNT: r1 broke a promise and has 0 apologies"
+    ]
+    assert check_invariants(_report({"r1": "lost_promise"}, ["r1", "r1"])) == [
+        "APOLOGY_COUNT: r1 broke a promise and has 2 apologies"
+    ]
+    assert check_invariants(_report({"r1": "expired"}, ["r1"])) == [
+        "APOLOGY_COUNT: apology for r1, which broke no promise"
+    ]
+
+
+def test_no_reference_stays_open_beside_its_parent():
+    held = "refviol:opportunity/o1:customer/c1"
+    missing = "refviol:opportunity/o2:customer/c2"
+    assert check_invariants(_report({}, open_exceptions=[missing])) == []
+    assert check_invariants(_report({}, open_exceptions=[held, missing])) == [
+        f"REFERENCE_OPEN: {held} open on A, which holds the parent"
+    ]
+
+
+def test_the_promise_and_reference_checks_wait_for_quiescence():
+    report = _report({"r1": "disaster"}, open_exceptions=["refviol:opportunity/o1:customer/c1"],
+                     quiescent=False)
+    assert check_invariants(report) == ["NOT_QUIESCENT: work remained at end of run"]
