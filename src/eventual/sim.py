@@ -555,18 +555,19 @@ class Simulator:
             self._commit_batch(replica, batch)
         if plan.message_drafts:
             batch = CommitBatch(txn_id=replica.next_txn_id("sys"), session="sys")
-            messages = [
-                QueueMessage(
-                    message_id=f"{batch.txn_id}:m{i}",
-                    destination=tuple(draft["destination"]),
-                    msg_type=draft["msg_type"],
-                    payload=draft["payload"],
-                    idempotence_key=draft["idempotence_key"],
-                    enqueue_stamp=self.now,
-                    sender=replica.replica_id,
+            messages = []
+            for i, draft in enumerate(plan.message_drafts):
+                messages.append(
+                    QueueMessage(
+                        message_id=f"{batch.txn_id}:m{i}",
+                        destination=tuple(draft["destination"]),
+                        msg_type=draft["msg_type"],
+                        payload=draft["payload"],
+                        idempotence_key=draft["idempotence_key"],
+                        enqueue_stamp=self.now,
+                        sender=replica.replica_id,
+                    )
                 )
-                for i, draft in enumerate(plan.message_drafts)
-            ]
             bus.enqueue(batch, messages)
             self._commit_batch(replica, batch)
         if plan.message_drafts or plan.apologies:
