@@ -53,7 +53,7 @@ from .process import (
 )
 from .registry import SchemaRegistry
 from .replica import Replica
-from .replication import compensation_plan, detect_overbooking, resolve
+from .replication import compensation_plan, detect_overbooking, resolve, shared_partitions
 from .store import (
     OP_DISCREPANCY,
     OP_INSERT,
@@ -252,6 +252,17 @@ class Simulator:
             for rid, parts in sorted(hosted.items())
         }
 
+        # each replica's sync peers, in id order, with the partitions it
+        # shares with each: the topology never changes during a run
+        self._sync_peers: dict[str, list[tuple[str, list[str]]]] = {
+            rid: [
+                (other, shared)
+                for other, peer in self.replicas.items()
+                if other != rid and (shared := shared_partitions(replica, peer))
+            ]
+            for rid, replica in self.replicas.items()
+        }
+
         self.manager = ProcessManager()
         for proc in scenario.processes:
             self.manager.register_process(proc)
@@ -272,6 +283,8 @@ class Simulator:
             "client_requests": 0,
         }
         self._delivered_ids: set[str] = set()
+        # every sync line decoded in this run -> its record, shared by all receivers
+        self._decoded: dict[str, EventRecord] = {}
         self.handler_effects: dict[str, int] = {}
         self.commit_path_sends = 0
         self.multi_entity_rejections = 0
@@ -443,11 +456,11 @@ class Simulator:
         for replica in self.replicas.values():
             if not replica.alive:
                 return False
-            if replica.outbox.pending():
+            if any(not entry.acked for entry in replica.outbox.entries):
                 return False
             if len(replica.inbox) > 0:
                 return False
-            if replica.unapplied_descriptors():
+            if any(txn_id not in replica.descriptors_done for txn_id in replica.descriptors):
                 return False
         return True
 
@@ -988,19 +1001,11 @@ class Simulator:
         if self._app_quiet() and self._frontiers_converged():
             return  # nothing left to reconcile; timers stay disarmed
         replica = self.replicas[rid]
-        peers = sorted(
-            other
-            for other, peer in self.replicas.items()
-            if other != rid and set(peer.partitions_hosted()) & set(replica.partitions_hosted())
-        )
+        peers = self._sync_peers[rid]
         if peers:
-            peer = peers[self.rng.randrange(len(peers))] if len(peers) > 1 else peers[0]
+            peer, shared = peers[self.rng.randrange(len(peers))] if len(peers) > 1 else peers[0]
             if self._reachable(rid, peer) and self.replicas[peer].alive:
-                frontiers = {
-                    pid: replica.frontier(pid).to_dict()
-                    for pid in replica.partitions_hosted()
-                    if pid in self.replicas[peer].store.partitions
-                }
+                frontiers = {pid: replica.frontier(pid).to_dict() for pid in shared}
                 self._send(rid, peer, "sync_req", {"frontiers": frontiers}, f"sync:{rid}->{peer}")
         self._arm_sync(rid, self.config.sync_interval)
 
@@ -1031,14 +1036,28 @@ class Simulator:
         return lines
 
     def _merge_remote_events(self, replica: Replica, events_by_partition: dict) -> None:
+        """Ingest the shipped lines the replica lacks, then reconcile.
+
+        Each distinct line is decoded once per run: every receiver gets the
+        same read-only record, and keeps the line as the event's archival
+        line, so relaying it later encodes nothing. A line not decoded yet
+        is skipped unread when its id is held (``peek_id``; None for a line
+        it cannot read), and otherwise decoded, so a malformed one raises
+        MalformedEvent.
+        """
         touched: dict[EntityRef, list[EventRecord]] = defaultdict(list)  # ref -> the events added
+        decoded = self._decoded
         for pid, lines in sorted(events_by_partition.items()):
             log = replica.store.log(pid)
             for line in lines:
-                if EventRecord.peek_id(line) in log:
-                    continue  # already held: skip the decode (an unreadable id is None)
-                event = EventRecord.from_line(line)
-                if replica.store.ingest_foreign(pid, event):
+                event = decoded.get(line)
+                if event is None:
+                    if EventRecord.peek_id(line) in log:
+                        continue
+                    event = decoded[line] = EventRecord.from_line(line)
+                elif event.event_id in log:
+                    continue
+                if replica.store.ingest_foreign(pid, event, line):
                     touched[event.entity_ref].append(event)
         if touched:
             self._reconcile(replica, touched)

@@ -43,9 +43,14 @@ events (``summarize`` raises ``CutNotClosed`` otherwise).
 
 Anti-entropy costs what the merge changed. A partition log indexes its
 events by origin in sequence order, so ``missing_for`` bisects each
-origin at the remote frontier, and the log encodes each event's line
-once (``PartitionLog.line``). A receiver reads a line's id with
-``EventRecord.peek_id`` and skips the ids it holds without decoding.
+origin at the remote frontier. Each event crosses the wire as one line,
+encoded once, at its origin (``PartitionLog.line``); a log that ingests
+an event with the line it arrived as keeps that line, so a relay
+forwards the received bytes without encoding them again, and a valid
+line that is not canonical travels on as received. The simulator
+decodes each distinct line once per run and hands every receiver the
+same read-only record; a receiver that holds a line's id skips it
+(``EventRecord.peek_id`` reads the id of a line not yet decoded).
 """
 
 from __future__ import annotations
@@ -550,7 +555,7 @@ class PartitionLog:
     waits on. The indexes only grow, like the log, and survive a crash
     with it, so they need no rebuild; summarizing archives an entity's
     events but keeps its entries. ``line`` keeps each event's archival
-    line once it is first encoded.
+    line: the one it was appended with, or else its first encoding.
     """
 
     def __init__(self, partition_id: str):
@@ -569,8 +574,12 @@ class PartitionLog:
     def __contains__(self, event_id: EventId) -> bool:
         return event_id in self._by_id
 
-    def append(self, event: EventRecord) -> int:
-        """Append one event; returns its position in arrival order."""
+    def append(self, event: EventRecord, line: str | None = None) -> int:
+        """Append one event; returns its position in arrival order.
+
+        ``line``, when given, is the event's archival line as it was
+        received; ``line`` returns it from then on.
+        """
         origin = event.event_id.replica
         seq = event.event_id.seq
         if event.event_id in self._by_id:
@@ -582,6 +591,8 @@ class PartitionLog:
         self.events.append(event)
         self._by_id[event.event_id] = event
         self._live_by_entity.setdefault(event.entity_ref, []).append(event)
+        if line is not None:
+            self._lines[event.event_id] = line
         if event.op_kind == OP_DISCREPANCY:
             detail = event.payload.get("detail")
             if isinstance(detail, dict) and isinstance(detail.get("parent"), str):
@@ -595,7 +606,9 @@ class PartitionLog:
         return self._by_id[event_id]
 
     def line(self, event: EventRecord) -> str:
-        """The event's archival line (``to_line``), encoded on first use only."""
+        """The event's archival line: the line it was received as, else its
+        ``to_line``, encoded on first use only. A relay forwards the bytes
+        it received, so only the origin encodes."""
         line = self._lines.get(event.event_id)
         if line is None:
             line = self._lines[event.event_id] = event.to_line()
@@ -727,20 +740,21 @@ class ReplicaStore:
             self.log(partition).frontier(), entity_ref, op_kind, payload, idempotence_key, origin_txn_id
         )
 
-    def append_event(self, partition_id: str, event: EventRecord) -> int:
+    def append_event(self, partition_id: str, event: EventRecord, line: str | None = None) -> int:
         """Append to the addressed partition; raises on misrouting."""
         if self.route(event.entity_ref) != partition_id:
             raise WrongPartition(
                 f"{event.entity_ref} does not belong to partition {partition_id!r}"
             )
-        position = self.log(partition_id).append(event)
+        position = self.log(partition_id).append(event, line)
         self.factory.observe(event.lww_hint)
         return position
 
-    def ingest_foreign(self, partition_id: str, event: EventRecord) -> bool:
-        """Append an event learned from a peer; duplicate ids are fine."""
+    def ingest_foreign(self, partition_id: str, event: EventRecord, line: str | None = None) -> bool:
+        """Append an event learned from a peer, with the line it arrived
+        as, if any; duplicate ids are fine."""
         try:
-            self.append_event(partition_id, event)
+            self.append_event(partition_id, event, line)
             return True
         except DuplicateEventId:
             return False

@@ -10,11 +10,12 @@ import pytest
 import eventual.process
 import eventual.sim
 from eventual.bus import QueueMessage
+from eventual.clocks import VersionVector
 from eventual.errors import MalformedEvent
 from eventual.process import scan_exceptions
 from eventual.scenario import load_scenario, parse_scenario
 from eventual.sim import Simulator, run
-from eventual.store import OP_INSERT, EventId, EntityRef, EventRecord, ReplicaStore
+from eventual.store import OP_INSERT, EntityRef, EventRecord, ReplicaStore
 
 SCENARIOS = Path(__file__).parent.parent / "src" / "eventual" / "scenarios"
 
@@ -787,11 +788,11 @@ actions:
 def test_sync_work_grows_with_the_diff(folds, monkeypatch):
     # Integer deltas fold in place however late they arrive, so with no
     # crash nothing rebuilds: each replica folds each event it holds at
-    # most once. Each replica encodes an event's line at most once however
-    # often it ships it, and decodes only lines whose id it lacks.
+    # most once. Each event crosses the wire as one line: its origin
+    # encodes it, relays forward the bytes they received, and the run
+    # decodes each distinct line once, however many replicas it reaches.
     to_line, from_line = EventRecord.to_line, EventRecord.from_line
-    missing_lines, merge = Simulator._missing_lines, Simulator._merge_remote_events
-    encodes, decodes, unheld, shipped = [0], [0], [0], set()
+    encodes, decodes = [0], [0]
 
     def counted_to_line(event):
         encodes[0] += 1
@@ -801,39 +802,50 @@ def test_sync_work_grows_with_the_diff(folds, monkeypatch):
         decodes[0] += 1
         return from_line(line)
 
-    def recorded_missing_lines(sim, replica, frontiers):
-        lines = missing_lines(sim, replica, frontiers)
-        for pid, batch in lines.items():
-            shipped.update((replica.replica_id, pid, json.loads(line)["event_id"]) for line in batch)
-        return lines
-
-    def recorded_merge(sim, replica, events_by_partition):
-        for pid, batch in events_by_partition.items():
-            log = replica.store.log(pid)
-            unheld[0] += sum(EventId.parse(json.loads(line)["event_id"]) not in log for line in batch)
-        merge(sim, replica, events_by_partition)
-
     monkeypatch.setattr(EventRecord, "to_line", counted_to_line)
     monkeypatch.setattr(EventRecord, "from_line", classmethod(counted_from_line))
-    monkeypatch.setattr(Simulator, "_missing_lines", recorded_missing_lines)
-    monkeypatch.setattr(Simulator, "_merge_remote_events", recorded_merge)
 
     def work(blocks):
-        folds[0] = encodes[0] = decodes[0] = unheld[0] = 0
-        shipped.clear()
+        folds[0] = encodes[0] = decodes[0] = 0
         sim = Simulator(parse_scenario(partitioned_deltas(blocks)))
         report = sim.run()
         assert report.quiescent and converged(report)
+        made = 3 * blocks
         appended = sum(len(r.store.log("p0").events) for r in sim.replicas.values())
-        assert appended == 3 * 3 * blocks
+        assert appended == 3 * made
         assert 0 < folds[0] <= appended
-        assert 0 < encodes[0] <= len(shipped)
-        assert 0 < decodes[0] <= unheld[0]
+        assert 0 < encodes[0] <= made
+        assert 0 < decodes[0] <= made
         return folds[0], encodes[0], decodes[0]
 
     small, large = work(20), work(40)
     for s, b in zip(small, large):
         assert b <= 2.2 * s
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_replicas_share_each_synced_record_and_none_mutates_it(path):
+    # Receivers hold the one record the run decoded from a line: no fold,
+    # scan or step may edit it, or every replica would see the edit.
+    scenario = load_scenario(path)
+    relayed = 0
+    for seed in range(3):
+        scenario.config.seed = seed
+        sim = Simulator(scenario)
+        sim.run()
+        received: dict = {}  # (partition, event id) -> the records its receivers hold
+        for rid, replica in sorted(sim.replicas.items()):
+            for pid in replica.partitions_hosted():
+                log = replica.store.log(pid)
+                for event in log.missing_for(VersionVector()):
+                    assert log.line(event) == event.to_line(), (rid, event.event_id)
+                    if event.event_id.replica != rid:
+                        received.setdefault((pid, event.event_id), []).append(event)
+        for key, records in received.items():
+            assert all(r is records[0] for r in records), key
+            relayed += len(records) > 1
+    if path.stem == "gossip":
+        assert relayed > 0  # its three replicas share what they receive
 
 
 @pytest.mark.parametrize(
