@@ -928,9 +928,13 @@ class Simulator:
                 )
         spec = self.registry.get(ref.entity_type)
         if spec.has_capacity:
-            value = replica.store.rollup(replica.store.route(ref), ref).value
+            partition = replica.store.route(ref)
+            value = replica.store.rollup(partition, ref).value
             for loser in detect_overbooking(value, spec):
                 reservation_id = loser["reservation_id"]
+                view = replica.store.fold_state(partition, ref).reservation_view()
+                if view[reservation_id]["state"] not in ("tentative", "confirmed"):
+                    continue  # the follow-up of an earlier loser's cancel cancelled it
                 cause = "lost_promise" if loser["state"] == "confirmed" else "overbooking"
                 self._cancel_reservation(
                     replica, ref, reservation_id, cause, "overbook", f"overbook:{reservation_id}"

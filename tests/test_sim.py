@@ -15,7 +15,7 @@ from eventual.errors import MalformedEvent
 from eventual.process import scan_exceptions
 from eventual.scenario import load_scenario, parse_scenario
 from eventual.sim import Simulator, run
-from eventual.store import OP_INSERT, EntityRef, EventRecord, ReplicaStore
+from eventual.store import OP_CANCEL, OP_INSERT, EntityRef, EventRecord, ReplicaStore
 
 SCENARIOS = Path(__file__).parent.parent / "src" / "eventual" / "scenarios"
 
@@ -201,6 +201,26 @@ def test_no_apologies_when_total_reservations_fit():
     report = run(parse_scenario(trimmed), seed=0)
     assert report.quiescent
     assert len(report.apologies) == 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_each_replica_cancels_each_capacity_loser_once(seed):
+    # A cancel's own follow-up remediates the entity again; a loser it
+    # cancels there must not be cancelled a second time.
+    scenario = load_scenario(SCENARIOS / "overbooking.yaml")
+    scenario.config.seed = seed
+    sim = Simulator(scenario)
+    report = sim.run()
+    assert report.quiescent and converged(report)
+    cancels: dict[tuple[str, str], int] = {}
+    overbooked = 0
+    for event in sim.replicas["A"].store.log("p0").missing_for(VersionVector()):
+        if event.op_kind == OP_CANCEL:
+            key = (event.event_id.replica, event.payload["reservation_id"])
+            cancels[key] = cancels.get(key, 0) + 1
+            overbooked += event.payload["cause"] in ("overbooking", "lost_promise")
+    assert overbooked > 0
+    assert {key: n for key, n in cancels.items() if n != 1} == {}
 
 
 DISASTER = """
