@@ -577,8 +577,8 @@ class PartitionLog:
     def append(self, event: EventRecord, line: str | None = None) -> int:
         """Append one event; returns its position in arrival order.
 
-        ``line``, when given, is the event's archival line as it was
-        received; ``line`` returns it from then on.
+        ``line``, when given, is the line the event was received as; the
+        log keeps it as the event's archival line (``PartitionLog.line``).
         """
         origin = event.event_id.replica
         seq = event.event_id.seq

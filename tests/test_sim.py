@@ -848,7 +848,7 @@ def test_replicas_share_each_synced_record_and_none_mutates_it(path):
     # Receivers hold the one record the run decoded from a line: no fold,
     # scan or step may edit it, or every replica would see the edit.
     scenario = load_scenario(path)
-    relayed = 0
+    shared = 0
     for seed in range(3):
         scenario.config.seed = seed
         sim = Simulator(scenario)
@@ -863,9 +863,9 @@ def test_replicas_share_each_synced_record_and_none_mutates_it(path):
                         received.setdefault((pid, event.event_id), []).append(event)
         for key, records in received.items():
             assert all(r is records[0] for r in records), key
-            relayed += len(records) > 1
+            shared += len(records) > 1
     if path.stem == "gossip":
-        assert relayed > 0  # its three replicas share what they receive
+        assert shared > 0  # its three replicas each receive what the others make
 
 
 @pytest.mark.parametrize(
