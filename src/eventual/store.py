@@ -107,12 +107,24 @@ _LINE_HEAD = '{"event_id":"'
 _LINE_LAST = ',"origin_txn_id":"'
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
 def canon(obj):
-    """Recursively sort dict keys so serialized forms are byte-stable."""
+    """Recursively sort dict keys so serialized forms are byte-stable.
+
+    Dicts come back as new dicts with their keys sorted, lists and tuples
+    as new lists; any other value is returned as it is. Leaf values are
+    copied without a recursive call.
+    """
     if isinstance(obj, dict):
-        return {k: canon(obj[k]) for k in sorted(obj)}
+        out = {}
+        for k in sorted(obj):
+            v = obj[k]
+            out[k] = canon(v) if isinstance(v, _CONTAINERS) else v
+        return out
     if isinstance(obj, (list, tuple)):
-        return [canon(x) for x in obj]
+        return [canon(x) if isinstance(x, _CONTAINERS) else x for x in obj]
     return obj
 
 
@@ -150,7 +162,7 @@ class EventRecord(NamedTuple):
     parameters of the business action (the deposit amount, the reserved
     quantity), never the resulting state. It becomes canonical (``canon``:
     keys sorted at every depth) where a record is made, in
-    ``EventFactory.make_event`` and ``from_line``, so ``to_line`` writes
+    ``ReplicaStore.make_event`` and ``from_line``, so ``to_line`` writes
     it as it is.
     """
 
@@ -565,7 +577,8 @@ class PartitionLog:
         self._live_by_entity: dict[EntityRef, list[EventRecord]] = {}
         self._by_origin: dict[str, list[EventRecord]] = {}
         self._by_parent: dict[str, set[EntityRef]] = {}
-        # the last seq of each origin's list, kept apart: the frontier copies it per event made
+        # the last seq of each origin's list, kept apart: the frontier, and
+        # each event made here (``ReplicaStore.make_event``) copies it
         self._max_seq: dict[str, int] = {}
         self._lines: dict[EventId, str] = {}
         self.checkpoints: dict[EntityRef, Checkpoint] = {}
@@ -648,44 +661,6 @@ class PartitionLog:
         return covered
 
 
-class EventFactory:
-    """Allocates event identity for one replica.
-
-    Sequence numbers are a single monotone counter per replica; lww hints
-    are a Lamport clock bumped past every observed hint.
-    """
-
-    def __init__(self, replica_id: str):
-        self.replica_id = replica_id
-        self.seq = 0
-        self.lamport = 0
-
-    def observe(self, lww_hint: int) -> None:
-        self.lamport = max(self.lamport, lww_hint)
-
-    def make_event(
-        self,
-        frontier: VersionVector,
-        entity_ref: EntityRef,
-        op_kind: str,
-        payload: dict,
-        idempotence_key: str,
-        origin_txn_id: str,
-    ) -> EventRecord:
-        self.seq += 1
-        self.lamport += 1
-        return EventRecord(
-            event_id=EventId(self.replica_id, self.seq),
-            entity_ref=entity_ref,
-            op_kind=op_kind,
-            payload=canon(payload),
-            causal_stamp=frontier.with_entry(self.replica_id, self.seq),
-            lww_hint=self.lamport,
-            idempotence_key=idempotence_key,
-            origin_txn_id=origin_txn_id,
-        )
-
-
 class ReplicaStore:
     """All partition logs hosted by one replica, plus the read machinery."""
 
@@ -700,7 +675,10 @@ class ReplicaStore:
         self.registry = registry
         self.partitions: dict[str, PartitionLog] = {p: PartitionLog(p) for p in partitions}
         self.placement = dict(placement)
-        self.factory = EventFactory(replica_id)
+        # event identity: one monotone sequence for all the replica's
+        # partitions, and a Lamport clock bumped past every hint appended
+        self.seq = 0
+        self.lamport = 0
         self.lock_guard = None  # set by the txn engine; callable(entity_ref) -> bool
         # partition -> ref -> (state, live events folded, greatest canonical key among them)
         self._folds: dict[str, dict[EntityRef, tuple[FoldState, int, tuple | None]]] = {
@@ -734,10 +712,31 @@ class ReplicaStore:
         idempotence_key: str,
         origin_txn_id: str,
     ) -> EventRecord:
-        partition = self.route(entity_ref)
+        """A new local event on ``entity_ref``, made but not appended.
+
+        Routes the entity (WrongPartition if no hosted partition takes its
+        type) and validates the payload first. The event takes the next
+        sequence number and Lamport hint, a canonical copy of the payload
+        (``canon``), and as causal stamp its partition log's frontier with
+        this replica's entry raised to the new sequence number, never
+        lowered: one copy of the frontier.
+        """
+        log = self.partitions[self.route(entity_ref)]
         self.registry.validate_payload(entity_ref.entity_type, payload)
-        return self.factory.make_event(
-            self.log(partition).frontier(), entity_ref, op_kind, payload, idempotence_key, origin_txn_id
+        self.seq = seq = self.seq + 1
+        self.lamport += 1
+        stamp = dict(log._max_seq)
+        if seq > stamp.get(self.replica_id, 0):
+            stamp[self.replica_id] = seq
+        return EventRecord(
+            EventId(self.replica_id, seq),
+            entity_ref,
+            op_kind,
+            canon(payload),
+            VersionVector._of(stamp),
+            self.lamport,
+            idempotence_key,
+            origin_txn_id,
         )
 
     def append_event(self, partition_id: str, event: EventRecord, line: str | None = None) -> int:
@@ -747,8 +746,13 @@ class ReplicaStore:
                 f"{event.entity_ref} does not belong to partition {partition_id!r}"
             )
         position = self.log(partition_id).append(event, line)
-        self.factory.observe(event.lww_hint)
+        self.observe(event.lww_hint)
         return position
+
+    def observe(self, lww_hint: int) -> None:
+        """Bump the Lamport clock past an appended event's hint."""
+        if lww_hint > self.lamport:
+            self.lamport = lww_hint
 
     def ingest_foreign(self, partition_id: str, event: EventRecord, line: str | None = None) -> bool:
         """Append an event learned from a peer, with the line it arrived

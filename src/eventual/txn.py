@@ -95,7 +95,7 @@ class MessageDraft:
     key: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class StepPlan:
     """Everything a handler wants done; fully describes the step's output."""
 
@@ -106,7 +106,7 @@ class StepPlan:
     reject: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitBatch:
     """One local atomic unit: events, outbox messages, descriptor, marks."""
 
@@ -123,7 +123,7 @@ class CommitBatch:
     open: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class StepOutcome:
     txn_id: str
     status: str  # "committed" | "rolled_back"
@@ -389,9 +389,12 @@ def _apology_draft(subject: str, cause: str, entity: EntityRef, cancel_key: str)
 def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
     """Run one process step as (at most) one single-entity transaction.
 
-    Raises MultiEntityWriteRejected if the plan touches two entities and
-    LockConflict if another session holds the written entity; the
-    scheduler defers and retries the latter.
+    One pass: the handler plans; the one-entity rule (raising
+    MultiEntityWriteRejected if the plan touches two entities) and the
+    lock checks (raising LockConflict if another session holds an entity
+    the batch needs; the scheduler defers and retries it) run before
+    anything is made. ``ReplicaStore.make_event`` then routes each event,
+    validates its payload and stamps it, and ``commit`` appends the batch.
     """
     plan = step.handler(ctx) if callable(step.handler) else interpret(step.handler, ctx)
 
@@ -399,11 +402,14 @@ def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
         ctx.replica.audit_log.extend(plan.audit)  # survives the rollback
         return StepOutcome(txn_id="", status="rolled_back")
 
-    refs = {ref for ref, _, _, _ in plan.events}
-    if len(refs) > 1:
-        named = sorted(map(str, refs))
-        raise MultiEntityWriteRejected(f"step {step.step_id} plans writes on {named}")
-    written = next(iter(refs)) if refs else None
+    planned = plan.events
+    if len(planned) > 1:
+        refs = {ref for ref, _, _, _ in planned}
+        if len(refs) > 1:
+            named = sorted(map(str, refs))
+            raise MultiEntityWriteRejected(f"step {step.step_id} plans writes on {named}")
+    written = planned[0][0] if planned else None
+    replica = ctx.replica
 
     # check every lock the batch will need before touching anything, so a
     # conflict defers the whole step instead of poisoning a half-commit
@@ -412,14 +418,16 @@ def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
         if action.kind == AGGREGATE_UPDATE:
             lock_needs.append(EntityRef.parse(action.params["target"]))
     for ref in lock_needs:
-        if ctx.replica.locks.blocked(ref, ctx.session):
+        if replica.locks.blocked(ref, ctx.session):
             raise LockConflict(str(ref))
 
-    txn_id = ctx.replica.next_txn_id(ctx.session)
-    events = []
-    for i, (ref, op_kind, payload, key_override) in enumerate(plan.events):
-        key = key_override or f"{ctx.idempotence_base}:{step.step_id}:{i}"
-        events.append(ctx.replica.store.make_event(ref, op_kind, payload, key, txn_id))
+    txn_id = replica.next_txn_id(ctx.session)
+    make_event = replica.store.make_event
+    base = f"{ctx.idempotence_base}:{step.step_id}"
+    events = [
+        make_event(ref, op_kind, payload, key_override or f"{base}:{i}", txn_id)
+        for i, (ref, op_kind, payload, key_override) in enumerate(planned)
+    ]
 
     messages = []
     for i, draft in enumerate(plan.messages):
@@ -435,32 +443,26 @@ def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
                 payload=dict(draft.payload),
                 idempotence_key=key,
                 enqueue_stamp=ctx.now,
-                sender=ctx.replica.replica_id,
+                sender=replica.replica_id,
             )
         )
 
-    actions = list(plan.pending)
-    actions.extend(_referential_checks(ctx.replica, events))
+    actions = plan.pending + _referential_checks(replica, events)
     descriptor = None
     if actions:
         # referential checks take no lock, so the scope is what was checked above
         descriptor = PendingActionDescriptor(txn_id, ctx.session, actions, lock_needs)
 
-    batch = CommitBatch(txn_id=txn_id, session=ctx.session, events=events, descriptor=descriptor)
-    bus.enqueue(batch, messages)
+    batch = CommitBatch(txn_id, ctx.session, events, descriptor=descriptor, audit=plan.audit)
+    if messages:
+        bus.enqueue(batch, messages)
     if ctx.consume_marker is not None:
         batch.inbox_remove, batch.processed_key = ctx.consume_marker
-    batch.audit = list(plan.audit)
-    batch.lock_scope = list(descriptor.lock_scope) if descriptor else []
-    commit(ctx.replica, batch, ctx.now)
+    if descriptor is not None:
+        batch.lock_scope = list(lock_needs)
+    commit(replica, batch, ctx.now)
 
-    return StepOutcome(
-        txn_id=txn_id,
-        status="committed",
-        appended_events=events,
-        enqueued_messages=messages,
-        pending_descriptor=descriptor,
-    )
+    return StepOutcome(txn_id, "committed", events, messages, descriptor)
 
 
 def _route(ctx: StepContext, to, written: EntityRef | None) -> tuple[str, str]:
@@ -499,23 +501,33 @@ def commit(replica: Replica, batch: CommitBatch, now: int = 0) -> None:
     """Apply one batch atomically to local storage. Purely local: no
     network traffic, no waiting, no conflict validation.
 
-    Replaying an identical batch is a no-op (idempotent by event id), so
-    crash-recovery replays leave the log byte-identical. The replica's
-    ``on_commit`` hook runs last, once the whole batch is durable.
+    A batch of two or more events must write one entity
+    (MultiEntityWriteRejected, before anything is applied): the rule is
+    checked here for direct callers, and in ``execute_step`` for steps.
+    Locks are taken next. Each event is routed once and appended to its
+    partition log; the log raises SequenceGap on an event out of
+    sequence order. Events were routed, validated and stamped where they
+    were made (``ReplicaStore.make_event``). Replaying an identical batch
+    is a no-op (idempotent by event id), so crash-recovery replays leave
+    the log byte-identical. The replica's ``on_commit`` hook runs last,
+    once the whole batch is durable.
     """
-    refs = {e.entity_ref for e in batch.events}
-    if len(refs) > 1:
-        raise MultiEntityWriteRejected(sorted(map(str, refs)))
+    events = batch.events
+    if len(events) > 1:
+        refs = {e.entity_ref for e in events}
+        if len(refs) > 1:
+            raise MultiEntityWriteRejected(sorted(map(str, refs)))
     # locks first: acquisition is the only part of a batch that can refuse,
     # so taking them up front keeps the batch all-or-nothing
     for ref in batch.lock_scope:
         replica.locks.acquire(ref, batch.session, batch.txn_id)
-    for event in batch.events:
-        partition = replica.store.route(event.entity_ref)
+    store = replica.store
+    for event in events:
         try:
-            replica.store.append_event(partition, event)
+            store.partitions[store.route(event.entity_ref)].append(event)
         except DuplicateEventId:
-            pass  # redelivered batch: idempotent success
+            continue  # redelivered batch: idempotent success
+        store.observe(event.lww_hint)
     for message in batch.messages:
         replica.outbox.add(message)
     if batch.descriptor is not None and batch.descriptor.txn_id not in replica.descriptors:

@@ -493,6 +493,44 @@ def test_the_kept_encoders_write_what_json_dumps_writes(value, payload, deleted)
     )
 
 
+def _canon_reference(obj):
+    """``canon`` as it was first written: one recursive call per value."""
+    if isinstance(obj, dict):
+        return {k: _canon_reference(obj[k]) for k in sorted(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [_canon_reference(x) for x in obj]
+    return obj
+
+
+def _containers(obj) -> list:
+    if isinstance(obj, dict):
+        return [obj] + [c for v in obj.values() for c in _containers(v)]
+    if isinstance(obj, (list, tuple)):
+        return [obj] + [c for v in obj for c in _containers(v)]
+    return []
+
+
+_nested = st.recursive(
+    st.integers() | st.floats(allow_nan=False) | st.text() | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nested)
+def test_canon_returns_what_the_reference_returns_in_the_same_key_order(value):
+    made = store_module.canon(value)
+    expected = _canon_reference(value)
+    assert json.dumps(made) == json.dumps(expected)  # no sort_keys: key order counts
+    assert [type(c) for c in _containers(made)] == [type(c) for c in _containers(expected)]
+    # every dict and list is a new one: a payload never aliases its caller's
+    held = {id(c) for c in _containers(value)}
+    assert not any(id(c) in held for c in _containers(made))
+
+
 def test_vector_stamps_never_share_a_dict():
     log = PartitionLog("p0")
     log.append(_record())

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eventual import store as store_module
+from eventual.clocks import VersionVector
 from eventual.errors import (
     AlreadyTerminal,
     LockConflict,
@@ -12,7 +16,7 @@ from eventual.errors import (
 )
 from eventual.registry import MergePolicy, ParentConstraint, RollupSpec, SchemaRegistry
 from eventual.replica import Replica
-from eventual.store import EntityRef
+from eventual.store import EntityRef, ReplicaStore
 from eventual.txn import (
     CommitBatch,
     ProcessStepDef,
@@ -112,6 +116,93 @@ def test_the_one_entity_rule_names_the_refs_as_text():
     with pytest.raises(MultiEntityWriteRejected, match=f"^{named}$"):
         commit(replica, CommitBatch(txn_id="t1", session="s1", events=events))
     assert replica.store.log("p0").events == []
+
+
+def test_a_direct_two_entity_commit_applies_nothing_of_the_batch():
+    replica = make_replica()
+    commits = []
+    replica.on_commit = lambda: commits.append(1)
+    store = replica.store
+    events = [
+        store.make_event(ACCOUNT, "delta", {"deltas": {"balance": 1}}, "k0", "t1"),
+        store.make_event(ACCOUNT, "delta", {"deltas": {"balance": 2}}, "k1", "t1"),
+        store.make_event(EntityRef("account", "bob"), "delta", {"deltas": {"balance": 3}}, "k2", "t1"),
+    ]
+    batch = CommitBatch(
+        txn_id="t1", session="s1", events=events, processed_key="key", lock_scope=[ACCOUNT]
+    )
+    with pytest.raises(MultiEntityWriteRejected):
+        commit(replica, batch)
+    assert store.log("p0").events == []
+    assert not replica.locks.is_locked(ACCOUNT)
+    assert "key" not in replica.processed
+    assert replica.commit_times == [] and commits == []
+    # two events on one entity are one entity's batch
+    commit(replica, CommitBatch(txn_id="t2", session="s1", events=events[:2]))
+    assert store.log("p0").events == events[:2] and commits == [1]
+
+
+def test_one_delta_step_routes_twice_copies_the_frontier_once_and_canons_once(monkeypatch):
+    """Work counters of one local write: ``make_event`` and ``commit`` each
+    route the entity once; the stamp is the one version vector built (each
+    wraps a fresh copy of the frontier dict); ``canon`` copies the payload
+    dict and its one nested dict, not the leaf."""
+    replica = make_replica()
+    counts = {"route": 0, "vector": 0, "canon": 0}
+    route, of, canon = ReplicaStore.route, VersionVector._of.__func__, store_module.canon
+
+    def counted(name, original):
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return call
+
+    monkeypatch.setattr(ReplicaStore, "route", counted("route", route))
+    monkeypatch.setattr(VersionVector, "_of", classmethod(counted("vector", of)))
+    monkeypatch.setattr(store_module, "canon", counted("canon", canon))
+    outcome = execute_step(
+        step("deposit", {"kind": "delta", "entity": "account/alice", "deltas": {"balance": 5}}),
+        ctx_for(replica, "act1"),
+    )
+    assert outcome.status == "committed"
+    assert counts == {"route": 2, "vector": 1, "canon": 2}
+
+
+TWO_PARTITIONS = {**PLACEMENT, "customer": "p1"}
+_writes = st.tuples(st.sampled_from(["local", "foreign"]), st.sampled_from(["account", "customer"]), st.integers(0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_writes, max_size=24))
+def test_a_local_write_stamps_the_pre_write_frontier_with_its_own_entry_raised(ops):
+    """Interleaved local writes on A and ingests of B's writes, on two
+    partitions: each local event's stamp is its partition's frontier before
+    the write with A's entry raised to the event's sequence number."""
+    replica = Replica("A", make_registry(), ["p0", "p1"], TWO_PARTITIONS)
+    peer = ReplicaStore("B", make_registry(), ["p0", "p1"], TWO_PARTITIONS)
+    for i, (where, entity_type, key) in enumerate(ops):
+        ref = EntityRef(entity_type, f"k{key}")
+        partition = TWO_PARTITIONS[entity_type]
+        if entity_type == "account":
+            handler = {"kind": "delta", "entity": str(ref), "deltas": {"balance": i}}
+            op, payload = "delta", {"deltas": {"balance": i}}
+        else:
+            handler = {"kind": "insert", "entity": str(ref), "fields": {"n": i}}
+            op, payload = "insert", {"fields": {"n": i}}
+        if where == "foreign":
+            event = peer.make_event(ref, op, payload, f"b{i}", "tb")
+            peer.append_event(partition, event)
+            assert replica.store.ingest_foreign(partition, event)
+            continue
+        before = replica.frontier(partition)
+        other = replica.frontier("p1" if partition == "p0" else "p0")
+        outcome = execute_step(step("write", handler), ctx_for(replica, f"a{i}"))
+        (event,) = outcome.appended_events
+        assert event.event_id.seq > before.get("A")
+        assert event.causal_stamp == before.with_entry("A", event.event_id.seq)
+        assert replica.frontier(partition) == event.causal_stamp
+        assert replica.frontier("p1" if partition == "p0" else "p0") == other
 
 
 def test_guard_rejection_rolls_back_but_audit_survives():
