@@ -549,9 +549,25 @@ class Simulator:
             self.notes.append(f"compensate: no transaction recorded for {action.params['action']}")
             return
         plan = compensation_plan(replica, txn_id)
+
+        def compensating_messages(comp_txn: str) -> list[QueueMessage]:
+            return [
+                QueueMessage(
+                    message_id=f"{comp_txn}:m{i}",
+                    destination=tuple(draft["destination"]),
+                    msg_type=draft["msg_type"],
+                    payload=draft["payload"],
+                    idempotence_key=draft["idempotence_key"],
+                    enqueue_stamp=self.now,
+                    sender=replica.replica_id,
+                )
+                for i, draft in enumerate(plan.message_drafts)
+            ]
+
         by_entity: dict[str, list] = {}
         for ref, op_kind, payload, key in plan.event_drafts:
             by_entity.setdefault(str(ref), []).append((ref, op_kind, payload, key))
+        messages_sent = not plan.message_drafts
         for entity_text in sorted(by_entity):
             comp_txn = replica.next_txn_id("sys")
             events = [
@@ -565,23 +581,16 @@ class Simulator:
                 self._apology_message(replica, f"{comp_txn}:a{j}", apology)
                 for j, apology in enumerate(apologies)
             ])
+            if not messages_sent:
+                # the compensating messages ride in the first batch, so a
+                # crash after the compensation's first commit cannot lose them
+                bus.enqueue(batch, compensating_messages(comp_txn))
+                messages_sent = True
             self._commit_batch(replica, batch)
-        if plan.message_drafts:
+        if not messages_sent:
+            # a plan with no events sends its messages in a batch of their own
             batch = CommitBatch(txn_id=replica.next_txn_id("sys"), session="sys")
-            messages = []
-            for i, draft in enumerate(plan.message_drafts):
-                messages.append(
-                    QueueMessage(
-                        message_id=f"{batch.txn_id}:m{i}",
-                        destination=tuple(draft["destination"]),
-                        msg_type=draft["msg_type"],
-                        payload=draft["payload"],
-                        idempotence_key=draft["idempotence_key"],
-                        enqueue_stamp=self.now,
-                        sender=replica.replica_id,
-                    )
-                )
-            bus.enqueue(batch, messages)
+            bus.enqueue(batch, compensating_messages(batch.txn_id))
             self._commit_batch(replica, batch)
         if plan.message_drafts or plan.apologies:
             self._launch_outbox(replica)

@@ -68,8 +68,6 @@ KNOWN_MISMATCHES = {
     ("gossip.yaml", "B", "commit=1"),
     # action_txns is volatile: the compensation finds no transaction
     ("test_sim.COMPENSATE_FLOW", "A", "commit=1"),
-    # the compensating message's batch never commits, so the tally stays 1
-    ("test_sim.COMPENSATE_FLOW", "A", "commit=4"),
     # the join's fire mark commits, and the dispatch step never runs
     ("test_sim.JOIN_FLOW", "A", "commit=4"),
 }
