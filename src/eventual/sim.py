@@ -587,6 +587,7 @@ class Simulator:
                 bus.enqueue(batch, compensating_messages(comp_txn))
                 messages_sent = True
             self._commit_batch(replica, batch)
+            self._follow_up(replica, events[0].entity_ref, events)
         if not messages_sent:
             # a plan with no events sends its messages in a batch of their own
             batch = CommitBatch(txn_id=replica.next_txn_id("sys"), session="sys")
@@ -908,11 +909,14 @@ class Simulator:
 
     def _follow_up(self, replica: Replica, ref: EntityRef, events: list[EventRecord]) -> None:
         """What a change to ``ref`` obliges this replica to do, given the
-        events that made it (a commit's, a merge's, or on recovery all of
-        them): an expiry for each of its own reservations still tentative
-        with a deadline, a cleansing for each of its own open discrepancies,
-        the resolution of references waiting on an inserted parent, and the
-        remediation of a capacity entity."""
+        events that made it (a commit's, a pending action's, a
+        compensation's, a merge's, or on recovery all of them): an expiry
+        for each of its own reservations still tentative with a deadline, a
+        cleansing for each of its own open discrepancies, the resolution of
+        references waiting on an inserted parent, and the remediation of a
+        capacity entity. A remediation that a pending descriptor's lock
+        refuses waits for that descriptor's pending task, which follows up
+        every entity of its lock scope once it releases the locks."""
         rid = replica.replica_id
         inserted = False
         for event in events:
@@ -945,9 +949,12 @@ class Simulator:
                 if view[reservation_id]["state"] not in ("tentative", "confirmed"):
                     continue  # the follow-up of an earlier loser's cancel cancelled it
                 cause = "lost_promise" if loser["state"] == "confirmed" else "overbooking"
-                self._cancel_reservation(
-                    replica, ref, reservation_id, cause, "overbook", f"overbook:{reservation_id}"
-                )
+                try:
+                    self._cancel_reservation(
+                        replica, ref, reservation_id, cause, "overbook", f"overbook:{reservation_id}"
+                    )
+                except LockConflict:
+                    return  # the pending task that releases the lock follows up again
 
     def _task_pending(self, task: dict) -> None:
         replica = self.replicas[task["replica"]]
@@ -955,7 +962,14 @@ class Simulator:
         if descriptor is None or task["txn_id"] in replica.descriptors_done:
             return
         with self._commit_path():
-            apply_pending_actions(replica, descriptor, self.now)
+            report = apply_pending_actions(replica, descriptor, self.now)
+        committed: dict[EntityRef, list[EventRecord]] = defaultdict(list)
+        for event in report["events"]:
+            committed[event.entity_ref].append(event)
+        # every entity the actions wrote is in the lock scope; the locks are
+        # released now, so this also runs the remediation they refused
+        for ref in dict.fromkeys(descriptor.lock_scope):
+            self._follow_up(replica, ref, committed[ref])
         self._rearm_all_syncs()
 
     def _task_expiry(self, task: dict) -> None:

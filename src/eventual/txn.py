@@ -550,11 +550,12 @@ def apply_pending_actions(replica: Replica, descriptor: PendingActionDescriptor,
 
     Each action is its own single-entity transaction keyed by
     (txn_id, index): re-invocation is a per-action no-op. Locks release
-    only once every action has completed.
+    only once every action has completed. The report's ``events`` lists
+    the events the actions committed, in commit order.
     """
     from .process import check_referential  # process imports this module
 
-    report = {"txn_id": descriptor.txn_id, "applied": [], "skipped": [], "exceptions": []}
+    report = {"txn_id": descriptor.txn_id, "applied": [], "skipped": [], "exceptions": [], "events": []}
     for idx, action in enumerate(descriptor.actions):
         ckey = f"{descriptor.txn_id}:a{idx}"
         if ckey in replica.action_completions:
@@ -585,6 +586,7 @@ def apply_pending_actions(replica: Replica, descriptor: PendingActionDescriptor,
             batch.audit.append({"audit": "custom_action_skipped", "action": action.kind})
         commit(replica, batch, now)
         report["applied"].append(ckey)
+        report["events"].extend(batch.events)
     if all(
         f"{descriptor.txn_id}:a{i}" in replica.action_completions
         for i in range(len(descriptor.actions))

@@ -10,6 +10,7 @@ import pytest
 import eventual.process
 import eventual.sim
 from eventual.bus import QueueMessage
+from eventual.cli import check_invariants
 from eventual.clocks import VersionVector
 from eventual.errors import MalformedEvent
 from eventual.process import scan_exceptions
@@ -523,6 +524,63 @@ def test_compensating_a_confirmed_reservation_reverses_downstream_work():
     # the broken promise is abrogated and apologized for
     assert report.reservations["A"]["o1"] == "abrogated"
     assert any(a["cause"] == "lost_promise" for a in report.apologies)
+
+
+# actions after two tentative reservations on a capacity-2 book, each of
+# which takes the book below its reservations, and the losers that leaves
+_UNDER_CAPACITY = {
+    "deferred-write": (
+        """
+  - {at: 5, replica: A, do: delta, id: ship, entity: shipment/s1, deltas: {out: 1},
+     deferred: [{entity: book/b, deltas: {on_hand: -1}}]}""",
+        ["o2"],
+    ),
+    "two-deferred-writes-of-one-session": (
+        """
+  - {at: 5, replica: A, do: delta, id: ship, entity: shipment/s1, deltas: {out: 1}, session: s,
+     deferred: [{entity: book/b, deltas: {on_hand: -1}}]}
+  - {at: 6, replica: A, do: delta, id: ship2, entity: shipment/s2, deltas: {out: 1}, session: s,
+     deferred: [{entity: book/b, deltas: {on_hand: -1}}]}""",
+        ["o1", "o2"],
+    ),
+    "write-on-the-book-that-defers-elsewhere": (
+        """
+  - {at: 5, replica: A, do: delta, id: ship, entity: book/b, deltas: {on_hand: -1},
+     deferred: [{entity: shipment/s1, deltas: {out: 1}}]}""",
+        ["o2"],
+    ),
+    "compensated-restock": (
+        """
+  - {at: 4, replica: A, do: delta, id: restock, entity: book/b, deltas: {on_hand: 1}}
+  - {at: 6, replica: A, do: reserve, id: r3, entity: book/b, reservation_id: o3}
+  - {at: 9, replica: A, do: compensate, id: comp, action: restock}""",
+        ["o3"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNDER_CAPACITY))
+def test_a_write_that_takes_a_capacity_entity_below_its_reservations_cancels_each_loser_once(name):
+    actions, losers = _UNDER_CAPACITY[name]
+    text = """
+schema: eventual/1
+entities:
+  book: {merge: commutative_delta, initial: {on_hand: 2}, aggregates: [on_hand], capacity_field: on_hand}
+  shipment: {merge: commutative_delta, initial: {out: 0}, aggregates: [out]}
+topology:
+  partitions: {p0: [A]}
+max_time: 500
+actions:
+  - {at: 2, replica: A, do: reserve, id: r1, entity: book/b, reservation_id: o1}
+  - {at: 3, replica: A, do: reserve, id: r2, entity: book/b, reservation_id: o2}""" + actions
+    report = run(parse_scenario(text), seed=0)
+    assert report.quiescent
+    cancelled = sorted(r for r, state in report.reservations["A"].items() if state == "cancelled")
+    assert cancelled == losers
+    assert sorted((a["subject"], a["cause"]) for a in report.apologies) == [
+        (r, "overbooking") for r in losers
+    ]
+    assert check_invariants(report) == []
 
 
 LOSSY_PIPE = """
