@@ -966,9 +966,9 @@ class Simulator:
         committed: dict[EntityRef, list[EventRecord]] = defaultdict(list)
         for event in report["events"]:
             committed[event.entity_ref].append(event)
-        # every entity the actions wrote is in the lock scope; the locks are
-        # released now, so this also runs the remediation they refused
-        for ref in dict.fromkeys(descriptor.lock_scope):
+        # the locks are released now: following up every entity they held
+        # also runs a remediation they refused
+        for ref in dict.fromkeys([*descriptor.lock_scope, *committed]):
             self._follow_up(replica, ref, committed[ref])
         self._rearm_all_syncs()
 
