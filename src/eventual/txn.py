@@ -434,7 +434,7 @@ def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
         destination = _route(ctx, draft.to, written)
         # Keys derive from the triggering action, not the txn counter, so a
         # crash-replay re-emission collapses to the same logical send.
-        key = draft.key or f"{ctx.idempotence_base}:{step.step_id}:m{i}"
+        key = draft.key or f"{base}:m{i}"
         messages.append(
             QueueMessage(
                 message_id=f"{txn_id}:m{i}",

@@ -170,7 +170,9 @@ def test_one_delta_step_routes_twice_copies_the_frontier_once_and_canons_once(mo
 
 
 TWO_PARTITIONS = {**PLACEMENT, "customer": "p1"}
-_writes = st.tuples(st.sampled_from(["local", "foreign"]), st.sampled_from(["account", "customer"]), st.integers(0, 2))
+_writes = st.tuples(
+    st.sampled_from(["local", "foreign"]), st.sampled_from(["account", "customer"]), st.integers(0, 2)
+)
 
 
 @settings(max_examples=100, deadline=None)
