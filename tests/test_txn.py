@@ -142,7 +142,7 @@ def test_a_direct_two_entity_commit_applies_nothing_of_the_batch():
     assert store.log("p0").events == events[:2] and commits == [1]
 
 
-def test_one_delta_step_routes_twice_copies_the_frontier_once_and_canons_once(monkeypatch):
+def test_one_delta_step_routes_twice_and_copies_the_frontier_once(monkeypatch):
     """Work counters of one local write: ``make_event`` and ``commit`` each
     route the entity once; the stamp is the one version vector built (each
     wraps a fresh copy of the frontier dict); ``canon`` copies the payload
