@@ -669,7 +669,11 @@ class Simulator:
             return
         replica = self.replicas[sorted(hosts)[0]]
         rid = fault.target
-        self._cancel_reservation(replica, ref, rid, "disaster", f"disaster.{rid}", f"disaster:{rid}")
+        try:
+            self._cancel_reservation(replica, ref, rid, "disaster", f"disaster.{rid}", f"disaster:{rid}")
+        except LockConflict:
+            retry = {"kind": "fault", "fault": fault, "detail": "disaster-retry"}
+            self._schedule(self.now + self.config.lock_backoff, retry)
 
     # -- message flow -----------------------------------------------------------
 
@@ -935,10 +939,7 @@ class Simulator:
                 if not exceptions.get(event.payload["exception_id"], {}).get("resolved"):
                     self._schedule_cleanse(rid, ref)
         if inserted:
-            for template in plan_referential_resolutions(replica, ref):
-                self._run_infra_step(
-                    replica, "refresolve", template, f"resolve:{template['exception_id']}"
-                )
+            self._resolve_references(replica, ref)
         spec = self.registry.get(ref.entity_type)
         if spec.has_capacity:
             partition = replica.store.route(ref)
@@ -955,6 +956,22 @@ class Simulator:
                     )
                 except LockConflict:
                     return  # the pending task that releases the lock follows up again
+
+    def _resolve_references(self, replica: Replica, parent: EntityRef) -> None:
+        """Resolve the references waiting on an inserted parent. If a pending
+        descriptor's lock refuses one, a volatile task runs them all again
+        ``lock_backoff`` ticks later."""
+        try:
+            for template in plan_referential_resolutions(replica, parent):
+                self._run_infra_step(
+                    replica, "refresolve", template, f"resolve:{template['exception_id']}"
+                )
+        except LockConflict:
+            at = self.now + self.config.lock_backoff
+            self._schedule_task(at, "resolve", replica.replica_id, str(parent), entity=str(parent))
+
+    def _task_resolve(self, task: dict) -> None:
+        self._resolve_references(self.replicas[task["replica"]], EntityRef.parse(task["entity"]))
 
     def _task_pending(self, task: dict) -> None:
         replica = self.replicas[task["replica"]]
@@ -984,16 +1001,28 @@ class Simulator:
         if entry["deadline"] is not None and entry["deadline"] > self.now:
             self._schedule(entry["deadline"], dict(task))
             return
-        self._cancel_reservation(
-            replica, ref, reservation_id, "expired", "expire", f"expire:{reservation_id}"
-        )
+        try:
+            self._cancel_reservation(
+                replica, ref, reservation_id, "expired", "expire", f"expire:{reservation_id}"
+            )
+        except LockConflict:
+            self._wait_for_lock(task)
 
     def _task_cleanse(self, task: dict) -> None:
         replica = self.replicas[task["replica"]]
         ref = EntityRef.parse(task["entity"])
-        for template in plan_cleansing(replica, ref):
-            exc_id = template["resolves"]
-            self._run_infra_step(replica, "cleanse", template, f"adjust:{exc_id}")
+        try:
+            for template in plan_cleansing(replica, ref):
+                exc_id = template["resolves"]
+                self._run_infra_step(replica, "cleanse", template, f"adjust:{exc_id}")
+        except LockConflict:
+            self._wait_for_lock(task)
+
+    def _wait_for_lock(self, task: dict) -> None:
+        """A pending descriptor's lock refused this volatile task's step: run
+        the task again ``lock_backoff`` ticks later, as ``_task_exec`` defers a
+        message. A crash drops it, and recovery's follow-up re-derives it."""
+        self._schedule(self.now + self.config.lock_backoff, dict(task))
 
     def _cancel_reservation(self, replica: Replica, ref: EntityRef, reservation_id: str,
                             cause: str, step_id: str, base: str) -> None:

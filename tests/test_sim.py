@@ -267,6 +267,90 @@ def test_unconfirmed_reservation_expires_at_its_deadline():
     assert len(report.apologies) == 0  # expiry is the agreed deal, not a broken promise
 
 
+# each infrastructure step below meets the lock that a pending deferred
+# write holds on its entity, and must wait for it instead of raising; the
+# texts are templates (LOCKED_STEP), so the golden digests leave them out
+LOCKED_BOOK = """
+schema: eventual/1
+entities:
+  book: {merge: commutative_delta, initial: {on_hand: 5}, aggregates: [on_hand], capacity_field: on_hand}
+  account: {merge: commutative_delta, initial: {balance: 0}, aggregates: [balance]}
+topology:
+  partitions: {p0: [A]}
+lags: {pending: 20}
+max_time: 500
+LOCKED_STEP
+  - {at: 9, replica: A, do: delta, id: d1, entity: account/x, deltas: {balance: 1},
+     deferred: [{entity: book/b, deltas: {on_hand: -1}}]}
+"""
+
+
+_LOCKED_CANCELS = {
+    "expiry": ("""actions:
+  - {at: 2, replica: A, do: reserve, id: r1, entity: book/b, reservation_id: o1, deadline: 10}""",
+               "expired", []),
+    "disaster": ("""faults:
+  - {kind: disaster, at: 10, target: o1, entity: book/b}
+actions:
+  - {at: 2, replica: A, do: reserve, id: r1, entity: book/b, reservation_id: o1}
+  - {at: 3, replica: A, do: confirm, id: c1, entity: book/b, reservation_id: o1}""",
+                 "abrogated", [("o1", "disaster")]),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(_LOCKED_CANCELS))
+def test_an_infrastructure_cancel_waits_for_the_lock_of_a_pending_deferred_write(name, seed):
+    step, state, apologies = _LOCKED_CANCELS[name]
+    report = run(parse_scenario(LOCKED_BOOK.replace("LOCKED_STEP", step)), seed=seed)
+    assert report.reservations["A"]["o1"] == state
+    assert json.loads(report.rollups["A"]["book/b"])["value"]["on_hand"] == 4
+    assert [(a["subject"], a["cause"]) for a in report.apologies] == apologies
+    assert check_invariants(report) == []
+
+
+@pytest.mark.parametrize("at", [0, 1])
+def test_a_cleansing_waits_for_the_lock_of_a_pending_deferred_write(at):
+    """``reference.yaml``'s physical count moved before ``dep``'s pending
+    descriptor releases ``account/alice``: its cleansing meets the lock."""
+    text = (SCENARIOS / "reference.yaml").read_text()
+    moved = text.replace("{at: 50, replica: A, do: physical_count", f"{{at: {at}, replica: A, do: physical_count")
+    assert moved != text
+    report = run(parse_scenario(moved), seed=0)
+    assert check_invariants(report) == []
+    for rid in ("A", "B"):
+        assert report.exceptions[rid]["open"] == []
+        assert "disc:account/alice:client:count" in report.exceptions[rid]["resolved"]
+
+
+def test_a_referential_resolution_waits_for_the_lock_of_a_pending_deferred_write():
+    """The parent's insert commits and its follow-up meets the child's lock:
+    the resolution must wait, not be lost with the committed message."""
+    text = """
+schema: eventual/1
+entities:
+  customer: {merge: lww_register}
+  opportunity:
+    merge: commutative_delta
+    initial: {n: 0}
+    aggregates: [n]
+    parents: [{field: customer_id, type: customer}]
+  account: {merge: commutative_delta, initial: {balance: 0}, aggregates: [balance]}
+topology:
+  partitions: {p0: [A]}
+lags: {pending: 20}
+max_time: 500
+actions:
+  - {at: 2, replica: A, do: insert, id: child, entity: opportunity/o1, fields: {customer_id: c1}}
+  - {at: 5, replica: A, do: delta, id: d1, entity: account/x, deltas: {balance: 1},
+     deferred: [{entity: opportunity/o1, deltas: {n: 1}}]}
+  - {at: 8, replica: A, do: insert, id: parent, entity: customer/c1, fields: {name: Ada}}
+"""
+    report = run(parse_scenario(text), seed=0)
+    assert report.exceptions["A"] == {"open": [], "resolved": ["refviol:opportunity/o1:customer/c1"]}
+    assert check_invariants(report) == []
+
+
 INVOICE = """
 schema: eventual/1
 entities:
