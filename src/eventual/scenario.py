@@ -3,10 +3,22 @@
 Strict by design: a versioned schema tag is required and unknown fields
 are rejected with line-anchored diagnostics, so a typo weakens no test
 silently. A run is fully specified by (scenario file, seed).
+
+A file is composed once into a YAML node tree. A plain document (str,
+int, float, bool and null scalars, mappings with str or int keys,
+sequences) is turned into data in one pass over that tree, without
+PyYAML's constructor machinery. Any other document (an alias of a
+mapping or sequence, a merge key, another tag, a node whose kind does
+not match its tag, a non-scalar key) goes whole to PyYAML's
+``SafeConstructor``, so the data always equals ``yaml.safe_load``'s.
+The path -> line map that diagnostics read is walked only on the first
+failed check, so a valid scenario never builds it.
 """
 
 from __future__ import annotations
 
+import re
+from functools import cached_property
 from pathlib import Path
 
 import yaml
@@ -72,21 +84,31 @@ ACTION_PARAMS = {
 
 
 class _Lines:
-    """Path -> source line map built from the YAML node tree."""
+    """Path -> source line map of the YAML node tree, walked on first use:
+    only an error message reads it, so a valid scenario never builds it."""
 
     def __init__(self, node: yaml.Node | None):
-        self._map: dict[tuple, int] = {}
-        if node is not None:
-            self._walk(node, ())
+        self._node = node
 
-    def _walk(self, node, path) -> None:
-        self._map[path] = node.start_mark.line + 1
+    @cached_property
+    def _map(self) -> dict[tuple, int]:
+        out: dict[tuple, int] = {}
+        if self._node is not None:
+            self._walk(self._node, (), out, set())
+        return out
+
+    def _walk(self, node, path, out, ancestors) -> None:
+        out[path] = node.start_mark.line + 1
+        if id(node) in ancestors:
+            return  # a recursive alias
+        ancestors.add(id(node))
         if isinstance(node, yaml.MappingNode):
             for key_node, value_node in node.value:
-                self._walk(value_node, path + (str(key_node.value),))
+                self._walk(value_node, path + (str(key_node.value),), out, ancestors)
         elif isinstance(node, yaml.SequenceNode):
             for i, child in enumerate(node.value):
-                self._walk(child, path + (i,))
+                self._walk(child, path + (i,), out, ancestors)
+        ancestors.discard(id(node))
 
     def at(self, *path) -> int | None:
         return self._map.get(tuple(path))
@@ -129,6 +151,8 @@ def _number(convert, mapping: dict, key: str, default, where: str, lines: _Lines
         value = default
     else:
         try:
+            if isinstance(mapping[key], bool):  # an int to Python, not a number to a user
+                raise TypeError(key)
             value = convert(mapping[key])
         except (TypeError, ValueError):
             _fail(f"{key!r} in {where} must be a number, got {mapping[key]!r}", lines, *path, key)
@@ -156,16 +180,77 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(text)
 
 
+_TAG = "tag:yaml.org,2002:"
+_STR, _INT, _MAP, _SEQ = (_TAG + kind for kind in ("str", "int", "map", "seq"))
+_DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*)").fullmatch
+# every other scalar the resolver tags (``0755``, ``0x1F``, ``1_000``, ``1:30``,
+# ``yes``, ``~``, ``.inf``) converts as PyYAML's constructor converts it
+_SCALARS = {
+    _TAG + kind: getattr(yaml.constructor.SafeConstructor(), f"construct_yaml_{kind}")
+    for kind in ("null", "bool", "int", "float")
+}
+
+
+class _Irregular(Exception):
+    """A node the direct conversion leaves to PyYAML's constructor."""
+
+
+def _scalar(node):
+    tag = node.tag
+    if tag == _STR:
+        return node.value
+    if tag == _INT and _DECIMAL(node.value):
+        return int(node.value)
+    construct = _SCALARS.get(tag)
+    if construct is None:
+        raise _Irregular
+    return construct(node)
+
+
+def _plain_data(root: yaml.Node):
+    """The data of a tree of plain mappings, lists and scalars in one pass.
+    Raises ``_Irregular`` on an alias, a merge key, any other tag, a node
+    whose kind does not match its tag, and a key that is not a str or int."""
+    seen: set[int] = set()
+
+    def convert(node):
+        kind = type(node)
+        if kind is yaml.ScalarNode:
+            return _scalar(node)
+        if id(node) in seen:
+            raise _Irregular
+        seen.add(id(node))
+        if kind is yaml.MappingNode and node.tag == _MAP:
+            out = {}
+            for key_node, value_node in node.value:
+                if type(key_node) is not yaml.ScalarNode or key_node.tag not in (_STR, _INT):
+                    raise _Irregular
+                out[_scalar(key_node)] = convert(value_node)
+            return out
+        if kind is yaml.SequenceNode and node.tag == _SEQ:
+            return [convert(child) for child in node.value]
+        raise _Irregular
+
+    return convert(root)
+
+
 def _compose(text: str) -> tuple[_Lines, object]:
-    """One libyaml parse (pure Python without libyaml): the line map and the data."""
+    """One libyaml parse (pure Python without libyaml): the line map, walked
+    only when a check fails, and the data, built directly from the node tree
+    unless it needs PyYAML's constructor."""
     try:
         node = yaml.compose(text, Loader=_LOADER)
-        lines = _Lines(node)  # before construction, which flattens merge keys in place
-        data = None if node is None else yaml.constructor.SafeConstructor().construct_document(node)
+        lines = _Lines(node)
+        if node is None:
+            return lines, None
+        try:
+            return lines, _plain_data(node)
+        except _Irregular:
+            lines.at()  # before construction, which flattens merge keys in place
+            return lines, yaml.constructor.SafeConstructor().construct_document(node)
     except yaml.YAMLError as exc:  # parse errors carry their own marks
         mark = getattr(exc, "problem_mark", None)
         raise ScenarioInvalid(str(exc).replace("\n", " "), None if mark is None else mark.line + 1)
-    return lines, data
 
 
 def parse_scenario(text: str) -> Scenario:

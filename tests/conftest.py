@@ -14,13 +14,26 @@ caller, differs from the scratch fold's fresh view.
 indexes under the parent. For the whole session every plan the simulator
 makes is compared with the walk it replaced: every hosted entity's
 exceptions, filtered by kind, open status and parent.
+
+``scenario._compose`` builds the data of a plain document straight from
+its node tree and leaves any other document to PyYAML's constructor. For
+the whole session every parse is compared with ``yaml.safe_load`` of the
+same text: the data must be strictly equal (``True`` is not ``1``, ``1``
+is not ``1.0``, NaN equals NaN, and mappings keep their order), and a
+YAML error must be a ``ScenarioInvalid`` on the line PyYAML names.
 """
 
 from __future__ import annotations
 
-import pytest
+import functools
+import math
 
+import pytest
+import yaml
+
+import eventual.scenario
 import eventual.sim
+from eventual.errors import ScenarioInvalid
 from eventual.process import plan_referential_resolutions, scan_exceptions
 from eventual.registry import MergePolicy
 from eventual.store import FoldState, ReplicaStore, canonical_sort
@@ -28,6 +41,9 @@ from eventual.store import FoldState, ReplicaStore, canonical_sort
 _FOLD = FoldState.fold  # bound at import: the cross-check's own folds are never counted
 _FOLD_STATE = ReplicaStore.fold_state
 _ROLLUP = ReplicaStore.rollup
+_COMPOSE = eventual.scenario._compose
+# bound at import: the cross-check's own constructions are never counted
+_CONSTRUCT_DOCUMENT = yaml.constructor.SafeConstructor.construct_document
 
 
 class _ScratchFoldState(FoldState):
@@ -69,6 +85,87 @@ def cross_check_fold_cache():
         patch.setattr(ReplicaStore, "fold_state", _checked_fold_state)
         patch.setattr(ReplicaStore, "rollup", _checked_rollup)
         yield
+
+
+def _safe_load(text: str):
+    """``yaml.safe_load(text)``, through the constructor bound at import."""
+    loader = yaml.SafeLoader(text)
+    try:
+        node = loader.get_single_node()
+        return None if node is None else _CONSTRUCT_DOCUMENT(loader, node)
+    finally:
+        loader.dispose()
+
+
+def _strictly_equal(a, b, seen: set) -> bool:
+    """``a == b`` where every value also has the same type, NaN equals NaN,
+    mappings keep the same order, and a recursive alias ends the walk."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    if isinstance(a, (dict, list, tuple)):
+        if (id(a), id(b)) in seen:
+            return True
+        seen.add((id(a), id(b)))
+        if isinstance(a, dict):
+            a, b = [x for kv in a.items() for x in kv], [x for kv in b.items() for x in kv]
+        return len(a) == len(b) and all(_strictly_equal(x, y, seen) for x, y in zip(a, b))
+    if isinstance(a, set):
+        return _strictly_equal(sorted(a, key=repr), sorted(b, key=repr), seen)
+    return a == b
+
+
+def _error(exc: Exception) -> tuple:
+    """A YAML error as the ``ScenarioInvalid`` line it must become; any other
+    error as itself, which the parse must then raise too."""
+    if isinstance(exc, ScenarioInvalid):
+        return ScenarioInvalid, exc.line
+    if isinstance(exc, yaml.YAMLError):
+        mark = getattr(exc, "problem_mark", None)
+        return ScenarioInvalid, None if mark is None else mark.line + 1
+    return type(exc), str(exc)
+
+
+def _assert_same_parse(text: str, outcome: tuple, expected: tuple) -> None:
+    assert _strictly_equal(outcome, expected, set()), (
+        f"parse of {text!r} diverged from yaml.safe_load: {outcome!r} != {expected!r}"
+    )
+
+
+@functools.cache
+def _expected_parse(text: str) -> tuple:
+    """``yaml.safe_load``'s outcome, once per distinct text: the suite loads
+    some scenarios hundreds of times, and the pure-Python parse is slow."""
+    try:
+        return ("data", _safe_load(text))
+    except Exception as exc:
+        return ("error", *_error(exc))
+
+
+def _checked_compose(text: str):
+    expected = _expected_parse(text)
+    try:
+        result = _COMPOSE(text)
+    except Exception as exc:
+        _assert_same_parse(text, ("error", *_error(exc)), expected)
+        raise
+    _assert_same_parse(text, ("data", result[1]), expected)
+    return result
+
+
+@pytest.fixture(autouse=True, scope="session")
+def cross_check_scenario_parse():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eventual.scenario, "_compose", _checked_compose)
+        yield
+
+
+@pytest.fixture(scope="session")
+def checked_compose():
+    """The cross-check itself: ``checked_compose(text)`` is ``scenario._compose``
+    that fails unless it matches ``yaml.safe_load(text)``."""
+    return _checked_compose
 
 
 def _walked_plans(replica, parent_ref) -> list[dict]:

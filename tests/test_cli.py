@@ -98,6 +98,9 @@ max_time: 200
         ("network:\n  drop: lots\n", 9, "'drop' in network must be a number, got 'lots'"),
         ("lags: {pending: never}\n", 8, "'pending' in lags must be a number, got 'never'"),
         ("sync_interval: [5]\n", 8, "'sync_interval' in scenario must be a number, got [5]"),
+        ("actions:\n  - {at: true, replica: A, do: read, entity: book/moby}\n",
+         9, "'at' in action 'read' must be a number, got True"),
+        ("network:\n  drop: true\n", 9, "'drop' in network must be a number, got True"),
         ("processes:\n  - id: audit\n    steps:\n"
          "      - {id: note, trigger: audit.note, handler: {kind: delta, entity: bok/x, deltas: {n: 1}}}\n",
          11, "undeclared entity type 'bok'"),
@@ -106,8 +109,8 @@ max_time: 200
          15, "undeclared entity type 'ordr'"),
     ],
     ids=["action-entity", "action-entity-type", "disaster-entity", "deferred-entity", "action-at",
-         "missing-at", "fault-at", "network-drop", "lags-pending", "sync-interval", "handler-entity",
-         "handler-entities"],
+         "missing-at", "fault-at", "network-drop", "lags-pending", "sync-interval", "action-at-bool",
+         "network-drop-bool", "handler-entity", "handler-entities"],
 )
 def test_malformed_entities_and_numbers_exit_two_with_the_line(tmp_path, capsys, tail, line, message):
     bad = tmp_path / "bad.yaml"

@@ -1,13 +1,16 @@
-"""Scenario loading: one parse per load, one load per sweep, and runs that
-leave the parsed scenario as it was."""
+"""Scenario loading: one parse per load, one load per sweep, data equal to
+``yaml.safe_load``'s, and runs that leave the parsed scenario as it was."""
 
 from __future__ import annotations
 
 import dataclasses
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import test_golden
 from eventual import scenario as scenario_module
@@ -24,18 +27,40 @@ TEXTS = {
 }
 
 
+@contextmanager
+def _counted_work():
+    """Logs the parse work as it happens: ``"compose"`` per ``yaml.compose``,
+    ``"construct"`` per ``SafeConstructor.construct_document``, ``"walk"`` per
+    line map built."""
+    log: list[str] = []
+    compose = yaml.compose
+    construct = yaml.constructor.SafeConstructor.construct_document
+    walk = scenario_module._Lines._walk
+
+    def counted_compose(*args, **kwargs):
+        log.append("compose")
+        return compose(*args, **kwargs)
+
+    def counted_construct(*args, **kwargs):
+        log.append("construct")
+        return construct(*args, **kwargs)
+
+    def counted_walk(self, node, path, *rest):
+        if path == ():
+            log.append("walk")
+        return walk(self, node, path, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(yaml, "compose", counted_compose)
+        patch.setattr(yaml.constructor.SafeConstructor, "construct_document", counted_construct)
+        patch.setattr(scenario_module._Lines, "_walk", counted_walk)
+        yield log
+
+
 @pytest.fixture
-def composes(monkeypatch):
-    """Counts ``yaml.compose`` calls: ``composes[0]``."""
-    calls = [0]
-    original = yaml.compose
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(yaml, "compose", counted)
-    return calls
+def work():
+    with _counted_work() as log:
+        yield log
 
 
 def test_the_fast_parse_uses_libyaml_when_it_is_installed():
@@ -64,16 +89,103 @@ def test_syntax_errors_keep_their_line(text, line):
     assert caught.value.line == line
 
 
-def test_a_seed_sweep_composes_once(composes, capsys):
+def test_a_seed_sweep_composes_once(work, capsys):
     assert main(["sweep", str(SCENARIOS / "gossip.yaml"), "--sweep-seeds", "15"]) == 0
     assert "violating_seeds: []" in capsys.readouterr().out
-    assert composes[0] == 1
+    assert work.count("compose") == 1
 
 
-def test_a_crash_sweep_composes_once(composes):
+def test_a_crash_sweep_composes_once(work):
     points, violations = crash_sweep(SCENARIOS / "reference.yaml")
     assert points > 0 and violations == []
-    assert composes[0] == 1
+    assert work.count("compose") == 1
+
+
+@pytest.mark.parametrize("name", sorted(TEXTS))
+def test_a_valid_scenario_loads_in_one_compose_with_no_constructor_or_line_map(name, work):
+    parse_scenario(TEXTS[name])
+    assert work == ["compose"]
+
+
+def test_a_merge_key_builds_the_line_map_before_the_constructor(work):
+    text = TEXTS["bank.yaml"] + "x-base: &base {kind: crash}\nfaults:\n  - {<<: *base, at: 3, target: B}\n"
+    with pytest.raises(ScenarioInvalid, match="unknown field 'x-base' in scenario") as caught:
+        parse_scenario(text)
+    assert caught.value.line == text.splitlines().index("x-base: &base {kind: crash}") + 1
+    assert work == ["compose", "walk", "construct"]
+
+
+def test_a_malformed_scenario_builds_the_line_map_once(work):
+    text = TEXTS["bank.yaml"] + "network: {drop: lots, duplicate: lots}\n"
+    with pytest.raises(ScenarioInvalid, match="'drop' in network must be a number") as caught:
+        parse_scenario(text)
+    assert caught.value.line == len(text.splitlines())
+    assert work == ["compose", "walk"]
+
+
+# (text, the path it takes): "fast" converts the nodes directly, "fallback"
+# hands the document to PyYAML's constructor; the cross-check compares both
+# with yaml.safe_load, errors and their lines included
+PARSES = {
+    "anchor-alias": ("a: &x {b: 1}\nc: *x\n", "fallback"),
+    "recursive-alias": ("a: &x [1, *x]\n", "fallback"),
+    "merge-key": ("base: &b {x: 1, y: 1}\nd:\n  <<: *b\n  y: 2\n", "fallback"),
+    "scalar-alias": ("a: &x 5\nb: *x\n", "fast"),
+    "octal": ("a: 0755\n", "fast"),
+    "hex": ("a: 0x1F\n", "fast"),
+    "underscores": ("a: 1_000\n", "fast"),
+    "sexagesimal": ("a: 1:30\n", "fast"),
+    "signed": ("a: [-0, +7, -12]\n", "fast"),
+    "explicit-int": ("a: !!int '12'\n", "fast"),
+    "yes-off": ("a: yes\nb: off\n", "fast"),
+    "null": ("a: ~\nb:\n", "fast"),
+    "inf": ("a: [.inf, -.inf]\n", "fast"),
+    "nan": ("a: .nan\n", "fast"),
+    "float": ("a: [1.5, 1.0, -2.5e+3]\n", "fast"),
+    "int-key": ("1: a\n2: b\n", "fast"),
+    "bool-key": ("true: a\n", "fallback"),
+    "timestamp": ("a: 2001-12-14\nb: 2001-12-14t21:59:43.10-05:00\n", "fallback"),
+    "binary": ("a: !!binary aGVsbG8=\n", "fallback"),
+    "set": ("a: !!set {x, y}\n", "fallback"),
+    "str-tag-on-mapping": ("a: !!str {b: 1}\n", "fallback"),
+    "map-tag-on-sequence": ("a: !!map [1, 2]\n", "fallback"),
+    "unknown-tag": ("a: 1\nb: !thing 2\n", "fallback"),
+    "unhashable-key": ("a: 1\n? [1]\n: 2\n", "fallback"),
+    "duplicate-key": ("a: 1\nb: 2\na: 3\n", "fast"),
+    "empty": ("", "fast"),
+    "syntax-error": ("a: [1\nb: 2\n", "fast"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSES))
+def test_every_parse_matches_safe_load(name, checked_compose):
+    text, path = PARSES[name]
+    with _counted_work() as log:
+        try:
+            checked_compose(text)
+        except ScenarioInvalid:
+            pass
+    assert log.count("construct") == (path == "fallback")
+
+
+_KEYS = st.text(max_size=8) | st.integers()
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+_DATA = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_DATA, flow=st.booleans())
+def test_dumped_data_parses_like_safe_load_without_the_constructor(data, flow, checked_compose):
+    text = yaml.safe_dump(data, default_flow_style=flow)
+    with _counted_work() as log:
+        checked_compose(text)
+    assert log == ["compose"]
 
 
 @pytest.mark.parametrize("name", sorted(TEXTS))
