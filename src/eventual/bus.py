@@ -104,25 +104,17 @@ class Inbox:
         return len(self.arrivals)
 
 
-class ProcessedKeySet:
-    """Consumed idempotence keys for one replica.
+class ProcessedKeySet(dict):
+    """Consumed idempotence keys for one replica, each mapped to the txn id
+    that consumed it (None: acknowledged without a transaction).
 
     A key in the set means redeliveries are acknowledged silently with no
     second handler execution. Never pruned at desk scale; pruning would be
     a retention-watermark knob.
     """
 
-    def __init__(self) -> None:
-        self.keys: set[str] = set()
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.keys
-
-    def add(self, key: str) -> None:
-        self.keys.add(key)
-
-    def __len__(self) -> int:
-        return len(self.keys)
+    def add(self, key: str, txn_id: str | None = None) -> None:
+        self[key] = txn_id
 
 
 def enqueue(batch, messages: list[QueueMessage]) -> None:

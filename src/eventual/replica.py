@@ -90,8 +90,8 @@ class Replica:
         self.epoch = 0  # bumped on crash; stale scheduled work is skipped
         self._txn_counter = 0
         self.commit_times: list[int] = []
-        # called at the end of every commit; a simulator's crash point raises here
-        self.on_commit: Callable[[], None] | None = None
+        # gets each durable batch; a simulator records it (a crash point raises)
+        self.on_commit: Callable[[object], None] | None = None
 
     def next_txn_id(self, session: str) -> str:
         self._txn_counter += 1

@@ -9,8 +9,8 @@ int, float, bool and null scalars, mappings with str or int keys,
 sequences) is turned into data in one pass over that tree, without
 PyYAML's constructor machinery. Any other document (an alias of a
 mapping or sequence, a merge key, another tag, a node whose kind does
-not match its tag, a non-scalar key) goes whole to PyYAML's
-``SafeConstructor``, so the data always equals ``yaml.safe_load``'s.
+not match its tag, a non-scalar key, a scalar its tag cannot hold) goes
+whole to PyYAML's ``SafeConstructor``: the data equals ``yaml.safe_load``'s.
 The path -> line map that diagnostics read is walked only on the first
 failed check, so a valid scenario never builds it.
 """
@@ -141,21 +141,19 @@ def _shaped(kind: type, value, where: str, lines: _Lines, *path, required=()):
 _REQUIRED = object()
 
 
-def _number(convert, mapping: dict, key: str, default, where: str, lines: _Lines, *path,
+def _number(kind: type, mapping: dict, key: str, default, where: str, lines: _Lines, *path,
             least=None, most=None):
-    """``convert(mapping[key])``, or ``default`` when absent (``_REQUIRED``: an error),
-    which must lie in [``least``, ``most``] where those are given."""
+    """``kind(mapping[key])`` of an int (or float, for float), or ``default`` when absent
+    (``_REQUIRED``: an error), which must lie in [``least``, ``most``] where given."""
     if key not in mapping:
         if default is _REQUIRED:
             _fail(f"{where} needs field {key!r}", lines, *path)
         value = default
     else:
-        try:
-            if isinstance(mapping[key], bool):  # an int to Python, not a number to a user
-                raise TypeError(key)
-            value = convert(mapping[key])
-        except (TypeError, ValueError):
-            _fail(f"{key!r} in {where} must be a number, got {mapping[key]!r}", lines, *path, key)
+        value = mapping[key]  # a bool is an int to Python, not a number to a user
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            _fail(f"{key!r} in {where} must be a number, got {value!r}", lines, *path, key)
+        value = kind(value)
         path += (key,)
     if least is not None and (value < least or most is not None and not value <= most):
         bound = f"at least {least}" if most is None else f"between {least} and {most}"
@@ -191,8 +189,23 @@ _SCALARS = {
 }
 
 
+# PyYAML's errors on ``!!int abc``, ``!!float ""``, ``!!bool abc``, ``!!timestamp abc``
+_UNREADABLE = (ValueError, LookupError, AttributeError)
+
+
 class _Irregular(Exception):
     """A node the direct conversion leaves to PyYAML's constructor."""
+
+
+class _Constructor(yaml.constructor.SafeConstructor):
+    """PyYAML's, with a scalar its tag cannot hold a ScenarioInvalid on its line."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except _UNREADABLE as exc:
+            tag = node.tag.replace(_TAG, "!!")
+            raise ScenarioInvalid(f"{node.value!r} is not a valid {tag}", node.start_mark.line + 1) from exc
 
 
 def _scalar(node):
@@ -245,9 +258,9 @@ def _compose(text: str) -> tuple[_Lines, object]:
             return lines, None
         try:
             return lines, _plain_data(node)
-        except _Irregular:
+        except (_Irregular, *_UNREADABLE):  # the constructor names a bad scalar's line
             lines.at()  # before construction, which flattens merge keys in place
-            return lines, yaml.constructor.SafeConstructor().construct_document(node)
+            return lines, _Constructor().construct_document(node)
     except yaml.YAMLError as exc:  # parse errors carry their own marks
         mark = getattr(exc, "problem_mark", None)
         raise ScenarioInvalid(str(exc).replace("\n", " "), None if mark is None else mark.line + 1)

@@ -149,7 +149,6 @@ class RunReport:
     reservations: dict[str, dict[str, str]] = field(default_factory=dict)
     rollups: dict[str, dict[str, str]] = field(default_factory=dict)
     probes: dict[str, object] = field(default_factory=dict)
-    action_txns: dict[str, str] = field(default_factory=dict)
     partition_windows: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
@@ -274,6 +273,11 @@ class Simulator:
         self._client_pending = 0
         self._sync_armed: dict[str, bool] = {rid: False for rid in self.replicas}
         self._in_commit = False
+        # batches committed in the running commit path; hooked as the list's
+        # own append, so no replica refers back to the simulator
+        self._committed: list[CommitBatch] = []
+        for replica in self.replicas.values():
+            replica.on_commit = self._committed.append
 
         self.counters = {
             "sent": 0,
@@ -290,7 +294,6 @@ class Simulator:
         self.multi_entity_rejections = 0
         self.conflict_reports: dict[str, str] = {}
         self.probes: dict[str, object] = {}
-        self.action_txns: dict[str, str] = {}
         self.notes: list[str] = []
         self.partition_windows: list[dict] = []
 
@@ -300,10 +303,10 @@ class Simulator:
         CRASH_RECOVERY_GAP ticks later."""
         replica = self.replicas[replica_id]
 
-        def crash_point() -> None:
+        def crash_point(batch: CommitBatch) -> None:
+            self._committed.append(batch)
             if len(replica.commit_times) != k:
                 return
-            replica.on_commit = None
             self._crash(replica_id)
             recover = Fault(kind="recover", at=self.now + CRASH_RECOVERY_GAP, target=replica_id)
             detail = f"{recover.kind}:{replica_id}"
@@ -347,13 +350,19 @@ class Simulator:
         self._schedule_task(at, "cleanse", rid, str(ref), entity=str(ref))
 
     @contextmanager
-    def _commit_path(self):
-        """Mark the commit path: a network send inside it breaks availability."""
+    def _commit_path(self, replica: Replica):
+        """Mark the commit path: a network send inside it breaks availability.
+        On a normal exit each batch committed inside gets its ``_react``; a
+        crash point drops them, and recovery re-derives what they oblige."""
         self._in_commit = True
         try:
             yield
         finally:
             self._in_commit = False
+            committed = self._committed[:]
+            self._committed.clear()
+        for batch in committed:
+            self._react(replica, batch)
 
     def _trace_task(self, task: dict) -> None:
         detail = task.get("detail", "")
@@ -435,6 +444,8 @@ class Simulator:
                 handler(task)
             except _CrashedAfterCommit:
                 pass  # the replica is down: the rest of its task is lost
+        for replica in self.replicas.values():
+            replica.on_commit = None  # a later commit outside the run records nothing
         return self._build_report(max_time_exceeded)
 
     # -- quiescence ----------------------------------------------------------
@@ -544,9 +555,12 @@ class Simulator:
         self.probes[label] = {"value": canon(state.value), "deleted": state.deleted_flag}
 
     def _compensate(self, replica: Replica, action: ClientAction) -> None:
-        txn_id = self.action_txns.get(action.params["action"])
-        if txn_id is None:
-            self.notes.append(f"compensate: no transaction recorded for {action.params['action']}")
+        target = action.params["action"]
+        # the transaction that consumed the action's message where it ran
+        ran_on = next((a.replica for a in self.scenario.actions if a.action_id == target), None)
+        txn_id = ran_on in self.replicas and self.replicas[ran_on].processed.get(f"client:{target}")
+        if not txn_id:
+            self.notes.append(f"compensate: no transaction recorded for {target}")
             return
         plan = compensation_plan(replica, txn_id)
 
@@ -587,20 +601,11 @@ class Simulator:
                 bus.enqueue(batch, compensating_messages(comp_txn))
                 messages_sent = True
             self._commit_batch(replica, batch)
-            self._follow_up(replica, events[0].entity_ref, events)
         if not messages_sent:
             # a plan with no events sends its messages in a batch of their own
             batch = CommitBatch(txn_id=replica.next_txn_id("sys"), session="sys")
             bus.enqueue(batch, compensating_messages(batch.txn_id))
             self._commit_batch(replica, batch)
-        if plan.message_drafts or plan.apologies:
-            self._launch_outbox(replica)
-
-    def _launch_outbox(self, replica: Replica) -> None:
-        for entry in replica.outbox.pending():
-            if entry.attempts == 0:
-                entry.attempts = 1
-                self._transmit(replica, entry)
 
     def _task_fault(self, task: dict) -> None:
         fault: Fault = task["fault"]
@@ -781,9 +786,7 @@ class Simulator:
                     consume_marker=marker,
                     route_message=self._router(replica, partition),
                 )
-                outcome = self._execute_guarded(step_def, ctx)
-                if outcome is not None and outcome.status == "committed":
-                    self._after_commit(replica, outcome, message)
+                self._execute_guarded(step_def, ctx)
         except LockConflict:
             self._schedule_task(
                 self.now + self.config.lock_backoff, "exec", replica.replica_id,
@@ -797,6 +800,7 @@ class Simulator:
                 txn_id=replica.next_txn_id("sys"),
                 session="sys",
                 processed_key=message.idempotence_key,
+                ack_only=True,
                 inbox_remove=message.message_id,
             )
             self._commit_batch(replica, batch)
@@ -809,22 +813,20 @@ class Simulator:
         if any(m.destination[1] == partition for m in replica.inbox.arrivals):
             self._schedule_consume(replica.replica_id, partition)
 
-    def _execute_guarded(self, step_def: ProcessStepDef, ctx: StepContext):
+    def _execute_guarded(self, step_def: ProcessStepDef, ctx: StepContext) -> None:
         """Run one step; commit is instrumented to prove it never touches
         the network."""
-        with self._commit_path():
+        with self._commit_path(ctx.replica):
             try:
-                return execute_step(step_def, ctx)
+                execute_step(step_def, ctx)
             except MultiEntityWriteRejected as exc:
                 self.multi_entity_rejections += 1
                 ctx.replica.audit_log.append({"audit": "multi_entity_rejected", "detail": str(exc)})
-                return None
             except (UnknownReservation, AlreadyTerminal) as exc:
                 self.notes.append(f"{type(exc).__name__}: {exc}")
-                return None
 
     def _commit_batch(self, replica: Replica, batch: CommitBatch) -> None:
-        with self._commit_path():
+        with self._commit_path(replica):
             txn_commit(replica, batch, self.now)
 
     def _router(self, replica: Replica, trigger_partition: str):
@@ -893,34 +895,34 @@ class Simulator:
             idempotence_base=base,
             route_message=self._router(replica, self._default_partition(replica)),
         )
-        outcome = self._execute_guarded(step_def, ctx)
-        if outcome is not None and outcome.status == "committed":
-            self._after_commit(replica, outcome, None)
+        self._execute_guarded(step_def, ctx)
 
-    # -- post-commit hooks -------------------------------------------------------
+    # -- commit reactions --------------------------------------------------------
 
-    def _after_commit(self, replica: Replica, outcome, message: QueueMessage | None) -> None:
-        if message is not None and message.msg_type.startswith("client."):
-            action_id = message.idempotence_key.removeprefix("client:")
-            self.action_txns.setdefault(action_id, outcome.txn_id)
-        if outcome.appended_events:
-            self._follow_up(replica, outcome.appended_events[0].entity_ref, outcome.appended_events)
-        if outcome.pending_descriptor is not None:
-            self._schedule_pending(replica.replica_id, outcome.pending_descriptor.txn_id)
-        if outcome.enqueued_messages:
-            self._launch_outbox(replica)
-        self._rearm_all_syncs()
+    def _react(self, replica: Replica, batch: CommitBatch) -> None:
+        """What a committed batch obliges, once its commit path returned."""
+        if batch.events:
+            self._follow_up(replica, batch.events[0].entity_ref, batch.events)
+        if batch.descriptor is not None:
+            self._schedule_pending(replica.replica_id, batch.descriptor.txn_id)
+        if batch.messages:  # launch the outbox
+            for entry in replica.outbox.pending():
+                if entry.attempts == 0:
+                    entry.attempts = 1
+                    self._transmit(replica, entry)
+        if batch.events or batch.messages:
+            self._rearm_all_syncs()
 
     def _follow_up(self, replica: Replica, ref: EntityRef, events: list[EventRecord]) -> None:
         """What a change to ``ref`` obliges this replica to do, given the
-        events that made it (a commit's, a pending action's, a
-        compensation's, a merge's, or on recovery all of them): an expiry
-        for each of its own reservations still tentative with a deadline, a
-        cleansing for each of its own open discrepancies, the resolution of
-        references waiting on an inserted parent, and the remediation of a
-        capacity entity. A remediation that a pending descriptor's lock
-        refuses waits for that descriptor's pending task, which follows up
-        every entity of its lock scope once it releases the locks."""
+        events that made it (a commit's, a merge's, or on recovery all of
+        them): an expiry for each of its own reservations still tentative
+        with a deadline, a cleansing for each of its own open discrepancies,
+        the resolution of references waiting on an inserted parent, and the
+        remediation of a capacity entity. A remediation that a pending
+        descriptor's lock refuses waits for that descriptor's pending task,
+        which follows up every entity of its lock scope once it releases
+        the locks."""
         rid = replica.replica_id
         inserted = False
         for event in events:
@@ -978,16 +980,12 @@ class Simulator:
         descriptor = replica.descriptors.get(task["txn_id"])
         if descriptor is None or task["txn_id"] in replica.descriptors_done:
             return
-        with self._commit_path():
-            report = apply_pending_actions(replica, descriptor, self.now)
-        committed: dict[EntityRef, list[EventRecord]] = defaultdict(list)
-        for event in report["events"]:
-            committed[event.entity_ref].append(event)
+        with self._commit_path(replica):
+            apply_pending_actions(replica, descriptor, self.now)
         # the locks are released now: following up every entity they held
         # also runs a remediation they refused
-        for ref in dict.fromkeys([*descriptor.lock_scope, *committed]):
-            self._follow_up(replica, ref, committed[ref])
-        self._rearm_all_syncs()
+        for ref in descriptor.lock_scope:
+            self._follow_up(replica, ref, [])
 
     def _task_expiry(self, task: dict) -> None:
         replica = self.replicas[task["replica"]]
@@ -1182,7 +1180,6 @@ class Simulator:
         report.handler_effects = dict(sorted(self.handler_effects.items()))
         report.conflicts = [self.conflict_reports[k] for k in sorted(self.conflict_reports)]
         report.probes = dict(sorted(self.probes.items()))
-        report.action_txns = dict(sorted(self.action_txns.items()))
         report.partition_windows = list(self.partition_windows)
         report.notes = list(self.notes)
 

@@ -116,6 +116,7 @@ class CommitBatch:
     messages: list[QueueMessage] = field(default_factory=list)
     descriptor: PendingActionDescriptor | None = None
     processed_key: str | None = None
+    ack_only: bool = False  # consumes processed_key without a transaction
     inbox_remove: str | None = None
     completions: list[str] = field(default_factory=list)
     audit: list[dict] = field(default_factory=list)
@@ -509,8 +510,8 @@ def commit(replica: Replica, batch: CommitBatch, now: int = 0) -> None:
     sequence order. Events were routed, validated and stamped where they
     were made (``ReplicaStore.make_event``). Replaying an identical batch
     is a no-op (idempotent by event id), so crash-recovery replays leave
-    the log byte-identical. The replica's ``on_commit`` hook runs last,
-    once the whole batch is durable.
+    the log byte-identical. A processed key maps to its consuming txn id.
+    The replica's ``on_commit`` hook gets the batch last, once it is durable.
     """
     events = batch.events
     if len(events) > 1:
@@ -533,7 +534,7 @@ def commit(replica: Replica, batch: CommitBatch, now: int = 0) -> None:
     if batch.descriptor is not None and batch.descriptor.txn_id not in replica.descriptors:
         replica.descriptors[batch.descriptor.txn_id] = batch.descriptor
     if batch.processed_key is not None:
-        replica.processed.add(batch.processed_key)
+        replica.processed.add(batch.processed_key, None if batch.ack_only else batch.txn_id)
     if batch.inbox_remove is not None:
         replica.inbox.remove(batch.inbox_remove)
     for ckey in batch.completions:
@@ -542,7 +543,7 @@ def commit(replica: Replica, batch: CommitBatch, now: int = 0) -> None:
     batch.open = False
     replica.commit_times.append(now)
     if replica.on_commit is not None:
-        replica.on_commit()
+        replica.on_commit(batch)
 
 
 def apply_pending_actions(replica: Replica, descriptor: PendingActionDescriptor, now: int = 0) -> dict:
@@ -550,12 +551,11 @@ def apply_pending_actions(replica: Replica, descriptor: PendingActionDescriptor,
 
     Each action is its own single-entity transaction keyed by
     (txn_id, index): re-invocation is a per-action no-op. Locks release
-    only once every action has completed. The report's ``events`` lists
-    the events the actions committed, in commit order.
+    only once every action has completed.
     """
     from .process import check_referential  # process imports this module
 
-    report = {"txn_id": descriptor.txn_id, "applied": [], "skipped": [], "exceptions": [], "events": []}
+    report = {"txn_id": descriptor.txn_id, "applied": [], "skipped": [], "exceptions": []}
     for idx, action in enumerate(descriptor.actions):
         ckey = f"{descriptor.txn_id}:a{idx}"
         if ckey in replica.action_completions:
@@ -586,7 +586,6 @@ def apply_pending_actions(replica: Replica, descriptor: PendingActionDescriptor,
             batch.audit.append({"audit": "custom_action_skipped", "action": action.kind})
         commit(replica, batch, now)
         report["applied"].append(ckey)
-        report["events"].extend(batch.events)
     if all(
         f"{descriptor.txn_id}:a{i}" in replica.action_completions
         for i in range(len(descriptor.actions))

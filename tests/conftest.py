@@ -20,7 +20,9 @@ its node tree and leaves any other document to PyYAML's constructor. For
 the whole session every parse is compared with ``yaml.safe_load`` of the
 same text: the data must be strictly equal (``True`` is not ``1``, ``1``
 is not ``1.0``, NaN equals NaN, and mappings keep their order), and a
-YAML error must be a ``ScenarioInvalid`` on the line PyYAML names.
+YAML error must be a ``ScenarioInvalid`` on the line PyYAML names. So
+must the raw error PyYAML's constructor raises on a scalar its tag cannot
+hold (``!!int abc``), on the line of the scalar it raised on.
 """
 
 from __future__ import annotations
@@ -87,9 +89,26 @@ def cross_check_fold_cache():
         yield
 
 
+# what PyYAML's scalar constructors raise on a value their tag cannot hold
+_UNREADABLE = (ValueError, LookupError, AttributeError)
+
+
+class _MarkingLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that marks a constructor's raw error with the line
+    of the node it was raised on."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except _UNREADABLE as exc:
+            if not hasattr(exc, "line"):  # the innermost node raised it
+                exc.line = node.start_mark.line + 1
+            raise
+
+
 def _safe_load(text: str):
     """``yaml.safe_load(text)``, through the constructor bound at import."""
-    loader = yaml.SafeLoader(text)
+    loader = _MarkingLoader(text)
     try:
         node = loader.get_single_node()
         return None if node is None else _CONSTRUCT_DOCUMENT(loader, node)
@@ -124,6 +143,8 @@ def _error(exc: Exception) -> tuple:
     if isinstance(exc, yaml.YAMLError):
         mark = getattr(exc, "problem_mark", None)
         return ScenarioInvalid, None if mark is None else mark.line + 1
+    if isinstance(exc, _UNREADABLE) and hasattr(exc, "line"):
+        return ScenarioInvalid, exc.line
     return type(exc), str(exc)
 
 

@@ -101,6 +101,13 @@ max_time: 200
         ("actions:\n  - {at: true, replica: A, do: read, entity: book/moby}\n",
          9, "'at' in action 'read' must be a number, got True"),
         ("network:\n  drop: true\n", 9, "'drop' in network must be a number, got True"),
+        ("actions:\n  - {at: 30.9, replica: A, do: read, entity: book/moby}\n",
+         9, "'at' in action 'read' must be a number, got 30.9"),
+        ("actions:\n  - {at: \"30\", replica: A, do: read, entity: book/moby}\n",
+         9, "'at' in action 'read' must be a number, got '30'"),
+        ("faults:\n  - {kind: crash, at: 2.0, target: A}\n",
+         9, "'at' in fault must be a number, got 2.0"),
+        ("network:\n  drop: '0.5'\n", 9, "'drop' in network must be a number, got '0.5'"),
         ("processes:\n  - id: audit\n    steps:\n"
          "      - {id: note, trigger: audit.note, handler: {kind: delta, entity: bok/x, deltas: {n: 1}}}\n",
          11, "undeclared entity type 'bok'"),
@@ -110,7 +117,8 @@ max_time: 200
     ],
     ids=["action-entity", "action-entity-type", "disaster-entity", "deferred-entity", "action-at",
          "missing-at", "fault-at", "network-drop", "lags-pending", "sync-interval", "action-at-bool",
-         "network-drop-bool", "handler-entity", "handler-entities"],
+         "network-drop-bool", "action-at-float", "action-at-str", "fault-at-float",
+         "network-drop-str", "handler-entity", "handler-entities"],
 )
 def test_malformed_entities_and_numbers_exit_two_with_the_line(tmp_path, capsys, tail, line, message):
     bad = tmp_path / "bad.yaml"

@@ -66,8 +66,6 @@ KNOWN_MISMATCHES = {
     # timing; the value is still one of the candidates
     ("gossip.yaml", "A", "commit=1"),
     ("gossip.yaml", "B", "commit=1"),
-    # action_txns is volatile: the compensation finds no transaction
-    ("test_sim.COMPENSATE_FLOW", "A", "commit=1"),
     # the join's fire mark commits, and the dispatch step never runs
     ("test_sim.JOIN_FLOW", "A", "commit=4"),
 }

@@ -154,7 +154,27 @@ PARSES = {
     "duplicate-key": ("a: 1\nb: 2\na: 3\n", "fast"),
     "empty": ("", "fast"),
     "syntax-error": ("a: [1\nb: 2\n", "fast"),
+    # a scalar its tag cannot hold: PyYAML's constructor raises, on the line
+    # of the scalar it meets first
+    "int-tag-on-a-word": ("a: 1\nb: !!int abc\n", "fallback"),
+    "float-tag-on-nothing": ("a: !!float ''\n", "fallback"),
+    "two-bad-scalars": ("a: {b: !!bool x}\nc: !!int y\n", "fallback"),
+    "bad-scalar-beside-an-alias": ("a: &x [1]\nb: *x\nc: [!!timestamp abc]\n", "fallback"),
 }
+
+
+def test_a_float_field_takes_an_int():
+    config = parse_scenario(TEXTS["bank.yaml"] + "network: {drop: 0, duplicate: 1}\n").config
+    assert (config.drop, config.duplicate) == (0.0, 1.0)
+    assert type(config.drop) is float and type(config.max_time) is int
+
+
+@pytest.mark.parametrize("tag", ["int", "timestamp", "bool"])
+def test_a_tagged_scalar_its_tag_cannot_hold_is_invalid_on_its_line(tag):
+    text = TEXTS["bank.yaml"] + f"sync_interval: !!{tag} abc\n"
+    with pytest.raises(ScenarioInvalid, match=f"'abc' is not a valid !!{tag}") as caught:
+        parse_scenario(text)
+    assert caught.value.line == len(text.splitlines())
 
 
 @pytest.mark.parametrize("name", sorted(PARSES))

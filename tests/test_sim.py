@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -608,6 +610,62 @@ def test_compensating_a_confirmed_reservation_reverses_downstream_work():
     # the broken promise is abrogated and apologized for
     assert report.reservations["A"]["o1"] == "abrogated"
     assert any(a["cause"] == "lost_promise" for a in report.apologies)
+
+
+def test_a_client_action_s_transaction_is_the_one_that_consumed_its_message():
+    sim = Simulator(parse_scenario(COMPENSATE_FLOW))
+    sim.run()
+    replica = sim.replicas["A"]
+    (reserve,) = [e for e in replica.store.log("p0").events if e.idempotence_key == "reserve:o1"]
+    # durable state, so a crash right after the reserve's commit keeps it
+    assert replica.processed["client:r1"] == reserve.origin_txn_id
+
+
+def test_a_compensation_on_another_replica_reads_the_transaction_where_the_action_ran():
+    text = """
+schema: eventual/1
+entities:
+  account: {merge: commutative_delta, initial: {balance: 0}, aggregates: [balance]}
+topology:
+  partitions: {p0: [A, B]}
+max_time: 500
+actions:
+  - {at: 1, replica: A, do: delta, id: d1, entity: account/alice, deltas: {balance: 100}}
+  - {at: 30, replica: B, do: compensate, id: comp, action: d1}
+"""
+    report = run(parse_scenario(text))
+    assert report.notes == []
+    for rollups in report.rollups.values():
+        assert json.loads(rollups["account/alice"])["value"]["balance"] == 0
+
+
+def test_compensating_a_rolled_back_action_notes_that_it_has_no_transaction():
+    text = BANK + """  - {at: 2, replica: A, do: delta, id: w, entity: account/alice, deltas: {balance: -500},
+     guard: {field: balance, min: 0}}
+  - {at: 5, replica: A, do: compensate, id: comp, action: w}
+"""
+    sim = Simulator(parse_scenario(text))
+    report = sim.run()
+    assert "client:w" in sim.replicas["A"].processed  # acknowledged, in no transaction
+    assert report.notes == ["compensate: no transaction recorded for w"]
+    assert json.loads(report.rollups["A"]["account/alice"])["value"]["balance"] == 100
+
+
+def test_a_finished_simulator_is_freed_without_the_cycle_collector():
+    # each replica's commit hook must not refer back to the simulator: the
+    # cycle would keep a finished run's whole state alive until a full
+    # collection, and raised delta-hot's peak RSS by 15%
+    gc.disable()
+    try:
+        sim = Simulator(load_scenario(SCENARIOS / "overbooking.yaml"))
+        sim.run()
+        # a later write on a finished run's replicas records no batch
+        assert all(replica.on_commit is None for replica in sim.replicas.values())
+        freed = weakref.ref(sim)
+        del sim
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 # actions after two tentative reservations on a capacity-2 book, each of

@@ -121,7 +121,7 @@ def test_the_one_entity_rule_names_the_refs_as_text():
 def test_a_direct_two_entity_commit_applies_nothing_of_the_batch():
     replica = make_replica()
     commits = []
-    replica.on_commit = lambda: commits.append(1)
+    replica.on_commit = lambda batch: commits.append(1)
     store = replica.store
     events = [
         store.make_event(ACCOUNT, "delta", {"deltas": {"balance": 1}}, "k0", "t1"),
