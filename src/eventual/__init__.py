@@ -3,13 +3,15 @@
 State is never stored: every write is an immutable event describing an
 operation, reads fold an entity's log in a canonical replica-independent
 order, and all conflict handling — across sessions or across replicas —
-runs through one deterministic resolution mechanism. A seeded
-discrete-event simulator exercises the whole stack under partitions,
-drops, duplicates, reordering, crashes, and disasters.
+runs through one deterministic resolution mechanism. One ``Node`` per
+replica runs every reaction to a change; a seeded discrete-event
+simulator hosts the nodes and exercises the whole stack under
+partitions, drops, duplicates, reordering, crashes, and disasters.
 """
 
 from .clocks import VersionVector
 from .errors import EngineError
+from .node import Node, NodeConfig
 from .process import ApologyRecord, ManagedException, ProcessDef, ProcessManager, Reservation
 from .registry import MergePolicy, ParentConstraint, RollupSpec, SchemaRegistry
 from .replica import LogicalLock, Replica
@@ -56,6 +58,8 @@ __all__ = [
     "LogicalLock",
     "ManagedException",
     "MergePolicy",
+    "Node",
+    "NodeConfig",
     "ParentConstraint",
     "PendingActionDescriptor",
     "ProcessDef",

@@ -2,7 +2,7 @@
 
 The outbox is written only inside a commit batch; the inbox is drained
 only by the owning replica. Transport between them is at-least-once (the
-simulator's network retries until acknowledged), so consumers deduplicate
+sending node retries until acknowledged), so consumers deduplicate
 by idempotence key: at-least-once delivery plus an idempotent consumer
 yields exactly-once effect.
 """

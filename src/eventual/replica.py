@@ -90,7 +90,8 @@ class Replica:
         self.epoch = 0  # bumped on crash; stale scheduled work is skipped
         self._txn_counter = 0
         self.commit_times: list[int] = []
-        # gets each durable batch; a simulator records it (a crash point raises)
+        # gets each durable batch; the replica's node records it for its
+        # reactions (a simulator's crash point records it, then raises)
         self.on_commit: Callable[[object], None] | None = None
 
     def next_txn_id(self, session: str) -> str:

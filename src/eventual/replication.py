@@ -3,15 +3,18 @@
 Every conflict — two sessions on one replica or two replicas on two sides
 of a partition — is handled the same way: commit locally without
 validation, exchange events, and let the fold (``store.FoldState``)
-resolve the event set deterministically. This module ships the events,
-reports how the fold settled concurrency, detects overbooked capacity
-and selects losers (latest canonical order loses), and drafts
-compensations from recorded operation payloads.
+resolve the event set deterministically. This module reports how the fold
+settled concurrency, detects overbooked capacity and selects losers
+(latest canonical order loses), and drafts compensations from recorded
+operation payloads. The exchange itself, and what a merge obliges, is
+``node.Node``'s anti-entropy protocol; ``sync`` runs it offline between
+two replicas.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import Uncompensatable, UnmergeableCustom
@@ -65,26 +68,65 @@ def shared_partitions(a: Replica, b: Replica) -> list[str]:
     return sorted(set(a.partitions_hosted()) & set(b.partitions_hosted()))
 
 
-def sync(a: Replica, b: Replica) -> tuple[int, int]:
-    """Direct pairwise exchange: both replicas end with the event union.
+class _Offline:
+    """One node's timers and network in an offline ``sync``: tick 0, no
+    timers (the work they would run is volatile, and dropped as a crash
+    drops it), and envelopes queued for the exchange's other node."""
 
-    This is the offline form; the simulator performs the same exchange as
-    messages over its simulated network so faults apply uniformly.
+    now = 0
+
+    def __init__(self, src: str, queue: deque):
+        self._src = src
+        self._queue = queue
+
+    def schedule(self, at: int, kind: str, detail: str, **fields) -> None:
+        pass
+
+    def rearm_syncs(self) -> None:
+        pass
+
+    def send(self, dst: str, kind: str, body: dict, env_id: str) -> None:
+        self._queue.append((self._src, dst, kind, body))
+
+
+def sync(a: Replica, b: Replica) -> tuple[int, int]:
+    """Direct pairwise exchange of the partitions two replicas share.
+
+    Two ``node.Node``s run the anti-entropy protocol over an in-memory
+    network that delivers each envelope in order until none is left:
+    ``a`` asks, ``b`` ships what ``a`` lacks, ``a`` merges it and ships
+    back what ``b`` lacks. So each merge reconciles and remediates as in a
+    simulated run: it opens resurrection and unmergeable exceptions,
+    and cancels overbooked reservations, each cancel's batch carrying its
+    apology. Those commits are durable; the timers they arm (expiry,
+    cleansing, retries, consumption) are not run, and ``Node.recover``
+    re-derives them on a host that runs timers.
 
     Returns (events a received, events b received).
     """
-    to_a = 0
-    to_b = 0
-    for partition_id in shared_partitions(a, b):
-        log_a = a.store.log(partition_id)
-        log_b = b.store.log(partition_id)
-        for event in log_a.missing_for(log_b.frontier()):
-            if b.store.ingest_foreign(partition_id, event):
-                to_b += 1
-        for event in log_b.missing_for(log_a.frontier()):
-            if a.store.ingest_foreign(partition_id, event):
-                to_a += 1
-    return to_a, to_b
+    from .node import Node, NodeConfig, notify_destination  # the node builds on this module
+
+    hosts: dict[str, list[str]] = {}
+    for replica in (a, b):
+        for partition_id in replica.partitions_hosted():
+            hosts.setdefault(partition_id, []).append(replica.replica_id)
+    notify = notify_destination(hosts)
+    queue: deque = deque()
+    decoded: dict = {}
+    nodes = {}
+    for replica in (a, b):
+        link = _Offline(replica.replica_id, queue)
+        nodes[replica.replica_id] = Node(replica, NodeConfig(), link, link, notify=notify, decoded=decoded)
+    try:
+        nodes[a.replica_id].start_sync(b.replica_id, shared_partitions(a, b))
+        while queue:
+            src, dst, kind, body = queue.popleft()
+            if dst in nodes:
+                nodes[dst].receive(src, kind, body)
+    finally:
+        for node in nodes.values():
+            node.detach()
+    return nodes[a.replica_id].ingested, nodes[b.replica_id].ingested
 
 
 # -- conflict resolution -----------------------------------------------------
@@ -234,12 +276,15 @@ class CompensationPlan:
     apologies: list[dict] = field(default_factory=list)
 
 
-def compensation_plan(replica: Replica, txn_id: str) -> CompensationPlan:
+def compensation_plan(replica: Replica, txn_id: str, origin: Replica | None = None) -> CompensationPlan:
     """Derive reversing events from the recorded operation payloads.
 
     Possible precisely because payloads describe operations, not
     consequences. Idempotent per txn: the drafted keys are deterministic,
-    so replaying the plan has a single net effect.
+    so replaying the plan has a single net effect. The events come from
+    ``replica``'s logs; the messages from the outbox of ``origin``, the
+    replica the transaction ran on (by default ``replica``), since outboxes
+    do not replicate.
     """
     plan = CompensationPlan(txn_id=txn_id)
     originals: list[tuple[str, EventRecord]] = []
@@ -291,7 +336,7 @@ def compensation_plan(replica: Replica, txn_id: str) -> CompensationPlan:
             )
         # tombstones, apologies, and discrepancy records are not reversed
 
-    for message in replica.outbox.for_txn(txn_id):
+    for message in (origin or replica).outbox.for_txn(txn_id):
         plan.message_drafts.append(
             {
                 "destination": message.destination,

@@ -410,7 +410,7 @@ def _build_processes(data: dict, lines: _Lines, config: SimConfig) -> list[Proce
             handler = _shaped(dict, step["handler"], "handler", lines, *path, "handler")
             if handler.get("kind") not in HANDLER_KINDS:
                 _fail(f"unknown handler kind {handler.get('kind')!r}", lines, *path, "handler")
-            _check_payload(handler, lines, *path, "handler")
+            _check_payload(handler, "handler", lines, *path, "handler")
             for subpath, entity_type in _template_entity_types(handler, lines, *path, "handler"):
                 _check_entity_type(entity_type, config, lines, *path, "handler", *subpath)
             steps.append(ProcessStepDef(step["id"], trigger, handler))
@@ -432,15 +432,24 @@ def _template_entity_types(template: dict, lines: _Lines, *path):
     deferred_writes = _shaped(list, template.get("deferred", []), "deferred", lines, *path, "deferred")
     for j, deferred in enumerate(deferred_writes):
         _shaped(dict, deferred, "deferred write", lines, *path, "deferred", j, required=("entity", "deltas"))
-        _check_payload(deferred, lines, *path, "deferred", j)
+        _check_payload(deferred, "deferred write", lines, *path, "deferred", j)
         yield ("deferred", j), EntityRef.parse(str(deferred.get("entity"))).entity_type
 
 
-def _check_payload(template: dict, lines: _Lines, *path) -> None:
-    """The payload fields a handler reads as mappings are mappings."""
+def _check_payload(template: dict, where: str, lines: _Lines, *path) -> None:
+    """The payload fields a handler reads as mappings are mappings, and the
+    ones it adds or compares are numbers: each value of ``deltas`` and
+    ``observed``, a reserve's ``quantity``, and its ``deadline`` unless null."""
     for key, required in {"deltas": (), "guard": ("field",), "fields": (), "observed": ()}.items():
         if key in template:
             _shaped(dict, template[key], key, lines, *path, key, required=required)
+    for key in ("deltas", "observed"):
+        for field_name in template.get(key, ()):
+            _number(float, template[key], field_name, _REQUIRED, key, lines, *path, key)
+    if "quantity" in template:
+        _number(int, template, "quantity", _REQUIRED, where, lines, *path)
+    if template.get("deadline") is not None:
+        _number(int, template, "deadline", _REQUIRED, where, lines, *path)
 
 
 def _build_faults(data: dict, lines: _Lines, config: SimConfig) -> list[Fault]:
@@ -490,7 +499,7 @@ def _build_actions(data: dict, lines: _Lines, config: SimConfig) -> list[ClientA
             _fail(f"action replica {action.get('replica')!r} is unknown", lines, "actions", i)
         at = _number(int, action, "at", _REQUIRED, f"action {do!r}", lines, "actions", i)
         params = {k: v for k, v in action.items() if k not in ACTION_BASE_FIELDS}
-        _check_payload(params, lines, "actions", i)
+        _check_payload(params, f"action {do!r}", lines, "actions", i)
         for subpath, entity_type in _template_entity_types(params, lines, "actions", i):
             _check_entity_type(entity_type, config, lines, "actions", i, *subpath,
                                replica=action["replica"])

@@ -47,8 +47,8 @@ origin at the remote frontier. Each event crosses the wire as one line,
 encoded once, at its origin (``PartitionLog.line``); a log that ingests
 an event with the line it arrived as keeps that line, so a relay
 forwards the received bytes without encoding them again, and a valid
-line that is not canonical travels on as received. The simulator
-decodes each distinct line once per run and hands every receiver the
+line that is not canonical travels on as received. The nodes of a run
+decode each distinct line once and hand every receiver the
 same read-only record; a receiver that holds a line's id skips it
 (``EventRecord.peek_id`` reads the id of a line not yet decoded).
 """
@@ -81,6 +81,9 @@ OP_CONFIRM = "confirm"
 OP_CANCEL = "cancel"
 OP_APOLOGY = "apology"
 OP_DISCREPANCY = "discrepancy"
+OP_KINDS = frozenset(
+    (OP_INSERT, OP_DELTA, OP_TOMBSTONE, OP_TENTATIVE, OP_CONFIRM, OP_CANCEL, OP_APOLOGY, OP_DISCREPANCY)
+)
 
 # Reservation states, weakest to strongest. When concurrent lifecycle
 # events disagree, the strongest state wins, which makes the derived
@@ -199,13 +202,20 @@ class EventRecord(NamedTuple):
 
     @classmethod
     def from_line(cls, line: str) -> EventRecord:
-        """Inverse of ``to_line``; raises MalformedEvent naming a bad line."""
+        """Inverse of ``to_line``; raises MalformedEvent naming a bad line,
+        one with a sequence below 1, or one of an unknown op kind."""
         try:
             raw = json.loads(line)
+            event_id = EventId.parse(raw["event_id"])
+            if event_id.seq < 1:
+                raise ValueError(f"sequence {event_id.seq} is below 1")
+            op_kind = raw["op_kind"]
+            if op_kind not in OP_KINDS:
+                raise ValueError(f"unknown op kind {op_kind!r}")
             return cls(
-                event_id=EventId.parse(raw["event_id"]),
+                event_id=event_id,
                 entity_ref=EntityRef.parse(raw["entity_ref"]),
-                op_kind=raw["op_kind"],
+                op_kind=op_kind,
                 payload=canon(raw["payload"]),
                 causal_stamp=VersionVector.from_dict(raw["causal_stamp"]),
                 lww_hint=raw["lww_hint"],
@@ -598,7 +608,7 @@ class PartitionLog:
         if event.event_id in self._by_id:
             raise DuplicateEventId(str(event.event_id))
         if seq <= self._max_seq.get(origin, 0):
-            raise SequenceGap(f"{event.event_id} arrived after {origin}:{self._max_seq[origin]}")
+            raise SequenceGap(f"{event.event_id} arrived after {origin}:{self._max_seq.get(origin, 0)}")
         self._max_seq[origin] = seq
         self._by_origin.setdefault(origin, []).append(event)
         self.events.append(event)

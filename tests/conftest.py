@@ -34,7 +34,7 @@ import pytest
 import yaml
 
 import eventual.scenario
-import eventual.sim
+import eventual.node
 from eventual.errors import ScenarioInvalid
 from eventual.process import plan_referential_resolutions, scan_exceptions
 from eventual.registry import MergePolicy
@@ -209,7 +209,7 @@ def _checked_plans(replica, parent_ref):
 @pytest.fixture(autouse=True, scope="session")
 def cross_check_referential_index():
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(eventual.sim, "plan_referential_resolutions", _checked_plans)
+        patch.setattr(eventual.node, "plan_referential_resolutions", _checked_plans)
         yield
 
 

@@ -114,11 +114,23 @@ max_time: 200
         ("processes:\n  - id: audit\n    steps:\n      - id: note\n        trigger: audit.note\n"
          "        handler:\n          kind: multi_write\n          entities: [order/o, ordr/u]\n",
          15, "undeclared entity type 'ordr'"),
+        ("actions:\n  - {at: 1, replica: A, do: reserve, entity: book/moby, reservation_id: r1, deadline: x}\n",
+         9, "'deadline' in action 'reserve' must be a number, got 'x'"),
+        ("actions:\n  - {at: 1, replica: A, do: reserve, entity: book/moby, reservation_id: r1, quantity: \"2\"}\n",
+         9, "'quantity' in action 'reserve' must be a number, got '2'"),
+        ("actions:\n  - {at: 1, replica: A, do: delta, entity: book/moby, deltas: {on_hand: x}}\n",
+         9, "'on_hand' in deltas must be a number, got 'x'"),
+        ("actions:\n  - {at: 1, replica: A, do: delta, entity: book/moby, deltas: {on_hand: 1},\n"
+         "     deferred: [{entity: book/moby, deltas: {on_hand: true}}]}\n",
+         10, "'on_hand' in deltas must be a number, got True"),
+        ("actions:\n  - {at: 1, replica: A, do: physical_count, entity: book/moby, observed: {on_hand: '3'}}\n",
+         9, "'on_hand' in observed must be a number, got '3'"),
     ],
     ids=["action-entity", "action-entity-type", "disaster-entity", "deferred-entity", "action-at",
          "missing-at", "fault-at", "network-drop", "lags-pending", "sync-interval", "action-at-bool",
          "network-drop-bool", "action-at-float", "action-at-str", "fault-at-float",
-         "network-drop-str", "handler-entity", "handler-entities"],
+         "network-drop-str", "handler-entity", "handler-entities", "reserve-deadline-str",
+         "reserve-quantity-str", "delta-value-str", "deferred-delta-bool", "observed-str"],
 )
 def test_malformed_entities_and_numbers_exit_two_with_the_line(tmp_path, capsys, tail, line, message):
     bad = tmp_path / "bad.yaml"

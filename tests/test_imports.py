@@ -34,3 +34,30 @@ def test_no_module_imports_an_unused_name():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Every ``eventual`` module a module imports, by its full name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "eventual" if node.level else ""
+            module = ".".join(p for p in (base, node.module) if p)
+            out.add(module)
+            out.update(f"{module}.{alias.name}" for alias in node.names)
+    return {name for name in out if name == "eventual" or name.startswith("eventual.")}
+
+
+def test_only_the_simulator_s_clients_import_it():
+    # the runtime (``eventual.node``) and everything below it run without a
+    # simulator; the package namespace re-exports it
+    allowed = {"sim.py", "scenario.py", "cli.py", "__init__.py"}
+    importers = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if "eventual.sim" in imported_modules(ast.parse(path.read_text()))
+    }
+    assert importers - allowed == set()
+    assert importers >= {"scenario.py", "cli.py"}  # the check sees relative imports

@@ -1,0 +1,178 @@
+"""A Node under fake timers and an in-memory network: no scenario, no simulator."""
+
+from __future__ import annotations
+
+import heapq
+
+from eventual.bus import QueueMessage
+from eventual.node import Node, NodeConfig
+from eventual.process import scan_apologies
+from eventual.replica import Replica
+from eventual.replication import sync
+from eventual.store import OP_CANCEL, OP_TENTATIVE
+
+from test_replication import ACCOUNT, BOOK, brute_force_losers, make_registry, make_replica
+
+
+class World:
+    """Timers and a network for a few nodes: ``run`` delivers every envelope
+    at once and runs each task, in time order, up to a tick."""
+
+    def __init__(self, replicas: list[Replica], *, config: NodeConfig | None = None,
+                 notify: tuple[str, str] | None = None, now: int = 0):
+        self.now = now
+        self.scheduled: list[tuple[int, dict]] = []  # every task ever scheduled
+        self.sends: list[dict] = []  # every envelope ever sent
+        self.rearms = 0
+        self._tasks: list[tuple[int, int, str, dict]] = []
+        self._envelopes: list[tuple[str, str, str, dict]] = []
+        self.nodes = {}
+        for replica in replicas:
+            host = _Host(self, replica.replica_id)
+            self.nodes[replica.replica_id] = Node(replica, config or NodeConfig(), host, host, notify=notify)
+
+    def run(self, until: int) -> None:
+        while self._envelopes or (self._tasks and self._tasks[0][0] <= until):
+            if self._envelopes:
+                src, dst, kind, body = self._envelopes.pop(0)
+                if dst in self.nodes:
+                    self.nodes[dst].receive(src, kind, body)
+                continue
+            at, _, rid, task = heapq.heappop(self._tasks)
+            self.now = max(self.now, at)
+            self.nodes[rid].on_timer(task)
+
+    def tasks(self, kind: str) -> list[tuple[int, dict]]:
+        return [(at, task) for at, task in self.scheduled if task["kind"] == kind]
+
+
+class _Host:
+    def __init__(self, world: World, rid: str):
+        self.world = world
+        self.rid = rid
+
+    @property
+    def now(self) -> int:
+        return self.world.now
+
+    def schedule(self, at: int, kind: str, detail: str, **fields) -> None:
+        task = {"kind": kind, "detail": detail, **fields}
+        self.world.scheduled.append((at, task))
+        heapq.heappush(self.world._tasks, (at, len(self.world.scheduled), self.rid, task))
+
+    def rearm_syncs(self) -> None:
+        self.world.rearms += 1
+
+    def send(self, dst: str, kind: str, body: dict, env_id: str) -> None:
+        node = self.world.nodes[self.rid]
+        self.world.sends.append({
+            "src": self.rid, "dst": dst, "kind": kind, "in_commit": node._in_commit,
+            "commits": len(node.replica.commit_times),
+        })
+        self.world._envelopes.append((self.rid, dst, kind, body))
+
+
+def client(replica_id: str, action_id: str, **template) -> QueueMessage:
+    return QueueMessage(
+        message_id=f"client:{action_id}",
+        destination=(replica_id, "p0"),
+        msg_type=f"client.{template['kind']}",
+        payload={"template": template},
+        idempotence_key=f"client:{action_id}",
+        enqueue_stamp=0,
+        sender="client",
+    )
+
+
+def reserve(replica_id: str, reservation_id: str, deadline: int) -> QueueMessage:
+    return client(replica_id, reservation_id, kind="reserve", entity=str(BOOK),
+                  reservation_id=reservation_id, deadline=deadline)
+
+
+# -- the follow-up, one reaction at a time ---------------------------------------
+
+
+def test_a_tentative_reservation_with_a_deadline_schedules_one_expiry_at_it():
+    world = World([make_replica("A")], now=10)
+    world.nodes["A"].submit(reserve("A", "r1", 50))
+    world.run(until=10)
+    assert world.tasks("expiry") == [
+        (50, {"kind": "expiry", "detail": "r1", "entity": str(BOOK), "reservation_id": "r1"})
+    ]
+
+
+def test_an_open_discrepancy_schedules_one_cleanse_after_the_cleanse_lag():
+    world = World([make_replica("A")], config=NodeConfig(cleanse_lag=3), now=10)
+    count = client("A", "count", kind="physical_count", entity="account/alice", observed={"balance": 7})
+    world.nodes["A"].submit(count)
+    world.run(until=10)
+    cleanse = {"kind": "cleanse", "detail": "account/alice", "entity": "account/alice"}
+    assert world.tasks("cleanse") == [(13, cleanse)]
+    world.run(until=13)  # the cleanse adjusts the rollup and resolves the discrepancy
+    assert world.nodes["A"].replica.store.rollup("p0", ACCOUNT).value["balance"] == 7
+    assert len(world.tasks("cleanse")) == 1
+
+
+def test_a_committed_message_is_sent_only_once_the_commit_path_has_exited():
+    world = World([make_replica("A")], notify=("N", "notify"))
+    pay = client("A", "pay", kind="delta", entity="account/alice", deltas={"balance": 5},
+                 emit=[{"type": "paid", "to": "notify"}])
+    world.nodes["A"].submit(pay)
+    world.run(until=0)
+    assert [(s["dst"], s["kind"]) for s in world.sends] == [("N", "queue_msg")]
+    assert world.sends[0] == {"src": "A", "dst": "N", "kind": "queue_msg", "in_commit": False, "commits": 1}
+    assert world.nodes["A"].commit_path_sends == 0
+    (entry,) = world.nodes["A"].replica.outbox.entries
+    message_id = entry.message.message_id
+    assert world.tasks("retry") == [(2, {"kind": "retry", "detail": message_id, "message_id": message_id})]
+
+
+# -- two nodes over the network ------------------------------------------------------
+
+
+def _four_each(world: World) -> None:
+    for rid in ("A", "B"):
+        for i in range(4):
+            world.nodes[rid].submit(reserve(rid, f"r{rid}{i}", 900))
+    world.run(until=0)
+
+
+def _assert_the_oracle_s_losers_are_cancelled_once_each(replicas: dict[str, Replica]) -> set[str]:
+    tentative = [e for e in replicas["A"].store.log("p0").events if e.op_kind == OP_TENTATIVE]
+    assert len(tentative) == 8
+    oracle = brute_force_losers(tentative, 5)
+    assert len(oracle) == 3
+    for replica in replicas.values():
+        cancels = [e for e in replica.store.log("p0").events if e.op_kind == OP_CANCEL]
+        assert sorted(e.payload["reservation_id"] for e in cancels) == sorted(oracle)
+        for cancel in cancels:
+            # the apology rides in the cancel's own batch, on the replica that made it
+            maker = replicas[cancel.event_id.replica]
+            (apology,) = maker.outbox.for_txn(cancel.origin_txn_id)
+            assert apology.msg_type == "_apology.record"
+            assert apology.payload["subject"] == cancel.payload["reservation_id"]
+    return oracle
+
+
+def test_two_nodes_cancel_the_oracle_s_losers_once_each_with_their_apologies():
+    reg = make_registry()
+    world = World([make_replica("A", reg), make_replica("B", reg)])
+    _four_each(world)
+    world.nodes["A"].start_sync("B", ["p0"])
+    world.run(until=100)
+    replicas = {rid: node.replica for rid, node in world.nodes.items()}
+    oracle = _assert_the_oracle_s_losers_are_cancelled_once_each(replicas)
+    # the apologies were delivered to the notify replica and recorded there
+    assert {a.subject for a in scan_apologies(replicas["A"])} == oracle
+
+
+def test_an_offline_sync_remediates_as_the_nodes_do():
+    reg = make_registry()
+    world = World([make_replica("A", reg), make_replica("B", reg)])
+    _four_each(world)
+    for node in world.nodes.values():
+        node.detach()
+    a, b = (node.replica for node in world.nodes.values())
+    assert sync(a, b)[0] == 4
+    _assert_the_oracle_s_losers_are_cancelled_once_each({"A": a, "B": b})
+    assert a.on_commit is None and b.on_commit is None  # sync leaves no hook behind

@@ -312,14 +312,22 @@ def partitioned_reservations(n_a: int, n_b: int):
             ctx_for(b, f"actB{i}"),
         )
         events.extend(o.appended_events)
-    sync(a, b)  # the partition heals
+    to_a, to_b = sync(a, b)  # the partition heals
+    # b also receives the cancels a's merge made
+    assert to_a == n_b and to_b == n_a + len(cancelled(a))
     return reg, a, b, events
+
+
+def cancelled(replica: Replica) -> set[str]:
+    view = replica.store.fold_state("p0", BOOK).reservation_view()
+    return {rid for rid, entry in view.items() if entry["state"] == "cancelled"}
 
 
 def test_no_apologies_at_exactly_capacity():
     reg, a, b, events = partitioned_reservations(3, 2)  # 5 accepted, capacity 5
     state = a.store.rollup("p0", BOOK)
     assert detect_overbooking(state.value, reg.get("book")) == []
+    assert cancelled(a) == cancelled(b) == set()
 
 
 def test_partitioned_four_plus_four_yields_three_losers():
@@ -327,18 +335,17 @@ def test_partitioned_four_plus_four_yields_three_losers():
     oracle = brute_force_losers(events, 5)
     assert len(oracle) == max(0, 8 - 5) == 3
     for replica in (a, b):
+        # the merge cancelled the oracle's losers, so none is left to find
+        assert cancelled(replica) == oracle
         state = replica.store.rollup("p0", BOOK)
-        losers = {l["reservation_id"] for l in detect_overbooking(state.value, reg.get("book"))}
-        assert losers == oracle
+        assert detect_overbooking(state.value, reg.get("book")) == []
 
 
 def test_loser_selection_is_latest_in_canonical_order():
     reg, a, b, events = partitioned_reservations(4, 4)
     ordered = canonical_sort(events)
     keep = {e.payload["reservation_id"] for e in ordered[:5]}
-    state = a.store.rollup("p0", BOOK)
-    losers = {l["reservation_id"] for l in detect_overbooking(state.value, reg.get("book"))}
-    assert losers == {e.payload["reservation_id"] for e in ordered} - keep
+    assert cancelled(a) == cancelled(b) == {e.payload["reservation_id"] for e in ordered} - keep
 
 
 def test_entities_without_capacity_never_have_losers():

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import eventual.node
 import eventual.process
-import eventual.sim
 from eventual.bus import QueueMessage
 from eventual.cli import check_invariants
 from eventual.clocks import VersionVector
@@ -639,6 +639,35 @@ actions:
         assert json.loads(rollups["account/alice"])["value"]["balance"] == 0
 
 
+PAID_TALLY = """
+schema: eventual/1
+entities:
+  account: {merge: commutative_delta, initial: {balance: 0}, aggregates: [balance]}
+  ledger: {merge: commutative_delta, initial: {count: 0}, aggregates: [count]}
+topology:
+  partitions: {p0: [A, B]}
+max_time: 500
+processes:
+  - id: books
+    steps:
+      - {id: tally, trigger: paid, handler: {kind: delta, entity: ledger/total, deltas: {count: 1}}}
+      - {id: untally, trigger: paid.compensate, handler: {kind: delta, entity: ledger/total, deltas: {count: -1}}}
+actions:
+  - {at: 1, replica: A, do: delta, id: d1, entity: account/alice, deltas: {balance: 100}, emit: [{type: paid}]}
+  - {at: 30, replica: COMP_ON, do: compensate, id: comp, action: d1}
+"""
+
+
+@pytest.mark.parametrize("where", ["A", "B"])
+def test_a_compensation_sends_the_messages_of_the_transaction_wherever_it_runs(where):
+    # the messages are in the outbox of the replica the action ran on
+    report = run(parse_scenario(PAID_TALLY.replace("COMP_ON", where)))
+    assert report.quiescent and report.notes == []
+    for rollups in report.rollups.values():
+        assert json.loads(rollups["ledger/total"])["value"]["count"] == 0
+        assert json.loads(rollups["account/alice"])["value"]["balance"] == 0
+
+
 def test_compensating_a_rolled_back_action_notes_that_it_has_no_transaction():
     text = BANK + """  - {at: 2, replica: A, do: delta, id: w, entity: account/alice, deltas: {balance: -500},
      guard: {field: balance, min: 0}}
@@ -794,12 +823,13 @@ def test_unmatched_event_types_are_recorded_and_ignored():
 def test_a_retry_of_an_acked_message_sends_nothing():
     sim = Simulator(parse_scenario(GOSSIP))
     outbox = sim.replicas["A"].outbox
+    node = sim.nodes["A"]
     outbox.add(QueueMessage("A:t:m0", ("B", "p0"), "thing.happened", {}, "K", 0, "A"))
-    sim._task_retry({"replica": "A", "message_id": "A:t:m0"})
+    node._task_retry({"message_id": "A:t:m0"})
     assert sim.counters["sent"] == 1 and outbox.get("A:t:m0").attempts == 1
     outbox.mark_acked("A:t:m0")
-    sim._task_retry({"replica": "A", "message_id": "A:t:m0"})
-    sim._task_retry({"replica": "A", "message_id": "A:t:m9"})  # never added
+    node._task_retry({"message_id": "A:t:m0"})
+    node._task_retry({"message_id": "A:t:m9"})  # never added
     assert sim.counters["sent"] == 1 and outbox.get("A:t:m0").attempts == 1
 
 
@@ -916,7 +946,7 @@ def test_referential_planning_reads_only_the_waiting_children(monkeypatch):
             planning[0] = False
 
     monkeypatch.setattr(ReplicaStore, "fold_state", counted_fold_state)
-    monkeypatch.setattr(eventual.sim, "plan_referential_resolutions", traced_plan)
+    monkeypatch.setattr(eventual.node, "plan_referential_resolutions", traced_plan)
 
     def work(blocks):
         reads[0] = 0
@@ -963,7 +993,7 @@ actions:
 def test_each_kept_conflict_report_is_computed_once(monkeypatch):
     # A merge reads the entity's fold; ``resolve`` runs only until the
     # first report for that replica and entity is kept.
-    resolve = eventual.sim.resolve
+    resolve = eventual.node.resolve
     with_groups = [0]
 
     def counted(*args):
@@ -971,7 +1001,7 @@ def test_each_kept_conflict_report_is_computed_once(monkeypatch):
         with_groups[0] += bool(report.groups)
         return report
 
-    monkeypatch.setattr(eventual.sim, "resolve", counted)
+    monkeypatch.setattr(eventual.node, "resolve", counted)
     for name in ("gossip.yaml", "overbooking.yaml", "reference.yaml"):
         with_groups[0] = 0
         report = run(load_scenario(SCENARIOS / name), seed=0)
@@ -1079,16 +1109,21 @@ def test_replicas_share_each_synced_record_and_none_mutates_it(path):
         lambda line: '{"event_id":"',
         lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:one"'),
         lambda line: line.replace('"event_id":"A:1"', '"event_id":"A1"'),
+        lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:0"'),
+        # an id not held yet, so the line is decoded
+        lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:999"')
+        .replace('"op_kind":"', '"op_kind":"bogus-'),
     ],
-    ids=["truncated", "no-brace", "no-last-field", "not-json", "empty", "bare-head", "bad-seq", "no-colon"],
+    ids=["truncated", "no-brace", "no-last-field", "not-json", "empty", "bare-head", "bad-seq", "no-colon",
+         "seq-zero", "unknown-op"],
 )
 def test_a_malformed_sync_line_raises_a_typed_error(corrupt):
     sim = Simulator(parse_scenario(GOSSIP))
     sim.run()
-    replica = sim.replicas["A"]
-    held = replica.store.export_partition("p0")[0]
+    node = sim.nodes["A"]
+    held = node.replica.store.export_partition("p0")[0]
     assert held.startswith('{"event_id":"A:1"')
-    sim._merge_remote_events(replica, {"p0": [held]})  # a held id is skipped unread
+    node._merge_remote_events({"p0": [held]})  # a held id is skipped unread
     bad = corrupt(held)
     with pytest.raises(MalformedEvent):
-        sim._merge_remote_events(replica, {"p0": [bad]})
+        node._merge_remote_events({"p0": [bad]})

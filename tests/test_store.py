@@ -16,6 +16,7 @@ from eventual.errors import (
     DuplicateEventId,
     FutureVersion,
     MalformedEvent,
+    SequenceGap,
     UnknownEntity,
     WrongPartition,
 )
@@ -558,8 +559,10 @@ def test_a_zero_entry_is_absent():
         lambda line: line[: len(line) // 2],  # truncated JSON
         lambda line: line.replace('"lww_hint"', '"lww_hnt"'),  # a missing field
         lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:one"'),  # a bad event_id
+        lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:0"'),  # a sequence below 1
+        lambda line: line.replace('"op_kind":"delta"', '"op_kind":"bogus"'),  # an unknown op kind
     ],
-    ids=["truncated", "missing-field", "bad-event-id"],
+    ids=["truncated", "missing-field", "bad-event-id", "seq-zero", "unknown-op"],
 )
 def test_malformed_archive_lines_raise_a_typed_error_naming_the_line(corrupt):
     store = make_store()
@@ -575,6 +578,12 @@ def test_malformed_archive_lines_raise_a_typed_error_naming_the_line(corrupt):
     with pytest.raises(MalformedEvent):
         clone.import_partition("p0", [bad, lines[1]])
     assert clone.export_partition("p0") == []
+
+
+def test_a_sequence_at_or_below_an_unseen_origin_s_is_a_sequence_gap():
+    log = PartitionLog("p0")
+    with pytest.raises(SequenceGap, match="A:0 arrived after A:0"):
+        log.append(_record()._replace(event_id=EventId("A", 0)))
 
 # -- the fold cache ------------------------------------------------------
 
