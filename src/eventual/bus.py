@@ -46,13 +46,16 @@ class Outbox:
 
     ``entries`` keeps the order of addition. Entries are also indexed by
     idempotence key and by message id; a message id is unique, since it is
-    made from a transaction id, which a replica never reuses.
+    made from a transaction id, which a replica never reuses. The unacked
+    entries are kept apart, in the order of addition, so ``pending`` costs
+    what is unacked; every ack goes through ``mark_acked``.
     """
 
     def __init__(self) -> None:
         self.entries: list[OutboxEntry] = []
         self._by_key: dict[str, OutboxEntry] = {}
         self._by_id: dict[str, OutboxEntry] = {}
+        self._unacked: dict[str, OutboxEntry] = {}  # message id -> entry
 
     def add(self, message: QueueMessage) -> bool:
         """Add one message; re-emissions of the same logical send collapse."""
@@ -62,18 +65,20 @@ class Outbox:
         self.entries.append(entry)
         self._by_key[message.idempotence_key] = entry
         self._by_id[message.message_id] = entry
+        self._unacked[message.message_id] = entry
         return True
 
     def get(self, message_id: str) -> OutboxEntry | None:
         return self._by_id.get(message_id)
 
     def mark_acked(self, message_id: str) -> None:
-        entry = self._by_id.get(message_id)
+        entry = self._unacked.pop(message_id, None)
         if entry is not None:
             entry.acked = True
 
     def pending(self) -> list[OutboxEntry]:
-        return [e for e in self.entries if not e.acked]
+        """The unacked entries, in the order of addition."""
+        return list(self._unacked.values())
 
     def for_txn(self, txn_id: str) -> list[QueueMessage]:
         return [e.message for e in self.entries if e.message.message_id.startswith(f"{txn_id}:")]

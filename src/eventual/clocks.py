@@ -63,7 +63,7 @@ class VersionVector:
 
     @classmethod
     def from_dict(cls, data: dict[str, int]) -> VersionVector:
-        return cls(dict(data))
+        return cls(data)
 
     def key(self) -> tuple[tuple[str, int], ...]:
         """Hashable canonical form (for caching and set membership)."""

@@ -15,7 +15,21 @@ test's fakes:
   ``{"kind": kind, "detail": detail, **fields}``, and ``rearm_syncs()``
   after a change other replicas lack;
 - ``Network``: ``send(dst, kind, body, env_id)``, an envelope the node
-  ``dst`` gets through ``receive``.
+  ``dst`` gets through ``receive``. A body is one of:
+
+  - ``queue_msg``: the ``QueueMessage`` fields, as a dict;
+  - ``ack``: ``{"message_id": id}``;
+  - ``sync_req``: ``{"frontiers": {partition: VersionVector}}``, the
+    initiator's frontier of each shared partition;
+  - ``sync_resp``: ``{"events": {partition: [line, ...]}, "frontiers":
+    {partition: VersionVector}}``, the archival lines the initiator
+    lacks (only partitions with some) and the answerer's frontiers;
+  - ``sync_back``: ``{"events": {partition: [line, ...]}}``, what the
+    answerer lacks.
+
+  A frontier is the vector ``PartitionLog.frontier()`` built for the
+  envelope; like every body it is read-only, since a duplicated envelope
+  delivers the same body twice.
 
 Scheduled work is volatile: a host that loses it (a crash, or an offline
 sync, which runs no timers) gets it back from ``recover``, which
@@ -25,7 +39,6 @@ re-derives it from durable state.
 from __future__ import annotations
 
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -139,7 +152,7 @@ class Node:
 
     def on_timer(self, task: dict) -> None:
         """Run a task this node scheduled, now due."""
-        getattr(self, "_task_" + task["kind"])(task)
+        _TIMER_HANDLERS[task["kind"]](self, task)
 
     def receive(self, src: str, kind: str, body: dict) -> None:
         """An envelope from node ``src``."""
@@ -160,7 +173,7 @@ class Node:
     def start_sync(self, peer: str, partitions: list[str]) -> None:
         """Ask ``peer`` for the events of ``partitions`` this replica lacks."""
         replica = self.replica
-        frontiers = {pid: replica.frontier(pid).to_dict() for pid in partitions}
+        frontiers = {pid: replica.frontier(pid) for pid in partitions}
         self._send(peer, "sync_req", {"frontiers": frontiers}, f"sync:{replica.replica_id}->{peer}")
 
     def recover(self) -> None:
@@ -197,10 +210,16 @@ class Node:
 
     def compensate(self, txn_id: str, origin: Replica) -> None:
         """Reverse transaction ``txn_id``, which ran on ``origin`` (this
-        replica or another): its events from this replica's logs, its
-        messages from ``origin``'s outbox."""
+        replica or another): its events from ``origin``'s logs, in the
+        partitions this replica hosts (a note names each other partition
+        holding some), and its messages from ``origin``'s outbox."""
         replica = self.replica
         plan = compensation_plan(replica, txn_id, origin)
+        for partition_id in plan.unhosted:
+            self.notes.append(
+                f"compensate: {replica.replica_id} does not host partition {partition_id!r} "
+                f"of {txn_id}; its events there are not reversed"
+            )
 
         def compensating_messages(comp_txn: str) -> list[QueueMessage]:
             return [
@@ -271,14 +290,14 @@ class Node:
 
     # -- the commit path -------------------------------------------------------------
 
-    @contextmanager
-    def _commit_path(self):
-        """Mark the commit path: a network send inside it breaks availability.
-        On a normal exit each batch committed inside gets its ``_react``; a
-        crash point drops them, and recovery re-derives what they oblige."""
+    def _commit_path(self, commit, *args) -> None:
+        """Run ``commit(*args)`` as the commit path: a network send inside it
+        breaks availability. On a normal return each batch committed inside
+        gets its ``_react``; a raise (a crash point) drops them, and
+        recovery re-derives what they oblige."""
         self._in_commit = True
         try:
-            yield
+            commit(*args)
         finally:
             self._in_commit = False
             committed = self._committed[:]
@@ -286,21 +305,20 @@ class Node:
         for batch in committed:
             self._react(batch)
 
-    def _execute_guarded(self, step_def: ProcessStepDef, ctx: StepContext) -> None:
-        """Run one step; commit is instrumented to prove it never touches
-        the network."""
-        with self._commit_path():
-            try:
-                execute_step(step_def, ctx)
-            except MultiEntityWriteRejected as exc:
-                self.multi_entity_rejections += 1
-                ctx.replica.audit_log.append({"audit": "multi_entity_rejected", "detail": str(exc)})
-            except (UnknownReservation, AlreadyTerminal) as exc:
-                self.notes.append(f"{type(exc).__name__}: {exc}")
+    def _execute_step(self, step_def: ProcessStepDef, ctx: StepContext) -> None:
+        """Run one step (callers run it on the commit path, which proves it
+        never touches the network); a rejected step is audited, a refused
+        one noted."""
+        try:
+            execute_step(step_def, ctx)
+        except MultiEntityWriteRejected as exc:
+            self.multi_entity_rejections += 1
+            ctx.replica.audit_log.append({"audit": "multi_entity_rejected", "detail": str(exc)})
+        except (UnknownReservation, AlreadyTerminal) as exc:
+            self.notes.append(f"{type(exc).__name__}: {exc}")
 
     def _commit_batch(self, batch: CommitBatch) -> None:
-        with self._commit_path():
-            txn_commit(self.replica, batch, self.timers.now)
+        self._commit_path(txn_commit, self.replica, batch, self.timers.now)
 
     def _react(self, batch: CommitBatch) -> None:
         """What a committed batch obliges, once its commit path returned."""
@@ -409,7 +427,7 @@ class Node:
         if dst == replica.replica_id:
             # local destination: enqueue/dequeue are local, no network at all
             replica.inbox.add(message)
-            entry.acked = True
+            replica.outbox.mark_acked(message.message_id)
             self._schedule_consume(message.destination[1])
             return
         self._send(
@@ -475,7 +493,7 @@ class Node:
                     consume_marker=marker,
                     route_message=self._router(partition),
                 )
-                self._execute_guarded(step_def, ctx)
+                self._commit_path(self._execute_step, step_def, ctx)
         except LockConflict:
             self.timers.schedule(
                 self.timers.now + self.config.lock_backoff, "exec", f"defer:{message.message_id}",
@@ -562,7 +580,7 @@ class Node:
             idempotence_base=base,
             route_message=self._router(replica.partitions_hosted()[0]),
         )
-        self._execute_guarded(step_def, ctx)
+        self._commit_path(self._execute_step, step_def, ctx)
 
     # -- volatile follow-up work ----------------------------------------------------
 
@@ -574,8 +592,7 @@ class Node:
         descriptor = replica.descriptors.get(task["txn_id"])
         if descriptor is None or task["txn_id"] in replica.descriptors_done:
             return
-        with self._commit_path():
-            apply_pending_actions(replica, descriptor, self.timers.now)
+        self._commit_path(apply_pending_actions, replica, descriptor, self.timers.now)
         # the locks are released now: following up every entity they held
         # also runs a remediation they refused
         for ref in descriptor.lock_scope:
@@ -619,7 +636,7 @@ class Node:
         """Node ``src`` sent its frontiers: ship what it lacks, and ours."""
         replica = self.replica
         events = self._missing_lines(body["frontiers"])
-        frontiers = {pid: replica.frontier(pid).to_dict() for pid in sorted(body["frontiers"])}
+        frontiers = {pid: replica.frontier(pid) for pid in sorted(body["frontiers"])}
         self._send(src, "sync_resp", {"events": events, "frontiers": frontiers},
                    f"resp:{replica.replica_id}->{src}")
 
@@ -630,12 +647,12 @@ class Node:
         if back:
             self._send(src, "sync_back", {"events": back}, f"back:{self.replica.replica_id}->{src}")
 
-    def _missing_lines(self, frontiers: dict[str, dict]) -> dict[str, list[str]]:
+    def _missing_lines(self, frontiers: dict[str, VersionVector]) -> dict[str, list[str]]:
         """Archival lines of the events the replica holds beyond each partition frontier."""
         lines = {}
         for pid, frontier in sorted(frontiers.items()):
             log = self.replica.store.log(pid)
-            missing = log.missing_for(VersionVector.from_dict(frontier))
+            missing = log.missing_for(frontier)
             if missing:
                 lines[pid] = [log.line(e) for e in missing]
         return lines
@@ -707,3 +724,15 @@ class Node:
             txn_id,
         )
         self._commit_batch(CommitBatch(txn_id=txn_id, session="sys", events=[event]))
+
+
+# each timer kind's handler, by the task's kind
+_TIMER_HANDLERS = {
+    "consume": Node._task_consume,
+    "exec": Node._task_exec,
+    "retry": Node._task_retry,
+    "pending": Node._task_pending,
+    "expiry": Node._task_expiry,
+    "cleanse": Node._task_cleanse,
+    "resolve": Node._task_resolve,
+}

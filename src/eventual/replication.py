@@ -267,13 +267,17 @@ class CompensationPlan:
 
     ``event_drafts`` is a list of (entity_ref, op_kind, payload, key)
     tuples, grouped per entity by the engine into single-entity steps;
-    ``message_drafts`` mirrors messages the transaction sent.
+    ``message_drafts`` mirrors messages the transaction sent;
+    ``unhosted`` names, in order, the partitions holding events of the
+    transaction that the compensating replica does not host, so nothing
+    was drafted for them.
     """
 
     txn_id: str
     event_drafts: list[tuple[EntityRef, str, dict, str]] = field(default_factory=list)
     message_drafts: list[dict] = field(default_factory=list)
     apologies: list[dict] = field(default_factory=list)
+    unhosted: list[str] = field(default_factory=list)
 
 
 def compensation_plan(replica: Replica, txn_id: str, origin: Replica | None = None) -> CompensationPlan:
@@ -282,17 +286,26 @@ def compensation_plan(replica: Replica, txn_id: str, origin: Replica | None = No
     Possible precisely because payloads describe operations, not
     consequences. Idempotent per txn: the drafted keys are deterministic,
     so replaying the plan has a single net effect. The events come from
-    ``replica``'s logs; the messages from the outbox of ``origin``, the
-    replica the transaction ran on (by default ``replica``), since outboxes
-    do not replicate.
+    the logs of ``origin``, the replica the transaction ran on (by default
+    ``replica``), which holds every event of its own transaction before
+    anti-entropy brings them to any other; the messages from its outbox,
+    since outboxes do not replicate. Events are drafted only for the
+    partitions ``replica``, the compensating replica, hosts. A reversed
+    reservation was a promise, and its cancel a broken one with an
+    apology, if either replica's fold shows it confirmed.
     """
+    origin = origin or replica
+    hosted = set(replica.partitions_hosted())
     plan = CompensationPlan(txn_id=txn_id)
     originals: list[tuple[str, EventRecord]] = []
-    for partition_id in replica.partitions_hosted():
-        log = replica.store.log(partition_id)
-        for event in log.events:
-            if event.origin_txn_id == txn_id:
-                originals.append((partition_id, event))
+    for partition_id in origin.partitions_hosted():
+        log = origin.store.log(partition_id)
+        events = [event for event in log.events if event.origin_txn_id == txn_id]
+        if partition_id not in hosted:
+            if events:
+                plan.unhosted.append(partition_id)
+            continue
+        originals += ((partition_id, event) for event in events)
     originals.sort(key=lambda pair: pair[1].event_id.seq)
 
     for i, (partition_id, event) in enumerate(originals):
@@ -306,9 +319,13 @@ def compensation_plan(replica: Replica, txn_id: str, origin: Replica | None = No
             )
         elif event.op_kind == OP_TENTATIVE:
             rid = event.payload["reservation_id"]
-            state = replica.store.fold_state(partition_id, event.entity_ref).reservation_view()
-            current = state.get(rid, {}).get("state", "tentative")
-            cause = "lost_promise" if current == "confirmed" else "compensated"
+            # the promise was made if either replica has seen it confirmed
+            confirmed = any(
+                r.store.fold_state(partition_id, event.entity_ref).reservation_view()
+                .get(rid, {}).get("state") == "confirmed"
+                for r in (replica, origin)
+            )
+            cause = "lost_promise" if confirmed else "compensated"
             plan.event_drafts.append(
                 (
                     event.entity_ref,
@@ -317,7 +334,7 @@ def compensation_plan(replica: Replica, txn_id: str, origin: Replica | None = No
                     key,
                 )
             )
-            if current == "confirmed":
+            if confirmed:
                 entity = str(event.entity_ref)
                 plan.apologies.append(apology_payload(rid, "lost_promise", entity, [key]))
         elif event.op_kind == OP_CONFIRM:
@@ -336,7 +353,7 @@ def compensation_plan(replica: Replica, txn_id: str, origin: Replica | None = No
             )
         # tombstones, apologies, and discrepancy records are not reversed
 
-    for message in (origin or replica).outbox.for_txn(txn_id):
+    for message in origin.outbox.for_txn(txn_id):
         plan.message_drafts.append(
             {
                 "destination": message.destination,

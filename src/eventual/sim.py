@@ -220,8 +220,9 @@ class _Port:
     now = property(attrgetter("_sim.now"))
 
 
-# the simulator's own tasks; every other kind is a node's timer
-_SIM_TASKS = frozenset(("client", "fault", "deliver", "sync"))
+# trace lines hashed at once: the hash of the run's lines, fed in chunks
+# of this many, is the hash of their concatenation
+_TRACE_CHUNK = 256
 
 
 class Simulator:
@@ -315,19 +316,17 @@ class Simulator:
 
     def _schedule(self, at: int, task: dict) -> None:
         self._seq += 1
-        if task.get("volatile"):
-            task["epoch"] = self.replicas[task["replica"]].epoch
         heapq.heappush(self._heap, (max(at, self.now), self._seq, task))
 
     def _schedule_task(self, replica_id: str, at: int, kind: str, detail: str, **fields) -> None:
-        """Schedule work of one replica; it is volatile, so a crash drops it."""
+        """Schedule work of one replica. It is volatile: it carries the
+        replica's epoch, and a crash, which bumps the epoch, drops it."""
+        epoch = self.replicas[replica_id].epoch
         self._schedule(
-            at, {"kind": kind, "replica": replica_id, "volatile": True, "detail": detail, **fields}
+            at,
+            {"kind": kind, "replica": replica_id, "volatile": True, "detail": detail, "epoch": epoch,
+             **fields},
         )
-
-    def _trace_task(self, task: dict) -> None:
-        detail = task.get("detail", "")
-        self._trace.update(f"{self.now}|{task['kind']}|{detail}\n".encode())
 
     # -- network -----------------------------------------------------------
 
@@ -358,21 +357,19 @@ class Simulator:
             self.counters["dropped"] += 1
         if duplicated:
             legs.append(deliver_at + self.rng.randint(1, max(1, self.config.delay_max)))
+        if not legs:
+            return
+        sync = env_kind.startswith("sync")
+        detail = f"{env_kind}:{src}->{dst}:{env_id}"
         for at in legs:
-            if env_kind.startswith("sync"):
+            if sync:
                 self._in_flight_sync += 1
             else:
                 self._in_flight += 1
             self._schedule(
                 at,
-                {
-                    "kind": "deliver",
-                    "src": src,
-                    "dst": dst,
-                    "env_kind": env_kind,
-                    "body": body,
-                    "detail": f"{env_kind}:{src}->{dst}:{env_id}",
-                },
+                {"kind": "deliver", "src": src, "dst": dst, "env_kind": env_kind, "body": body,
+                 "detail": detail},
             )
 
     # -- run loop ------------------------------------------------------------
@@ -386,26 +383,34 @@ class Simulator:
         for rid in sorted(self.replicas):
             self._arm_sync(rid, self.config.sync_interval)
 
+        heap, replicas, nodes = self._heap, self.replicas, self.nodes
+        max_time = self.config.max_time
+        lines: list[str] = []  # trace lines not hashed yet
         max_time_exceeded = False
-        while self._heap:
-            at, _, task = heapq.heappop(self._heap)
-            if at > self.config.max_time:
+        while heap:
+            at, _, task = heapq.heappop(heap)
+            if at > max_time:
                 max_time_exceeded = True
                 break
             self.now = at
-            if task.get("volatile"):
-                replica = self.replicas[task["replica"]]
-                if task.get("epoch", 0) != replica.epoch or not replica.alive:
-                    continue  # scheduled before a crash: volatile state is gone
-            self._trace_task(task)
             kind = task["kind"]
+            if task.get("volatile"):
+                replica = replicas[task["replica"]]
+                if task["epoch"] != replica.epoch or not replica.alive:
+                    continue  # scheduled before a crash: volatile state is gone
+            lines.append(f"{at}|{kind}|{task['detail']}\n")
+            if len(lines) == _TRACE_CHUNK:
+                self._trace.update("".join(lines).encode())
+                lines.clear()
+            handler = _SIM_HANDLERS.get(kind)
             try:
-                if kind in _SIM_TASKS:
-                    getattr(self, f"_task_{kind}")(task)
+                if handler is not None:
+                    handler(self, task)
                 else:
-                    self.nodes[task["replica"]].on_timer(task)
+                    nodes[task["replica"]].on_timer(task)
             except _CrashedAfterCommit:
                 pass  # the replica is down: the rest of its task is lost
+        self._trace.update("".join(lines).encode())
         for node in self.nodes.values():
             node.detach()  # a later commit outside the run records nothing
         return self._build_report(max_time_exceeded)
@@ -429,7 +434,7 @@ class Simulator:
         for replica in self.replicas.values():
             if not replica.alive:
                 return False
-            if any(not entry.acked for entry in replica.outbox.entries):
+            if replica.outbox.pending():
                 return False
             if len(replica.inbox) > 0:
                 return False
@@ -667,6 +672,15 @@ class Simulator:
             report.rollups[rid] = dict(sorted(rollups.items()))
         report.apologies = [apologies_seen[k] for k in sorted(apologies_seen)]
         return report
+
+
+# the simulator's own tasks, by kind; every other kind is a node's timer
+_SIM_HANDLERS = {
+    "client": Simulator._task_client,
+    "fault": Simulator._task_fault,
+    "deliver": Simulator._task_deliver,
+    "sync": Simulator._task_sync,
+}
 
 
 def run(scenario: Scenario, seed: int | None = None) -> RunReport:

@@ -42,9 +42,10 @@ line. A checkpoint's cut must be causally closed over the entity's
 events (``summarize`` raises ``CutNotClosed`` otherwise).
 
 Anti-entropy costs what the merge changed. A partition log indexes its
-events by origin in sequence order, so ``missing_for`` bisects each
-origin at the remote frontier. Each event crosses the wire as one line,
-encoded once, at its origin (``PartitionLog.line``); a log that ingests
+events by origin in sequence order, so ``missing_for`` skips each origin
+the remote frontier covers and bisects the others at it. Each event
+crosses the wire as one line, encoded once, at its origin
+(``PartitionLog.line``); a log that ingests
 an event with the line it arrived as keeps that line, so a relay
 forwards the received bytes without encoding them again, and a valid
 line that is not canonical travels on as received. The nodes of a run
@@ -111,6 +112,22 @@ _LINE_LAST = ',"origin_txn_id":"'
 
 
 _CONTAINERS = (dict, list, tuple)
+
+# each field whose type ``EventRecord.from_line`` checks: the type, and how an error words it
+_FIELD_TYPES = (
+    ("op_kind", str, "a string"),
+    ("payload", dict, "a JSON object"),
+    ("causal_stamp", dict, "a JSON object"),
+    ("lww_hint", int, "an int"),
+    ("idempotence_key", str, "a string"),
+    ("origin_txn_id", str, "a string"),
+)
+
+
+def _wrong_field_type(raw: dict) -> TypeError:
+    """The error naming the first field of ``raw`` of the wrong type."""
+    name, _, text = next(field for field in _FIELD_TYPES if type(raw[field[0]]) is not field[1])
+    return TypeError(f"{name} is not {text}: {raw[name]!r}")
 
 
 def canon(obj):
@@ -202,25 +219,37 @@ class EventRecord(NamedTuple):
 
     @classmethod
     def from_line(cls, line: str) -> EventRecord:
-        """Inverse of ``to_line``; raises MalformedEvent naming a bad line,
-        one with a sequence below 1, or one of an unknown op kind."""
+        """Inverse of ``to_line``; raises MalformedEvent naming a bad line:
+        one that is not a JSON object of the eight fields, has a sequence
+        below 1 or an unknown op kind, or has a field of the wrong type
+        (the error names the field). The lww hint and each causal-stamp
+        entry must be ints (not bools), the entries positive; the op kind,
+        idempotence key and txn id strings; the payload and causal stamp
+        objects."""
         try:
             raw = json.loads(line)
             event_id = EventId.parse(raw["event_id"])
             if event_id.seq < 1:
                 raise ValueError(f"sequence {event_id.seq} is below 1")
-            op_kind = raw["op_kind"]
+            op_kind, payload, stamp = raw["op_kind"], raw["payload"], raw["causal_stamp"]
+            lww_hint, key, txn_id = raw["lww_hint"], raw["idempotence_key"], raw["origin_txn_id"]
+            if not (type(op_kind) is str and type(payload) is dict and type(stamp) is dict
+                    and type(lww_hint) is int and type(key) is str and type(txn_id) is str):
+                raise _wrong_field_type(raw)
             if op_kind not in OP_KINDS:
                 raise ValueError(f"unknown op kind {op_kind!r}")
+            for origin, seq in stamp.items():
+                if type(seq) is not int or seq < 1:
+                    raise TypeError(f"causal_stamp entry {origin!r} is not a positive int: {seq!r}")
             return cls(
                 event_id=event_id,
                 entity_ref=EntityRef.parse(raw["entity_ref"]),
                 op_kind=op_kind,
-                payload=canon(raw["payload"]),
-                causal_stamp=VersionVector.from_dict(raw["causal_stamp"]),
-                lww_hint=raw["lww_hint"],
-                idempotence_key=raw["idempotence_key"],
-                origin_txn_id=raw["origin_txn_id"],
+                payload=canon(payload),
+                causal_stamp=VersionVector.from_dict(stamp),
+                lww_hint=lww_hint,
+                idempotence_key=key,
+                origin_txn_id=txn_id,
             )
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise MalformedEvent(line, exc) from exc
@@ -571,7 +600,8 @@ class PartitionLog:
     """Insert-only event log for one partition on one replica.
 
     Beside each entity's live events, ``append`` indexes the events of
-    each origin, in sequence order (which ``missing_for`` bisects), and
+    each origin and their sequence numbers, in sequence order (which
+    ``missing_for`` bisects), and
     the entities whose discrepancy events name a parent
     (``payload["detail"]["parent"]``), the ref a referential violation
     waits on. The indexes only grow, like the log, and survive a crash
@@ -586,6 +616,7 @@ class PartitionLog:
         self._by_id: dict[EventId, EventRecord] = {}
         self._live_by_entity: dict[EntityRef, list[EventRecord]] = {}
         self._by_origin: dict[str, list[EventRecord]] = {}
+        self._seqs: dict[str, list[int]] = {}  # each origin's sequence numbers, as in _by_origin
         self._by_parent: dict[str, set[EntityRef]] = {}
         # the last seq of each origin's list, kept apart: the frontier, and
         # each event made here (``ReplicaStore.make_event``) copies it
@@ -611,6 +642,7 @@ class PartitionLog:
             raise SequenceGap(f"{event.event_id} arrived after {origin}:{self._max_seq.get(origin, 0)}")
         self._max_seq[origin] = seq
         self._by_origin.setdefault(origin, []).append(event)
+        self._seqs.setdefault(origin, []).append(seq)
         self.events.append(event)
         self._by_id[event.event_id] = event
         self._live_by_entity.setdefault(event.entity_ref, []).append(event)
@@ -652,12 +684,14 @@ class PartitionLog:
         return sorted(refs, key=str)
 
     def missing_for(self, remote_frontier: VersionVector) -> list[EventRecord]:
-        """Events the remote lacks, in per-origin sequence order."""
+        """Events the remote lacks, in per-origin sequence order: an origin
+        the remote covers is skipped, the others bisected at its entry."""
         out: list[EventRecord] = []
-        for origin in sorted(self._by_origin):
-            held = self._by_origin[origin]
-            start = bisect_right(held, remote_frontier.get(origin), key=lambda e: e.event_id.seq)
-            out += held[start:]
+        max_seq = self._max_seq
+        for origin in sorted(max_seq):
+            seen = remote_frontier.get(origin)
+            if seen < max_seq[origin]:
+                out += self._by_origin[origin][bisect_right(self._seqs[origin], seen):]
         return out
 
     def archive_covered(self, entity_ref: EntityRef, up_to: VersionVector) -> list[EventRecord]:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import heapq
 
+from eventual import bus
 from eventual.bus import QueueMessage
+from eventual import node as node_module, sim as sim_module
 from eventual.node import Node, NodeConfig
 from eventual.process import scan_apologies
 from eventual.replica import Replica
 from eventual.replication import sync
 from eventual.store import OP_CANCEL, OP_TENTATIVE
+from eventual.txn import CommitBatch
 
 from test_replication import ACCOUNT, BOOK, brute_force_losers, make_registry, make_replica
 
@@ -89,6 +92,15 @@ def reserve(replica_id: str, reservation_id: str, deadline: int) -> QueueMessage
                   reservation_id=reservation_id, deadline=deadline)
 
 
+def test_every_task_kind_has_its_handler_in_the_dispatch_tables():
+    # the loops look handlers up by kind: a ``_task_<kind>`` method missing
+    # from its table would fail only when a task of that kind came due
+    for table, cls in ((node_module._TIMER_HANDLERS, Node), (sim_module._SIM_HANDLERS, sim_module.Simulator)):
+        methods = {name[len("_task_"):]: f for name, f in vars(cls).items() if name.startswith("_task_")}
+        assert table == methods
+    assert not set(node_module._TIMER_HANDLERS) & set(sim_module._SIM_HANDLERS)
+
+
 # -- the follow-up, one reaction at a time ---------------------------------------
 
 
@@ -128,6 +140,34 @@ def test_a_committed_message_is_sent_only_once_the_commit_path_has_exited():
 
 
 # -- two nodes over the network ------------------------------------------------------
+
+
+def test_pending_keeps_the_unacked_entries_in_order_through_local_and_remote_acks():
+    world = World([make_replica("A"), make_replica("B")])
+    node = world.nodes["A"]
+    outbox = node.replica.outbox
+
+    def commit(txn_id: str, destinations: str) -> None:
+        batch = CommitBatch(txn_id=txn_id, session="s")
+        bus.enqueue(batch, [
+            QueueMessage(f"{txn_id}:m{i}", (dst, "p0"), "note", {}, f"{txn_id}:m{i}", 0, "A")
+            for i, dst in enumerate(destinations)
+        ])
+        node._commit_batch(batch)
+
+    def pending() -> list[str]:
+        return [entry.message.message_id for entry in outbox.pending()]
+
+    # the launch delivers each message for A itself, acking it at once
+    commit("t1", "ABAB")
+    assert pending() == ["t1:m1", "t1:m3"]
+    commit("t2", "BA")
+    assert pending() == ["t1:m1", "t1:m3", "t2:m0"]
+    outbox.mark_acked("t1:m3")  # B's ack of the last sent message first
+    assert pending() == ["t1:m1", "t2:m0"]
+    world.run(until=0)  # B receives the rest and acks them
+    assert pending() == []
+    assert all(entry.acked for entry in outbox.entries) and len(outbox.entries) == 6
 
 
 def _four_each(world: World) -> None:

@@ -668,6 +668,59 @@ def test_a_compensation_sends_the_messages_of_the_transaction_wherever_it_runs(w
         assert json.loads(rollups["account/alice"])["value"]["balance"] == 0
 
 
+def test_a_compensation_on_another_replica_reverses_events_anti_entropy_has_not_brought_it():
+    # at tick 2 B holds neither the delta nor the tally A committed at
+    # tick 1: the reversing events are drafted from A's logs, where the
+    # transaction ran
+    text = PAID_TALLY.replace("at: 30, replica: COMP_ON", "at: 2, replica: B")
+    sim = Simulator(parse_scenario(text))
+    report = sim.run()
+    assert sim.replicas["B"].store.log("p0").events[0].event_id.replica == "B"  # made before any merge
+    assert report.quiescent and report.notes == []
+    for rid in ("A", "B"):
+        rollups = report.rollups[rid]
+        assert json.loads(rollups["account/alice"])["value"]["balance"] == 0, rid
+        assert json.loads(rollups["ledger/total"])["value"]["count"] == 0, rid
+
+
+def test_a_compensation_on_another_replica_apologizes_for_a_promise_only_the_origin_saw_confirmed():
+    # at tick 3 B has not heard of the reservation A made and confirmed:
+    # its cancel still breaks a promise, so it is abrogated with an apology
+    text = (
+        COMPENSATE_FLOW.replace("partitions: {p0: [A], notify: [N]}", "partitions: {p0: [A, B], notify: [N]}")
+        .replace("{at: 2, replica: A, do: reserve", "{at: 1, replica: A, do: reserve")
+        .replace("{at: 40, replica: A, do: compensate", "{at: 3, replica: B, do: compensate")
+    )
+    report = run(parse_scenario(text), seed=0)
+    assert report.quiescent and report.notes == [] and check_invariants(report) == []
+    assert report.reservations["A"] == report.reservations["B"] == {"o1": "abrogated"}
+    assert [(a["apology_id"], a["cause"]) for a in report.apologies] == [("apology:o1", "lost_promise")]
+    assert report.probes["after"]["value"]["count"] == 0
+
+
+def test_a_compensation_notes_each_partition_of_the_transaction_it_does_not_host():
+    text = """
+schema: eventual/1
+entities:
+  account: {merge: commutative_delta, initial: {balance: 0}, aggregates: [balance]}
+  ledger: {merge: commutative_delta, initial: {count: 0}, aggregates: [count]}
+topology:
+  partitions: {p0: [A, B], p1: [A]}
+  placement: {account: p0, ledger: p1}
+max_time: 500
+actions:
+  - {at: 1, replica: A, do: delta, id: d1, entity: ledger/total, deltas: {count: 1}}
+  - {at: 30, replica: B, do: compensate, id: comp, action: d1}
+"""
+    sim = Simulator(parse_scenario(text))
+    report = sim.run()
+    txn_id = sim.replicas["A"].processed["client:d1"]
+    assert report.notes == [
+        f"compensate: B does not host partition 'p1' of {txn_id}; its events there are not reversed"
+    ]
+    assert json.loads(report.rollups["A"]["ledger/total"])["value"]["count"] == 1
+
+
 def test_compensating_a_rolled_back_action_notes_that_it_has_no_transaction():
     text = BANK + """  - {at: 2, replica: A, do: delta, id: w, entity: account/alice, deltas: {balance: -500},
      guard: {field: balance, min: 0}}
@@ -1071,6 +1124,28 @@ def test_sync_work_grows_with_the_diff(folds, monkeypatch):
     small, large = work(20), work(40)
     for s, b in zip(small, large):
         assert b <= 2.2 * s
+
+
+def test_no_sync_round_parses_a_frontier(monkeypatch):
+    # Frontiers travel as vectors, so the only vectors a run parses from
+    # dicts are the causal stamps of the lines it decodes.
+    from_line, from_dict = EventRecord.from_line, VersionVector.from_dict
+    decodes, parses = [0], [0]
+
+    def counted_from_line(cls, line):
+        decodes[0] += 1
+        return from_line(line)
+
+    def counted_from_dict(cls, data):
+        parses[0] += 1
+        return from_dict(data)
+
+    monkeypatch.setattr(EventRecord, "from_line", classmethod(counted_from_line))
+    monkeypatch.setattr(VersionVector, "from_dict", classmethod(counted_from_dict))
+    report = run(load_scenario(SCENARIOS / "gossip.yaml"), seed=0)
+    assert report.quiescent and converged(report)
+    assert decodes[0] > 0
+    assert parses[0] == decodes[0]
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)

@@ -554,17 +554,31 @@ def test_a_zero_entry_is_absent():
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    ("corrupt", "field"),
     [
-        lambda line: line[: len(line) // 2],  # truncated JSON
-        lambda line: line.replace('"lww_hint"', '"lww_hnt"'),  # a missing field
-        lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:one"'),  # a bad event_id
-        lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:0"'),  # a sequence below 1
-        lambda line: line.replace('"op_kind":"delta"', '"op_kind":"bogus"'),  # an unknown op kind
+        (lambda line: line[: len(line) // 2], None),  # truncated JSON
+        (lambda line: line.replace('"lww_hint"', '"lww_hnt"'), None),  # a missing field
+        (lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:one"'), None),  # a bad event_id
+        (lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:0"'), None),  # a sequence below 1
+        (lambda line: line.replace('"op_kind":"delta"', '"op_kind":"bogus"'), None),  # an unknown op kind
+        # a field of the wrong type is named in the error
+        (lambda line: line.replace('"lww_hint":1', '"lww_hint":"1"'), "lww_hint"),
+        (lambda line: line.replace('"lww_hint":1', '"lww_hint":true'), "lww_hint"),
+        (lambda line: line.replace('"lww_hint":1', '"lww_hint":1.5'), "lww_hint"),
+        (lambda line: line.replace('"op_kind":"delta"', '"op_kind":["delta"]'), "op_kind"),
+        (lambda line: line.replace('"idempotence_key":"d1"', '"idempotence_key":1'), "idempotence_key"),
+        (lambda line: line.replace('"origin_txn_id":"txn-d1"', '"origin_txn_id":null'), "origin_txn_id"),
+        (lambda line: line.replace('"payload":{"deltas":{"balance":100}}', '"payload":[1]'), "payload"),
+        (lambda line: line.replace('"causal_stamp":{"A":1}', '"causal_stamp":"A:1"'), "causal_stamp"),
+        (lambda line: line.replace('"causal_stamp":{"A":1}', '"causal_stamp":{"A":0}'), "causal_stamp"),
+        (lambda line: line.replace('"causal_stamp":{"A":1}', '"causal_stamp":{"A":"1"}'), "causal_stamp"),
+        (lambda line: line.replace('"causal_stamp":{"A":1}', '"causal_stamp":{"A":true}'), "causal_stamp"),
     ],
-    ids=["truncated", "missing-field", "bad-event-id", "seq-zero", "unknown-op"],
+    ids=["truncated", "missing-field", "bad-event-id", "seq-zero", "unknown-op",
+         "hint-string", "hint-bool", "hint-float", "op-kind-list", "key-int", "txn-null",
+         "payload-list", "stamp-string", "stamp-zero", "stamp-entry-string", "stamp-entry-bool"],
 )
-def test_malformed_archive_lines_raise_a_typed_error_naming_the_line(corrupt):
+def test_malformed_archive_lines_raise_a_typed_error_naming_the_line(corrupt, field):
     store = make_store()
     delta(store, ACCOUNT, "d1", balance=100)
     delta(store, ACCOUNT, "d2", balance=5)
@@ -574,6 +588,8 @@ def test_malformed_archive_lines_raise_a_typed_error_naming_the_line(corrupt):
     with pytest.raises(MalformedEvent) as caught:
         EventRecord.from_line(bad)
     assert caught.value.line == bad and repr(bad) in str(caught.value)
+    if field is not None:
+        assert str(caught.value.__cause__).startswith(field)
     clone = make_store("Z")
     with pytest.raises(MalformedEvent):
         clone.import_partition("p0", [bad, lines[1]])
@@ -1160,24 +1176,33 @@ def test_any_arrival_order_with_reads_between_folds_to_the_canonical_state(data)
     assert store.fold_state("p0", ACCOUNT).to_snapshot() == reference.to_snapshot()
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.tuples(st.sampled_from("ABC"), st.integers(min_value=1, max_value=3)), max_size=30),
+    st.dictionaries(st.sampled_from("ABCD"), st.integers(min_value=-4, max_value=4)),
     st.dictionaries(st.sampled_from("ABCD"), st.integers(min_value=0, max_value=40)),
 )
-def test_indexed_missing_for_matches_a_full_log_filter_and_sort(arrivals, remote):
+def test_indexed_missing_for_matches_a_full_log_filter_and_sort(arrivals, offsets, absolute):
+    # missing_for skips each origin the vector covers and bisects the rest:
+    # it must return what a filter of the whole log by ``covers`` returns,
+    # grouped by origin in id order, each origin in sequence order
     log = PartitionLog("p0")
     seqs: dict[str, int] = {}
     for origin, gap in arrivals:
         seqs[origin] = seqs.get(origin, 0) + gap
         event_id = EventId(origin, seqs[origin])
         log.append(EventRecord(event_id, ACCOUNT, OP_DELTA, {}, VersionVector(), 0, str(event_id), "t"))
-    frontier = VersionVector(remote)
-    full_scan = sorted(
-        (e.event_id for e in log.events if e.event_id.seq > frontier.get(e.event_id.replica)),
-        key=lambda i: (i.replica, i.seq),
-    )
-    assert [e.event_id for e in log.missing_for(frontier)] == full_scan
+    # vectors near the log's own frontier (behind it, at it, ahead of it, and
+    # naming an origin the log lacks), and vectors anywhere
+    near = {o: max(seqs.get(o, 0) + d, 0) for o, d in offsets.items()}
+    for vector in (VersionVector(near), VersionVector(absolute), VersionVector(), log.frontier()):
+        brute = [
+            e for e in sorted(log.events, key=lambda e: (e.event_id.replica, e.event_id.seq))
+            if not vector.covers(e.event_id.replica, e.event_id.seq)
+        ]
+        missing = log.missing_for(vector)
+        assert [e.event_id for e in missing] == [e.event_id for e in brute]
+        assert all(m is b for m, b in zip(missing, brute))
 
 
 def test_canonical_order_extends_causality():
