@@ -5,17 +5,18 @@ it: the commit path and what each committed batch sets off (follow-up,
 pending actions, outbox launch), message consumption and execution,
 retries, expiry, cleansing, referential resolution, compensation,
 recovery, and the anti-entropy protocol (answer, finish, merge,
-reconcile). It reaches the outside world through two small interfaces
-only, so the same code runs in the deterministic simulator
+reconcile). It reaches the outside world through one small interface,
+its ``Host``, so the same code runs in the deterministic simulator
 (``eventual.sim``), in the offline ``replication.sync``, and under a
-test's fakes:
+test's fakes. A host has:
 
-- ``Timers``: ``now``, ``schedule(at, kind, detail, **fields)`` for a
-  volatile task the node gets back through ``on_timer`` as the dict
-  ``{"kind": kind, "detail": detail, **fields}``, and ``rearm_syncs()``
-  after a change other replicas lack;
-- ``Network``: ``send(dst, kind, body, env_id)``, an envelope the node
-  ``dst`` gets through ``receive``. A body is one of:
+- ``now``, the current tick;
+- ``schedule(at, kind, detail, **fields)``, a volatile task the node gets
+  back through ``on_timer`` as the dict ``{"kind": kind, "detail":
+  detail, **fields}``;
+- ``rearm_syncs()``, called after a change other replicas lack;
+- ``send(dst, kind, body, env_id)``, an envelope the node ``dst`` gets
+  through ``receive``. A body is one of:
 
   - ``queue_msg``: the ``QueueMessage`` fields, as a dict;
   - ``ack``: ``{"message_id": id}``;
@@ -76,15 +77,13 @@ from .txn import (
 )
 
 
-class Timers(Protocol):
+class Host(Protocol):
     now: int
 
     def schedule(self, at: int, kind: str, detail: str, **fields) -> None: ...
 
     def rearm_syncs(self) -> None: ...
 
-
-class Network(Protocol):
     def send(self, dst: str, kind: str, body: dict, env_id: str) -> None: ...
 
 
@@ -115,13 +114,12 @@ class Node:
     record) and ``notes``.
     """
 
-    def __init__(self, replica: Replica, config: NodeConfig, timers: Timers, network: Network, *,
+    def __init__(self, replica: Replica, config: NodeConfig, host: Host, *,
                  manager: ProcessManager | None = None, notify: tuple[str, str] | None = None,
                  decoded: dict[str, EventRecord] | None = None, notes: list[str] | None = None):
         self.replica = replica
         self.config = config
-        self.timers = timers
-        self.network = network
+        self.host = host
         self.manager = manager if manager is not None else ProcessManager()
         self.notify = notify or (replica.replica_id, replica.partitions_hosted()[0])
         self.decoded = {} if decoded is None else decoded
@@ -138,10 +136,10 @@ class Node:
         replica.on_commit = self._committed.append
 
     def detach(self) -> None:
-        """Unhook the replica and drop the interfaces: a later commit on the
+        """Unhook the replica and drop the host: a later commit on the
         replica records nothing, and the node keeps no host alive."""
         self.replica.on_commit = None
-        self.timers = self.network = None
+        self.host = None
 
     # -- entry points ----------------------------------------------------------
 
@@ -187,7 +185,7 @@ class Node:
             if any(m.destination[1] == partition_id for m in replica.inbox.arrivals):
                 self._schedule_consume(partition_id)
         for entry in replica.outbox.pending():
-            self._schedule_retry(entry.message.message_id, self.timers.now + 1)
+            self._schedule_retry(entry.message.message_id, self.host.now + 1)
         for descriptor in replica.unapplied_descriptors():
             # recovery owns incomplete deferred work: re-derive its locks, re-run
             for ref in descriptor.lock_scope:
@@ -229,7 +227,7 @@ class Node:
                     msg_type=draft["msg_type"],
                     payload=draft["payload"],
                     idempotence_key=draft["idempotence_key"],
-                    enqueue_stamp=self.timers.now,
+                    enqueue_stamp=self.host.now,
                     sender=replica.replica_id,
                 )
                 for i, draft in enumerate(plan.message_drafts)
@@ -269,24 +267,24 @@ class Node:
     def _send(self, dst: str, kind: str, body: dict, env_id: str) -> None:
         if self._in_commit:
             self.commit_path_sends += 1
-        self.network.send(dst, kind, body, env_id)
+        self.host.send(dst, kind, body, env_id)
 
     def _schedule_consume(self, partition: str) -> None:
         """Drain the partition's inbox now."""
         detail = f"{self.replica.replica_id}:{partition}"
-        self.timers.schedule(self.timers.now, "consume", detail, partition=partition)
+        self.host.schedule(self.host.now, "consume", detail, partition=partition)
 
     def _schedule_retry(self, message_id: str, at: int) -> None:
-        self.timers.schedule(at, "retry", message_id, message_id=message_id)
+        self.host.schedule(at, "retry", message_id, message_id=message_id)
 
     def _schedule_pending(self, txn_id: str) -> None:
-        self.timers.schedule(self.timers.now + self.config.pending_lag, "pending", txn_id, txn_id=txn_id)
+        self.host.schedule(self.host.now + self.config.pending_lag, "pending", txn_id, txn_id=txn_id)
 
     def _schedule_expiry(self, entity: str, reservation_id: str, at: int) -> None:
-        self.timers.schedule(at, "expiry", reservation_id, entity=entity, reservation_id=reservation_id)
+        self.host.schedule(at, "expiry", reservation_id, entity=entity, reservation_id=reservation_id)
 
     def _schedule_cleanse(self, entity: str, at: int) -> None:
-        self.timers.schedule(at, "cleanse", entity, entity=entity)
+        self.host.schedule(at, "cleanse", entity, entity=entity)
 
     # -- the commit path -------------------------------------------------------------
 
@@ -318,7 +316,7 @@ class Node:
             self.notes.append(f"{type(exc).__name__}: {exc}")
 
     def _commit_batch(self, batch: CommitBatch) -> None:
-        self._commit_path(txn_commit, self.replica, batch, self.timers.now)
+        self._commit_path(txn_commit, self.replica, batch, self.host.now)
 
     def _react(self, batch: CommitBatch) -> None:
         """What a committed batch obliges, once its commit path returned."""
@@ -332,7 +330,7 @@ class Node:
                     entry.attempts = 1
                     self._transmit(entry)
         if batch.events or batch.messages:
-            self.timers.rearm_syncs()
+            self.host.rearm_syncs()
 
     def _follow_up(self, ref: EntityRef, events: list[EventRecord]) -> None:
         """What a change to ``ref`` obliges this replica to do, given the
@@ -357,12 +355,12 @@ class Node:
                 reservation_id = event.payload["reservation_id"]
                 view = replica.store.fold_state(replica.store.route(ref), ref).reservation_view()
                 if view.get(reservation_id, {}).get("state") == "tentative":
-                    at = max(event.payload["deadline"], self.timers.now + 1)
+                    at = max(event.payload["deadline"], self.host.now + 1)
                     self._schedule_expiry(str(ref), reservation_id, at)
             elif op == OP_DISCREPANCY and event.payload.get("kind") == "discrepancy":
                 exceptions = replica.store.fold_state(replica.store.route(ref), ref).exceptions
                 if not exceptions.get(event.payload["exception_id"], {}).get("resolved"):
-                    self._schedule_cleanse(str(ref), self.timers.now + self.config.cleanse_lag)
+                    self._schedule_cleanse(str(ref), self.host.now + self.config.cleanse_lag)
         if inserted:
             self._resolve_references(ref)
         spec = replica.registry.get(ref.entity_type)
@@ -390,8 +388,8 @@ class Node:
             for template in plan_referential_resolutions(self.replica, parent):
                 self._run_infra_step("refresolve", template, f"resolve:{template['exception_id']}")
         except LockConflict:
-            at = self.timers.now + self.config.lock_backoff
-            self.timers.schedule(at, "resolve", str(parent), entity=str(parent))
+            at = self.host.now + self.config.lock_backoff
+            self.host.schedule(at, "resolve", str(parent), entity=str(parent))
 
     def _cancel_reservation(self, ref: EntityRef, reservation_id: str, cause: str, step_id: str,
                             base: str) -> None:
@@ -414,7 +412,7 @@ class Node:
             msg_type="_apology.record",
             payload=payload,
             idempotence_key=payload["apology_id"],
-            enqueue_stamp=self.timers.now,
+            enqueue_stamp=self.host.now,
             sender=self.replica.replica_id,
         )
 
@@ -447,7 +445,7 @@ class Node:
         backoff = min(
             self.config.retry_base * (2 ** min(entry.attempts - 1, 10)), self.config.retry_cap
         )
-        self._schedule_retry(message.message_id, self.timers.now + backoff)
+        self._schedule_retry(message.message_id, self.host.now + backoff)
 
     def _task_retry(self, task: dict) -> None:
         entry = self.replica.outbox.get(task["message_id"])
@@ -462,8 +460,8 @@ class Node:
         message = bus.consume_next(replica, partition)
         if message is None:
             return
-        self.timers.schedule(
-            self.timers.now, "exec", f"{replica.replica_id}:{message.message_id}",
+        self.host.schedule(
+            self.host.now, "exec", f"{replica.replica_id}:{message.message_id}",
             partition=partition, message_id=message.message_id,
         )
 
@@ -486,17 +484,18 @@ class Node:
                     marker = (message.message_id, message.idempotence_key)
                 ctx = StepContext(
                     replica=replica,
-                    now=self.timers.now,
+                    now=self.host.now,
                     session=session,
                     payload=payload,
                     idempotence_base=message.idempotence_key,
                     consume_marker=marker,
-                    route_message=self._router(partition),
+                    notify=self.notify,
+                    partition=partition,
                 )
                 self._commit_path(self._execute_step, step_def, ctx)
         except LockConflict:
-            self.timers.schedule(
-                self.timers.now + self.config.lock_backoff, "exec", f"defer:{message.message_id}",
+            self.host.schedule(
+                self.host.now + self.config.lock_backoff, "exec", f"defer:{message.message_id}",
                 partition=partition, message_id=message.message_id,
             )
             return
@@ -519,20 +518,6 @@ class Node:
     def _reconsume(self, partition: str) -> None:
         if any(m.destination[1] == partition for m in self.replica.inbox.arrivals):
             self._schedule_consume(partition)
-
-    def _router(self, trigger_partition: str):
-        replica = self.replica
-        notify = self.notify
-
-        def route(to, written):
-            if to == "notify":
-                return notify
-            partition = trigger_partition
-            if written is not None:
-                partition = replica.store.route(written)
-            return (replica.replica_id, partition)
-
-        return route
 
     def _matched_steps(self, message: QueueMessage):
         """Builtin client templates, the apology recorder, and registered
@@ -570,15 +555,14 @@ class Node:
         return matches
 
     def _run_infra_step(self, step_id: str, template: dict, base: str) -> None:
-        replica = self.replica
         step_def = ProcessStepDef(step_id, TriggerSpec((step_id,)), template)
         ctx = StepContext(
-            replica=replica,
-            now=self.timers.now,
+            replica=self.replica,
+            now=self.host.now,
             session="sys",
             payload={},
             idempotence_base=base,
-            route_message=self._router(replica.partitions_hosted()[0]),
+            notify=self.notify,
         )
         self._commit_path(self._execute_step, step_def, ctx)
 
@@ -592,7 +576,7 @@ class Node:
         descriptor = replica.descriptors.get(task["txn_id"])
         if descriptor is None or task["txn_id"] in replica.descriptors_done:
             return
-        self._commit_path(apply_pending_actions, replica, descriptor, self.timers.now)
+        self._commit_path(apply_pending_actions, replica, descriptor, self.host.now)
         # the locks are released now: following up every entity they held
         # also runs a remediation they refused
         for ref in descriptor.lock_scope:
@@ -610,7 +594,7 @@ class Node:
         entry = view.get(reservation_id)
         if entry is None or entry["state"] != "tentative":
             return
-        if entry["deadline"] is not None and entry["deadline"] > self.timers.now:
+        if entry["deadline"] is not None and entry["deadline"] > self.host.now:
             self._schedule_expiry(task["entity"], reservation_id, entry["deadline"])
             return
         try:
@@ -618,7 +602,7 @@ class Node:
                 ref, reservation_id, "expired", "expire", f"expire:{reservation_id}"
             )
         except LockConflict:
-            self._schedule_expiry(task["entity"], reservation_id, self.timers.now + self.config.lock_backoff)
+            self._schedule_expiry(task["entity"], reservation_id, self.host.now + self.config.lock_backoff)
 
     def _task_cleanse(self, task: dict) -> None:
         """Adjust the rollup to each open discrepancy; if a pending
@@ -628,7 +612,7 @@ class Node:
             for template in plan_cleansing(self.replica, ref):
                 self._run_infra_step("cleanse", template, f"adjust:{template['resolves']}")
         except LockConflict:
-            self._schedule_cleanse(task["entity"], self.timers.now + self.config.lock_backoff)
+            self._schedule_cleanse(task["entity"], self.host.now + self.config.lock_backoff)
 
     # -- anti-entropy ------------------------------------------------------------------
 
@@ -660,12 +644,11 @@ class Node:
     def _merge_remote_events(self, events_by_partition: dict) -> None:
         """Ingest the shipped lines the replica lacks, then reconcile.
 
-        Each distinct line is decoded once per run: every receiver gets the
-        same read-only record, and keeps the line as the event's archival
-        line, so relaying it later encodes nothing. A line not decoded yet
-        is skipped unread when its id is held (``peek_id``; None for a line
-        it cannot read), and otherwise decoded, so a malformed one raises
-        MalformedEvent.
+        Each distinct line is decoded once per run, through the run's
+        ``decoded`` cache: every receiver gets the same read-only record,
+        skips it when it holds the id, and otherwise keeps the line as the
+        event's archival line, so relaying it later encodes nothing. A
+        malformed line raises MalformedEvent, whether its id is held or not.
         """
         replica = self.replica
         touched: dict[EntityRef, list[EventRecord]] = defaultdict(list)  # ref -> the events added
@@ -675,17 +658,15 @@ class Node:
             for line in lines:
                 event = decoded.get(line)
                 if event is None:
-                    if EventRecord.peek_id(line) in log:
-                        continue
                     event = decoded[line] = EventRecord.from_line(line)
-                elif event.event_id in log:
+                if event.event_id in log:
                     continue
                 if replica.store.ingest_foreign(pid, event, line):
                     touched[event.entity_ref].append(event)
         if touched:
             self.ingested += sum(map(len, touched.values()))
             self._reconcile(touched)
-            self.timers.rearm_syncs()
+            self.host.rearm_syncs()
 
     def _reconcile(self, touched: dict[EntityRef, list[EventRecord]]) -> None:
         """For each touched entity (mapped to the events the merge added):

@@ -69,7 +69,7 @@ def shared_partitions(a: Replica, b: Replica) -> list[str]:
 
 
 class _Offline:
-    """One node's timers and network in an offline ``sync``: tick 0, no
+    """One node's host in an offline ``sync``: tick 0, no
     timers (the work they would run is volatile, and dropped as a crash
     drops it), and envelopes queued for the exchange's other node."""
 
@@ -115,8 +115,8 @@ def sync(a: Replica, b: Replica) -> tuple[int, int]:
     decoded: dict = {}
     nodes = {}
     for replica in (a, b):
-        link = _Offline(replica.replica_id, queue)
-        nodes[replica.replica_id] = Node(replica, NodeConfig(), link, link, notify=notify, decoded=decoded)
+        host = _Offline(replica.replica_id, queue)
+        nodes[replica.replica_id] = Node(replica, NodeConfig(), host, notify=notify, decoded=decoded)
     try:
         nodes[a.replica_id].start_sync(b.replica_id, shared_partitions(a, b))
         while queue:
@@ -291,8 +291,9 @@ def compensation_plan(replica: Replica, txn_id: str, origin: Replica | None = No
     anti-entropy brings them to any other; the messages from its outbox,
     since outboxes do not replicate. Events are drafted only for the
     partitions ``replica``, the compensating replica, hosts. A reversed
-    reservation was a promise, and its cancel a broken one with an
-    apology, if either replica's fold shows it confirmed.
+    confirm was a promise, and so was a reversed reservation if either
+    replica's fold shows it confirmed: its cancel breaks the promise, with
+    an apology.
     """
     origin = origin or replica
     hosted = set(replica.partitions_hosted())
@@ -317,10 +318,11 @@ def compensation_plan(replica: Replica, txn_id: str, origin: Replica | None = No
             plan.event_drafts.append(
                 (event.entity_ref, OP_DELTA, {"deltas": inverted, "compensates": txn_id}, key)
             )
-        elif event.op_kind == OP_TENTATIVE:
+        elif event.op_kind in (OP_TENTATIVE, OP_CONFIRM):
             rid = event.payload["reservation_id"]
-            # the promise was made if either replica has seen it confirmed
-            confirmed = any(
+            # a confirm made the promise; a reservation's promise was made if
+            # either replica has seen it confirmed
+            confirmed = event.op_kind == OP_CONFIRM or any(
                 r.store.fold_state(partition_id, event.entity_ref).reservation_view()
                 .get(rid, {}).get("state") == "confirmed"
                 for r in (replica, origin)
@@ -337,16 +339,6 @@ def compensation_plan(replica: Replica, txn_id: str, origin: Replica | None = No
             if confirmed:
                 entity = str(event.entity_ref)
                 plan.apologies.append(apology_payload(rid, "lost_promise", entity, [key]))
-        elif event.op_kind == OP_CONFIRM:
-            rid = event.payload["reservation_id"]
-            plan.event_drafts.append(
-                (
-                    event.entity_ref,
-                    OP_CANCEL,
-                    {"reservation_id": rid, "cause": "compensated", "compensates": txn_id},
-                    key,
-                )
-            )
         elif event.op_kind == OP_INSERT:
             plan.event_drafts.append(
                 (event.entity_ref, OP_TOMBSTONE, {"compensates": txn_id}, key)

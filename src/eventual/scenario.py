@@ -138,6 +138,14 @@ def _shaped(kind: type, value, where: str, lines: _Lines, *path, required=()):
     return value
 
 
+def _string(value, what: str, lines: _Lines, *path) -> str:
+    """``value`` if it is a string (a name: a field, a type, a partition),
+    else a line-anchored error instead of a later ``TypeError``."""
+    if not isinstance(value, str):
+        _fail(f"{what} must be a string, got {value!r}", lines, *path)
+    return value
+
+
 _REQUIRED = object()
 
 
@@ -301,16 +309,27 @@ def _build_registry(data: dict, lines: _Lines) -> tuple[SchemaRegistry, list[str
         path = ("entities", name, "parents")
         for j, p in enumerate(_shaped(list, spec.get("parents", []), "parents", lines, *path)):
             _shaped(dict, p, "parent", lines, *path, j, required=("field", "type"))
-            parents.append(ParentConstraint(p["field"], p["type"]))
+            field_name = _string(p["field"], "'field' in parent", lines, *path, j, "field")
+            parent_type = _string(p["type"], "'type' in parent", lines, *path, j, "type")
+            if parent_type not in entities:
+                _fail(f"undeclared entity type {parent_type!r}", lines, *path, j, "type")
+            parents.append(ParentConstraint(field_name, parent_type))
+        path = ("entities", name, "aggregates")
+        aggregates = _shaped(list, spec.get("aggregates", []), "aggregates", lines, *path)
+        for j, field_name in enumerate(aggregates):
+            _string(field_name, "an aggregates entry", lines, *path, j)
+        capacity_field = spec.get("capacity_field")
+        if capacity_field is not None:
+            _string(capacity_field, f"'capacity_field' in entity {name!r}", lines,
+                    "entities", name, "capacity_field")
         registry.register(
             RollupSpec(
                 entity_type=name,
                 merge_policy=merge,
                 initial_value=dict(_shaped(dict, spec.get("initial", {}), "initial", lines,
                                            "entities", name, "initial")),
-                aggregates=tuple(_shaped(list, spec.get("aggregates", []), "aggregates", lines,
-                                         "entities", name, "aggregates")),
-                capacity_field=spec.get("capacity_field"),
+                aggregates=tuple(aggregates),
+                capacity_field=capacity_field,
                 parents=tuple(parents),
             )
         )
@@ -331,8 +350,10 @@ def _build_config(data: dict, lines: _Lines, entity_types: list[str]) -> SimConf
         _fail("topology.partitions must not be empty", lines, "topology", "partitions")
 
     notify = data.get("notify_partition")
-    if notify is not None and notify not in partitions:
-        _fail(f"notify_partition {notify!r} is not a declared partition", lines, "notify_partition")
+    if notify is not None:
+        _string(notify, "'notify_partition' in scenario", lines, "notify_partition")
+        if notify not in partitions:
+            _fail(f"notify_partition {notify!r} is not a declared partition", lines, "notify_partition")
 
     data_partitions = sorted(p for p in partitions if p != notify)
     default_partition = data_partitions[0] if data_partitions else sorted(partitions)[0]
@@ -363,6 +384,9 @@ def _build_config(data: dict, lines: _Lines, entity_types: list[str]) -> SimConf
     _check_fields(lags, LAG_FIELDS, "lags", lines, "lags")
 
     delay_max = _number(int, network, "delay_max", 4, "network", lines, "network")
+    reorder = network.get("reorder", True)
+    if not isinstance(reorder, bool):
+        _fail(f"'reorder' in network must be a bool, got {reorder!r}", lines, "network", "reorder")
     return SimConfig(
         seed=_number(int, data, "seed", 0, "scenario", lines),
         partitions=partitions,
@@ -374,7 +398,7 @@ def _build_config(data: dict, lines: _Lines, entity_types: list[str]) -> SimConf
         drop=_number(float, network, "drop", 0.0, "network", lines, "network", least=0, most=1),
         duplicate=_number(float, network, "duplicate", 0.0, "network", lines, "network",
                           least=0, most=1),
-        reorder=bool(network.get("reorder", True)),
+        reorder=reorder,
         # a timer of zero ticks would re-arm at the same tick forever
         sync_interval=_number(int, data, "sync_interval", 5, "scenario", lines, least=1),
         retry_base=_number(int, retry, "base", 2, "retry", lines, "retry", least=1),

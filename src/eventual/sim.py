@@ -3,8 +3,8 @@
 One global priority queue of (time, sequence, task); every random choice
 comes from a single seeded generator in a fixed draw order, so identical
 (seed, config, scenario) always produces an identical trace. The engine's
-reactions run in one ``node.Node`` per replica; the simulator implements
-each node's timers and network, and owns only time, the network's delays,
+reactions run in one ``node.Node`` per replica; the simulator is each
+node's host (timers and network), and owns only time, the network's delays,
 drops, duplicates and reordering, partitions, crash/recovery, disasters,
 client injection and probes, the choice of sync peer, and the report.
 Quiescence is detected structurally, never by timeout.
@@ -204,9 +204,9 @@ class RunReport:
 
 
 class _Port:
-    """One node's timers and network in the simulator: its tasks go on the
-    run's heap, stamped with the replica's epoch, and its envelopes through
-    the simulated network's draws. Each method is the simulator's own, bound
+    """One node's host in the simulator: its tasks go on the run's heap,
+    stamped with the replica's epoch, and its envelopes through the
+    simulated network's draws. Each method is the simulator's own, bound
     to the node's replica id."""
 
     __slots__ = ("_sim", "schedule", "rearm_syncs", "send")
@@ -289,8 +289,7 @@ class Simulator:
         decoded: dict = {}  # every sync line decoded in this run -> its record, shared by all receivers
         self.nodes: dict[str, Node] = {}
         for rid, replica in self.replicas.items():
-            port = _Port(self, rid)
-            self.nodes[rid] = Node(replica, self.config, port, port, manager=self.manager,
+            self.nodes[rid] = Node(replica, self.config, _Port(self, rid), manager=self.manager,
                                    notify=notify, decoded=decoded, notes=self.notes)
 
     def crash_after_commit(self, replica_id: str, k: int) -> None:

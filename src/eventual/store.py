@@ -49,9 +49,12 @@ crosses the wire as one line, encoded once, at its origin
 an event with the line it arrived as keeps that line, so a relay
 forwards the received bytes without encoding them again, and a valid
 line that is not canonical travels on as received. The nodes of a run
-decode each distinct line once and hand every receiver the
-same read-only record; a receiver that holds a line's id skips it
-(``EventRecord.peek_id`` reads the id of a line not yet decoded).
+decode each distinct line once, through the run's decoded-line cache,
+and hand every receiver the same read-only record; a receiver that holds
+the record's id skips it. An archival export writes the same line
+(``PartitionLog.line``), and an import keeps each line it reads, so an
+event has one archival line however it travels: the one it arrived as,
+else its one encoding.
 """
 
 from __future__ import annotations
@@ -105,10 +108,6 @@ _CANCEL_STATE = {
 # arguments builds a new ``JSONEncoder`` on every call.
 _line_json = json.JSONEncoder(separators=(",", ":")).encode
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-# how every ``EventRecord.to_line`` line starts, and its last field
-_LINE_HEAD = '{"event_id":"'
-_LINE_LAST = ',"origin_txn_id":"'
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -254,26 +253,6 @@ class EventRecord(NamedTuple):
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise MalformedEvent(line, exc) from exc
 
-    @staticmethod
-    def peek_id(line: str) -> EventId | None:
-        """The event id of a whole ``to_line`` line, read without decoding it.
-
-        None when the line does not start and end as ``to_line`` writes
-        them (cut short, not JSON, another field order, escapes in the id
-        or the last field): decode such a line with ``from_line``, which
-        raises MalformedEvent on a bad one.
-        """
-        if not (line.startswith(_LINE_HEAD) and line.endswith('"}')):
-            return None
-        last = line.rfind(_LINE_LAST)
-        if last < 0 or line.find('"', last + len(_LINE_LAST)) != len(line) - 2:
-            return None
-        text = line[len(_LINE_HEAD) : line.find('"', len(_LINE_HEAD))]
-        replica, _, seq = text.rpartition(":")
-        if not (replica and seq.isascii() and seq.isdigit()):
-            return None
-        return EventId(replica, int(seq))
-
 
 def canonical_sort(events: list[EventRecord]) -> list[EventRecord]:
     return sorted(events, key=lambda e: e.canonical_key)
@@ -352,7 +331,6 @@ class FoldState:
         # ignores: the engine's only resurrection rule
         self.resurrections: list[str] = []
         self.custom_value: dict | None = None
-        self.folded_count = 0
         # kept derived dicts, each None until built and after a fold drops it
         self._value: dict | None = None
         self._view: dict | None = None
@@ -364,7 +342,6 @@ class FoldState:
         if event.idempotence_key in self.seen_keys:
             return  # redelivered logical action: effect applies once
         self.seen_keys.add(event.idempotence_key)
-        self.folded_count += 1
         self._value = None
 
         if spec.merge_policy is MergePolicy.CUSTOM_MERGE and spec.fold is not None:
@@ -565,7 +542,6 @@ class FoldState:
                 "apologies": self.apologies,
                 "resurrections": self.resurrections,
                 "custom_value": self.custom_value,
-                "folded_count": self.folded_count,
             }
         )
 
@@ -592,7 +568,6 @@ class FoldState:
         st.resurrections = list(snap["resurrections"])
         custom = snap["custom_value"]
         st.custom_value = dict(custom) if custom is not None else None
-        st.folded_count = snap["folded_count"]
         return st
 
 
@@ -966,19 +941,19 @@ class ReplicaStore:
         return checkpoint
 
     def export_partition(self, partition_id: str) -> list[str]:
-        """Archival export: one event per line, re-ingestable losslessly."""
-        return [e.to_line() for e in self.log(partition_id).missing_for(VersionVector())]
+        """Archival export: each event's archival line (``PartitionLog.line``),
+        re-ingestable losslessly."""
+        log = self.log(partition_id)
+        return [log.line(e) for e in log.missing_for(VersionVector())]
 
     def import_partition(self, partition_id: str, lines: list[str]) -> int:
-        """Re-ingest an archival export (e.g. into a fresh replica).
+        """Re-ingest an archival export (e.g. into a fresh replica); the log
+        keeps each line as its event's archival line, as a sync merge does.
 
         A line that is not an event record raises MalformedEvent before
         anything is appended.
         """
-        events = [EventRecord.from_line(line) for line in lines]
-        events.sort(key=lambda e: (e.event_id.replica, e.event_id.seq))
-        appended = 0
-        for event in events:
-            if self.ingest_foreign(partition_id, event):
-                appended += 1
-        return appended
+        records = sorted(
+            ((EventRecord.from_line(line), line) for line in lines), key=lambda pair: pair[0].event_id
+        )
+        return sum(self.ingest_foreign(partition_id, event, line) for event, line in records)

@@ -135,7 +135,9 @@ class StepOutcome:
 
 @dataclass
 class StepContext:
-    """Everything a handler may look at while planning."""
+    """Everything a handler may look at while planning, and where its
+    messages go (``_route``): a node sets ``notify``, and ``partition`` to
+    the triggering message's; a step run without a node leaves both None."""
 
     replica: Replica
     now: int
@@ -143,7 +145,8 @@ class StepContext:
     payload: dict
     idempotence_base: str
     consume_marker: tuple[str, str] | None = None  # (message_id, idempotence_key)
-    route_message: Callable | None = None
+    notify: tuple[str, str] | None = None
+    partition: str | None = None
 
     def rollup(self, entity_ref: EntityRef):
         partition = self.replica.store.route(entity_ref)
@@ -467,13 +470,19 @@ def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
 
 
 def _route(ctx: StepContext, to, written: EntityRef | None) -> tuple[str, str]:
+    """A message's destination: an explicit (replica, partition) as given,
+    ``to: notify`` to ``ctx.notify`` when set, and anything else to this
+    replica, in the partition of the write, else ``ctx.partition``, else
+    the first hosted partition."""
     if isinstance(to, (tuple, list)):
         return (to[0], to[1])
-    if ctx.route_message is not None:
-        return ctx.route_message(to, written)
-    # offline default: loop back to this replica, partition of the write
-    partition = ctx.replica.store.route(written) if written else ctx.replica.partitions_hosted()[0]
-    return (ctx.replica.replica_id, partition)
+    if to == "notify" and ctx.notify is not None:
+        return ctx.notify
+    replica = ctx.replica
+    if written is not None:
+        return (replica.replica_id, replica.store.route(written))
+    partition = ctx.partition if ctx.partition is not None else replica.partitions_hosted()[0]
+    return (replica.replica_id, partition)
 
 
 def _referential_checks(replica: Replica, events: list[EventRecord]) -> list[PendingAction]:

@@ -67,13 +67,14 @@ topology:
     assert "line 5: unknown field 'consistency' in entity 'account'" in err
 
 
+# entities come last, so a tail may declare one more entity type
 BOOKS = """schema: eventual/1
-entities:
-  book: {merge: commutative_delta, initial: {on_hand: 5}, aggregates: [on_hand], capacity_field: on_hand}
-  order: {merge: lww_register}
 topology:
   partitions: {p0: [A]}
 max_time: 200
+entities:
+  book: {merge: commutative_delta, initial: {on_hand: 5}, aggregates: [on_hand], capacity_field: on_hand}
+  order: {merge: lww_register}
 """
 
 
@@ -125,12 +126,23 @@ max_time: 200
          10, "'on_hand' in deltas must be a number, got True"),
         ("actions:\n  - {at: 1, replica: A, do: physical_count, entity: book/moby, observed: {on_hand: '3'}}\n",
          9, "'on_hand' in observed must be a number, got '3'"),
+        ("network:\n  reorder: \"false\"\n", 9, "'reorder' in network must be a bool, got 'false'"),
+        ("network:\n  reorder: [1]\n", 9, "'reorder' in network must be a bool, got [1]"),
+        ("notify_partition: [1]\n", 8, "'notify_partition' in scenario must be a string, got [1]"),
+        ("  shelf:\n    capacity_field: [1]\n", 9, "'capacity_field' in entity 'shelf' must be a string, got [1]"),
+        ("  shelf:\n    aggregates: [on_hand, [1]]\n", 9, "an aggregates entry must be a string, got [1]"),
+        ("  shelf:\n    parents: [{field: [1], type: book}]\n", 9, "'field' in parent must be a string, got [1]"),
+        ("  shelf:\n    parents: [{field: book_id, type: [book]}]\n", 9,
+         "'type' in parent must be a string, got ['book']"),
+        ("  shelf:\n    parents: [{field: book_id, type: boook}]\n", 9, "undeclared entity type 'boook'"),
     ],
     ids=["action-entity", "action-entity-type", "disaster-entity", "deferred-entity", "action-at",
          "missing-at", "fault-at", "network-drop", "lags-pending", "sync-interval", "action-at-bool",
          "network-drop-bool", "action-at-float", "action-at-str", "fault-at-float",
          "network-drop-str", "handler-entity", "handler-entities", "reserve-deadline-str",
-         "reserve-quantity-str", "delta-value-str", "deferred-delta-bool", "observed-str"],
+         "reserve-quantity-str", "delta-value-str", "deferred-delta-bool", "observed-str", "reorder-str",
+         "reorder-list", "notify-partition-list", "capacity-field-list", "aggregates-entry-list",
+         "parent-field-list", "parent-type-list", "parent-type-undeclared"],
 )
 def test_malformed_entities_and_numbers_exit_two_with_the_line(tmp_path, capsys, tail, line, message):
     bad = tmp_path / "bad.yaml"
@@ -320,6 +332,55 @@ def test_history_shows_the_negative_crossing_and_tombstones(capsys):
     ship = [l for l in lines if '"on_hand":-5' in l.replace(" ", "")]
     assert ship, out
     assert "discrepancy" in out  # the count that reconciled it is in history too
+
+
+def test_a_summarize_action_keeps_every_rollup_and_history_prints_its_checkpoint(tmp_path, capsys):
+    text = """schema: eventual/1
+entities:
+  account: {merge: commutative_delta, initial: {balance: 0}, aggregates: [balance]}
+topology:
+  partitions: {p0: [A, B]}
+max_time: 500
+actions:
+  - {at: 1, replica: A, do: delta, id: d1, entity: account/alice, deltas: {balance: 100}}
+  - {at: 2, replica: B, do: delta, id: d2, entity: account/alice, deltas: {balance: -30}}
+  - {at: 40, replica: A, do: summarize, id: s, entity: account/alice}
+  - {at: 50, replica: A, do: delta, id: d3, entity: account/alice, deltas: {balance: 5}}
+"""
+    path = tmp_path / "summarize.yaml"
+    path.write_text(text)
+    without = tmp_path / "plain.yaml"
+    without.write_text(text.replace("  - {at: 40, replica: A, do: summarize, id: s, entity: account/alice}\n", ""))
+    summarized = Simulator(load_scenario(path))
+    report = summarized.run()
+    assert report.quiescent and check_invariants(report) == []
+    assert report.rollups == Simulator(load_scenario(without)).run().rollups
+    assert json.loads(report.rollups["A"]["account/alice"])["value"]["balance"] == 75
+    (checkpoint,) = summarized.replicas["A"].store.log("p0").checkpoints.values()
+    assert checkpoint.covers_up_to.to_dict() == {"A": 1, "B": 1}
+    assert main(["history", str(path), "--entity", "account/alice", "--replica", "A"]) == 0
+    assert "checkpoint covering {'A': 1, 'B': 1}" in capsys.readouterr().out.splitlines()
+
+
+def test_a_run_cut_at_max_time_fails_its_invariants_and_exits_one(tmp_path, capsys):
+    path = tmp_path / "cut.yaml"
+    path.write_text("""schema: eventual/1
+entities:
+  account: {merge: commutative_delta, initial: {balance: 0}, aggregates: [balance]}
+topology:
+  partitions: {p0: [A]}
+max_time: 5
+actions:
+  - {at: 1, replica: A, do: delta, id: d1, entity: account/alice, deltas: {balance: 100}}
+  - {at: 9, replica: A, do: delta, id: d2, entity: account/alice, deltas: {balance: 1}}
+""")
+    report = Simulator(load_scenario(path)).run()
+    assert report.max_time_exceeded and not report.quiescent
+    assert [f.split(":")[0] for f in check_invariants(report)] == ["MAX_TIME_EXCEEDED"]
+    assert main(["run", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "max_time_exceeded: true" in out
+    assert "FAIL MAX_TIME_EXCEEDED: run did not quiesce before max_time" in out
 
 
 def test_history_replays_the_requested_seed(capsys):

@@ -1,4 +1,5 @@
-"""No module of the engine imports a name it never uses.
+"""No module of the engine imports a name it never uses, nor defines one
+nothing names.
 
 A name counts as used when the module reads it anywhere (including in
 annotations) or re-exports it through ``__all__``.
@@ -7,9 +8,12 @@ annotations) or re-exports it through ``__all__``.
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).parent.parent / "src" / "eventual"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "eventual"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -61,3 +65,22 @@ def test_only_the_simulator_s_clients_import_it():
     }
     assert importers - allowed == set()
     assert importers >= {"scenario.py", "cli.py"}  # the check sees relative imports
+
+
+def test_every_definition_is_named_somewhere_besides_its_definition():
+    # a function, method or class of the engine (dunders aside) that no
+    # code, test or benchmark names is code nothing calls
+    defined = Counter(
+        node.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+    words = Counter(
+        word
+        for folder in ("src", "tests", "bench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for word in re.findall(r"\w+", path.read_text())
+    )
+    assert sorted(name for name, count in defined.items() if words[name] <= count) == []

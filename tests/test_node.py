@@ -18,8 +18,8 @@ from test_replication import ACCOUNT, BOOK, brute_force_losers, make_registry, m
 
 
 class World:
-    """Timers and a network for a few nodes: ``run`` delivers every envelope
-    at once and runs each task, in time order, up to a tick."""
+    """The host of a few nodes (timers and a network): ``run`` delivers
+    every envelope at once and runs each task, in time order, up to a tick."""
 
     def __init__(self, replicas: list[Replica], *, config: NodeConfig | None = None,
                  notify: tuple[str, str] | None = None, now: int = 0):
@@ -32,7 +32,7 @@ class World:
         self.nodes = {}
         for replica in replicas:
             host = _Host(self, replica.replica_id)
-            self.nodes[replica.replica_id] = Node(replica, config or NodeConfig(), host, host, notify=notify)
+            self.nodes[replica.replica_id] = Node(replica, config or NodeConfig(), host, notify=notify)
 
     def run(self, until: int) -> None:
         while self._envelopes or (self._tasks and self._tasks[0][0] <= until):

@@ -12,7 +12,7 @@ import pytest
 import eventual.node
 import eventual.process
 from eventual.bus import QueueMessage
-from eventual.cli import check_invariants
+from eventual.cli import check_invariants, render_report_file
 from eventual.clocks import VersionVector
 from eventual.errors import MalformedEvent
 from eventual.process import scan_exceptions
@@ -733,6 +733,53 @@ def test_compensating_a_rolled_back_action_notes_that_it_has_no_transaction():
     assert json.loads(report.rollups["A"]["account/alice"])["value"]["balance"] == 100
 
 
+def test_compensating_the_confirm_or_the_reserve_of_a_confirmed_reservation_apologizes_once():
+    # either compensation breaks the promise the confirm made
+    text = """
+schema: eventual/1
+entities:
+  book: {merge: commutative_delta, initial: {on_hand: 5}, aggregates: [on_hand], capacity_field: on_hand}
+topology:
+  partitions: {p0: [A]}
+max_time: 500
+actions:
+  - {at: 1, replica: A, do: reserve, id: res, entity: book/moby, reservation_id: o1}
+  - {at: 3, replica: A, do: confirm, id: conf, entity: book/moby, reservation_id: o1}
+  - {at: 6, replica: A, do: compensate, id: comp, action: UNDONE}
+"""
+    outcomes = []
+    for undone in ("res", "conf"):
+        report = run(parse_scenario(text.replace("UNDONE", undone)))
+        assert report.quiescent and report.notes == [] and check_invariants(report) == [], undone
+        entry = json.loads(report.rollups["A"]["book/moby"])["value"]["reservations"]["o1"]
+        apologies = [(a["apology_id"], a["cause"]) for a in report.apologies]
+        outcomes.append((report.reservations, entry["state"], entry["cause"], apologies))
+    assert outcomes[0] == outcomes[1] == (
+        {"A": {"o1": "abrogated"}}, "abrogated", "lost_promise", [("apology:o1", "lost_promise")]
+    )
+
+
+def test_compensating_an_insert_tombstones_the_entity():
+    text = """
+schema: eventual/1
+entities:
+  profile: {merge: lww_register}
+topology:
+  partitions: {p0: [A]}
+max_time: 500
+actions:
+  - {at: 1, replica: A, do: insert, id: ins, entity: profile/p, fields: {color: red}}
+  - {at: 5, replica: A, do: compensate, id: comp, action: ins}
+"""
+    sim = Simulator(parse_scenario(text))
+    report = sim.run()
+    assert report.quiescent and report.notes == []
+    assert json.loads(report.rollups["A"]["profile/p"])["deleted"] is True
+    insert, reversal = sim.replicas["A"].store.log("p0").events
+    assert (insert.op_kind, reversal.op_kind) == (OP_INSERT, "tombstone")
+    assert reversal.payload == {"compensates": insert.origin_txn_id}
+
+
 def test_a_finished_simulator_is_freed_without_the_cycle_collector():
     # each replica's commit hook must not refer back to the simulator: the
     # cycle would keep a finished run's whole state alive until a full
@@ -884,6 +931,61 @@ def test_a_retry_of_an_acked_message_sends_nothing():
     node._task_retry({"message_id": "A:t:m0"})
     node._task_retry({"message_id": "A:t:m9"})  # never added
     assert sim.counters["sent"] == 1 and outbox.get("A:t:m0").attempts == 1
+
+
+def test_a_fifo_network_delivers_each_pair_s_envelopes_in_send_order(monkeypatch):
+    text = """
+schema: eventual/1
+entities:
+  account: {merge: commutative_delta, initial: {balance: 0}, aggregates: [balance]}
+topology:
+  partitions: {p0: [A, B, C]}
+network: {delay_min: 1, delay_max: 6, drop: 0.0, duplicate: 0.0, reorder: REORDER}
+sync_interval: 3
+max_time: 2000
+processes:
+  - id: relay
+    steps:
+      - {id: tally, trigger: paid, handler: {kind: delta, entity: account/tally, deltas: {balance: 1}}}
+actions:
+""" + "".join(
+        f"  - {{at: {t}, replica: {r}, do: emit, type: paid, payload: {{n: {t}}}, partition: p0}}\n"
+        f"  - {{at: {t}, replica: {r}, do: delta, entity: account/{r}, deltas: {{balance: 1}},"
+        f" emit: [{{type: paid, to: [{d}, p0]}}]}}\n"
+        for t, (r, d) in enumerate([("A", "B"), ("B", "C"), ("C", "A")] * 6, start=1)
+    )
+    send = Simulator._send
+    receive = eventual.node.Node.receive
+
+    def run_recording(reorder: str) -> tuple[dict, dict]:
+        sent: dict = {}  # (src, dst) -> the bodies, in send order
+        received: dict = {}  # (src, dst) -> the bodies, in delivery order
+
+        def recorded_send(sim, src, dst, kind, body, env_id):
+            sent.setdefault((src, dst), []).append(body)
+            send(sim, src, dst, kind, body, env_id)
+
+        def recorded_receive(node, src, kind, body):
+            received.setdefault((src, node.replica.replica_id), []).append(body)
+            receive(node, src, kind, body)
+
+        monkeypatch.setattr(Simulator, "_send", recorded_send)
+        monkeypatch.setattr(eventual.node.Node, "receive", recorded_receive)
+        report = run(parse_scenario(text.replace("REORDER", reorder)), seed=3)
+        assert report.quiescent and converged(report)
+        assert report.messages["dropped"] == 0
+        return sent, received
+
+    def in_order(sent: dict, received: dict) -> bool:
+        assert sent.keys() == received.keys()
+        return all(
+            [id(b) for b in received[pair]] == [id(b) for b in sent[pair]] for pair in sent
+        )
+
+    sent, received = run_recording("false")
+    assert len(sent) == 6 and in_order(sent, received)
+    # the same traffic on a reordering network arrives out of order somewhere
+    assert not in_order(*run_recording("true"))
 
 
 def test_quiesce_is_structural():
@@ -1043,6 +1145,33 @@ actions:
         assert json.loads(report.rollups[rid]["profile/p"])["value"]["color"] == "red"
 
 
+def test_concurrent_writes_to_a_custom_merge_entity_without_a_hook_open_one_exception_per_merging_replica():
+    text = """
+schema: eventual/1
+entities:
+  doc: {merge: custom_merge}
+topology:
+  partitions: {p0: [A, B]}
+max_time: 500
+faults:
+  - {kind: partition, at: 1, groups: [[A], [B]]}
+  - {kind: heal, at: 10}
+actions:
+  - {at: 2, replica: A, do: insert, id: a, entity: doc/d, fields: {v: 1}}
+  - {at: 2, replica: B, do: insert, id: b, entity: doc/d, fields: {v: 2}}
+"""
+    sim = Simulator(parse_scenario(text))
+    report = sim.run()
+    assert report.quiescent and converged(report)
+    for rid, replica in sim.replicas.items():
+        assert report.exceptions[rid]["open"] == ["unmergeable:doc/d"], rid
+        opened = [
+            e.event_id.replica for e in replica.store.log("p0").events
+            if e.op_kind == "discrepancy" and e.payload["kind"] == "unmergeable"
+        ]
+        assert sorted(opened) == ["A", "B"], rid  # each replica opened one when it merged
+
+
 def test_each_kept_conflict_report_is_computed_once(monkeypatch):
     # A merge reads the entity's fold; ``resolve`` runs only until the
     # first report for that replica and entity is kept.
@@ -1148,6 +1277,26 @@ def test_no_sync_round_parses_a_frontier(monkeypatch):
     assert parses[0] == decodes[0]
 
 
+def test_rendering_a_report_file_encodes_no_line_again(monkeypatch):
+    # the archival dump exports each event's archival line: every event of
+    # the run has crossed the wire, so each has one already
+    scenario = load_scenario(SCENARIOS / "gossip.yaml")
+    scenario.config.seed = 0
+    sim = Simulator(scenario)
+    report = sim.run()
+    to_line, encodes = EventRecord.to_line, [0]
+
+    def counted_to_line(event):
+        encodes[0] += 1
+        return to_line(event)
+
+    monkeypatch.setattr(EventRecord, "to_line", counted_to_line)
+    dump = render_report_file(report, sim)
+    assert dump.count("\nevent ") == sum(len(r.store.log(p).events) for r in sim.replicas.values()
+                                          for p in r.partitions_hosted())
+    assert encodes[0] == 0
+
+
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
 def test_replicas_share_each_synced_record_and_none_mutates_it(path):
     # Receivers hold the one record the run decoded from a line: no fold,
@@ -1185,12 +1334,14 @@ def test_replicas_share_each_synced_record_and_none_mutates_it(path):
         lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:one"'),
         lambda line: line.replace('"event_id":"A:1"', '"event_id":"A1"'),
         lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:0"'),
-        # an id not held yet, so the line is decoded
+        # an id not held yet
         lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:999"')
         .replace('"op_kind":"', '"op_kind":"bogus-'),
+        # the held id: the line is decoded all the same
+        lambda line: line.replace('"op_kind":"', '"op_kind":"bogus-'),
     ],
     ids=["truncated", "no-brace", "no-last-field", "not-json", "empty", "bare-head", "bad-seq", "no-colon",
-         "seq-zero", "unknown-op"],
+         "seq-zero", "unknown-op", "held-unknown-op"],
 )
 def test_a_malformed_sync_line_raises_a_typed_error(corrupt):
     sim = Simulator(parse_scenario(GOSSIP))
@@ -1198,7 +1349,7 @@ def test_a_malformed_sync_line_raises_a_typed_error(corrupt):
     node = sim.nodes["A"]
     held = node.replica.store.export_partition("p0")[0]
     assert held.startswith('{"event_id":"A:1"')
-    node._merge_remote_events({"p0": [held]})  # a held id is skipped unread
+    node._merge_remote_events({"p0": [held]})  # a held line is decoded (or found decoded) and skipped
     bad = corrupt(held)
     with pytest.raises(MalformedEvent):
         node._merge_remote_events({"p0": [bad]})

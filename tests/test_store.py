@@ -390,17 +390,35 @@ def test_event_lines_are_byte_stable_across_reads():
     assert EventRecord.from_line(ev.to_line()) == ev
 
 
-def test_a_made_and_a_decoded_event_encode_the_same_canonical_line():
-    payload = {"note": {"z": 1, "a": [{"y": 2, "x": 1}]}, "deltas": {"balance": 1}}
-    made = make_store().make_event(ACCOUNT, OP_DELTA, payload, "k", "t")
+UNSORTED_PAYLOAD = {"note": {"z": 1, "a": [{"y": 2, "x": 1}]}, "deltas": {"balance": 1}}
+
+
+def _made_and_unsorted_line() -> tuple[EventRecord, str]:
+    """An event, and a valid line of it that is not canonical: its payload's
+    keys as a writer that keeps insertion order would write them."""
+    made = make_store().make_event(ACCOUNT, OP_DELTA, UNSORTED_PAYLOAD, "k", "t")
     raw = json.loads(made.to_line())
-    raw["payload"] = payload  # the line as a writer that keeps insertion order would write it
+    raw["payload"] = UNSORTED_PAYLOAD
     unsorted = json.dumps(raw, separators=(",", ":"))
     assert '"payload":{"note":{"z":1' in unsorted
+    return made, unsorted
+
+
+def test_a_made_and_a_decoded_event_encode_the_same_canonical_line():
+    made, unsorted = _made_and_unsorted_line()
     decoded = EventRecord.from_line(unsorted)
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(UNSORTED_PAYLOAD, sort_keys=True, separators=(",", ":"))
     assert made.to_line() == decoded.to_line()
     assert f'"payload":{canonical},' in made.to_line()
+
+
+def test_an_imported_line_that_is_not_canonical_is_exported_as_imported():
+    # an event's archival line is the one it arrived as, by sync or import
+    made, unsorted = _made_and_unsorted_line()
+    clone = make_store("B")
+    assert clone.import_partition("p0", [unsorted]) == 1
+    assert clone.export_partition("p0") == [unsorted]
+    assert clone.log("p0").get(made.event_id) == made == EventRecord.from_line(made.to_line())
 
 
 
