@@ -31,6 +31,15 @@ class MalformedEvent(EngineError):
         self.line = line
 
 
+class InvalidRecord(EngineError):
+    """A value has no exact JSON line: ``canon`` met a key that is not a
+    string or a leaf that is not a str, int, float, bool or None, or
+    ``ReplicaStore.make_event`` an unknown op kind or an idempotence key
+    that is not a string, or ``SchemaRegistry.register`` an entity type
+    holding a ``/``. ``EventRecord.from_line`` would not give back an
+    event made from it."""
+
+
 class SequenceGap(EngineError):
     """An event's sequence number is at or below the last one appended
     from its origin in this partition.

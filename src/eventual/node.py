@@ -110,19 +110,20 @@ class Node:
     """Runs one replica: its reactions to commits, messages, timers and peers.
 
     ``notify`` defaults to the replica's first hosted partition. Nodes of
-    one run share ``decoded`` (every sync line decoded in the run -> its
+    one run share ``records_by_line`` (every line of the run -> its one
     record) and ``notes``.
     """
 
     def __init__(self, replica: Replica, config: NodeConfig, host: Host, *,
                  manager: ProcessManager | None = None, notify: tuple[str, str] | None = None,
-                 decoded: dict[str, EventRecord] | None = None, notes: list[str] | None = None):
+                 records_by_line: dict[str, EventRecord] | None = None,
+                 notes: list[str] | None = None):
         self.replica = replica
         self.config = config
         self.host = host
         self.manager = manager if manager is not None else ProcessManager()
         self.notify = notify or (replica.replica_id, replica.partitions_hosted()[0])
-        self.decoded = {} if decoded is None else decoded
+        self.records_by_line = {} if records_by_line is None else records_by_line
         self.notes = [] if notes is None else notes
         self.handler_effects: dict[str, int] = {}
         self.multi_entity_rejections = 0
@@ -632,33 +633,43 @@ class Node:
             self._send(src, "sync_back", {"events": back}, f"back:{self.replica.replica_id}->{src}")
 
     def _missing_lines(self, frontiers: dict[str, VersionVector]) -> dict[str, list[str]]:
-        """Archival lines of the events the replica holds beyond each partition frontier."""
+        """Archival lines of the events the replica holds beyond each
+        partition frontier. Each line shipped maps to its record in
+        ``records_by_line``, so no receiver of the run decodes it."""
         lines = {}
+        records = self.records_by_line
         for pid, frontier in sorted(frontiers.items()):
             log = self.replica.store.log(pid)
             missing = log.missing_for(frontier)
             if missing:
-                lines[pid] = [log.line(e) for e in missing]
+                lines[pid] = shipped = []
+                for event in missing:
+                    line = log.line(event)
+                    records[line] = event
+                    shipped.append(line)
         return lines
 
     def _merge_remote_events(self, events_by_partition: dict) -> None:
         """Ingest the shipped lines the replica lacks, then reconcile.
 
-        Each distinct line is decoded once per run, through the run's
-        ``decoded`` cache: every receiver gets the same read-only record,
-        skips it when it holds the id, and otherwise keeps the line as the
-        event's archival line, so relaying it later encodes nothing. A
-        malformed line raises MalformedEvent, whether its id is held or not.
+        A line shipped in this run resolves to its sender's record through
+        ``records_by_line``: every replica holds the origin's one read-only
+        record, and within a run no line is decoded. A line no node of the
+        run shipped (a forged one) is decoded and validated, then mapped
+        the same way; a malformed one raises MalformedEvent, whether its id
+        is held or not. A receiver skips an event whose id it holds, and
+        otherwise keeps the line as the event's archival line, so relaying
+        it later encodes nothing.
         """
         replica = self.replica
         touched: dict[EntityRef, list[EventRecord]] = defaultdict(list)  # ref -> the events added
-        decoded = self.decoded
+        records = self.records_by_line
         for pid, lines in sorted(events_by_partition.items()):
             log = replica.store.log(pid)
             for line in lines:
-                event = decoded.get(line)
+                event = records.get(line)
                 if event is None:
-                    event = decoded[line] = EventRecord.from_line(line)
+                    event = records[line] = EventRecord.from_line(line)
                 if event.event_id in log:
                     continue
                 if replica.store.ingest_foreign(pid, event, line):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .errors import UnknownEntityType
+from .errors import InvalidRecord, UnknownEntityType
 
 
 class MergePolicy(str, Enum):
@@ -70,6 +70,11 @@ class SchemaRegistry:
             self._specs[internal] = RollupSpec(entity_type=internal)
 
     def register(self, spec: RollupSpec) -> None:
+        """Add ``spec``. An entity type that is not a str, or holds a ``/``,
+        raises InvalidRecord: ``EntityRef.parse`` would not give back a ref
+        of it from the ref's text."""
+        if type(spec.entity_type) is not str or "/" in spec.entity_type:
+            raise InvalidRecord(f"entity type {spec.entity_type!r} is not a string free of '/'")
         self._specs[spec.entity_type] = spec
 
     def get(self, entity_type: str) -> RollupSpec:

@@ -11,8 +11,13 @@ PyYAML's constructor machinery. Any other document (an alias of a
 mapping or sequence, a merge key, another tag, a node whose kind does
 not match its tag, a non-scalar key, a scalar its tag cannot hold) goes
 whole to PyYAML's ``SafeConstructor``: the data equals ``yaml.safe_load``'s.
-The path -> line map that diagnostics read is walked only on the first
-failed check, so a valid scenario never builds it.
+Either way a key repeated in one mapping (merged keys aside) is an error
+on the line of its second occurrence, where ``yaml.safe_load`` would keep
+the last value. The path -> line map that diagnostics read is walked only
+on the first failed check, so a valid scenario never builds it.
+
+The fields whose values become event or message payloads hold JSON only:
+mappings with str keys, lists, and str, int, float, bool or null leaves.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ScenarioInvalid
+from .errors import InvalidRecord, ScenarioInvalid
 from .process import ProcessDef
 from .registry import (
     APOLOGY_TYPE,
@@ -187,7 +192,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 _TAG = "tag:yaml.org,2002:"
-_STR, _INT, _MAP, _SEQ = (_TAG + kind for kind in ("str", "int", "map", "seq"))
+_STR, _INT, _MAP, _SEQ, _MERGE = (_TAG + kind for kind in ("str", "int", "map", "seq", "merge"))
 _DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*)").fullmatch
 # every other scalar the resolver tags (``0755``, ``0x1F``, ``1_000``, ``1:30``,
 # ``yes``, ``~``, ``.inf``) converts as PyYAML's constructor converts it
@@ -228,10 +233,15 @@ def _scalar(node):
     return construct(node)
 
 
+def _repeated(key, key_node) -> ScenarioInvalid:
+    return ScenarioInvalid(f"repeated key {key!r}", key_node.start_mark.line + 1)
+
+
 def _plain_data(root: yaml.Node):
     """The data of a tree of plain mappings, lists and scalars in one pass.
     Raises ``_Irregular`` on an alias, a merge key, any other tag, a node
-    whose kind does not match its tag, and a key that is not a str or int."""
+    whose kind does not match its tag, and a key that is not a str or int;
+    ScenarioInvalid on a key repeated in its mapping."""
     seen: set[int] = set()
 
     def convert(node):
@@ -246,13 +256,49 @@ def _plain_data(root: yaml.Node):
             for key_node, value_node in node.value:
                 if type(key_node) is not yaml.ScalarNode or key_node.tag not in (_STR, _INT):
                     raise _Irregular
-                out[_scalar(key_node)] = convert(value_node)
+                key = _scalar(key_node)
+                if key in out:
+                    raise _repeated(key, key_node)
+                out[key] = convert(value_node)
             return out
         if kind is yaml.SequenceNode and node.tag == _SEQ:
             return [convert(child) for child in node.value]
         raise _Irregular
 
     return convert(root)
+
+
+def _check_repeated_keys(root: yaml.Node) -> None:
+    """Raise ScenarioInvalid on the first key, in document order, repeated
+    in its mapping. Run before PyYAML's constructor, which flattens merge
+    keys in place: a merged key a mapping overrides is not repeated. A
+    scalar key compares by its value (``1`` and ``0x1`` are one key), or by
+    its tag and text if its tag cannot hold it; a collection key (which
+    the constructor refuses) repeats no other."""
+    done: set[int] = set()
+
+    def walk(node) -> None:
+        if id(node) in done:
+            return  # an alias, recursive or not, was walked where it was anchored
+        done.add(id(node))
+        if isinstance(node, yaml.MappingNode):
+            keys = set()
+            for key_node, value_node in node.value:
+                if key_node.tag != _MERGE:
+                    try:
+                        key = _scalar(key_node) if type(key_node) is yaml.ScalarNode else id(key_node)
+                    except (_Irregular, *_UNREADABLE):  # the constructor reads it, or names its line
+                        key = (key_node.tag, key_node.value)
+                    if key in keys:
+                        raise _repeated(key, key_node)
+                    keys.add(key)
+                walk(key_node)
+                walk(value_node)
+        elif isinstance(node, yaml.SequenceNode):
+            for child in node.value:
+                walk(child)
+
+    walk(root)
 
 
 def _compose(text: str) -> tuple[_Lines, object]:
@@ -267,7 +313,9 @@ def _compose(text: str) -> tuple[_Lines, object]:
         try:
             return lines, _plain_data(node)
         except (_Irregular, *_UNREADABLE):  # the constructor names a bad scalar's line
-            lines.at()  # before construction, which flattens merge keys in place
+            # both before construction, which flattens merge keys in place
+            lines.at()
+            _check_repeated_keys(node)
             return lines, _Constructor().construct_document(node)
     except yaml.YAMLError as exc:  # parse errors carry their own marks
         mark = getattr(exc, "problem_mark", None)
@@ -322,17 +370,21 @@ def _build_registry(data: dict, lines: _Lines) -> tuple[SchemaRegistry, list[str
         if capacity_field is not None:
             _string(capacity_field, f"'capacity_field' in entity {name!r}", lines,
                     "entities", name, "capacity_field")
-        registry.register(
-            RollupSpec(
-                entity_type=name,
-                merge_policy=merge,
-                initial_value=dict(_shaped(dict, spec.get("initial", {}), "initial", lines,
-                                           "entities", name, "initial")),
-                aggregates=tuple(aggregates),
-                capacity_field=capacity_field,
-                parents=tuple(parents),
+        initial = _shaped(dict, spec.get("initial", {}), "initial", lines, "entities", name, "initial")
+        _check_json(initial, "initial", lines, "entities", name, "initial")
+        try:
+            registry.register(
+                RollupSpec(
+                    entity_type=name,
+                    merge_policy=merge,
+                    initial_value=dict(initial),
+                    aggregates=tuple(aggregates),
+                    capacity_field=capacity_field,
+                    parents=tuple(parents),
+                )
             )
-        )
+        except InvalidRecord as exc:
+            _fail(str(exc), lines, "entities", name)
     return registry, sorted(entities)
 
 
@@ -460,13 +512,47 @@ def _template_entity_types(template: dict, lines: _Lines, *path):
         yield ("deferred", j), EntityRef.parse(str(deferred.get("entity"))).entity_type
 
 
+# the template fields whose values an event or a message carries as they are
+_PAYLOAD_FIELDS = ("deltas", "fields", "observed", "guard", "terms", "args", "payload")
+_JSON_LEAVES = (str, int, float, bool, type(None))
+
+
+def _check_json(value, where: str, lines: _Lines, *path) -> None:
+    """Fail unless ``value`` is JSON that a line gives back as it is: a
+    mapping key that is not a str, or a leaf that is not a str, int, float,
+    bool or null, would come back changed or make the run fail."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                # the line map names keys by their text, which ``str(key)`` is for a plain int
+                line = lines.at(*path, str(key))
+                raise ScenarioInvalid(f"key {key!r} in {where} must be a string",
+                                      lines.at(*path) if line is None else line)
+            _check_json(item, where, lines, *path, key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_json(item, where, lines, *path, i)
+    elif not isinstance(value, _JSON_LEAVES):
+        _fail(f"{value!r} in {where} is not a JSON value", lines, *path)
+
+
 def _check_payload(template: dict, where: str, lines: _Lines, *path) -> None:
     """The payload fields a handler reads as mappings are mappings, and the
     ones it adds or compares are numbers: each value of ``deltas`` and
-    ``observed``, a reserve's ``quantity``, and its ``deadline`` unless null."""
+    ``observed``, a reserve's ``quantity``, and its ``deadline`` unless null.
+    Every payload field, and each ``emit`` entry's payload, holds JSON only
+    (``_check_json``)."""
     for key, required in {"deltas": (), "guard": ("field",), "fields": (), "observed": ()}.items():
         if key in template:
             _shaped(dict, template[key], key, lines, *path, key, required=required)
+    for key in _PAYLOAD_FIELDS:
+        if key in template:
+            _check_json(template[key], key, lines, *path, key)
+    emits = _shaped(list, template.get("emit", []), "emit", lines, *path, "emit")
+    for j, emit in enumerate(emits):
+        _shaped(dict, emit, "emit entry", lines, *path, "emit", j, required=("type",))
+        if "payload" in emit:
+            _check_json(emit["payload"], "emit payload", lines, *path, "emit", j, "payload")
     for key in ("deltas", "observed"):
         for field_name in template.get(key, ()):
             _number(float, template[key], field_name, _REQUIRED, key, lines, *path, key)

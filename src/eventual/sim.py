@@ -286,11 +286,12 @@ class Simulator:
         notify = None
         if self.replicas:
             notify = notify_destination(self.config.partitions, self.config.notify_partition)
-        decoded: dict = {}  # every sync line decoded in this run -> its record, shared by all receivers
+        # every line of the run -> its one record: the sender's, so no receiver decodes it
+        records_by_line: dict = {}
         self.nodes: dict[str, Node] = {}
         for rid, replica in self.replicas.items():
             self.nodes[rid] = Node(replica, self.config, _Port(self, rid), manager=self.manager,
-                                   notify=notify, decoded=decoded, notes=self.notes)
+                                   notify=notify, records_by_line=records_by_line, notes=self.notes)
 
     def crash_after_commit(self, replica_id: str, k: int) -> None:
         """Crash the replica right after its k-th commit: the batch is

@@ -45,16 +45,18 @@ Anti-entropy costs what the merge changed. A partition log indexes its
 events by origin in sequence order, so ``missing_for`` skips each origin
 the remote frontier covers and bisects the others at it. Each event
 crosses the wire as one line, encoded once, at its origin
-(``PartitionLog.line``); a log that ingests
-an event with the line it arrived as keeps that line, so a relay
-forwards the received bytes without encoding them again, and a valid
-line that is not canonical travels on as received. The nodes of a run
-decode each distinct line once, through the run's decoded-line cache,
-and hand every receiver the same read-only record; a receiver that holds
-the record's id skips it. An archival export writes the same line
-(``PartitionLog.line``), and an import keeps each line it reads, so an
-event has one archival line however it travels: the one it arrived as,
-else its one encoding.
+(``PartitionLog.line``), and within a run no line is decoded: the node
+that ships a line maps it to the record its log holds, and every
+receiver resolves the line to that one read-only record. That is sound
+because ``make_event`` accepts only what ``from_line`` accepts
+(``canon`` refuses a payload that is not JSON, with InvalidRecord), so
+``from_line(e.to_line()) == e`` for every record the engine makes. A
+log that ingests an event with the line it arrived as keeps that line,
+so a relay forwards the received bytes without encoding them again, and
+a valid line that is not canonical travels on as received. An archival
+export writes the same line (``PartitionLog.line``), and an import
+decodes and keeps each line it reads, so an event has one archival line
+however it travels: the one it arrived as, else its one encoding.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from .errors import (
     CutNotClosed,
     DuplicateEventId,
     FutureVersion,
+    InvalidRecord,
     LockedEntity,
     MalformedEvent,
     SequenceGap,
@@ -111,6 +114,8 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 _CONTAINERS = (dict, list, tuple)
+# the leaf types a JSON line gives back as they are
+_LEAVES = frozenset((str, int, float, bool, type(None)))
 
 # each field whose type ``EventRecord.from_line`` checks: the type, and how an error words it
 _FIELD_TYPES = (
@@ -133,18 +138,42 @@ def canon(obj):
     """Recursively sort dict keys so serialized forms are byte-stable.
 
     Dicts come back as new dicts with their keys sorted, lists and tuples
-    as new lists; any other value is returned as it is. Leaf values are
-    copied without a recursive call.
+    as new lists, and leaves (str, int, float, bool, None) as they are;
+    a leaf is copied without a recursive call. A key that is not a str or
+    a leaf of any other type raises InvalidRecord: its JSON line would not
+    decode to it. Floats pass, inf and nan included: ``json`` writes and
+    reads them back.
     """
     if isinstance(obj, dict):
+        try:
+            keys = sorted(obj)
+        except TypeError:  # keys of mixed types: the loop names the first that is not a str
+            keys = obj
         out = {}
-        for k in sorted(obj):
+        for k in keys:
+            if type(k) is not str:
+                raise InvalidRecord(f"key {k!r} is not a string")
             v = obj[k]
-            out[k] = canon(v) if isinstance(v, _CONTAINERS) else v
+            if type(v) in _LEAVES:
+                out[k] = v
+            elif isinstance(v, _CONTAINERS):
+                out[k] = canon(v)
+            else:
+                raise InvalidRecord(f"value of {k!r} is not JSON: {v!r}")
         return out
     if isinstance(obj, (list, tuple)):
-        return [canon(x) if isinstance(x, _CONTAINERS) else x for x in obj]
-    return obj
+        out = []
+        for v in obj:
+            if type(v) in _LEAVES:
+                out.append(v)
+            elif isinstance(v, _CONTAINERS):
+                out.append(canon(v))
+            else:
+                raise InvalidRecord(f"list item is not JSON: {v!r}")
+        return out
+    if type(obj) in _LEAVES:
+        return obj
+    raise InvalidRecord(f"value is not JSON: {obj!r}")
 
 
 class EventId(NamedTuple):
@@ -734,14 +763,27 @@ class ReplicaStore:
         """A new local event on ``entity_ref``, made but not appended.
 
         Routes the entity (WrongPartition if no hosted partition takes its
-        type) and validates the payload first. The event takes the next
+        type) and validates the payload first. An op kind ``from_line``
+        does not know, an idempotence key or txn id that is not a str, or a
+        payload that is not a dict of JSON values (``canon``) raises
+        InvalidRecord, so ``from_line(event.to_line()) == event`` for every
+        event made here. The event takes the next
         sequence number and Lamport hint, a canonical copy of the payload
         (``canon``), and as causal stamp its partition log's frontier with
         this replica's entry raised to the new sequence number, never
         lowered: one copy of the frontier.
         """
         log = self.partitions[self.route(entity_ref)]
+        if op_kind not in OP_KINDS:
+            raise InvalidRecord(f"unknown op kind {op_kind!r}")
+        if type(idempotence_key) is not str or type(origin_txn_id) is not str:
+            raise InvalidRecord(
+                f"idempotence key {idempotence_key!r} or txn id {origin_txn_id!r} is not a string"
+            )
+        if not isinstance(payload, dict):
+            raise InvalidRecord(f"payload is not a dict: {payload!r}")
         self.registry.validate_payload(entity_ref.entity_type, payload)
+        payload = canon(payload)
         self.seq = seq = self.seq + 1
         self.lamport += 1
         stamp = dict(log._max_seq)
@@ -751,7 +793,7 @@ class ReplicaStore:
             EventId(self.replica_id, seq),
             entity_ref,
             op_kind,
-            canon(payload),
+            payload,
             VersionVector._of(stamp),
             self.lamport,
             idempotence_key,

@@ -22,7 +22,10 @@ same text: the data must be strictly equal (``True`` is not ``1``, ``1``
 is not ``1.0``, NaN equals NaN, and mappings keep their order), and a
 YAML error must be a ``ScenarioInvalid`` on the line PyYAML names. So
 must the raw error PyYAML's constructor raises on a scalar its tag cannot
-hold (``!!int abc``), on the line of the scalar it raised on.
+hold (``!!int abc``), on the line of the scalar it raised on. One
+departure is deliberate: where ``yaml.safe_load`` keeps the last of a key
+repeated in one mapping (merge keys aside), the parse must raise
+``ScenarioInvalid`` on the line of the first such repeat in the document.
 """
 
 from __future__ import annotations
@@ -106,12 +109,45 @@ class _MarkingLoader(yaml.SafeLoader):
             raise
 
 
+def _repeated_key_line(node, walked: set) -> int | None:
+    """The line of the first scalar key, in document order, equal (as PyYAML
+    constructs it, or by tag and text if it cannot) to an earlier key of its
+    mapping, merge keys aside; None if there is none."""
+    if id(node) in walked:
+        return None
+    walked.add(id(node))
+    if isinstance(node, yaml.SequenceNode):
+        return next(filter(None, (_repeated_key_line(child, walked) for child in node.value)), None)
+    if not isinstance(node, yaml.MappingNode):
+        return None
+    keys = []
+    for key_node, value_node in node.value:
+        if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+            try:
+                key = yaml.constructor.SafeConstructor().construct_object(key_node)
+            except _UNREADABLE:
+                key = (key_node.tag, key_node.value)
+            if key in keys:
+                return key_node.start_mark.line + 1
+            keys.append(key)
+        line = _repeated_key_line(key_node, walked) or _repeated_key_line(value_node, walked)
+        if line is not None:
+            return line
+    return None
+
+
 def _safe_load(text: str):
-    """``yaml.safe_load(text)``, through the constructor bound at import."""
+    """``yaml.safe_load(text)``, through the constructor bound at import,
+    except that a repeated key raises ScenarioInvalid on its line."""
     loader = _MarkingLoader(text)
     try:
         node = loader.get_single_node()
-        return None if node is None else _CONSTRUCT_DOCUMENT(loader, node)
+        if node is None:
+            return None
+        line = _repeated_key_line(node, set())
+        if line is not None:
+            raise ScenarioInvalid("repeated key", line)
+        return _CONSTRUCT_DOCUMENT(loader, node)
     finally:
         loader.dispose()
 

@@ -49,6 +49,47 @@ actions:
     assert "line 7" in err
 
 
+@pytest.mark.parametrize("replicas", ["[A]", "[A, B]"])
+def test_a_payload_key_that_is_not_a_string_exits_two_with_the_line(tmp_path, capsys, replicas):
+    # a JSON line would turn the key 1 into "1": the origin and its peers would fold different keys
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(
+        f"""schema: eventual/1
+entities:
+  account: {{merge: commutative_delta}}
+topology:
+  partitions: {{p0: {replicas}}}
+actions:
+  - {{at: 1, replica: A, do: delta, id: d1, entity: account/x, deltas: {{1: 5}}}}
+"""
+    )
+    code = main(["run", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 7: key 1 in deltas must be a string" in err
+
+
+def test_a_repeated_top_level_key_exits_two_on_its_line(tmp_path, capsys):
+    # yaml.safe_load would keep the second actions block only, and the run would lose the first
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(
+        """schema: eventual/1
+entities:
+  account: {merge: commutative_delta}
+topology:
+  partitions: {p0: [A]}
+actions:
+  - {at: 1, replica: A, do: delta, entity: account/x, deltas: {balance: 1}}
+actions:
+  - {at: 2, replica: A, do: delta, entity: account/x, deltas: {balance: 1}}
+"""
+    )
+    code = main(["run", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 8: repeated key 'actions'" in err
+
+
 def test_consistency_field_is_an_unknown_field(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(
@@ -266,6 +307,32 @@ topology:
         (SHAPES + "network:\n  drop: 1.5\n", 7, "'drop' in network must be between 0 and 1, got 1.5"),
         (SHAPES + "network:\n  duplicate: -0.1\n", 7,
          "'duplicate' in network must be between 0 and 1, got -0.1"),
+        (SHAPES + "actions:\n  - {at: 1, replica: r1, do: insert, entity: account/x,\n"
+         "     fields: {a: {b: [{2: x}]}}}\n",
+         8, "key 2 in fields must be a string"),
+        (SHAPES + "actions:\n  - {at: 1, replica: r1, do: insert, entity: account/x, fields: {a: !!set {x}}}\n",
+         7, "{'x'} in fields is not a JSON value"),
+        (SHAPES + "actions:\n  - {at: 1, replica: r1, do: reserve, entity: account/x, reservation_id: r,\n"
+         "     terms: {7: late}}\n",
+         8, "key 7 in terms must be a string"),
+        (SHAPES + "actions:\n  - {at: 1, replica: r1, do: delta, entity: account/x, deltas: {n: 1},\n"
+         "     guard: {field: n, 0: 1}}\n",
+         8, "key 0 in guard must be a string"),
+        (SHAPES + "actions:\n  - {at: 1, replica: r1, do: emit, type: t, payload: {true: 1}}\n",
+         7, "key True in payload must be a string"),
+        (SHAPES + "processes:\n  - id: p\n    steps:\n      - id: s\n        trigger: t\n"
+         "        handler: {kind: physical_count, entity: account/x, observed: {1: 3}}\n",
+         11, "key 1 in observed must be a string"),
+        (SHAPES + "processes:\n  - id: p\n    steps:\n      - id: s\n        trigger: t\n"
+         "        handler:\n          kind: noop\n          emit: [{type: u, payload: {9: x}}]\n",
+         13, "key 9 in emit payload must be a string"),
+        (SHAPES + "processes:\n  - id: p\n    steps:\n      - id: s\n        trigger: t\n"
+         "        handler: {kind: noop, emit: [{payload: {}}]}\n",
+         11, "emit entry needs field 'type'"),
+        ("schema: eventual/1\nentities:\n  account: {initial: {1: 0}}\ntopology:\n  partitions: {p0: [r1]}\n",
+         3, "key 1 in initial must be a string"),
+        ("schema: eventual/1\nentities:\n  account: {}\n  a/b: {}\ntopology:\n  partitions: {p0: [r1]}\n",
+         4, "entity type 'a/b' is not a string free of '/'"),
     ],
     ids=["process-id", "step-trigger", "step-handler", "parent-field", "handler-string",
          "action-list", "partitions-list", "group-string", "unsafe-tag", "deferred-entry",
@@ -273,7 +340,9 @@ topology:
          "action-guard", "action-fields", "handler-observed", "handler-guard-field",
          "deferred-deltas", "deferred-no-deltas", "sync-zero", "sync-negative", "retry-base",
          "retry-cap", "lock-backoff", "delay-order", "delay-negative", "delay-default-order",
-         "drop", "duplicate"],
+         "drop", "duplicate", "fields-nested-int-key", "fields-set", "terms-int-key",
+         "guard-int-key", "emit-action-bool-key", "handler-observed-int-key",
+         "handler-emit-payload-int-key", "emit-no-type", "initial-int-key", "entity-type-slash"],
 )
 def test_malformed_structure_exits_two_with_the_line(tmp_path, capsys, text, line, message):
     bad = tmp_path / "bad.yaml"

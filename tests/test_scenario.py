@@ -124,8 +124,10 @@ def test_a_malformed_scenario_builds_the_line_map_once(work):
 
 
 # (text, the path it takes): "fast" converts the nodes directly, "fallback"
-# hands the document to PyYAML's constructor; the cross-check compares both
-# with yaml.safe_load, errors and their lines included
+# hands the document to PyYAML's constructor, and "refused" leaves the
+# direct conversion but repeats a key, so it never reaches the constructor;
+# the cross-check compares each with yaml.safe_load, errors and their lines
+# included
 PARSES = {
     "anchor-alias": ("a: &x {b: 1}\nc: *x\n", "fallback"),
     "recursive-alias": ("a: &x [1, *x]\n", "fallback"),
@@ -151,7 +153,14 @@ PARSES = {
     "map-tag-on-sequence": ("a: !!map [1, 2]\n", "fallback"),
     "unknown-tag": ("a: 1\nb: !thing 2\n", "fallback"),
     "unhashable-key": ("a: 1\n? [1]\n: 2\n", "fallback"),
-    "duplicate-key": ("a: 1\nb: 2\na: 3\n", "fast"),
+    # a repeated key is an error on the line of its repeat, in document order
+    "repeated-key": ("a: 1\nb: 2\na: 3\n", "fast"),
+    "repeated-int-key": ("1: a\n0x1: b\n", "fast"),
+    "repeated-nested-key": ("a: {x: 1, y: 2,\n    x: 3}\nb: 1\nb: 2\n", "fast"),
+    "repeated-key-beside-an-alias": ("a: &x [1]\nb: *x\nc: {d: 1, d: 2}\n", "refused"),
+    "repeated-key-after-a-bad-scalar": ("a: !!int x\nb: 1\nb: 2\n", "refused"),
+    "repeated-key-over-a-merge": ("base: &b {x: 1}\nd: {<<: *b, y: 1, y: 2}\n", "refused"),
+    "merged-key-overridden-twice": ("b: &b {x: 1}\nc: &c {<<: *b, x: 2}\nd: {<<: *c, x: 3}\n", "fallback"),
     "empty": ("", "fast"),
     "syntax-error": ("a: [1\nb: 2\n", "fast"),
     # a scalar its tag cannot hold: PyYAML's constructor raises, on the line

@@ -1221,8 +1221,9 @@ def test_sync_work_grows_with_the_diff(folds, monkeypatch):
     # Integer deltas fold in place however late they arrive, so with no
     # crash nothing rebuilds: each replica folds each event it holds at
     # most once. Each event crosses the wire as one line: its origin
-    # encodes it, relays forward the bytes they received, and the run
-    # decodes each distinct line once, however many replicas it reaches.
+    # encodes it, relays forward the bytes they received, and every
+    # receiver resolves the line to its origin's record, so the run
+    # decodes none.
     to_line, from_line = EventRecord.to_line, EventRecord.from_line
     encodes, decodes = [0], [0]
 
@@ -1247,8 +1248,8 @@ def test_sync_work_grows_with_the_diff(folds, monkeypatch):
         assert appended == 3 * made
         assert 0 < folds[0] <= appended
         assert 0 < encodes[0] <= made
-        assert 0 < decodes[0] <= made
-        return folds[0], encodes[0], decodes[0]
+        assert decodes[0] == 0
+        return folds[0], encodes[0]
 
     small, large = work(20), work(40)
     for s, b in zip(small, large):
@@ -1256,8 +1257,8 @@ def test_sync_work_grows_with_the_diff(folds, monkeypatch):
 
 
 def test_no_sync_round_parses_a_frontier(monkeypatch):
-    # Frontiers travel as vectors, so the only vectors a run parses from
-    # dicts are the causal stamps of the lines it decodes.
+    # Frontiers travel as vectors, and every line resolves to its sender's
+    # record, so a run decodes no line and parses no vector from a dict.
     from_line, from_dict = EventRecord.from_line, VersionVector.from_dict
     decodes, parses = [0], [0]
 
@@ -1273,8 +1274,7 @@ def test_no_sync_round_parses_a_frontier(monkeypatch):
     monkeypatch.setattr(VersionVector, "from_dict", classmethod(counted_from_dict))
     report = run(load_scenario(SCENARIOS / "gossip.yaml"), seed=0)
     assert report.quiescent and converged(report)
-    assert decodes[0] > 0
-    assert parses[0] == decodes[0]
+    assert decodes[0] == parses[0] == 0
 
 
 def test_rendering_a_report_file_encodes_no_line_again(monkeypatch):
@@ -1299,7 +1299,7 @@ def test_rendering_a_report_file_encodes_no_line_again(monkeypatch):
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
 def test_replicas_share_each_synced_record_and_none_mutates_it(path):
-    # Receivers hold the one record the run decoded from a line: no fold,
+    # Every replica holds its origin's one record of each event: no fold,
     # scan or step may edit it, or every replica would see the edit.
     scenario = load_scenario(path)
     shared = 0
@@ -1307,16 +1307,17 @@ def test_replicas_share_each_synced_record_and_none_mutates_it(path):
         scenario.config.seed = seed
         sim = Simulator(scenario)
         sim.run()
-        received: dict = {}  # (partition, event id) -> the records its receivers hold
+        held: dict = {}  # (partition, event id) -> the records its origin and receivers hold
         for rid, replica in sorted(sim.replicas.items()):
             for pid in replica.partitions_hosted():
                 log = replica.store.log(pid)
                 for event in log.missing_for(VersionVector()):
                     assert log.line(event) == event.to_line(), (rid, event.event_id)
-                    if event.event_id.replica != rid:
-                        received.setdefault((pid, event.event_id), []).append(event)
-        for key, records in received.items():
-            assert all(r is records[0] for r in records), key
+                    holders = held.setdefault((pid, event.event_id), {})
+                    holders[rid] = event
+        for (pid, event_id), records in held.items():
+            origin = records[event_id.replica]
+            assert all(r is origin for r in records.values()), (pid, event_id)
             shared += len(records) > 1
     if path.stem == "gossip":
         assert shared > 0  # its three replicas each receive what the others make

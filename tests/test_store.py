@@ -15,6 +15,7 @@ from eventual.clocks import VersionVector
 from eventual.errors import (
     DuplicateEventId,
     FutureVersion,
+    InvalidRecord,
     MalformedEvent,
     SequenceGap,
     UnknownEntity,
@@ -473,6 +474,54 @@ def test_an_event_line_decodes_to_an_equal_record(payload, stamp, replica, seq):
         EventId(replica, seq), ACCOUNT, OP_DELTA, payload, VersionVector(stamp), seq, "k", "t"
     )
     assert EventRecord.from_line(event.to_line()) == event
+
+
+_json_payloads = st.dictionaries(
+    st.text(),
+    st.recursive(
+        st.text() | st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none(),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=12,
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(store_module.OP_KINDS)), _json_payloads, _json_payloads)
+def test_every_made_event_decodes_from_its_line_to_an_equal_record(op_kind, payload, later):
+    # A run hands its receivers the sender's record for a line instead of
+    # decoding it, which is sound only if decoding would give that record back.
+    store = make_store()
+    first = store.make_event(EntityRef("profile", "p/1"), op_kind, payload, "k", "t")
+    store.append_event("p0", first)
+    second = store.make_event(ACCOUNT, op_kind, later, "k2", "t2")
+    for event in (first, second):
+        assert EventRecord.from_line(event.to_line()) == event
+
+
+@pytest.mark.parametrize(
+    "op_kind, payload, key",
+    [
+        (OP_DELTA, {"deltas": {1: 5}}, "k"),
+        (OP_DELTA, {1: "a", "b": 2}, "k"),
+        (OP_INSERT, {"fields": {"tags": {"x", "y"}}}, "k"),
+        (OP_INSERT, {"fields": [b"raw"]}, "k"),
+        ("upsert", {}, "k"),
+        (OP_DELTA, {}, 7),
+    ],
+    ids=["int-key", "mixed-keys", "set-leaf", "bytes-leaf", "unknown-op-kind", "int-idempotence-key"],
+)
+def test_a_value_no_line_gives_back_is_refused_before_an_event_is_made(op_kind, payload, key):
+    store = make_store()
+    with pytest.raises(InvalidRecord):
+        store.make_event(EntityRef("profile", "p1"), op_kind, payload, key, "t")
+    assert store.seq == 0
+
+
+def test_an_entity_type_holding_a_slash_is_refused():
+    with pytest.raises(InvalidRecord):
+        SchemaRegistry().register(RollupSpec("a/b"))
 
 
 @settings(max_examples=100, deadline=None)
