@@ -40,7 +40,7 @@ from .registry import (
     SchemaRegistry,
 )
 from .sim import ClientAction, Fault, Scenario, SimConfig
-from .store import EntityRef
+from .store import JSON_LEAVES, EntityRef
 from .txn import HANDLER_KINDS, ProcessStepDef, TriggerSpec
 
 SCHEMA_TAG = "eventual/1"
@@ -514,7 +514,6 @@ def _template_entity_types(template: dict, lines: _Lines, *path):
 
 # the template fields whose values an event or a message carries as they are
 _PAYLOAD_FIELDS = ("deltas", "fields", "observed", "guard", "terms", "args", "payload")
-_JSON_LEAVES = (str, int, float, bool, type(None))
 
 
 def _check_json(value, where: str, lines: _Lines, *path) -> None:
@@ -523,7 +522,7 @@ def _check_json(value, where: str, lines: _Lines, *path) -> None:
     bool or null, would come back changed or make the run fail."""
     if isinstance(value, dict):
         for key, item in value.items():
-            if not isinstance(key, str):
+            if type(key) is not str:
                 # the line map names keys by their text, which ``str(key)`` is for a plain int
                 line = lines.at(*path, str(key))
                 raise ScenarioInvalid(f"key {key!r} in {where} must be a string",
@@ -532,7 +531,7 @@ def _check_json(value, where: str, lines: _Lines, *path) -> None:
     elif isinstance(value, list):
         for i, item in enumerate(value):
             _check_json(item, where, lines, *path, i)
-    elif not isinstance(value, _JSON_LEAVES):
+    elif type(value) not in JSON_LEAVES:
         _fail(f"{value!r} in {where} is not a JSON value", lines, *path)
 
 
@@ -541,13 +540,19 @@ def _check_payload(template: dict, where: str, lines: _Lines, *path) -> None:
     ones it adds or compares are numbers: each value of ``deltas`` and
     ``observed``, a reserve's ``quantity``, and its ``deadline`` unless null.
     Every payload field, and each ``emit`` entry's payload, holds JSON only
-    (``_check_json``)."""
+    (``_check_json``). A ``reservation_id`` keys a reservation: a string or
+    an int. A ``cause`` names one: a string."""
     for key, required in {"deltas": (), "guard": ("field",), "fields": (), "observed": ()}.items():
         if key in template:
             _shaped(dict, template[key], key, lines, *path, key, required=required)
     for key in _PAYLOAD_FIELDS:
         if key in template:
             _check_json(template[key], key, lines, *path, key)
+    if "reservation_id" in template and type(template["reservation_id"]) not in (str, int):
+        _fail(f"'reservation_id' in {where} must be a string or an int, got {template['reservation_id']!r}",
+              lines, *path, "reservation_id")
+    if "cause" in template:
+        _string(template["cause"], f"'cause' in {where}", lines, *path, "cause")
     emits = _shaped(list, template.get("emit", []), "emit", lines, *path, "emit")
     for j, emit in enumerate(emits):
         _shaped(dict, emit, "emit entry", lines, *path, "emit", j, required=("type",))

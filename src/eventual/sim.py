@@ -35,7 +35,7 @@ from .process import ProcessDef, ProcessManager, scan_apologies, scan_exceptions
 from .registry import SchemaRegistry
 from .replica import Replica
 from .replication import resolve, shared_partitions
-from .store import EntityRef, canon
+from .store import EntityRef, sorted_copy
 from .txn import CommitBatch
 
 # ``resolve`` stays bound here, where the benchmark's tracer test looks for it
@@ -75,7 +75,7 @@ class SimConfig(NodeConfig):
     max_time: int = 10_000
 
     def fingerprint(self) -> str:
-        return json.dumps(canon(self.__dict__), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.__dict__, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -165,7 +165,7 @@ class RunReport:
             "exceptions": self.exceptions,
             "reservations": self.reservations,
         }
-        return json.dumps(canon(body), sort_keys=True, separators=(",", ":"))
+        return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
     def render(self) -> str:
         lines = [
@@ -176,23 +176,23 @@ class RunReport:
             f"end_time: {self.end_time}",
             f"commit_path_sends: {self.commit_path_sends}",
             f"multi_entity_rejections: {self.multi_entity_rejections}",
-            "commits: " + json.dumps(canon(self.commits), sort_keys=True),
-            "messages: " + json.dumps(canon(self.messages), sort_keys=True),
+            "commits: " + json.dumps(self.commits, sort_keys=True),
+            "messages: " + json.dumps(self.messages, sort_keys=True),
             f"apology_count: {len(self.apologies)}",
         ]
         for apology in self.apologies:
-            lines.append("apology: " + json.dumps(canon(apology), sort_keys=True))
+            lines.append("apology: " + json.dumps(apology, sort_keys=True))
         for replica in sorted(self.exceptions):
             lines.append(
-                f"exceptions {replica}: " + json.dumps(canon(self.exceptions[replica]), sort_keys=True)
+                f"exceptions {replica}: " + json.dumps(self.exceptions[replica], sort_keys=True)
             )
         for replica in sorted(self.reservations):
             lines.append(
                 f"reservations {replica}: "
-                + json.dumps(canon(self.reservations[replica]), sort_keys=True)
+                + json.dumps(self.reservations[replica], sort_keys=True)
             )
         for label in sorted(self.probes):
-            lines.append(f"probe {label}: " + json.dumps(canon(self.probes[label]), sort_keys=True))
+            lines.append(f"probe {label}: " + json.dumps(self.probes[label], sort_keys=True))
         for replica in sorted(self.rollups):
             for entity in sorted(self.rollups[replica]):
                 lines.append(f"rollup {replica} {entity}: {self.rollups[replica][entity]}")
@@ -522,7 +522,7 @@ class Simulator:
         ref = EntityRef.parse(action.params["entity"])
         partition = replica.store.route(ref)
         state = replica.store.rollup(partition, ref)
-        self.probes[label] = {"value": canon(state.value), "deleted": state.deleted_flag}
+        self.probes[label] = {"value": sorted_copy(state.value), "deleted": state.deleted_flag}
 
     def _task_fault(self, task: dict) -> None:
         fault: Fault = task["fault"]

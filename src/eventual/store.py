@@ -114,8 +114,8 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 _CONTAINERS = (dict, list, tuple)
-# the leaf types a JSON line gives back as they are
-_LEAVES = frozenset((str, int, float, bool, type(None)))
+# the leaf types a JSON line gives back as they are, tested by exact type
+JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
 
 # each field whose type ``EventRecord.from_line`` checks: the type, and how an error words it
 _FIELD_TYPES = (
@@ -135,7 +135,8 @@ def _wrong_field_type(raw: dict) -> TypeError:
 
 
 def canon(obj):
-    """Recursively sort dict keys so serialized forms are byte-stable.
+    """A payload with dict keys sorted at every depth, so its line is
+    byte-stable; called where a record is made (``make_event``, ``from_line``).
 
     Dicts come back as new dicts with their keys sorted, lists and tuples
     as new lists, and leaves (str, int, float, bool, None) as they are;
@@ -154,7 +155,7 @@ def canon(obj):
             if type(k) is not str:
                 raise InvalidRecord(f"key {k!r} is not a string")
             v = obj[k]
-            if type(v) in _LEAVES:
+            if type(v) in JSON_LEAVES:
                 out[k] = v
             elif isinstance(v, _CONTAINERS):
                 out[k] = canon(v)
@@ -164,16 +165,33 @@ def canon(obj):
     if isinstance(obj, (list, tuple)):
         out = []
         for v in obj:
-            if type(v) in _LEAVES:
+            if type(v) in JSON_LEAVES:
                 out.append(v)
             elif isinstance(v, _CONTAINERS):
                 out.append(canon(v))
             else:
                 raise InvalidRecord(f"list item is not JSON: {v!r}")
         return out
-    if type(obj) in _LEAVES:
+    if type(obj) in JSON_LEAVES:
         return obj
     raise InvalidRecord(f"value is not JSON: {obj!r}")
+
+
+def sorted_copy(obj):
+    """A copy of engine state (a fold snapshot, a probed value) with dict
+    keys sorted: dicts as new dicts, lists and tuples as new lists, any
+    other value as it is. Unlike ``canon`` it checks nothing, since state
+    is not a payload: it may be keyed by a payload value, such as an int
+    reservation id."""
+    if isinstance(obj, dict):
+        out = {}
+        for k in sorted(obj):
+            v = obj[k]
+            out[k] = sorted_copy(v) if isinstance(v, _CONTAINERS) else v
+        return out
+    if isinstance(obj, (list, tuple)):
+        return [sorted_copy(x) if isinstance(x, _CONTAINERS) else x for x in obj]
+    return obj
 
 
 class EventId(NamedTuple):
@@ -557,7 +575,7 @@ class FoldState:
     # -- snapshots (checkpoint payload) -----------------------------------
 
     def to_snapshot(self) -> dict:
-        return canon(
+        return sorted_copy(
             {
                 "version": self.version.to_dict(),
                 "seen_keys": sorted(self.seen_keys),

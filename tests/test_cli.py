@@ -333,6 +333,14 @@ topology:
          3, "key 1 in initial must be a string"),
         ("schema: eventual/1\nentities:\n  account: {}\n  a/b: {}\ntopology:\n  partitions: {p0: [r1]}\n",
          4, "entity type 'a/b' is not a string free of '/'"),
+        (SHAPES + "actions:\n  - {at: 1, replica: r1, do: reserve, entity: account/x,\n"
+         "     reservation_id: 2026-01-02}\n",
+         8, "'reservation_id' in action 'reserve' must be a string or an int, got datetime.date(2026, 1, 2)"),
+        (SHAPES + "actions:\n  - {at: 1, replica: r1, do: confirm, entity: account/x, reservation_id: [r]}\n",
+         7, "'reservation_id' in action 'confirm' must be a string or an int, got ['r']"),
+        (SHAPES + "processes:\n  - id: p\n    steps:\n      - id: s\n        trigger: t\n"
+         "        handler: {kind: cancel, entity: account/x, reservation_id: r, cause: {a: 1}}\n",
+         11, "'cause' in handler must be a string, got {'a': 1}"),
     ],
     ids=["process-id", "step-trigger", "step-handler", "parent-field", "handler-string",
          "action-list", "partitions-list", "group-string", "unsafe-tag", "deferred-entry",
@@ -342,7 +350,8 @@ topology:
          "retry-cap", "lock-backoff", "delay-order", "delay-negative", "delay-default-order",
          "drop", "duplicate", "fields-nested-int-key", "fields-set", "terms-int-key",
          "guard-int-key", "emit-action-bool-key", "handler-observed-int-key",
-         "handler-emit-payload-int-key", "emit-no-type", "initial-int-key", "entity-type-slash"],
+         "handler-emit-payload-int-key", "emit-no-type", "initial-int-key", "entity-type-slash",
+         "reservation-id-date", "reservation-id-list", "handler-cause-mapping"],
 )
 def test_malformed_structure_exits_two_with_the_line(tmp_path, capsys, text, line, message):
     bad = tmp_path / "bad.yaml"
@@ -429,6 +438,28 @@ actions:
     assert checkpoint.covers_up_to.to_dict() == {"A": 1, "B": 1}
     assert main(["history", str(path), "--entity", "account/alice", "--replica", "A"]) == 0
     assert "checkpoint covering {'A': 1, 'B': 1}" in capsys.readouterr().out.splitlines()
+
+
+def test_an_int_reservation_id_runs_summarizes_and_renders_its_report(tmp_path, capsys):
+    """A payload may hold any JSON value, so an int reservation id keys a
+    reservation in fold state; the checkpoint and the report take it as it is."""
+    path = tmp_path / "int_rid.yaml"
+    path.write_text("""schema: eventual/1
+entities:
+  book: {merge: commutative_delta, initial: {on_hand: 3}, aggregates: [on_hand], capacity_field: on_hand}
+topology:
+  partitions: {p0: [A]}
+max_time: 500
+actions:
+  - {at: 1, replica: A, do: reserve, id: r, entity: book/b, reservation_id: 5}
+  - {at: 5, replica: A, do: summarize, id: s, entity: book/b}
+  - {at: 6, replica: A, do: read, id: q, entity: book/b}
+""")
+    report = tmp_path / "report.txt"
+    assert main(["run", str(path), "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert 'reservations A: {"5": "tentative"}' in report.read_text().splitlines()
+    assert '"reservations": {"5": {' in report.read_text()
 
 
 def test_a_run_cut_at_max_time_fails_its_invariants_and_exits_one(tmp_path, capsys):
