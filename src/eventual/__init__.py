@@ -14,7 +14,7 @@ from .errors import EngineError
 from .node import Node, NodeConfig
 from .process import ApologyRecord, ManagedException, ProcessDef, ProcessManager, Reservation
 from .registry import MergePolicy, ParentConstraint, RollupSpec, SchemaRegistry
-from .replica import LogicalLock, Replica
+from .replica import LogicalLock, Record, Replica
 from .replication import (
     ConflictReport,
     compensation_plan,
@@ -65,6 +65,7 @@ __all__ = [
     "ProcessDef",
     "ProcessManager",
     "ProcessStepDef",
+    "Record",
     "Replica",
     "ReplicaStore",
     "Reservation",

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ScenarioInvalid
+from .errors import ScenarioInvalid, WrongPartition
 from .scenario import load_scenario
 from .sim import CRASH_RECOVERY_GAP, Fault, RunReport, Scenario, Simulator, run
 from .store import EntityRef
@@ -228,8 +228,8 @@ def cmd_history(args) -> int:
     ref = EntityRef.parse(args.entity)
     try:
         partition = replica.store.route(ref)
-    except Exception:
-        print(f"UnknownEntity: no placement for {args.entity!r}", file=sys.stderr)
+    except WrongPartition as exc:
+        print(f"WrongPartition: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     history = replica.store.list_history(partition, ref)
     if not history:

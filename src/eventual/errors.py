@@ -70,18 +70,15 @@ class UnknownEntity(EngineError):
     """Entity has no events in any local log."""
 
 
-class LockedEntity(EngineError):
-    """Operation refused while a logical lock is open on the entity."""
-
-
 class MultiEntityWriteRejected(EngineError):
     """A step handler attempted to write more than one entity."""
 
 
 class LockConflict(EngineError):
-    """Another session holds the logical lock.
+    """A logical lock refuses the operation: another session holds it, or
+    a pending action holds the entity a summarize would checkpoint.
 
-    Not a failure: the scheduler defers and retries the step later.
+    Not a failure: the scheduler defers and retries the work later.
     """
 
 

@@ -50,6 +50,7 @@ from .errors import (
     AlreadyTerminal,
     LockConflict,
     MultiEntityWriteRejected,
+    Uncompensatable,
     UnknownReservation,
     UnmergeableCustom,
 )
@@ -111,22 +112,20 @@ class Node:
 
     ``notify`` defaults to the replica's first hosted partition. Nodes of
     one run share ``records_by_line`` (every line of the run -> its one
-    record) and ``notes``.
+    record). What the node decides that no event shows goes to its
+    replica's records (``Replica.record``).
     """
 
     def __init__(self, replica: Replica, config: NodeConfig, host: Host, *,
                  manager: ProcessManager | None = None, notify: tuple[str, str] | None = None,
-                 records_by_line: dict[str, EventRecord] | None = None,
-                 notes: list[str] | None = None):
+                 records_by_line: dict[str, EventRecord] | None = None):
         self.replica = replica
         self.config = config
         self.host = host
         self.manager = manager if manager is not None else ProcessManager()
         self.notify = notify or (replica.replica_id, replica.partitions_hosted()[0])
         self.records_by_line = {} if records_by_line is None else records_by_line
-        self.notes = [] if notes is None else notes
         self.handler_effects: dict[str, int] = {}
-        self.multi_entity_rejections = 0
         self.commit_path_sends = 0
         self.ingested = 0  # events taken in from peers
         self.conflict_reports: dict[EntityRef, str] = {}  # the first report kept per entity
@@ -210,15 +209,19 @@ class Node:
     def compensate(self, txn_id: str, origin: Replica) -> None:
         """Reverse transaction ``txn_id``, which ran on ``origin`` (this
         replica or another): its events from ``origin``'s logs, in the
-        partitions this replica hosts (a note names each other partition
-        holding some), and its messages from ``origin``'s outbox."""
+        partitions this replica hosts (a ``compensation_unhosted`` record
+        names each other partition holding some), and its messages from
+        ``origin``'s outbox. A transaction with an irreversible event is
+        not reversed at all: a ``compensation_refused`` record names it."""
         replica = self.replica
-        plan = compensation_plan(replica, txn_id, origin)
+        now = self.host.now
+        try:
+            plan = compensation_plan(replica, txn_id, origin)
+        except Uncompensatable as exc:
+            replica.record(now, "compensation_refused", txn=txn_id, event=str(exc))
+            return
         for partition_id in plan.unhosted:
-            self.notes.append(
-                f"compensate: {replica.replica_id} does not host partition {partition_id!r} "
-                f"of {txn_id}; its events there are not reversed"
-            )
+            replica.record(now, "compensation_unhosted", txn=txn_id, partition=partition_id)
 
         def compensating_messages(comp_txn: str) -> list[QueueMessage]:
             return [
@@ -228,7 +231,7 @@ class Node:
                     msg_type=draft["msg_type"],
                     payload=draft["payload"],
                     idempotence_key=draft["idempotence_key"],
-                    enqueue_stamp=self.host.now,
+                    enqueue_stamp=now,
                     sender=replica.replica_id,
                 )
                 for i, draft in enumerate(plan.message_drafts)
@@ -306,15 +309,16 @@ class Node:
 
     def _execute_step(self, step_def: ProcessStepDef, ctx: StepContext) -> None:
         """Run one step (callers run it on the commit path, which proves it
-        never touches the network); a rejected step is audited, a refused
-        one noted."""
+        never touches the network); a step that breaks the one-entity rule,
+        or names a reservation it cannot act on, commits nothing and is
+        recorded."""
         try:
             execute_step(step_def, ctx)
         except MultiEntityWriteRejected as exc:
-            self.multi_entity_rejections += 1
-            ctx.replica.audit_log.append({"audit": "multi_entity_rejected", "detail": str(exc)})
+            self.replica.record(ctx.now, "multi_entity_rejected", step=step_def.step_id, detail=str(exc))
         except (UnknownReservation, AlreadyTerminal) as exc:
-            self.notes.append(f"{type(exc).__name__}: {exc}")
+            self.replica.record(ctx.now, "step_refused", step=step_def.step_id,
+                                error=type(exc).__name__, detail=str(exc))
 
     def _commit_batch(self, batch: CommitBatch) -> None:
         self._commit_path(txn_commit, self.replica, batch, self.host.now)
@@ -477,7 +481,7 @@ class Node:
             return
         steps = self._matched_steps(message)
         if not steps:
-            self.notes.append(f"unmatched event type {message.msg_type!r} recorded and ignored")
+            replica.record(self.host.now, "message_unmatched", msg_type=message.msg_type)
         try:
             for i, (step_def, payload, session) in enumerate(steps):
                 marker = None

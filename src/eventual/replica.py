@@ -1,7 +1,8 @@
 """Replica state: one node's durable storage plus volatile execution state.
 
 Durable (survives a crash): partition logs, outbox, inbox, processed-key
-set, pending-action descriptors and their completion marks, audit log.
+set, pending-action descriptors and their completion marks, and the
+records of what the engine decided here.
 Volatile (lost on crash): the logical lock table, the store's fold cache
 and anything scheduled; locks are re-derived from unapplied descriptors
 during recovery, folds on the next read.
@@ -10,7 +11,7 @@ during recovery, folds on the next read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bus import Inbox, Outbox, ProcessedKeySet
 from .errors import LockConflict
@@ -63,6 +64,17 @@ class LockTable:
         return [l for locks in self._held.values() for l in locks]
 
 
+class Record(NamedTuple):
+    """One decision the engine took on a replica at ``tick`` that no event
+    shows: a refused or rejected step, a skipped action, an unmatched
+    message, a compensation that could not run in full. ``detail`` maps
+    names to JSON values."""
+
+    tick: int
+    kind: str
+    detail: dict
+
+
 class Replica:
     """One node: hosts a set of partitions and executes steps serially."""
 
@@ -82,7 +94,7 @@ class Replica:
         self.descriptors: dict[str, object] = {}
         self.action_completions: set[str] = set()
         self.descriptors_done: set[str] = set()
-        self.audit_log: list[dict] = []
+        self.records: list[Record] = []
         self.locks = LockTable()
         self.store.lock_guard = self.locks.is_locked
 
@@ -97,6 +109,10 @@ class Replica:
     def next_txn_id(self, session: str) -> str:
         self._txn_counter += 1
         return f"{self.replica_id}:{session}:{self._txn_counter}"
+
+    def record(self, tick: int, kind: str, **detail) -> None:
+        """Write down a decision taken here; records are durable."""
+        self.records.append(Record(tick, kind, detail))
 
     def crash(self) -> None:
         """Lose volatile state. Durable structures stay intact."""

@@ -126,7 +126,8 @@ def _fail(message: str, lines: _Lines, *path) -> None:
 def _check_fields(mapping: dict, allowed: set, where: str, lines: _Lines, *path) -> None:
     for key in mapping:
         if key not in allowed:
-            _fail(f"unknown field {key!r} in {where}", lines, *(path + (key,)))
+            # the line map names keys by their text, which ``str(key)`` is for a plain int
+            _fail(f"unknown field {key!r} in {where}", lines, *path, str(key))
 
 
 _SHAPE_NAMES = {dict: "a mapping", list: "a list"}

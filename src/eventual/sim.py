@@ -10,12 +10,14 @@ client injection and probes, the choice of sync peer, and the report.
 Quiescence is detected structurally, never by timeout.
 
 Crash model: durable state is the logs, outbox, inbox, processed keys,
-descriptors, and audit log. Scheduled work, retry timers, and logical
+descriptors, and records. Scheduled work, retry timers, and logical
 locks are volatile; recovery re-derives them from durable state. A
 replica crashes at a tick (a ``crash`` fault, between tasks) or right
 after one of its commits (``Simulator.crash_after_commit``): then the rest
 of the running task is lost, and the replica recovers
-``CRASH_RECOVERY_GAP`` ticks later.
+``CRASH_RECOVERY_GAP`` ticks later. A client request reaches a down
+replica's durable inbox; a compensate or summarize aimed at a down
+replica waits for it, running again each tick until it is back.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import LockConflict, UnknownTarget
 from .node import Node, NodeConfig, notify_destination
 from .process import ProcessDef, ProcessManager, scan_apologies, scan_exceptions, scan_reservations
 from .registry import SchemaRegistry
-from .replica import Replica
+from .replica import Record, Replica
 from .replication import resolve, shared_partitions
 from .store import EntityRef, sorted_copy
 from .txn import CommitBatch
@@ -117,7 +119,6 @@ class RunReport:
     messages: dict[str, float] = field(default_factory=dict)
     handler_effects: dict[str, int] = field(default_factory=dict)
     commit_path_sends: int = 0
-    multi_entity_rejections: int = 0
     locks_held_at_end: int = 0
     conflicts: list[str] = field(default_factory=list)
     apologies: list[dict] = field(default_factory=list)
@@ -126,7 +127,11 @@ class RunReport:
     rollups: dict[str, dict[str, str]] = field(default_factory=dict)
     probes: dict[str, object] = field(default_factory=dict)
     partition_windows: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    records: dict[str, list[Record]] = field(default_factory=dict)  # replica -> its records
+
+    @property
+    def multi_entity_rejections(self) -> int:
+        return sum(r.kind == "multi_entity_rejected" for rs in self.records.values() for r in rs)
 
     @staticmethod
     def _scrub_timing(value):
@@ -198,8 +203,10 @@ class RunReport:
                 lines.append(f"rollup {replica} {entity}: {self.rollups[replica][entity]}")
         for report in self.conflicts:
             lines.append(f"conflict: {report}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
+        for replica in sorted(self.records):
+            for record in self.records[replica]:
+                body = {"tick": record.tick, "kind": record.kind, **record.detail}
+                lines.append(f"record {replica}: " + json.dumps(body, sort_keys=True))
         return "\n".join(lines) + "\n"
 
 
@@ -280,7 +287,6 @@ class Simulator:
         }
         self._delivered_ids: set[str] = set()
         self.probes: dict[str, object] = {}
-        self.notes: list[str] = []
         self.partition_windows: list[dict] = []
 
         notify = None
@@ -291,7 +297,7 @@ class Simulator:
         self.nodes: dict[str, Node] = {}
         for rid, replica in self.replicas.items():
             self.nodes[rid] = Node(replica, self.config, _Port(self, rid), manager=self.manager,
-                                   notify=notify, records_by_line=records_by_line, notes=self.notes)
+                                   notify=notify, records_by_line=records_by_line)
 
     def crash_after_commit(self, replica_id: str, k: int) -> None:
         """Crash the replica right after its k-th commit: the batch is
@@ -466,6 +472,9 @@ class Simulator:
         replica = self.replicas.get(action.replica)
         if replica is None:
             raise UnknownTarget(action.replica)
+        if action.do in ("compensate", "summarize") and not replica.alive:
+            self._defer_client(task, self.now + 1)  # it runs on the replica: wait for it
+            return
         if action.do == "read":
             self._probe(replica, action)
             return
@@ -476,14 +485,18 @@ class Simulator:
             origin = self.replicas.get(ran_on)
             txn_id = origin is not None and origin.processed.get(f"client:{target}")
             if not txn_id:
-                self.notes.append(f"compensate: no transaction recorded for {target}")
+                replica.record(self.now, "compensation_untracked", action=target)
                 return
             self.nodes[action.replica].compensate(txn_id, origin)
             return
         if action.do == "summarize":
             ref = EntityRef.parse(action.params["entity"])
             partition = replica.store.route(ref)
-            replica.store.summarize(partition, ref, replica.frontier(partition))
+            try:
+                replica.store.summarize(partition, ref, replica.frontier(partition))
+            except LockConflict:
+                # a pending action holds the entity: back off, as expiry does
+                self._defer_client(task, self.now + self.config.lock_backoff)
             return
         self.counters["client_requests"] += 1
         if action.do == "emit":
@@ -506,6 +519,12 @@ class Simulator:
             sender="client",
         )
         self.nodes[action.replica].submit(message)
+
+    def _defer_client(self, task: dict, at: int) -> None:
+        """Run a client action again at ``at``; it stays pending, so the
+        run cannot quiesce before it has run."""
+        self._client_pending += 1
+        self._schedule(at, task)
 
     def _partition_for_template(self, replica: Replica, params: dict) -> str:
         if "entity" in params:
@@ -616,7 +635,6 @@ class Simulator:
         report.end_time = self.now
         nodes = self.nodes
         report.commit_path_sends = sum(node.commit_path_sends for node in nodes.values())
-        report.multi_entity_rejections = sum(node.multi_entity_rejections for node in nodes.values())
         report.locks_held_at_end = sum(
             len(r.locks.holders()) for r in self.replicas.values()
         )
@@ -641,7 +659,7 @@ class Simulator:
         report.conflicts = [conflicts[k] for k in sorted(conflicts)]
         report.probes = dict(sorted(self.probes.items()))
         report.partition_windows = list(self.partition_windows)
-        report.notes = list(self.notes)
+        report.records = {rid: list(replica.records) for rid, replica in self.replicas.items()}
 
         apologies_seen: dict[str, dict] = {}
         for rid in sorted(self.replicas):

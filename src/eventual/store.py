@@ -72,7 +72,7 @@ from .errors import (
     DuplicateEventId,
     FutureVersion,
     InvalidRecord,
-    LockedEntity,
+    LockConflict,
     MalformedEvent,
     SequenceGap,
     UnknownEntity,
@@ -977,13 +977,14 @@ class ReplicaStore:
         The cut must be causally closed over the entity's events: one that
         covers an event but not its causal stamp raises CutNotClosed, since
         the checkpoint would fold the event without a predecessor it
-        depends on.
+        depends on. While a logical lock is open on the entity (a pending
+        action's), it raises LockConflict.
         """
         log = self.log(partition_id)
         if not log.frontier().dominates(up_to):
             raise FutureVersion(f"summarize beyond frontier: {up_to!r}")
         if self.lock_guard is not None and self.lock_guard(entity_ref):
-            raise LockedEntity(str(entity_ref))
+            raise LockConflict(str(entity_ref))
         previous = log.checkpoints.get(entity_ref)
         if previous is not None:
             # a checkpoint only moves forward: events it archived stay covered

@@ -2,12 +2,13 @@
 entity written per transaction.
 
 A step's handler is a declarative template the engine interprets into a
-StepPlan: events to append (all on one entity), messages to enqueue,
-deferred pending actions, and non-transactional audit writes. The whole
-plan commits as one local atomic batch, or not at all. Commit is
-solipsistic: no validation against concurrent local or remote writes, no
-waiting, and never a network round-trip — conflicts are the
-infrastructure's problem, after the fact.
+StepPlan: events to append (all on one entity), messages to enqueue and
+deferred pending actions, or a reason to reject the step. The whole plan
+commits as one local atomic batch, or not at all; a rejection commits
+nothing and leaves a record on the replica. Commit is solipsistic: no
+validation against concurrent local or remote writes, no waiting, and
+never a network round-trip — conflicts are the infrastructure's problem,
+after the fact.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ class StepPlan:
     events: list[tuple[EntityRef, str, dict, str | None]] = field(default_factory=list)
     messages: list[MessageDraft] = field(default_factory=list)
     pending: list[PendingAction] = field(default_factory=list)
-    audit: list[dict] = field(default_factory=list)
     reject: str | None = None
 
 
@@ -119,7 +119,6 @@ class CommitBatch:
     ack_only: bool = False  # consumes processed_key without a transaction
     inbox_remove: str | None = None
     completions: list[str] = field(default_factory=list)
-    audit: list[dict] = field(default_factory=list)
     lock_scope: list[EntityRef] = field(default_factory=list)
     open: bool = True
 
@@ -248,14 +247,6 @@ def interpret(template: dict, ctx: StepContext) -> StepPlan:
             projected = current + deltas.get(guard["field"], 0)
             if projected < guard.get("min", 0):
                 plan.reject = f"guard failed: {guard['field']} would be {projected}"
-                plan.audit.append(
-                    {
-                        "audit": "step_rejected",
-                        "entity": str(entity),
-                        "reason": plan.reject,
-                        "base": ctx.idempotence_base,
-                    }
-                )
                 return plan
         body: dict = {"deltas": deltas}
         if template.get("irreversible"):
@@ -354,7 +345,6 @@ def _plan_confirm(ctx: StepContext, entity: EntityRef, rid: str, emits: list[Mes
         raise UnknownReservation(rid)
     current = view[rid]["state"]
     if current == "confirmed":
-        plan.audit.append({"audit": "confirm_noop", "reservation": rid})
         return plan  # idempotent success, nothing to write
     if current in ("expired", "cancelled", "abrogated"):
         raise AlreadyTerminal(current)
@@ -399,11 +389,14 @@ def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
     the batch needs; the scheduler defers and retries it) run before
     anything is made. ``ReplicaStore.make_event`` then routes each event,
     validates its payload and stamps it, and ``commit`` appends the batch.
+    A plan that rejects the step commits nothing and leaves a
+    ``guard_failed`` record on the replica.
     """
     plan = step.handler(ctx) if callable(step.handler) else interpret(step.handler, ctx)
 
     if plan.reject is not None:
-        ctx.replica.audit_log.extend(plan.audit)  # survives the rollback
+        ctx.replica.record(ctx.now, "guard_failed", step=step.step_id, base=ctx.idempotence_base,
+                           reason=plan.reject)
         return StepOutcome(txn_id="", status="rolled_back")
 
     planned = plan.events
@@ -457,7 +450,7 @@ def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
         # referential checks take no lock, so the scope is what was checked above
         descriptor = PendingActionDescriptor(txn_id, ctx.session, actions, lock_needs)
 
-    batch = CommitBatch(txn_id, ctx.session, events, descriptor=descriptor, audit=plan.audit)
+    batch = CommitBatch(txn_id, ctx.session, events, descriptor=descriptor)
     if messages:
         bus.enqueue(batch, messages)
     if ctx.consume_marker is not None:
@@ -548,7 +541,6 @@ def commit(replica: Replica, batch: CommitBatch, now: int = 0) -> None:
         replica.inbox.remove(batch.inbox_remove)
     for ckey in batch.completions:
         replica.action_completions.add(ckey)
-    replica.audit_log.extend(batch.audit)
     batch.open = False
     replica.commit_times.append(now)
     if replica.on_commit is not None:
@@ -592,7 +584,9 @@ def apply_pending_actions(replica: Replica, descriptor: PendingActionDescriptor,
                 report["exceptions"].append(exc_id)
         else:
             # custom action kinds are an extension point; record and complete
-            batch.audit.append({"audit": "custom_action_skipped", "action": action.kind})
+            # (the record goes first: a crash right after the commit loses the
+            # rest of this call, and the completion keeps it from rerunning)
+            replica.record(now, "action_skipped", txn=descriptor.txn_id, action=action.kind)
         commit(replica, batch, now)
         report["applied"].append(ckey)
     if all(

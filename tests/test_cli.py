@@ -341,6 +341,9 @@ topology:
         (SHAPES + "processes:\n  - id: p\n    steps:\n      - id: s\n        trigger: t\n"
          "        handler: {kind: cancel, entity: account/x, reservation_id: r, cause: {a: 1}}\n",
          11, "'cause' in handler must be a string, got {'a': 1}"),
+        (SHAPES + "actions:\n  - {at: 1, replica: r1, do: delta, entity: account/x, deltas: {n: 1}, 5: x}\n",
+         7, "unknown field 5 in action 'delta'"),
+        (SHAPES + "7: x\n", 6, "unknown field 7 in scenario"),
     ],
     ids=["process-id", "step-trigger", "step-handler", "parent-field", "handler-string",
          "action-list", "partitions-list", "group-string", "unsafe-tag", "deferred-entry",
@@ -351,7 +354,8 @@ topology:
          "drop", "duplicate", "fields-nested-int-key", "fields-set", "terms-int-key",
          "guard-int-key", "emit-action-bool-key", "handler-observed-int-key",
          "handler-emit-payload-int-key", "emit-no-type", "initial-int-key", "entity-type-slash",
-         "reservation-id-date", "reservation-id-list", "handler-cause-mapping"],
+         "reservation-id-date", "reservation-id-list", "handler-cause-mapping", "action-int-key",
+         "top-level-int-key"],
 )
 def test_malformed_structure_exits_two_with_the_line(tmp_path, capsys, text, line, message):
     bad = tmp_path / "bad.yaml"
@@ -512,6 +516,47 @@ def test_history_unknown_entity_is_a_diagnostic(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "UnknownEntity" in err
+
+
+@pytest.mark.parametrize(
+    "entity, message",
+    [
+        ("order/o1", "WrongPartition: replica A does not host partition 'p1'"),
+        ("ghost/g1", "WrongPartition: no placement for entity type 'ghost'"),
+    ],
+    ids=["unhosted-partition", "undeclared-type"],
+)
+def test_history_of_an_entity_the_replica_cannot_route_names_why(tmp_path, capsys, entity, message):
+    path = tmp_path / "placed.yaml"
+    path.write_text("""schema: eventual/1
+entities: {account: {}, order: {}}
+topology:
+  partitions: {p0: [A, B], p1: [B]}
+  placement: {account: p0, order: p1}
+actions:
+  - {at: 1, replica: B, do: insert, id: o, entity: order/o1, fields: {state: new}}
+""")
+    assert main(["history", str(path), "--entity", entity, "--replica", "A"]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_an_irreversible_compensation_is_a_record_not_an_exit(tmp_path, capsys):
+    path = tmp_path / "irreversible.yaml"
+    path.write_text("""schema: eventual/1
+entities: {account: {}}
+topology: {partitions: {p0: [A]}}
+actions:
+  - {at: 1, replica: A, do: delta, id: d1, entity: account/alice, deltas: {balance: 100}, irreversible: true}
+  - {at: 3, replica: A, do: compensate, action: d1}
+""")
+    assert main(["run", str(path)]) == 0
+    records = [line for line in capsys.readouterr().out.splitlines() if line.startswith("record ")]
+    assert records == [
+        'record A: {"event": "A:1", "kind": "compensation_refused", "tick": 3, "txn": "A:client:d1:1"}'
+    ]
+    report = Simulator(load_scenario(path)).run()
+    assert check_invariants(report) == []
+    assert json.loads(report.rollups["A"]["account/alice"])["value"]["balance"] == 100
 
 
 def test_usage_error_exits_two(capsys):

@@ -1,5 +1,5 @@
 """No module of the engine imports a name it never uses, nor defines one
-nothing names.
+nothing names, and the README lists exactly the record kinds it writes.
 
 A name counts as used when the module reads it anywhere (including in
 annotations) or re-exports it through ``__all__``.
@@ -84,3 +84,24 @@ def test_every_definition_is_named_somewhere_besides_its_definition():
         for word in re.findall(r"\w+", path.read_text())
     )
     assert sorted(name for name, count in defined.items() if words[name] <= count) == []
+
+
+def recorded_kinds() -> set[str]:
+    """The kind of every ``.record(tick, kind, ...)`` call in the engine."""
+    return {
+        node.args[1].value
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "record"
+        and len(node.args) > 1
+        and isinstance(node.args[1], ast.Constant)
+    }
+
+
+def test_the_readme_lists_exactly_the_record_kinds_the_engine_writes():
+    readme = (ROOT / "README.md").read_text()
+    listed = set(re.findall(r"^  - `(\w+)` \{", readme, re.MULTILINE))
+    kinds = recorded_kinds()
+    assert kinds and kinds == listed

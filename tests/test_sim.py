@@ -16,11 +16,33 @@ from eventual.cli import check_invariants, render_report_file
 from eventual.clocks import VersionVector
 from eventual.errors import MalformedEvent
 from eventual.process import scan_exceptions
+from eventual.registry import MergePolicy, RollupSpec, SchemaRegistry
+from eventual.replica import Replica
 from eventual.scenario import load_scenario, parse_scenario
-from eventual.sim import Simulator, run
+from eventual.sim import RunReport, Simulator, run
 from eventual.store import OP_CANCEL, OP_INSERT, EntityRef, EventRecord, ReplicaStore
+from eventual.txn import (
+    PendingAction,
+    ProcessStepDef,
+    StepContext,
+    StepPlan,
+    TriggerSpec,
+    apply_pending_actions,
+    execute_step,
+)
 
 SCENARIOS = Path(__file__).parent.parent / "src" / "eventual" / "scenarios"
+
+
+def record_lines(report) -> list[dict]:
+    """The report's rendered ``record`` lines, each parsed, with its replica."""
+    out = []
+    for line in report.render().splitlines():
+        if line.startswith("record "):
+            replica, _, body = line.removeprefix("record ").partition(": ")
+            out.append({"replica": replica, **json.loads(body)})
+    return out
+
 
 BANK = """
 schema: eventual/1
@@ -559,6 +581,7 @@ def test_multi_entity_step_is_rejected_and_appends_nothing():
     report = run(parse_scenario(MULTI_WRITE), seed=0)
     assert report.quiescent
     assert report.multi_entity_rejections == 1
+    assert [r["kind"] for r in record_lines(report)] == ["multi_entity_rejected"]
     assert "account/a" not in report.rollups["A"]
     assert "account/b" not in report.rollups["A"]
 
@@ -634,7 +657,7 @@ actions:
   - {at: 30, replica: B, do: compensate, id: comp, action: d1}
 """
     report = run(parse_scenario(text))
-    assert report.notes == []
+    assert record_lines(report) == []
     for rollups in report.rollups.values():
         assert json.loads(rollups["account/alice"])["value"]["balance"] == 0
 
@@ -662,7 +685,7 @@ actions:
 def test_a_compensation_sends_the_messages_of_the_transaction_wherever_it_runs(where):
     # the messages are in the outbox of the replica the action ran on
     report = run(parse_scenario(PAID_TALLY.replace("COMP_ON", where)))
-    assert report.quiescent and report.notes == []
+    assert report.quiescent and record_lines(report) == []
     for rollups in report.rollups.values():
         assert json.loads(rollups["ledger/total"])["value"]["count"] == 0
         assert json.loads(rollups["account/alice"])["value"]["balance"] == 0
@@ -676,7 +699,7 @@ def test_a_compensation_on_another_replica_reverses_events_anti_entropy_has_not_
     sim = Simulator(parse_scenario(text))
     report = sim.run()
     assert sim.replicas["B"].store.log("p0").events[0].event_id.replica == "B"  # made before any merge
-    assert report.quiescent and report.notes == []
+    assert report.quiescent and record_lines(report) == []
     for rid in ("A", "B"):
         rollups = report.rollups[rid]
         assert json.loads(rollups["account/alice"])["value"]["balance"] == 0, rid
@@ -692,7 +715,7 @@ def test_a_compensation_on_another_replica_apologizes_for_a_promise_only_the_ori
         .replace("{at: 40, replica: A, do: compensate", "{at: 3, replica: B, do: compensate")
     )
     report = run(parse_scenario(text), seed=0)
-    assert report.quiescent and report.notes == [] and check_invariants(report) == []
+    assert report.quiescent and record_lines(report) == [] and check_invariants(report) == []
     assert report.reservations["A"] == report.reservations["B"] == {"o1": "abrogated"}
     assert [(a["apology_id"], a["cause"]) for a in report.apologies] == [("apology:o1", "lost_promise")]
     assert report.probes["after"]["value"]["count"] == 0
@@ -715,8 +738,8 @@ actions:
     sim = Simulator(parse_scenario(text))
     report = sim.run()
     txn_id = sim.replicas["A"].processed["client:d1"]
-    assert report.notes == [
-        f"compensate: B does not host partition 'p1' of {txn_id}; its events there are not reversed"
+    assert record_lines(report) == [
+        {"replica": "B", "tick": 30, "kind": "compensation_unhosted", "txn": txn_id, "partition": "p1"}
     ]
     assert json.loads(report.rollups["A"]["ledger/total"])["value"]["count"] == 1
 
@@ -729,7 +752,11 @@ def test_compensating_a_rolled_back_action_notes_that_it_has_no_transaction():
     sim = Simulator(parse_scenario(text))
     report = sim.run()
     assert "client:w" in sim.replicas["A"].processed  # acknowledged, in no transaction
-    assert report.notes == ["compensate: no transaction recorded for w"]
+    assert record_lines(report) == [
+        {"replica": "A", "tick": 2, "kind": "guard_failed", "step": "client.delta", "base": "client:w",
+         "reason": "guard failed: balance would be -400"},
+        {"replica": "A", "tick": 5, "kind": "compensation_untracked", "action": "w"},
+    ]
     assert json.loads(report.rollups["A"]["account/alice"])["value"]["balance"] == 100
 
 
@@ -750,7 +777,7 @@ actions:
     outcomes = []
     for undone in ("res", "conf"):
         report = run(parse_scenario(text.replace("UNDONE", undone)))
-        assert report.quiescent and report.notes == [] and check_invariants(report) == [], undone
+        assert report.quiescent and record_lines(report) == [] and check_invariants(report) == [], undone
         entry = json.loads(report.rollups["A"]["book/moby"])["value"]["reservations"]["o1"]
         apologies = [(a["apology_id"], a["cause"]) for a in report.apologies]
         outcomes.append((report.reservations, entry["state"], entry["cause"], apologies))
@@ -773,11 +800,121 @@ actions:
 """
     sim = Simulator(parse_scenario(text))
     report = sim.run()
-    assert report.quiescent and report.notes == []
+    assert report.quiescent and record_lines(report) == []
     assert json.loads(report.rollups["A"]["profile/p"])["deleted"] is True
     insert, reversal = sim.replicas["A"].store.log("p0").events
     assert (insert.op_kind, reversal.op_kind) == (OP_INSERT, "tombstone")
     assert reversal.payload == {"compensates": insert.origin_txn_id}
+
+
+def _skipped_action_report():
+    """A step run without a simulator defers an action of a kind the engine
+    does not know; applying it skips the action and records that."""
+    registry = SchemaRegistry()
+    registry.register(RollupSpec("account", MergePolicy.COMMUTATIVE_DELTA))
+    replica = Replica("A", registry, ["p0"], {"account": "p0"})
+    step = ProcessStepDef("crm", TriggerSpec(("crm",)), lambda ctx: StepPlan(pending=[PendingAction("notify_crm", {})]))
+    ctx = StepContext(replica=replica, now=1, session="s1", payload={}, idempotence_base="b")
+    descriptor = execute_step(step, ctx).pending_descriptor
+    apply_pending_actions(replica, descriptor, now=4)
+    return RunReport(records={"A": replica.records})
+
+
+_GUARDED = "  - {at: 2, replica: A, do: delta, id: w, entity: account/alice, deltas: {balance: -500}, guard: {field: balance, min: 0}}\n"
+_GUARD_FAILED = {"replica": "A", "tick": 2, "kind": "guard_failed", "step": "client.delta", "base": "client:w",
+                 "reason": "guard failed: balance would be -400"}
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        (BANK + "  - {at: 5, replica: A, do: emit, id: stray, type: nobody.cares, payload: {}}\n",
+         [{"replica": "A", "tick": 5, "kind": "message_unmatched", "msg_type": "nobody.cares"}]),
+        ("""
+schema: eventual/1
+entities:
+  book: {merge: commutative_delta, initial: {on_hand: 5}, aggregates: [on_hand], capacity_field: on_hand}
+topology:
+  partitions: {p0: [A]}
+actions:
+  - {at: 1, replica: A, do: confirm, id: c, entity: book/moby, reservation_id: ghost}
+""",
+         [{"replica": "A", "tick": 1, "kind": "step_refused", "step": "client.confirm",
+           "error": "UnknownReservation", "detail": "ghost"}]),
+        (MULTI_WRITE,
+         [{"replica": "A", "tick": 2, "kind": "multi_entity_rejected", "step": "pay_two",
+           "detail": "step pay_two plans writes on ['account/a', 'account/b']"}]),
+        # the replica crashes after the record and recovers: records are durable
+        (BANK + _GUARDED + "faults: [{kind: crash, at: 4, target: A}, {kind: recover, at: 9, target: A}]\n",
+         [_GUARD_FAILED]),
+        (_skipped_action_report,
+         [{"replica": "A", "tick": 4, "kind": "action_skipped", "txn": "A:s1:1", "action": "notify_crm"}]),
+        ("""
+schema: eventual/1
+entities:
+  account: {merge: commutative_delta, initial: {balance: 0}, aggregates: [balance]}
+  ledger: {merge: commutative_delta, initial: {count: 0}, aggregates: [count]}
+topology:
+  partitions: {p0: [A, B], p1: [A]}
+  placement: {account: p0, ledger: p1}
+max_time: 500
+actions:
+  - {at: 1, replica: A, do: delta, id: d1, entity: ledger/total, deltas: {count: 1}}
+  - {at: 30, replica: B, do: compensate, id: comp, action: d1}
+""",
+         [{"replica": "B", "tick": 30, "kind": "compensation_unhosted", "txn": "A:client:d1:1", "partition": "p1"}]),
+        (BANK + _GUARDED + "  - {at: 5, replica: A, do: compensate, id: comp, action: w}\n",
+         [_GUARD_FAILED, {"replica": "A", "tick": 5, "kind": "compensation_untracked", "action": "w"}]),
+        (BANK.replace("balance: 100}}", "balance: 100}, irreversible: true}")
+         + "  - {at: 3, replica: A, do: compensate, id: comp, action: d1}\n",
+         [{"replica": "A", "tick": 3, "kind": "compensation_refused", "txn": "A:client:d1:1", "event": "A:1"}]),
+    ],
+    ids=["message_unmatched", "step_refused", "multi_entity_rejected", "guard_failed", "action_skipped",
+         "compensation_unhosted", "compensation_untracked", "compensation_refused"],
+)
+def test_each_decision_renders_as_one_record_line(source, expected):
+    report = source() if callable(source) else run(parse_scenario(source))
+    assert record_lines(report) == expected
+    assert report.multi_entity_rejections == sum(r["kind"] == "multi_entity_rejected" for r in expected)
+
+
+def test_a_compensate_or_summarize_aimed_at_a_down_replica_waits_for_it():
+    text = """
+schema: eventual/1
+entities: {account: {}}
+topology: {partitions: {p0: [A, B]}}
+faults: [{kind: crash, at: 3, target: A}, {kind: recover, at: 10, target: A}]
+actions:
+  - {at: 1, replica: A, do: delta, id: d1, entity: account/alice, deltas: {balance: 100}}
+  - {at: 4, replica: A, do: compensate, action: d1}
+  - {at: 5, replica: A, do: summarize, entity: account/alice}
+"""
+    sim = Simulator(parse_scenario(text))
+    report = sim.run()
+    assert report.quiescent and check_invariants(report) == []
+    assert report.commit_times["A"] == [1, 10]  # nothing while A is down
+    assert list(sim.replicas["A"].store.log("p0").checkpoints) == [EntityRef("account", "alice")]
+    for rollups in report.rollups.values():
+        assert json.loads(rollups["account/alice"])["value"]["balance"] == 0
+
+
+def test_a_summarize_of_a_locked_entity_runs_once_the_pending_action_releases_it():
+    text = """
+schema: eventual/1
+entities: {account: {}, invoice_total: {}}
+topology: {partitions: {p0: [A]}}
+lags: {pending: 3}
+actions:
+  - {at: 1, replica: A, do: delta, id: d1, entity: account/alice, deltas: {balance: 100},
+     deferred: [{entity: invoice_total/i1, deltas: {total: 100}}]}
+  - {at: 2, replica: A, do: summarize, entity: invoice_total/i1}
+"""
+    sim = Simulator(parse_scenario(text))
+    report = sim.run()
+    assert report.quiescent and check_invariants(report) == []
+    (checkpoint,) = sim.replicas["A"].store.log("p0").checkpoints.values()
+    assert checkpoint.entity_ref == EntityRef("invoice_total", "i1")
+    assert checkpoint.covers_up_to.to_dict() == {"A": 2}  # the pending action's delta included
 
 
 def test_a_finished_simulator_is_freed_without_the_cycle_collector():
@@ -915,7 +1052,7 @@ def test_unmatched_event_types_are_recorded_and_ignored():
     text = BANK + "  - {at: 5, replica: A, do: emit, id: stray, type: nobody.cares, payload: {}}\n"
     report = run(parse_scenario(text), seed=0)
     assert report.quiescent
-    assert any("nobody.cares" in note for note in report.notes)
+    assert [(r["kind"], r["msg_type"]) for r in record_lines(report)] == [("message_unmatched", "nobody.cares")]
     # the stray event consumed its key exactly once and changed nothing
     assert report.handler_effects["client:stray"] == 1
 

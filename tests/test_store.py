@@ -310,9 +310,9 @@ def test_summarize_refused_while_entity_locked():
     store = make_store()
     delta(store, ACCOUNT, "d1", balance=1)
     store.lock_guard = lambda ref: ref == ACCOUNT
-    from eventual.errors import LockedEntity
+    from eventual.errors import LockConflict
 
-    with pytest.raises(LockedEntity):
+    with pytest.raises(LockConflict):
         store.summarize("p0", ACCOUNT, store.log("p0").frontier())
 
 
@@ -488,7 +488,12 @@ _json_payloads = st.dictionaries(
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(store_module.OP_KINDS)), _json_payloads, _json_payloads)
+@given(
+    st.sampled_from(sorted(store_module.OP_KINDS)),
+    _json_payloads,
+    # the account's aggregate is no payload field: make_event refuses it by design
+    _json_payloads.filter(lambda p: "balance" not in p),
+)
 def test_every_made_event_decodes_from_its_line_to_an_equal_record(op_kind, payload, later):
     # A run hands its receivers the sender's record for a line instead of
     # decoding it, which is sound only if decoding would give that record back.

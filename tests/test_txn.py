@@ -15,7 +15,7 @@ from eventual.errors import (
     UnknownReservation,
 )
 from eventual.registry import MergePolicy, ParentConstraint, RollupSpec, SchemaRegistry
-from eventual.replica import Replica
+from eventual.replica import Record, Replica
 from eventual.store import EntityRef, ReplicaStore
 from eventual.txn import (
     CommitBatch,
@@ -207,7 +207,7 @@ def test_a_local_write_stamps_the_pre_write_frontier_with_its_own_entry_raised(o
         assert replica.frontier("p1" if partition == "p0" else "p0") == other
 
 
-def test_guard_rejection_rolls_back_but_audit_survives():
+def test_guard_rejection_rolls_back_but_its_record_survives():
     replica = make_replica()
     outcome = execute_step(
         step(
@@ -226,7 +226,10 @@ def test_guard_rejection_rolls_back_but_audit_survives():
     assert outcome.enqueued_messages == []
     assert replica.store.log("p0").events == []
     assert len(replica.outbox) == 0
-    assert replica.audit_log and replica.audit_log[0]["audit"] == "step_rejected"
+    assert replica.records == [
+        Record(1, "guard_failed", {"step": "withdraw", "base": "act1",
+                                   "reason": "guard failed: balance would be -50"})
+    ]
 
 
 def test_replaying_a_batch_leaves_the_log_byte_identical():
