@@ -480,7 +480,9 @@ class Node:
             self._reconsume(partition)
             return
         steps = self._matched_steps(message)
-        if not steps:
+        # a join's trigger that arrives before the rest is taken, not unmatched: the
+        # join records it in its correlation entity and fires no step yet
+        if not steps and not self.manager.matching_steps(message.msg_type):
             replica.record(self.host.now, "message_unmatched", msg_type=message.msg_type)
         try:
             for i, (step_def, payload, session) in enumerate(steps):

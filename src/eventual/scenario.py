@@ -4,17 +4,19 @@ Strict by design: a versioned schema tag is required and unknown fields
 are rejected with line-anchored diagnostics, so a typo weakens no test
 silently. A run is fully specified by (scenario file, seed).
 
-A file is composed once into a YAML node tree. A plain document (str,
-int, float, bool and null scalars, mappings with str or int keys,
-sequences) is turned into data in one pass over that tree, without
-PyYAML's constructor machinery. Any other document (an alias of a
-mapping or sequence, a merge key, another tag, a node whose kind does
-not match its tag, a non-scalar key, a scalar its tag cannot hold) goes
-whole to PyYAML's ``SafeConstructor``: the data equals ``yaml.safe_load``'s.
+A file is parsed once. A plain document (str, int, float, bool and null
+scalars, mappings with str or int keys, sequences) is built into data in
+one pass over the parser's event stream, with no YAML node tree and
+without PyYAML's constructor machinery. Any other document (an alias of
+a mapping or sequence, an anchor defined twice, a merge key, another
+tag, a non-scalar key, a scalar its tag cannot hold, a parse error, a
+second document) is composed into a node tree that goes whole to
+PyYAML's ``SafeConstructor``: the data equals ``yaml.safe_load``'s.
 Either way a key repeated in one mapping (merged keys aside) is an error
 on the line of its second occurrence, where ``yaml.safe_load`` would keep
-the last value. The path -> line map that diagnostics read is walked only
-on the first failed check, so a valid scenario never builds it.
+the last value. The path -> line map that diagnostics read is composed
+and walked only on the first failed check, so a valid scenario never
+builds it.
 
 The fields whose values become event or message payloads hold JSON only:
 mappings with str keys, lists, and str, int, float, bool or null leaves.
@@ -89,17 +91,22 @@ ACTION_PARAMS = {
 
 
 class _Lines:
-    """Path -> source line map of the YAML node tree, walked on first use:
-    only an error message reads it, so a valid scenario never builds it."""
+    """Path -> source line map of the text's YAML node tree, composed and
+    walked on first use: only an error message reads it, so a valid
+    scenario never builds it."""
 
-    def __init__(self, node: yaml.Node | None):
-        self._node = node
+    def __init__(self, text: str):
+        self._text = text
+
+    @cached_property
+    def node(self) -> yaml.Node | None:
+        return yaml.compose(self._text, Loader=_LOADER)
 
     @cached_property
     def _map(self) -> dict[tuple, int]:
         out: dict[tuple, int] = {}
-        if self._node is not None:
-            self._walk(self._node, (), out, set())
+        if self.node is not None:
+            self._walk(self.node, (), out, set())
         return out
 
     def _walk(self, node, path, out, ancestors) -> None:
@@ -195,10 +202,21 @@ def load_scenario(path: str | Path) -> Scenario:
 _TAG = "tag:yaml.org,2002:"
 _STR, _INT, _MAP, _SEQ, _MERGE = (_TAG + kind for kind in ("str", "int", "map", "seq", "merge"))
 _DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*)").fullmatch
+
+
+class _TextConstructor(yaml.constructor.SafeConstructor):
+    """PyYAML's scalar conversions, applied to a scalar's text instead of its
+    node: each reads its input through ``construct_scalar``, which here
+    gives the text back as it is."""
+
+    def construct_scalar(self, text):
+        return text
+
+
 # every other scalar the resolver tags (``0755``, ``0x1F``, ``1_000``, ``1:30``,
 # ``yes``, ``~``, ``.inf``) converts as PyYAML's constructor converts it
 _SCALARS = {
-    _TAG + kind: getattr(yaml.constructor.SafeConstructor(), f"construct_yaml_{kind}")
+    _TAG + kind: getattr(_TextConstructor(), f"construct_yaml_{kind}")
     for kind in ("null", "bool", "int", "float")
 }
 
@@ -208,7 +226,7 @@ _UNREADABLE = (ValueError, LookupError, AttributeError)
 
 
 class _Irregular(Exception):
-    """A node the direct conversion leaves to PyYAML's constructor."""
+    """Something the event builder leaves to PyYAML's compose and constructor."""
 
 
 class _Constructor(yaml.constructor.SafeConstructor):
@@ -222,51 +240,112 @@ class _Constructor(yaml.constructor.SafeConstructor):
             raise ScenarioInvalid(f"{node.value!r} is not a valid {tag}", node.start_mark.line + 1) from exc
 
 
-def _scalar(node):
-    tag = node.tag
+def _scalar(tag: str, text: str):
     if tag == _STR:
-        return node.value
-    if tag == _INT and _DECIMAL(node.value):
-        return int(node.value)
+        return text
+    if tag == _INT and _DECIMAL(text):
+        return int(text)
     construct = _SCALARS.get(tag)
     if construct is None:
         raise _Irregular
-    return construct(node)
+    return construct(text)
 
 
-def _repeated(key, key_node) -> ScenarioInvalid:
-    return ScenarioInvalid(f"repeated key {key!r}", key_node.start_mark.line + 1)
+def _repeated(key, line: int) -> ScenarioInvalid:
+    return ScenarioInvalid(f"repeated key {key!r}", line)
 
 
-def _plain_data(root: yaml.Node):
-    """The data of a tree of plain mappings, lists and scalars in one pass.
-    Raises ``_Irregular`` on an alias, a merge key, any other tag, a node
-    whose kind does not match its tag, and a key that is not a str or int;
-    ScenarioInvalid on a key repeated in its mapping."""
-    seen: set[int] = set()
+_SCALAR_EVENT, _ALIAS_EVENT = yaml.ScalarEvent, yaml.AliasEvent
+_MAPPING_START, _MAPPING_END = yaml.MappingStartEvent, yaml.MappingEndEvent
+_SEQUENCE_START, _SEQUENCE_END = yaml.SequenceStartEvent, yaml.SequenceEndEvent
+_IMPLICIT = (None, "!")  # the tags the resolver replaces
 
-    def convert(node):
-        kind = type(node)
-        if kind is yaml.ScalarNode:
-            return _scalar(node)
-        if id(node) in seen:
-            raise _Irregular
-        seen.add(id(node))
-        if kind is yaml.MappingNode and node.tag == _MAP:
+
+def _event_data(text: str):
+    """The data of a document of plain mappings, lists and scalars, built in
+    one pass over the loader's events, with no node tree. Raises
+    ``_Irregular`` on an alias of a mapping or list, an anchor defined twice,
+    a merge key, any other tag, a key that is not a str or int, and a second
+    document; PyYAML's error on a parse error or a scalar its tag cannot
+    hold; ScenarioInvalid on the first key, in document order, repeated in
+    its mapping (once the rest of the document has parsed)."""
+    loader = _LOADER(text)
+    next_event = loader.get_event
+    resolve = loader.resolve
+    plain: dict[str, object] = {}  # a plain scalar's text -> its value, resolved once per parse
+    anchors: dict[str, tuple | None] = {}  # -> (value, event) of a scalar; None for a collection
+    repeats: list[ScenarioInvalid] = []
+
+    def scalar(event):
+        """The value of a scalar, or of an alias of one."""
+        if type(event) is not _SCALAR_EVENT:
+            if type(event) is not _ALIAS_EVENT or anchors.get(event.anchor) is None:
+                raise _Irregular  # a collection, a collection's alias, or an undefined alias
+            return anchors[event.anchor][0]
+        value = event.value
+        tag = event.tag
+        if tag is not None and tag != "!":
+            value = _scalar(tag, value)
+        elif event.implicit[0]:  # plain: the tag compose would resolve
+            try:
+                value = plain[value]
+            except KeyError:
+                value = plain[value] = _scalar(resolve(yaml.ScalarNode, value, event.implicit), value)
+        # else quoted: a str
+        if event.anchor is not None:
+            anchor(event.anchor, (value, event))
+        return value
+
+    def anchor(name: str, entry) -> None:
+        if name in anchors:
+            raise _Irregular  # compose refuses an anchor defined twice
+        anchors[name] = entry
+
+    def build(event):
+        """The value of the node that ``event`` starts."""
+        kind = type(event)
+        if kind is _MAPPING_START:
+            if event.tag not in _IMPLICIT and event.tag != _MAP:
+                raise _Irregular
+            if event.anchor is not None:
+                anchor(event.anchor, None)
             out = {}
-            for key_node, value_node in node.value:
-                if type(key_node) is not yaml.ScalarNode or key_node.tag not in (_STR, _INT):
+            while type(event := next_event()) is not _MAPPING_END:
+                key = scalar(event)
+                if type(key) is not str and type(key) is not int:
                     raise _Irregular
-                key = _scalar(key_node)
-                if key in out:
-                    raise _repeated(key, key_node)
-                out[key] = convert(value_node)
+                if key in out and not repeats:
+                    # an alias key is named, as compose names it, where it was anchored
+                    named = anchors[event.anchor][1] if type(event) is _ALIAS_EVENT else event
+                    repeats.append(_repeated(key, named.start_mark.line + 1))
+                value = next_event()
+                out[key] = scalar(value) if type(value) is _SCALAR_EVENT else build(value)
             return out
-        if kind is yaml.SequenceNode and node.tag == _SEQ:
-            return [convert(child) for child in node.value]
-        raise _Irregular
+        if kind is _SEQUENCE_START:
+            if event.tag not in _IMPLICIT and event.tag != _SEQ:
+                raise _Irregular
+            if event.anchor is not None:
+                anchor(event.anchor, None)
+            out = []
+            while type(event := next_event()) is not _SEQUENCE_END:
+                out.append(scalar(event) if type(event) is _SCALAR_EVENT else build(event))
+            return out
+        return scalar(event)  # a scalar, an alias, or an irregular event
 
-    return convert(root)
+    try:
+        next_event()  # the stream's start
+        if loader.check_event(yaml.StreamEndEvent):
+            return None
+        next_event()  # the document's start
+        data = build(next_event())
+        next_event()  # the document's end
+        if not loader.check_event(yaml.StreamEndEvent):
+            raise _Irregular  # compose refuses a second document
+    finally:
+        loader.dispose()
+    if repeats:
+        raise repeats[0]
+    return data
 
 
 def _check_repeated_keys(root: yaml.Node) -> None:
@@ -287,11 +366,14 @@ def _check_repeated_keys(root: yaml.Node) -> None:
             for key_node, value_node in node.value:
                 if key_node.tag != _MERGE:
                     try:
-                        key = _scalar(key_node) if type(key_node) is yaml.ScalarNode else id(key_node)
+                        if type(key_node) is yaml.ScalarNode:
+                            key = _scalar(key_node.tag, key_node.value)
+                        else:
+                            key = id(key_node)
                     except (_Irregular, *_UNREADABLE):  # the constructor reads it, or names its line
                         key = (key_node.tag, key_node.value)
                     if key in keys:
-                        raise _repeated(key, key_node)
+                        raise _repeated(key, key_node.start_mark.line + 1)
                     keys.add(key)
                 walk(key_node)
                 walk(value_node)
@@ -303,21 +385,20 @@ def _check_repeated_keys(root: yaml.Node) -> None:
 
 
 def _compose(text: str) -> tuple[_Lines, object]:
-    """One libyaml parse (pure Python without libyaml): the line map, walked
-    only when a check fails, and the data, built directly from the node tree
-    unless it needs PyYAML's constructor."""
+    """The line map, composed and walked only when a check fails, and the
+    data: built in one pass over the loader's events (libyaml's, or pure
+    Python without libyaml), unless the document needs PyYAML's compose and
+    constructor."""
+    lines = _Lines(text)
     try:
-        node = yaml.compose(text, Loader=_LOADER)
-        lines = _Lines(node)
-        if node is None:
-            return lines, None
         try:
-            return lines, _plain_data(node)
-        except (_Irregular, *_UNREADABLE):  # the constructor names a bad scalar's line
-            # both before construction, which flattens merge keys in place
-            lines.at()
-            _check_repeated_keys(node)
-            return lines, _Constructor().construct_document(node)
+            return lines, _event_data(text)
+        except (_Irregular, yaml.YAMLError, *_UNREADABLE):
+            pass  # compose names a parse error's line, the constructor a bad scalar's
+        # both before construction, which flattens merge keys in place
+        lines.at()
+        _check_repeated_keys(lines.node)
+        return lines, _Constructor().construct_document(lines.node)
     except yaml.YAMLError as exc:  # parse errors carry their own marks
         mark = getattr(exc, "problem_mark", None)
         raise ScenarioInvalid(str(exc).replace("\n", " "), None if mark is None else mark.line + 1)
@@ -333,9 +414,9 @@ def parse_scenario(text: str) -> Scenario:
 
     registry, placement_defaults = _build_registry(data, lines)
     config = _build_config(data, lines, placement_defaults)
-    processes = _build_processes(data, lines, config)
+    processes = _build_processes(data, lines, registry, config)
     faults = _build_faults(data, lines, config)
-    actions = _build_actions(data, lines, config)
+    actions = _build_actions(data, lines, registry, config)
     return Scenario(
         registry=registry, config=config, actions=actions, faults=faults, processes=processes
     )
@@ -373,6 +454,8 @@ def _build_registry(data: dict, lines: _Lines) -> tuple[SchemaRegistry, list[str
                     "entities", name, "capacity_field")
         initial = _shaped(dict, spec.get("initial", {}), "initial", lines, "entities", name, "initial")
         _check_json(initial, "initial", lines, "entities", name, "initial")
+        for j, field_name in enumerate(aggregates):
+            _check_summable(field_name, name, initial, "aggregate", lines, *path, j)
         try:
             registry.register(
                 RollupSpec(
@@ -463,17 +546,20 @@ def _build_config(data: dict, lines: _Lines, entity_types: list[str]) -> SimConf
     )
 
 
-def _build_processes(data: dict, lines: _Lines, config: SimConfig) -> list[ProcessDef]:
+def _build_processes(data: dict, lines: _Lines, registry: SchemaRegistry,
+                     config: SimConfig) -> list[ProcessDef]:
     out = []
     for i, proc in enumerate(_shaped(list, data.get("processes") or [], "processes", lines, "processes")):
         _shaped(dict, proc, "process", lines, "processes", i, required=("id",))
         _check_fields(proc, PROCESS_FIELDS, "process", lines, "processes", i)
+        _string(proc["id"], "'id' in process", lines, "processes", i, "id")
         steps = []
         proc_steps = _shaped(list, proc.get("steps", []), "steps", lines, "processes", i, "steps")
         for j, step in enumerate(proc_steps):
             path = ("processes", i, "steps", j)
             _shaped(dict, step, "step", lines, *path, required=("id", "trigger", "handler"))
             _check_fields(step, STEP_FIELDS, "step", lines, *path)
+            _string(step["id"], "'id' in step", lines, *path, "id")
             trigger_raw = step["trigger"]
             if isinstance(trigger_raw, str):
                 trigger = TriggerSpec((trigger_raw,))
@@ -481,36 +567,69 @@ def _build_processes(data: dict, lines: _Lines, config: SimConfig) -> list[Proce
                 _shaped(dict, trigger_raw, "trigger", lines, *path, "trigger", required=("all",))
                 _check_fields(trigger_raw, {"all", "correlate"}, "trigger", lines, *path, "trigger")
                 types = _shaped(list, trigger_raw["all"], "trigger.all", lines, *path, "trigger", "all")
+                for k, msg_type in enumerate(types):
+                    _string(msg_type, "a trigger.all entry", lines, *path, "trigger", "all", k)
                 trigger = TriggerSpec(tuple(types), trigger_raw.get("correlate"))
                 if trigger.is_join and trigger.correlate is None:
                     _fail("join triggers require a correlate field", lines, *path, "trigger")
+                if trigger.correlate is not None:
+                    _string(trigger.correlate, "'correlate' in trigger", lines, *path, "trigger", "correlate")
             handler = _shaped(dict, step["handler"], "handler", lines, *path, "handler")
-            if handler.get("kind") not in HANDLER_KINDS:
-                _fail(f"unknown handler kind {handler.get('kind')!r}", lines, *path, "handler")
-            _check_payload(handler, "handler", lines, *path, "handler")
-            for subpath, entity_type in _template_entity_types(handler, lines, *path, "handler"):
-                _check_entity_type(entity_type, config, lines, *path, "handler", *subpath)
+            kind = handler.get("kind")
+            if kind is not None:
+                _string(kind, "'kind' in handler", lines, *path, "handler", "kind")
+            if kind not in HANDLER_KINDS:
+                _fail(f"unknown handler kind {kind!r}", lines, *path, "handler")
+            _check_template(handler, "handler", registry, config, lines, *path, "handler")
             steps.append(ProcessStepDef(step["id"], trigger, handler))
         wiring = _shaped(dict, proc.get("wiring") or {}, "wiring", lines, "processes", i, "wiring")
         out.append(ProcessDef(proc["id"], steps, dict(wiring)))
     return out
 
 
-def _template_entity_types(template: dict, lines: _Lines, *path):
-    """(path below the template, entity type) for every entity a template at
-    ``path`` names."""
+def _check_template(template: dict, where: str, registry: SchemaRegistry, config: SimConfig,
+                    lines: _Lines, *path, replica=None) -> None:
+    """A handler's, an action's or a deferred write's template at ``path``:
+    its payload (``_check_payload``); every entity type it names declared,
+    and hosted on ``replica`` where given; and a number as the initial value
+    of every field its ``deltas`` or ``guard`` names. A deferred write is a
+    template of its own."""
+    _check_payload(template, where, config, lines, *path)
+    named = []
     if "entity" in template:
-        yield ("entity",), EntityRef.parse(str(template["entity"])).entity_type
+        named.append(("entity", EntityRef.parse(str(template["entity"])).entity_type))
     if "entity_type" in template:
-        yield ("entity_type",), template["entity_type"]
+        named.append(("entity_type", _string(template["entity_type"], f"'entity_type' in {where}",
+                                             lines, *path, "entity_type")))
+    for key, entity_type in named:
+        _check_entity_type(entity_type, config, lines, *path, key, replica=replica)
+        initial = registry.get(entity_type).initial_value
+        if initial:  # else every field starts from 0
+            for field_name in template.get("deltas", ()):
+                _check_summable(field_name, entity_type, initial, "deltas", lines, *path, "deltas", field_name)
+            if "guard" in template:
+                _check_summable(template["guard"]["field"], entity_type, initial, "guard",
+                                lines, *path, "guard", "field")
     entities = _shaped(list, template.get("entities", []), "entities", lines, *path, "entities")
     for j, entity in enumerate(entities):
-        yield ("entities", j), EntityRef.parse(str(entity)).entity_type
+        _check_entity_type(EntityRef.parse(str(entity)).entity_type, config,
+                           lines, *path, "entities", j, replica=replica)
     deferred_writes = _shaped(list, template.get("deferred", []), "deferred", lines, *path, "deferred")
     for j, deferred in enumerate(deferred_writes):
         _shaped(dict, deferred, "deferred write", lines, *path, "deferred", j, required=("entity", "deltas"))
-        _check_payload(deferred, "deferred write", lines, *path, "deferred", j)
-        yield ("deferred", j), EntityRef.parse(str(deferred.get("entity"))).entity_type
+        _check_template(deferred, "deferred write", registry, config, lines, *path, "deferred", j,
+                        replica=replica)
+
+
+def _check_summable(field_name: str, entity_type: str, initial: dict, where: str, lines: _Lines,
+                    *path) -> None:
+    """Fail unless the field an ``aggregate``, ``deltas`` or ``guard`` names at
+    ``path`` starts from a number (or is absent from ``initial``, so starts
+    from 0): the fold adds to it, and a bool would count as 1."""
+    value = initial.get(field_name, 0)
+    if type(value) is not int and type(value) is not float:
+        _fail(f"{where} field {field_name!r} of entity type {entity_type!r} needs a number as its "
+              f"initial value, got {value!r}", lines, *path)
 
 
 # the template fields whose values an event or a message carries as they are
@@ -536,13 +655,16 @@ def _check_json(value, where: str, lines: _Lines, *path) -> None:
         _fail(f"{value!r} in {where} is not a JSON value", lines, *path)
 
 
-def _check_payload(template: dict, where: str, lines: _Lines, *path) -> None:
+def _check_payload(template: dict, where: str, config: SimConfig, lines: _Lines, *path) -> None:
     """The payload fields a handler reads as mappings are mappings, and the
     ones it adds or compares are numbers: each value of ``deltas`` and
-    ``observed``, a reserve's ``quantity``, and its ``deadline`` unless null.
-    Every payload field, and each ``emit`` entry's payload, holds JSON only
-    (``_check_json``). A ``reservation_id`` keys a reservation: a string or
-    an int. A ``cause`` names one: a string."""
+    ``observed``, a reserve's ``quantity``, its ``deadline`` unless null, and
+    a guard's ``min``. Every payload field, and each ``emit`` entry's
+    payload, holds JSON only (``_check_json``). A ``reservation_id`` keys a
+    reservation: a string or an int. A ``cause`` names one, and a guard's
+    ``field`` and an ``emit`` entry's ``type`` name theirs: strings. An
+    ``emit`` entry goes ``to`` ``self``, ``notify`` or a [replica,
+    partition] pair whose replica hosts the partition."""
     for key, required in {"deltas": (), "guard": ("field",), "fields": (), "observed": ()}.items():
         if key in template:
             _shaped(dict, template[key], key, lines, *path, key, required=required)
@@ -554,11 +676,22 @@ def _check_payload(template: dict, where: str, lines: _Lines, *path) -> None:
               lines, *path, "reservation_id")
     if "cause" in template:
         _string(template["cause"], f"'cause' in {where}", lines, *path, "cause")
+    if "guard" in template:
+        _string(template["guard"]["field"], "'field' in guard", lines, *path, "guard", "field")
+        _number(float, template["guard"], "min", 0, "guard", lines, *path, "guard")
     emits = _shaped(list, template.get("emit", []), "emit", lines, *path, "emit")
     for j, emit in enumerate(emits):
         _shaped(dict, emit, "emit entry", lines, *path, "emit", j, required=("type",))
+        _string(emit["type"], "'type' in emit entry", lines, *path, "emit", j, "type")
         if "payload" in emit:
             _check_json(emit["payload"], "emit payload", lines, *path, "emit", j, "payload")
+        to = emit.get("to", "self")
+        if to not in ("self", "notify") and not (
+            isinstance(to, list) and len(to) == 2 and all(isinstance(name, str) for name in to)
+            and to[0] in config.partitions.get(to[1], ())
+        ):
+            _fail(f"'to' in emit entry must be 'self', 'notify' or a [replica, partition] pair "
+                  f"whose replica hosts the partition, got {to!r}", lines, *path, "emit", j, "to")
     for key in ("deltas", "observed"):
         for field_name in template.get(key, ()):
             _number(float, template[key], field_name, _REQUIRED, key, lines, *path, key)
@@ -577,12 +710,16 @@ def _build_faults(data: dict, lines: _Lines, config: SimConfig) -> list[Fault]:
         kind = fault.get("kind")
         if kind not in ("partition", "heal", "crash", "recover", "disaster"):
             _fail(f"unknown fault kind {kind!r}", lines, "faults", i, "kind")
+        if "target" in fault:
+            _string(fault["target"], "'target' in fault", lines, "faults", i, "target")
         if kind in ("crash", "recover") and fault.get("target") not in replicas:
             _fail(f"fault target {fault.get('target')!r} is not a replica", lines, "faults", i)
         if kind == "partition":
             groups = _shaped(list, fault.get("groups", []), "partition groups", lines, "faults", i, "groups")
             for j, group in enumerate(groups):
-                for rid in _shaped(list, group, "partition group", lines, "faults", i, "groups", j):
+                group = _shaped(list, group, "partition group", lines, "faults", i, "groups", j)
+                for k, rid in enumerate(group):
+                    _string(rid, "a partition group entry", lines, "faults", i, "groups", j, k)
                     if rid not in replicas:
                         _fail(f"partition group names unknown replica {rid!r}", lines, "faults", i)
         if kind == "disaster" and not fault.get("entity"):
@@ -602,29 +739,43 @@ def _build_faults(data: dict, lines: _Lines, config: SimConfig) -> list[Fault]:
     return out
 
 
-def _build_actions(data: dict, lines: _Lines, config: SimConfig) -> list[ClientAction]:
+def _build_actions(data: dict, lines: _Lines, registry: SchemaRegistry,
+                   config: SimConfig) -> list[ClientAction]:
     replicas = {r for reps in config.partitions.values() for r in reps}
     out = []
     for i, action in enumerate(_shaped(list, data.get("actions") or [], "actions", lines, "actions")):
         do = _shaped(dict, action, "action", lines, "actions", i).get("do")
+        if do is not None:
+            _string(do, "'do' in action", lines, "actions", i, "do")
         if do not in ACTION_PARAMS:
             _fail(f"unknown action kind {do!r}", lines, "actions", i, "do")
+        where = f"action {do!r}"
         allowed = ACTION_BASE_FIELDS | ACTION_PARAMS[do]
-        _check_fields(action, allowed, f"action {do!r}", lines, "actions", i)
-        if action.get("replica") not in replicas:
-            _fail(f"action replica {action.get('replica')!r} is unknown", lines, "actions", i)
-        at = _number(int, action, "at", _REQUIRED, f"action {do!r}", lines, "actions", i)
+        _check_fields(action, allowed, where, lines, "actions", i)
+        for key in ("replica", "label"):
+            if key in action:
+                _string(action[key], f"{key!r} in {where}", lines, "actions", i, key)
+        replica = action.get("replica")
+        if replica not in replicas:
+            _fail(f"action replica {replica!r} is unknown", lines, "actions", i)
+        at = _number(int, action, "at", _REQUIRED, where, lines, "actions", i)
         params = {k: v for k, v in action.items() if k not in ACTION_BASE_FIELDS}
-        _check_payload(params, f"action {do!r}", lines, "actions", i)
-        for subpath, entity_type in _template_entity_types(params, lines, "actions", i):
-            _check_entity_type(entity_type, config, lines, "actions", i, *subpath,
-                               replica=action["replica"])
+        _check_template(params, where, registry, config, lines, "actions", i, replica=replica)
+        if do == "emit":
+            _shaped(dict, params, where, lines, "actions", i, required=("type",))
+            _string(params["type"], f"'type' in {where}", lines, "actions", i, "type")
+            partition = params.get("partition")
+            if partition is not None:
+                _string(partition, f"'partition' in {where}", lines, "actions", i, "partition")
+                if replica not in config.partitions.get(partition, ()):
+                    _fail(f"replica {replica!r} does not host partition {partition!r}",
+                          lines, "actions", i, "partition")
         if do == "lww_set":
             do, params = "insert", dict(params)
         out.append(
             ClientAction(
                 at=at,
-                replica=action["replica"],
+                replica=replica,
                 do=do,
                 params=params,
                 action_id=str(action.get("id", f"a{i}")),

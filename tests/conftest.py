@@ -16,7 +16,8 @@ makes is compared with the walk it replaced: every hosted entity's
 exceptions, filtered by kind, open status and parent.
 
 ``scenario._compose`` builds the data of a plain document straight from
-its node tree and leaves any other document to PyYAML's constructor. For
+the parser's event stream, with no node tree, and leaves any other
+document to PyYAML's compose and constructor. For
 the whole session every parse is compared with ``yaml.safe_load`` of the
 same text: the data must be strictly equal (``True`` is not ``1``, ``1``
 is not ``1.0``, NaN equals NaN, and mappings keep their order), and a

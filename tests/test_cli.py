@@ -227,6 +227,17 @@ def test_actions_on_unhosted_partitions_exit_two_with_the_line(tmp_path, capsys,
     assert f"line {line}: {message}" in err
 
 
+NAMES = """schema: eventual/1
+entities:
+  account: {merge: commutative_delta, initial: {balance: 0}, aggregates: [balance]}
+topology: {partitions: {p0: [A, B]}}
+actions:
+  - {at: 1, replica: A, do: delta, id: a1, entity: account/x, deltas: {balance: 1}}
+"""
+
+TO_MESSAGE = ("'to' in emit entry must be 'self', 'notify' or a [replica, partition] pair "
+              "whose replica hosts the partition")
+
 SHAPES = """schema: eventual/1
 entities:
   account: {merge: commutative_delta}
@@ -344,6 +355,65 @@ topology:
         (SHAPES + "actions:\n  - {at: 1, replica: r1, do: delta, entity: account/x, deltas: {n: 1}, 5: x}\n",
          7, "unknown field 5 in action 'delta'"),
         (SHAPES + "7: x\n", 6, "unknown field 7 in scenario"),
+        (NAMES.replace("do: delta", "do: [delta]"), 6, "'do' in action must be a string, got ['delta']"),
+        (NAMES.replace("replica: A", "replica: [A]"), 6,
+         "'replica' in action 'delta' must be a string, got ['A']"),
+        (NAMES + "  - {at: 2, replica: A, do: read, id: r1, entity: account/x, label: [1]}\n", 7,
+         "'label' in action 'read' must be a string, got [1]"),
+        (NAMES + "processes:\n  - id: p\n    steps:\n      - {id: s, trigger: t, handler: {kind: [delta]}}\n",
+         10, "'kind' in handler must be a string, got ['delta']"),
+        (NAMES + "processes:\n  - id: [p]\n    steps: []\n", 8, "'id' in process must be a string, got ['p']"),
+        (NAMES + "processes:\n  - id: p\n    steps:\n      - {id: [s], trigger: t, handler: {kind: noop}}\n",
+         10, "'id' in step must be a string, got ['s']"),
+        (NAMES + "processes:\n  - id: p\n    steps:\n      - id: s\n"
+         "        trigger: {all: [a, [b]], correlate: k}\n        handler: {kind: noop}\n",
+         11, "a trigger.all entry must be a string, got ['b']"),
+        (NAMES + "processes:\n  - id: p\n    steps:\n      - id: s\n"
+         "        trigger: {all: [a, b], correlate: [k]}\n        handler: {kind: noop}\n",
+         11, "'correlate' in trigger must be a string, got ['k']"),
+        (NAMES + "faults:\n  - {kind: partition, at: 1, groups: [[A], [[B]]]}\n", 8,
+         "a partition group entry must be a string, got ['B']"),
+        (NAMES + "faults:\n  - {kind: crash, at: 1, target: [A]}\n", 8,
+         "'target' in fault must be a string, got ['A']"),
+        (NAMES + "  - {at: 2, replica: A, do: insert, id: i1, entity_type: [account], key: k, fields: {}}\n", 7,
+         "'entity_type' in action 'insert' must be a string, got ['account']"),
+        (NAMES.replace("{balance: 1}}", "{balance: 1}, emit: [{type: [x]}]}"), 6,
+         "'type' in emit entry must be a string, got ['x']"),
+        (NAMES + "  - {at: 2, replica: A, do: emit, id: e1, type: [x]}\n", 7,
+         "'type' in action 'emit' must be a string, got ['x']"),
+        (NAMES + "  - {at: 2, replica: A, do: emit, id: e1, payload: {}}\n", 7, "action 'emit' needs field 'type'"),
+        (NAMES.replace("{balance: 1}}", "{balance: 1}, emit: [{type: x, to: [Z, p0]}]}"), 6,
+         f"{TO_MESSAGE}, got ['Z', 'p0']"),
+        (NAMES.replace("{balance: 1}}", "{balance: 1}, emit: [{type: x, to: [B]}]}"), 6, f"{TO_MESSAGE}, got ['B']"),
+        (NAMES.replace("{balance: 1}}", "{balance: 1}, emit: [{type: x, to: notfy}]}"), 6,
+         f"{TO_MESSAGE}, got 'notfy'"),
+        (NAMES.replace("{partitions: {p0: [A, B]}}", "{partitions: {p0: [A, B], p1: [B]}}").replace(
+            "{balance: 1}}", "{balance: 1}, emit: [{type: x, to: [A, p1]}]}"), 6,
+         f"{TO_MESSAGE}, got ['A', 'p1']"),
+        (NAMES + "  - {at: 2, replica: A, do: emit, id: e1, type: x, partition: p9}\n", 7,
+         "replica 'A' does not host partition 'p9'"),
+        (NAMES.replace("{balance: 0}", "{balance: x}"), 3,
+         "aggregate field 'balance' of entity type 'account' needs a number as its initial value, got 'x'"),
+        (NAMES.replace("{balance: 0}", "{balance: {a: 1}}"), 3,
+         "aggregate field 'balance' of entity type 'account' needs a number as its initial value, got {'a': 1}"),
+        (NAMES.replace("{balance: 0}", "{balance: true}"), 3,
+         "aggregate field 'balance' of entity type 'account' needs a number as its initial value, got True"),
+        (NAMES.replace("{balance: 0}, aggregates: [balance]", "{balance: x}"), 6,
+         "deltas field 'balance' of entity type 'account' needs a number as its initial value, got 'x'"),
+        (NAMES.replace("{balance: 0}, aggregates: [balance]", "{balance: true}"), 6,
+         "deltas field 'balance' of entity type 'account' needs a number as its initial value, got True"),
+        (NAMES.replace("{balance: 0}, aggregates: [balance]", "{balance: x}").replace(
+            "deltas: {balance: 1}}", "deltas: {n: 1},\n     guard: {field: balance}}"), 7,
+         "guard field 'balance' of entity type 'account' needs a number as its initial value, got 'x'"),
+        (NAMES.replace("account: {", "total: {initial: {n: x}}\n  account: {").replace(
+            "deltas: {balance: 1}}", "deltas: {balance: 1},\n     deferred: [{entity: total/t, deltas: {n: 1}}]}"),
+         8, "deltas field 'n' of entity type 'total' needs a number as its initial value, got 'x'"),
+        (NAMES + "processes:\n  - id: p\n    steps:\n      - id: s\n        trigger: t\n"
+         "        handler:\n          kind: delta\n          entity: account/y\n"
+         "          deltas: {balance: 1}\n          guard: {field: [balance]}\n",
+         16, "'field' in guard must be a string, got ['balance']"),
+        (NAMES.replace("deltas: {balance: 1}}", "deltas: {balance: 1}, guard: {field: balance, min: x}}"), 6,
+         "'min' in guard must be a number, got 'x'"),
     ],
     ids=["process-id", "step-trigger", "step-handler", "parent-field", "handler-string",
          "action-list", "partitions-list", "group-string", "unsafe-tag", "deferred-entry",
@@ -355,7 +425,14 @@ topology:
          "guard-int-key", "emit-action-bool-key", "handler-observed-int-key",
          "handler-emit-payload-int-key", "emit-no-type", "initial-int-key", "entity-type-slash",
          "reservation-id-date", "reservation-id-list", "handler-cause-mapping", "action-int-key",
-         "top-level-int-key"],
+         "top-level-int-key", "action-do-list", "action-replica-list", "read-label-list",
+         "handler-kind-list", "process-id-list", "step-id-list", "trigger-all-entry-list",
+         "trigger-correlate-list", "partition-group-entry-list", "fault-target-list",
+         "entity-type-list", "emit-entry-type-list", "emit-action-type-list", "emit-action-no-type",
+         "emit-to-unknown-replica", "emit-to-short", "emit-to-typo", "emit-to-unhosted",
+         "emit-action-unhosted-partition", "aggregate-initial-string", "aggregate-initial-mapping",
+         "aggregate-initial-bool", "deltas-initial-string", "deltas-initial-bool",
+         "guard-initial-string", "deferred-initial-string", "guard-field-list", "guard-min-string"],
 )
 def test_malformed_structure_exits_two_with_the_line(tmp_path, capsys, text, line, message):
     bad = tmp_path / "bad.yaml"

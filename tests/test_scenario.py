@@ -29,13 +29,18 @@ TEXTS = {
 
 @contextmanager
 def _counted_work():
-    """Logs the parse work as it happens: ``"compose"`` per ``yaml.compose``,
-    ``"construct"`` per ``SafeConstructor.construct_document``, ``"walk"`` per
-    line map built."""
+    """Logs the parse work as it happens: ``"parse"`` per pass of the event
+    builder, ``"compose"`` per ``yaml.compose``, ``"construct"`` per
+    ``SafeConstructor.construct_document``, ``"walk"`` per line map built."""
     log: list[str] = []
+    parse = scenario_module._event_data
     compose = yaml.compose
     construct = yaml.constructor.SafeConstructor.construct_document
     walk = scenario_module._Lines._walk
+
+    def counted_parse(text):
+        log.append("parse")
+        return parse(text)
 
     def counted_compose(*args, **kwargs):
         log.append("compose")
@@ -51,6 +56,7 @@ def _counted_work():
         return walk(self, node, path, *rest)
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario_module, "_event_data", counted_parse)
         patch.setattr(yaml, "compose", counted_compose)
         patch.setattr(yaml.constructor.SafeConstructor, "construct_document", counted_construct)
         patch.setattr(scenario_module._Lines, "_walk", counted_walk)
@@ -69,11 +75,12 @@ def test_the_fast_parse_uses_libyaml_when_it_is_installed():
 
 
 @pytest.mark.parametrize("name", sorted(TEXTS))
-def test_one_compose_gives_the_data_and_lines_of_the_pure_python_parse(name):
+def test_one_parse_gives_the_data_and_lines_of_the_pure_python_parse(name):
     text = TEXTS[name]
     lines, data = scenario_module._compose(text)
     assert data == yaml.safe_load(text)
-    reference = scenario_module._Lines(yaml.compose(text, Loader=yaml.SafeLoader))
+    reference = scenario_module._Lines(text)
+    reference.node = yaml.compose(text, Loader=yaml.SafeLoader)
     assert lines._map == reference._map
 
 
@@ -89,22 +96,22 @@ def test_syntax_errors_keep_their_line(text, line):
     assert caught.value.line == line
 
 
-def test_a_seed_sweep_composes_once(work, capsys):
+def test_a_seed_sweep_parses_once(work, capsys):
     assert main(["sweep", str(SCENARIOS / "gossip.yaml"), "--sweep-seeds", "15"]) == 0
     assert "violating_seeds: []" in capsys.readouterr().out
-    assert work.count("compose") == 1
+    assert work.count("parse") == 1 and "compose" not in work
 
 
-def test_a_crash_sweep_composes_once(work):
+def test_a_crash_sweep_parses_once(work):
     points, violations = crash_sweep(SCENARIOS / "reference.yaml")
     assert points > 0 and violations == []
-    assert work.count("compose") == 1
+    assert work.count("parse") == 1 and "compose" not in work
 
 
 @pytest.mark.parametrize("name", sorted(TEXTS))
-def test_a_valid_scenario_loads_in_one_compose_with_no_constructor_or_line_map(name, work):
+def test_a_valid_scenario_loads_in_one_parse_with_no_compose_constructor_or_line_map(name, work):
     parse_scenario(TEXTS[name])
-    assert work == ["compose"]
+    assert work == ["parse"]
 
 
 def test_a_merge_key_builds_the_line_map_before_the_constructor(work):
@@ -112,7 +119,7 @@ def test_a_merge_key_builds_the_line_map_before_the_constructor(work):
     with pytest.raises(ScenarioInvalid, match="unknown field 'x-base' in scenario") as caught:
         parse_scenario(text)
     assert caught.value.line == text.splitlines().index("x-base: &base {kind: crash}") + 1
-    assert work == ["compose", "walk", "construct"]
+    assert work == ["parse", "compose", "walk", "construct"]
 
 
 def test_a_malformed_scenario_builds_the_line_map_once(work):
@@ -120,14 +127,14 @@ def test_a_malformed_scenario_builds_the_line_map_once(work):
     with pytest.raises(ScenarioInvalid, match="'drop' in network must be a number") as caught:
         parse_scenario(text)
     assert caught.value.line == len(text.splitlines())
-    assert work == ["compose", "walk"]
+    assert work == ["parse", "compose", "walk"]
 
 
-# (text, the path it takes): "fast" converts the nodes directly, "fallback"
-# hands the document to PyYAML's constructor, and "refused" leaves the
-# direct conversion but repeats a key, so it never reaches the constructor;
-# the cross-check compares each with yaml.safe_load, errors and their lines
-# included
+# (text, the path it takes): "fast" builds the data from the parser's events
+# (or fails in the parser or in compose), "fallback" hands the document to
+# PyYAML's constructor, and "refused" leaves the event builder but repeats a
+# key, so it never reaches the constructor; the cross-check compares each
+# with yaml.safe_load, errors and their lines included
 PARSES = {
     "anchor-alias": ("a: &x {b: 1}\nc: *x\n", "fallback"),
     "recursive-alias": ("a: &x [1, *x]\n", "fallback"),
@@ -161,8 +168,19 @@ PARSES = {
     "repeated-key-after-a-bad-scalar": ("a: !!int x\nb: 1\nb: 2\n", "refused"),
     "repeated-key-over-a-merge": ("base: &b {x: 1}\nd: {<<: *b, y: 1, y: 2}\n", "refused"),
     "merged-key-overridden-twice": ("b: &b {x: 1}\nc: &c {<<: *b, x: 2}\nd: {<<: *c, x: 3}\n", "fallback"),
+    "repeated-alias-key": ("&k a: 1\nb: 2\n*k : 3\n", "fast"),
+    "repeated-key-before-an-alias": ("a: {d: 1, d: 2}\nb: &x [1]\nc: *x\n", "refused"),
+    "quoted": ("a: '12'\nb: \"true\"\nc: 'null'\n", "fast"),
+    "non-specific-tag": ("a: ! 12\nb: ! {c: 1}\nc: ! [d]\n", "fast"),
+    "explicit-map-and-seq": ("a: !!map {b: !!seq [1]}\n", "fast"),
     "empty": ("", "fast"),
+    "empty-document": ("---\n", "fast"),
     "syntax-error": ("a: [1\nb: 2\n", "fast"),
+    # compose refuses these, so they never reach the constructor
+    "repeated-key-before-a-syntax-error": ("a: 1\na: 2\nb: [1\n", "fast"),
+    "duplicate-anchor": ("a: &x 1\nb: &x 2\n", "fast"),
+    "undefined-alias": ("a: 1\nb: *x\n", "fast"),
+    "second-document": ("a: 1\n---\nb: 2\n", "fast"),
     # a scalar its tag cannot hold: PyYAML's constructor raises, on the line
     # of the scalar it meets first
     "int-tag-on-a-word": ("a: 1\nb: !!int abc\n", "fallback"),
@@ -170,6 +188,16 @@ PARSES = {
     "two-bad-scalars": ("a: {b: !!bool x}\nc: !!int y\n", "fallback"),
     "bad-scalar-beside-an-alias": ("a: &x [1]\nb: *x\nc: [!!timestamp abc]\n", "fallback"),
 }
+
+
+@pytest.mark.parametrize("to", ["self", "notify", "[B, p0]", "[A, p1]"])
+def test_an_emit_goes_to_self_notify_or_a_replica_that_hosts_the_partition(to):
+    text = TEXTS["bank.yaml"].replace("{p0: [A]}", "{p0: [A, B], p1: [A]}") + (
+        "  - {at: 3, replica: A, do: delta, id: t1, entity: account/alice, deltas: {balance: 1},\n"
+        f"     emit: [{{type: x, to: {to}}}]}}\n"
+    )
+    action = parse_scenario(text).actions[-1]
+    assert action.params["emit"] == [{"type": "x", "to": yaml.safe_load(to)}]
 
 
 def test_a_float_field_takes_an_int():
@@ -197,6 +225,25 @@ def test_every_parse_matches_safe_load(name, checked_compose):
     assert log.count("construct") == (path == "fallback")
 
 
+def _parse_outcome(text: str, checked_compose) -> tuple:
+    """The data (by its repr: NaN, types and key order show) or the
+    ScenarioInvalid line of one checked parse, and its construct count."""
+    with _counted_work() as log:
+        try:
+            outcome = ("data", repr(checked_compose(text)[1]))
+        except ScenarioInvalid as exc:
+            outcome = ("error", exc.line)
+    return outcome, log.count("construct")
+
+
+@pytest.mark.parametrize("name", sorted(PARSES) + sorted(TEXTS))
+def test_the_pure_python_loader_parses_as_libyaml_does(name, checked_compose, monkeypatch):
+    text = PARSES[name][0] if name in PARSES else TEXTS[name]
+    expected = _parse_outcome(text, checked_compose)
+    monkeypatch.setattr(scenario_module, "_LOADER", yaml.SafeLoader)
+    assert _parse_outcome(text, checked_compose) == expected
+
+
 _KEYS = st.text(max_size=8) | st.integers()
 _SCALARS = (
     st.none() | st.booleans() | st.integers() | st.text(max_size=8)
@@ -214,7 +261,7 @@ def test_dumped_data_parses_like_safe_load_without_the_constructor(data, flow, c
     text = yaml.safe_dump(data, default_flow_style=flow)
     with _counted_work() as log:
         checked_compose(text)
-    assert log == ["compose"]
+    assert log == ["parse"]
 
 
 @pytest.mark.parametrize("name", sorted(TEXTS))

@@ -557,6 +557,8 @@ def test_join_trigger_fires_exactly_once_in_either_arrival_order():
     for rep in (report, report2):
         join_dump = [v for k, v in rep.rollups["A"].items() if k.startswith("_join/")][0]
         assert json.loads(join_dump)["value"]["fired"] == 1
+        # the join took its first trigger too: no message went unmatched
+        assert record_lines(rep) == []
 
 
 MULTI_WRITE = """
