@@ -456,6 +456,9 @@ def _build_registry(data: dict, lines: _Lines) -> tuple[SchemaRegistry, list[str
         _check_json(initial, "initial", lines, "entities", name, "initial")
         for j, field_name in enumerate(aggregates):
             _check_summable(field_name, name, initial, "aggregate", lines, *path, j)
+        if capacity_field is not None:  # a reservation compares its quantities with it
+            _check_summable(capacity_field, name, initial, "capacity", lines,
+                            "entities", name, "capacity_field")
         try:
             registry.register(
                 RollupSpec(
@@ -662,7 +665,9 @@ def _check_payload(template: dict, where: str, config: SimConfig, lines: _Lines,
     a guard's ``min``. Every payload field, and each ``emit`` entry's
     payload, holds JSON only (``_check_json``). A ``reservation_id`` keys a
     reservation: a string or an int. A ``cause`` names one, and a guard's
-    ``field`` and an ``emit`` entry's ``type`` name theirs: strings. An
+    ``field``, an ``emit`` entry's ``type``, each of its ``payload_from``
+    entries (a list) and every ``<name>_from`` field (``key_from``, the
+    message field a parameter is read from) name theirs: strings. An
     ``emit`` entry goes ``to`` ``self``, ``notify`` or a [replica,
     partition] pair whose replica hosts the partition."""
     for key, required in {"deltas": (), "guard": ("field",), "fields": (), "observed": ()}.items():
@@ -676,6 +681,9 @@ def _check_payload(template: dict, where: str, config: SimConfig, lines: _Lines,
               lines, *path, "reservation_id")
     if "cause" in template:
         _string(template["cause"], f"'cause' in {where}", lines, *path, "cause")
+    for key, value in template.items():
+        if type(key) is str and key.endswith("_from"):  # names the message field a parameter is read from
+            _string(value, f"{key!r} in {where}", lines, *path, key)
     if "guard" in template:
         _string(template["guard"]["field"], "'field' in guard", lines, *path, "guard", "field")
         _number(float, template["guard"], "min", 0, "guard", lines, *path, "guard")
@@ -685,6 +693,11 @@ def _check_payload(template: dict, where: str, config: SimConfig, lines: _Lines,
         _string(emit["type"], "'type' in emit entry", lines, *path, "emit", j, "type")
         if "payload" in emit:
             _check_json(emit["payload"], "emit payload", lines, *path, "emit", j, "payload")
+        if "payload_from" in emit:
+            names = _shaped(list, emit["payload_from"], "'payload_from' in emit entry",
+                            lines, *path, "emit", j, "payload_from")
+            for k, field_name in enumerate(names):
+                _string(field_name, "a payload_from entry", lines, *path, "emit", j, "payload_from", k)
         to = emit.get("to", "self")
         if to not in ("self", "notify") and not (
             isinstance(to, list) and len(to) == 2 and all(isinstance(name, str) for name in to)
@@ -743,6 +756,7 @@ def _build_actions(data: dict, lines: _Lines, registry: SchemaRegistry,
                    config: SimConfig) -> list[ClientAction]:
     replicas = {r for reps in config.partitions.values() for r in reps}
     out = []
+    taken = set()  # action ids: the simulator runs one action per id
     for i, action in enumerate(_shaped(list, data.get("actions") or [], "actions", lines, "actions")):
         do = _shaped(dict, action, "action", lines, "actions", i).get("do")
         if do is not None:
@@ -770,6 +784,11 @@ def _build_actions(data: dict, lines: _Lines, registry: SchemaRegistry,
                 if replica not in config.partitions.get(partition, ()):
                     _fail(f"replica {replica!r} does not host partition {partition!r}",
                           lines, "actions", i, "partition")
+        action_id = str(action.get("id", f"a{i}"))
+        if action_id in taken:
+            at_id = ("actions", i, "id") if "id" in action else ("actions", i)
+            _fail(f"repeated action id {action_id!r}", lines, *at_id)
+        taken.add(action_id)
         if do == "lww_set":
             do, params = "insert", dict(params)
         out.append(
@@ -778,7 +797,7 @@ def _build_actions(data: dict, lines: _Lines, registry: SchemaRegistry,
                 replica=replica,
                 do=do,
                 params=params,
-                action_id=str(action.get("id", f"a{i}")),
+                action_id=action_id,
                 session=action.get("session"),
             )
         )

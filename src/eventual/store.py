@@ -57,6 +57,16 @@ a valid line that is not canonical travels on as received. An archival
 export writes the same line (``PartitionLog.line``), and an import
 decodes and keeps each line it reads, so an event has one archival line
 however it travels: the one it arrived as, else its one encoding.
+
+A line costs one JSON call each way, plus the checks. ``to_line`` writes
+the eight fields in their fixed order itself: each string through the
+escape ``json`` applies, the payload through the line encoder, and the
+stamp from its sorted entries, so the bytes are those of ``json.dumps``
+on the record's dict. ``from_line`` reads a line with one call of the
+JSON scanner, and hands a line the scanner does not end at its end
+(whitespace around it, trailing data) to ``json.loads``, which accepts
+or refuses it as before. An import decodes every line and checks every
+event's route before it appends any.
 """
 
 from __future__ import annotations
@@ -64,6 +74,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .clocks import VersionVector
@@ -111,6 +122,10 @@ _CANCEL_STATE = {
 # arguments builds a new ``JSONEncoder`` on every call.
 _line_json = json.JSONEncoder(separators=(",", ":")).encode
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# the string escape ``_line_json`` applies, and the scanner ``json.loads`` calls
+_quoted = json.encoder.encode_basestring_ascii
+_scan_value = json.JSONDecoder().scan_once
+_tuple_new = tuple.__new__
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -249,18 +264,16 @@ class EventRecord(NamedTuple):
         return (self.lww_hint, self.event_id.replica, self.event_id.seq)
 
     def to_line(self) -> str:
-        """One-line archival form, fields in fixed canonical order."""
-        return _line_json(
-            {
-                "event_id": str(self.event_id),
-                "entity_ref": str(self.entity_ref),
-                "op_kind": self.op_kind,
-                "payload": self.payload,
-                "causal_stamp": self.causal_stamp.to_dict(),
-                "lww_hint": self.lww_hint,
-                "idempotence_key": self.idempotence_key,
-                "origin_txn_id": self.origin_txn_id,
-            }
+        """One-line archival form, fields in fixed canonical order: the
+        bytes ``_line_json`` writes for the record's eight-field dict, with
+        the stamp's origins sorted. The fields are written in place; only
+        the payload goes through the encoder."""
+        (replica, seq), (entity_type, key), op_kind, payload, stamp, lww_hint, ikey, txn_id = self
+        entries = ",".join([f"{_quoted(origin)}:{n}" for origin, n in stamp.items()])
+        return (
+            f'{{"event_id":{_quoted(f"{replica}:{seq}")},"entity_ref":{_quoted(f"{entity_type}/{key}")},'
+            f'"op_kind":{_quoted(op_kind)},"payload":{_line_json(payload)},"causal_stamp":{{{entries}}},'
+            f'"lww_hint":{lww_hint},"idempotence_key":{_quoted(ikey)},"origin_txn_id":{_quoted(txn_id)}}}'
         )
 
     @classmethod
@@ -271,12 +284,23 @@ class EventRecord(NamedTuple):
         (the error names the field). The lww hint and each causal-stamp
         entry must be ints (not bools), the entries positive; the op kind,
         idempotence key and txn id strings; the payload and causal stamp
-        objects."""
+        objects.
+
+        A line is one scan of the JSON scanner from its first character;
+        a line whose value does not end at its end (whitespace around it,
+        trailing data) goes through ``json.loads``, which accepts or
+        rejects it as it always has."""
         try:
-            raw = json.loads(line)
-            event_id = EventId.parse(raw["event_id"])
-            if event_id.seq < 1:
-                raise ValueError(f"sequence {event_id.seq} is below 1")
+            try:
+                raw, end = _scan_value(line, 0)
+            except (StopIteration, TypeError):  # leading whitespace, nothing, or not a str
+                end = -1
+            if end != len(line):
+                raw = json.loads(line)
+            replica, _, seq = raw["event_id"].rpartition(":")
+            seq = int(seq)
+            if seq < 1:
+                raise ValueError(f"sequence {seq} is below 1")
             op_kind, payload, stamp = raw["op_kind"], raw["payload"], raw["causal_stamp"]
             lww_hint, key, txn_id = raw["lww_hint"], raw["idempotence_key"], raw["origin_txn_id"]
             if not (type(op_kind) is str and type(payload) is dict and type(stamp) is dict
@@ -284,21 +308,17 @@ class EventRecord(NamedTuple):
                 raise _wrong_field_type(raw)
             if op_kind not in OP_KINDS:
                 raise ValueError(f"unknown op kind {op_kind!r}")
-            for origin, seq in stamp.items():
-                if type(seq) is not int or seq < 1:
-                    raise TypeError(f"causal_stamp entry {origin!r} is not a positive int: {seq!r}")
-            return cls(
-                event_id=event_id,
-                entity_ref=EntityRef.parse(raw["entity_ref"]),
-                op_kind=op_kind,
-                payload=canon(payload),
-                causal_stamp=VersionVector.from_dict(stamp),
-                lww_hint=lww_hint,
-                idempotence_key=key,
-                origin_txn_id=txn_id,
-            )
+            for origin, n in stamp.items():
+                if type(n) is not int or n < 1:
+                    raise TypeError(f"causal_stamp entry {origin!r} is not a positive int: {n!r}")
+            entity_type, _, ref_key = raw["entity_ref"].partition("/")
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise MalformedEvent(line, exc) from exc
+        # every entry is checked positive, so the stamp is wrapped as it is
+        return _tuple_new(cls, (
+            _tuple_new(EventId, (replica, seq)), _tuple_new(EntityRef, (entity_type, ref_key)), op_kind,
+            canon(payload), VersionVector._of(stamp), lww_hint, key, txn_id,
+        ))
 
 
 def canonical_sort(events: list[EventRecord]) -> list[EventRecord]:
@@ -818,12 +838,13 @@ class ReplicaStore:
             origin_txn_id,
         )
 
+    def _check_route(self, partition_id: str, entity_ref: EntityRef) -> None:
+        if self.route(entity_ref) != partition_id:
+            raise WrongPartition(f"{entity_ref} does not belong to partition {partition_id!r}")
+
     def append_event(self, partition_id: str, event: EventRecord, line: str | None = None) -> int:
         """Append to the addressed partition; raises on misrouting."""
-        if self.route(event.entity_ref) != partition_id:
-            raise WrongPartition(
-                f"{event.entity_ref} does not belong to partition {partition_id!r}"
-            )
+        self._check_route(partition_id, event.entity_ref)
         position = self.log(partition_id).append(event, line)
         self.observe(event.lww_hint)
         return position
@@ -1011,10 +1032,34 @@ class ReplicaStore:
         """Re-ingest an archival export (e.g. into a fresh replica); the log
         keeps each line as its event's archival line, as a sync merge does.
 
-        A line that is not an event record raises MalformedEvent before
-        anything is appended.
+        A line that is not an event record raises MalformedEvent, and an
+        event of an entity type the partition does not take WrongPartition
+        (naming the first such event by id), before anything is appended.
+        Events are appended in event-id order; one whose id the log holds
+        is skipped, as ``ingest_foreign`` skips it. Returns how many were
+        appended.
         """
-        records = sorted(
-            ((EventRecord.from_line(line), line) for line in lines), key=lambda pair: pair[0].event_id
-        )
-        return sum(self.ingest_foreign(partition_id, event, line) for event, line in records)
+        from_line = EventRecord.from_line
+        records = [from_line(line) for line in lines]
+        if not records:
+            return 0
+        # by event id, each with its line; the sort is stable, so of two lines with one id the first is kept
+        keyed = sorted(zip([event.event_id for event in records], records, lines), key=itemgetter(0))
+        # on a hosted partition, an entity type routes here exactly when it is placed here
+        types = {event.entity_ref.entity_type for event in records}
+        if partition_id not in self.partitions or any(self.placement.get(t) != partition_id for t in types):
+            for _, event, _ in keyed:  # raises at the first misrouted event
+                self._check_route(partition_id, event.entity_ref)
+        log = self.partitions[partition_id]
+        held, append = log._by_id, log.append
+        appended, lamport = 0, self.lamport
+        try:
+            for event_id, event, line in keyed:
+                if event_id not in held:
+                    append(event, line)
+                    appended += 1
+                    if event.lww_hint > lamport:
+                        lamport = event.lww_hint
+        finally:
+            self.observe(lamport)
+        return appended

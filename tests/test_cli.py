@@ -443,6 +443,57 @@ def test_malformed_structure_exits_two_with_the_line(tmp_path, capsys, text, lin
     assert f"line {line}: {message}" in err
 
 
+HANDLER = ("processes:\n  - id: p\n    steps:\n      - id: s\n        trigger: t\n        handler:\n"
+           "          kind: insert\n          entity_type: account\n")
+CAPACITY = NAMES.replace("aggregates: [balance]}", "aggregates: [balance], capacity_field: slots}")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        # the second action's default id, a1, is the first one's explicit id
+        (NAMES + "  - {at: 2, replica: A, do: delta, entity: account/x, deltas: {balance: 5}}\n", 7,
+         "repeated action id 'a1'"),
+        (NAMES + "  - {at: 2, replica: B, do: delta,\n     id: a1, entity: account/x, deltas: {balance: 5}}\n", 8,
+         "repeated action id 'a1'"),
+        (NAMES.replace("{balance: 1}}", "{balance: 1}, emit: [{type: x, payload_from: 5}]}"), 6,
+         "'payload_from' in emit entry must be a list, got 5"),
+        (NAMES.replace("{balance: 1}}", "{balance: 1}, emit: [{type: x, payload_from: [a, [b]]}]}"), 6,
+         "a payload_from entry must be a string, got ['b']"),
+        (NAMES + HANDLER + "          key_from: [k]\n", 15, "'key_from' in handler must be a string, got ['k']"),
+        (NAMES + "  - {at: 2, replica: A, do: insert, entity_type: account, key_from: {k: 1}, fields: {}}\n", 7,
+         "'key_from' in action 'insert' must be a string, got {'k': 1}"),
+        (CAPACITY.replace("{balance: 0}", "{balance: 0, slots: x}"), 3,
+         "capacity field 'slots' of entity type 'account' needs a number as its initial value, got 'x'"),
+        (CAPACITY.replace("{balance: 0}", "{balance: 0, slots: [5]}"), 3,
+         "capacity field 'slots' of entity type 'account' needs a number as its initial value, got [5]"),
+    ],
+    ids=["default-id-repeats-an-explicit-one", "explicit-id-repeated", "payload-from-int",
+         "payload-from-entry-list", "handler-key-from-list", "action-key-from-mapping",
+         "capacity-initial-string", "capacity-initial-list"],
+)
+def test_fields_that_failed_while_running_exit_two_with_the_line(tmp_path, capsys, text, line, message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    code = main(["run", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"line {line}: {message}" in err
+
+
+@pytest.mark.parametrize("text", [
+    NAMES + "  - {at: 2, replica: A, do: delta, id: a2, entity: account/x, deltas: {balance: 5}}\n",
+    NAMES.replace("{balance: 1}}", "{balance: 1}, emit: [{type: x, payload_from: [a, b]}]}"),
+    NAMES + HANDLER + "          key_from: k\n",
+    CAPACITY.replace("{balance: 0}", "{balance: 0, slots: 2.5}"),
+    CAPACITY,  # an absent capacity field starts from 0
+], ids=["distinct-ids", "payload-from-names", "key-from-name", "capacity-float", "capacity-absent"])
+def test_the_fields_those_checks_read_run_when_well_formed(tmp_path, capsys, text):
+    good = tmp_path / "good.yaml"
+    good.write_text(text)
+    assert main(["run", str(good)]) == 0, capsys.readouterr().err
+
+
 def test_unknown_schema_tag_is_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("schema: nope/9\nentities: {a: {}}\ntopology: {partitions: {p0: [A]}}\n")
