@@ -4,19 +4,18 @@ Strict by design: a versioned schema tag is required and unknown fields
 are rejected with line-anchored diagnostics, so a typo weakens no test
 silently. A run is fully specified by (scenario file, seed).
 
-A file is parsed once. A plain document (str, int, float, bool and null
-scalars, mappings with str or int keys, sequences) is built into data in
-one pass over the parser's event stream, with no YAML node tree and
-without PyYAML's constructor machinery. Any other document (an alias of
-a mapping or sequence, an anchor defined twice, a merge key, another
-tag, a non-scalar key, a scalar its tag cannot hold, a parse error, a
-second document) is composed into a node tree that goes whole to
-PyYAML's ``SafeConstructor``: the data equals ``yaml.safe_load``'s.
-Either way a key repeated in one mapping (merged keys aside) is an error
-on the line of its second occurrence, where ``yaml.safe_load`` would keep
-the last value. The path -> line map that diagnostics read is composed
-and walked only on the first failed check, so a valid scenario never
-builds it.
+A file is parsed once, in one pass over the parser's event stream, with
+no YAML node tree and no constructor: the data equals
+``yaml.safe_load``'s, aliases and merge keys included. A node that a
+scenario cannot hold is a ScenarioInvalid on its line: a tag other than
+str, int, float, bool, null, map, seq and merge (so a plain date), a
+scalar its tag cannot hold, a mapping or list as a key, a key repeated
+in its mapping (merged keys aside), an alias with no anchor or inside
+what it names, an anchor defined twice, a merge of anything but
+mappings, a second document. A parse error anywhere wins; else the first
+of these in document order is named. The path -> line map that
+diagnostics read is composed and walked only on the first failed check,
+so a valid scenario never builds it.
 
 The fields whose values become event or message payloads hold JSON only:
 mappings with str keys, lists, and str, int, float, bool or null leaves.
@@ -30,7 +29,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import InvalidRecord, ScenarioInvalid
+from .errors import InvalidRecord, InvalidWiring, ScenarioInvalid
 from .process import ProcessDef
 from .registry import (
     APOLOGY_TYPE,
@@ -42,7 +41,7 @@ from .registry import (
     SchemaRegistry,
 )
 from .sim import ClientAction, Fault, Scenario, SimConfig
-from .store import JSON_LEAVES, EntityRef
+from .store import EntityRef
 from .txn import HANDLER_KINDS, ProcessStepDef, TriggerSpec
 
 SCHEMA_TAG = "eventual/1"
@@ -106,21 +105,18 @@ class _Lines:
     def _map(self) -> dict[tuple, int]:
         out: dict[tuple, int] = {}
         if self.node is not None:
-            self._walk(self.node, (), out, set())
+            self._walk(self.node, (), out)
         return out
 
-    def _walk(self, node, path, out, ancestors) -> None:
+    def _walk(self, node, path, out) -> None:
         out[path] = node.start_mark.line + 1
-        if id(node) in ancestors:
-            return  # a recursive alias
-        ancestors.add(id(node))
         if isinstance(node, yaml.MappingNode):
             for key_node, value_node in node.value:
-                self._walk(value_node, path + (str(key_node.value),), out, ancestors)
+                # a key as the data holds it: the document built, so each key is a scalar
+                self._walk(value_node, path + (_scalar(key_node.tag, key_node.value),), out)
         elif isinstance(node, yaml.SequenceNode):
             for i, child in enumerate(node.value):
-                self._walk(child, path + (i,), out, ancestors)
-        ancestors.discard(id(node))
+                self._walk(child, path + (i,), out)
 
     def at(self, *path) -> int | None:
         return self._map.get(tuple(path))
@@ -133,8 +129,7 @@ def _fail(message: str, lines: _Lines, *path) -> None:
 def _check_fields(mapping: dict, allowed: set, where: str, lines: _Lines, *path) -> None:
     for key in mapping:
         if key not in allowed:
-            # the line map names keys by their text, which ``str(key)`` is for a plain int
-            _fail(f"unknown field {key!r} in {where}", lines, *path, str(key))
+            _fail(f"unknown field {key!r} in {where}", lines, *path, key)
 
 
 _SHAPE_NAMES = {dict: "a mapping", list: "a list"}
@@ -221,185 +216,174 @@ _SCALARS = {
 }
 
 
-# PyYAML's errors on ``!!int abc``, ``!!float ""``, ``!!bool abc``, ``!!timestamp abc``
-_UNREADABLE = (ValueError, LookupError, AttributeError)
+# PyYAML's errors on ``!!int abc``, ``!!float ""``, ``!!bool abc``
+_UNREADABLE = (ValueError, LookupError)
+_MERGE_KEY = object()  # the value of a merge key ``<<``, which only a mapping key may be
 
 
-class _Irregular(Exception):
-    """Something the event builder leaves to PyYAML's compose and constructor."""
-
-
-class _Constructor(yaml.constructor.SafeConstructor):
-    """PyYAML's, with a scalar its tag cannot hold a ScenarioInvalid on its line."""
-
-    def construct_object(self, node, deep=False):
-        try:
-            return super().construct_object(node, deep)
-        except _UNREADABLE as exc:
-            tag = node.tag.replace(_TAG, "!!")
-            raise ScenarioInvalid(f"{node.value!r} is not a valid {tag}", node.start_mark.line + 1) from exc
+class _Refused(Exception):
+    """A scalar that a scenario cannot hold; the message says why."""
 
 
 def _scalar(tag: str, text: str):
+    """The value of a scalar of ``tag``, or ``_MERGE_KEY``; raises _Refused
+    on any other tag, or on a text its tag cannot hold."""
     if tag == _STR:
         return text
     if tag == _INT and _DECIMAL(text):
         return int(text)
     construct = _SCALARS.get(tag)
     if construct is None:
-        raise _Irregular
-    return construct(text)
-
-
-def _repeated(key, line: int) -> ScenarioInvalid:
-    return ScenarioInvalid(f"repeated key {key!r}", line)
+        if tag == _MERGE:
+            return _MERGE_KEY
+        raise _Refused(f"unsupported tag {tag.replace(_TAG, '!!')} on {text!r}")
+    try:
+        return construct(text)
+    except _UNREADABLE:
+        raise _Refused(f"{text!r} is not a valid {tag.replace(_TAG, '!!')}") from None
 
 
 _SCALAR_EVENT, _ALIAS_EVENT = yaml.ScalarEvent, yaml.AliasEvent
 _MAPPING_START, _MAPPING_END = yaml.MappingStartEvent, yaml.MappingEndEvent
-_SEQUENCE_START, _SEQUENCE_END = yaml.SequenceStartEvent, yaml.SequenceEndEvent
+_SEQUENCE_END = yaml.SequenceEndEvent
 _IMPLICIT = (None, "!")  # the tags the resolver replaces
+_OPEN = object()  # an anchored mapping or list while it is built: an alias of it is recursive
+_KEY = "a mapping or list cannot be a key"
+_NOT_MERGEABLE = "a merge key '<<' takes a mapping or a list of mappings"
+_MERGE_VALUE = "a merge key '<<' can only be a mapping key"
 
 
 def _event_data(text: str):
-    """The data of a document of plain mappings, lists and scalars, built in
-    one pass over the loader's events, with no node tree. Raises
-    ``_Irregular`` on an alias of a mapping or list, an anchor defined twice,
-    a merge key, any other tag, a key that is not a str or int, and a second
-    document; PyYAML's error on a parse error or a scalar its tag cannot
-    hold; ScenarioInvalid on the first key, in document order, repeated in
-    its mapping (once the rest of the document has parsed)."""
+    """A scenario document's data, built in one pass over the loader's events
+    (see the module docstring). Raises PyYAML's error on a parse error, else
+    the first refusal once the document has parsed."""
     loader = _LOADER(text)
     next_event = loader.get_event
     resolve = loader.resolve
     plain: dict[str, object] = {}  # a plain scalar's text -> its value, resolved once per parse
-    anchors: dict[str, tuple | None] = {}  # -> (value, event) of a scalar; None for a collection
-    repeats: list[ScenarioInvalid] = []
+    anchors: dict[str, tuple] = {}  # -> (value, the event that anchors it)
+    refusals: list[ScenarioInvalid] = []  # the first, in document order
+
+    def refuse(message: str, event) -> None:
+        if not refusals:
+            refusals.append(ScenarioInvalid(message, event.start_mark.line + 1))
+
+    def anchor(event, value) -> None:
+        if event.anchor in anchors:
+            refuse(f"anchor &{event.anchor} is defined twice", event)
+        anchors[event.anchor] = (value, event)
 
     def scalar(event):
-        """The value of a scalar, or of an alias of one."""
-        if type(event) is not _SCALAR_EVENT:
-            if type(event) is not _ALIAS_EVENT or anchors.get(event.anchor) is None:
-                raise _Irregular  # a collection, a collection's alias, or an undefined alias
-            return anchors[event.anchor][0]
         value = event.value
         tag = event.tag
-        if tag is not None and tag != "!":
-            value = _scalar(tag, value)
-        elif event.implicit[0]:  # plain: the tag compose would resolve
-            try:
-                value = plain[value]
-            except KeyError:
-                value = plain[value] = _scalar(resolve(yaml.ScalarNode, value, event.implicit), value)
-        # else quoted: a str
+        try:
+            if tag is not None and tag != "!":
+                value = _scalar(tag, value)
+            elif event.implicit[0]:  # plain: the tag compose would resolve
+                try:
+                    value = plain[value]
+                except KeyError:
+                    value = plain[value] = _scalar(resolve(yaml.ScalarNode, value, event.implicit), value)
+            # else quoted: a str
+        except _Refused as exc:
+            refuse(str(exc), event)
+            value = None
         if event.anchor is not None:
-            anchor(event.anchor, (value, event))
+            anchor(event, value)
         return value
 
-    def anchor(name: str, entry) -> None:
-        if name in anchors:
-            raise _Irregular  # compose refuses an anchor defined twice
-        anchors[name] = entry
-
-    def build(event):
-        """The value of the node that ``event`` starts."""
+    def build(event, merging=False):
+        """The value of the node ``event`` starts; ``merging``: a merge key's."""
         kind = type(event)
+        if kind is _SCALAR_EVENT:
+            return scalar(event)
+        if kind is _ALIAS_EVENT:
+            value = anchors.get(event.anchor, (None,))[0]
+            if event.anchor not in anchors:
+                refuse(f"alias *{event.anchor} has no anchor", event)
+            elif value is _OPEN:
+                refuse(f"alias *{event.anchor} is inside the mapping or list it names", event)
+            return value
+        if event.tag not in _IMPLICIT and event.tag != (_MAP if kind is _MAPPING_START else _SEQ):
+            what = "a mapping" if kind is _MAPPING_START else "a list"
+            refuse(f"unsupported tag {event.tag.replace(_TAG, '!!')} on {what}", event)
+        start = event
+        if start.anchor is not None:
+            anchor(start, _OPEN)
         if kind is _MAPPING_START:
-            if event.tag not in _IMPLICIT and event.tag != _MAP:
-                raise _Irregular
-            if event.anchor is not None:
-                anchor(event.anchor, None)
             out = {}
+            merged = []  # the mappings its merge keys name, in the order their keys go in
             while type(event := next_event()) is not _MAPPING_END:
-                key = scalar(event)
-                if type(key) is not str and type(key) is not int:
-                    raise _Irregular
-                if key in out and not repeats:
+                if type(event) is _SCALAR_EVENT:
+                    key = scalar(event)
+                else:
+                    if type(event) is not _ALIAS_EVENT:
+                        refuse(_KEY, event)  # before anything it holds
+                    key = build(event)
+                    if type(key) is dict or type(key) is list:
+                        refuse(_KEY, event)
+                        key = None
+                value = next_event()
+                if key is _MERGE_KEY:
+                    parts = build(value, merging=True)
+                    if type(parts) is dict:
+                        merged.append(parts)
+                    elif type(parts) is list and all(type(part) is dict for part in parts):
+                        merged += reversed(parts)  # an earlier entry of the list wins
+                    else:  # after a list's bad entry, refused on its own line
+                        refuse(_NOT_MERGEABLE, value)
+                    continue
+                if key in out and not refusals:
                     # an alias key is named, as compose names it, where it was anchored
                     named = anchors[event.anchor][1] if type(event) is _ALIAS_EVENT else event
-                    repeats.append(_repeated(key, named.start_mark.line + 1))
-                value = next_event()
-                out[key] = scalar(value) if type(value) is _SCALAR_EVENT else build(value)
-            return out
-        if kind is _SEQUENCE_START:
-            if event.tag not in _IMPLICIT and event.tag != _SEQ:
-                raise _Irregular
-            if event.anchor is not None:
-                anchor(event.anchor, None)
+                    refuse(f"repeated key {key!r}", named)
+                item = scalar(value) if type(value) is _SCALAR_EVENT else build(value)
+                if item is _MERGE_KEY:
+                    refuse(_MERGE_VALUE, value)
+                out[key] = item
+            if merged:  # merged keys go first, in their order; own keys override them
+                out, own = {}, out
+                for part in merged:
+                    out.update(part)
+                out.update(own)
+        else:
             out = []
             while type(event := next_event()) is not _SEQUENCE_END:
-                out.append(scalar(event) if type(event) is _SCALAR_EVENT else build(event))
-            return out
-        return scalar(event)  # a scalar, an alias, or an irregular event
+                if merging and type(event) is not _MAPPING_START and (
+                        type(event) is not _ALIAS_EVENT or type(anchors.get(event.anchor, (None,))[0]) is not dict):
+                    refuse(_NOT_MERGEABLE, event)
+                item = scalar(event) if type(event) is _SCALAR_EVENT else build(event)
+                if item is _MERGE_KEY:
+                    refuse(_MERGE_VALUE, event)
+                out.append(item)
+        if start.anchor is not None:
+            anchors[start.anchor] = (out, start)
+        return out
 
     try:
         next_event()  # the stream's start
         if loader.check_event(yaml.StreamEndEvent):
             return None
         next_event()  # the document's start
-        data = build(next_event())
+        if (data := build(event := next_event())) is _MERGE_KEY:
+            refuse(_MERGE_VALUE, event)
         next_event()  # the document's end
         if not loader.check_event(yaml.StreamEndEvent):
-            raise _Irregular  # compose refuses a second document
+            refuse("a scenario file holds one YAML document", loader.peek_event())
     finally:
         loader.dispose()
-    if repeats:
-        raise repeats[0]
+    if refusals:
+        raise refusals[0]
     return data
-
-
-def _check_repeated_keys(root: yaml.Node) -> None:
-    """Raise ScenarioInvalid on the first key, in document order, repeated
-    in its mapping. Run before PyYAML's constructor, which flattens merge
-    keys in place: a merged key a mapping overrides is not repeated. A
-    scalar key compares by its value (``1`` and ``0x1`` are one key), or by
-    its tag and text if its tag cannot hold it; a collection key (which
-    the constructor refuses) repeats no other."""
-    done: set[int] = set()
-
-    def walk(node) -> None:
-        if id(node) in done:
-            return  # an alias, recursive or not, was walked where it was anchored
-        done.add(id(node))
-        if isinstance(node, yaml.MappingNode):
-            keys = set()
-            for key_node, value_node in node.value:
-                if key_node.tag != _MERGE:
-                    try:
-                        if type(key_node) is yaml.ScalarNode:
-                            key = _scalar(key_node.tag, key_node.value)
-                        else:
-                            key = id(key_node)
-                    except (_Irregular, *_UNREADABLE):  # the constructor reads it, or names its line
-                        key = (key_node.tag, key_node.value)
-                    if key in keys:
-                        raise _repeated(key, key_node.start_mark.line + 1)
-                    keys.add(key)
-                walk(key_node)
-                walk(value_node)
-        elif isinstance(node, yaml.SequenceNode):
-            for child in node.value:
-                walk(child)
-
-    walk(root)
 
 
 def _compose(text: str) -> tuple[_Lines, object]:
     """The line map, composed and walked only when a check fails, and the
-    data: built in one pass over the loader's events (libyaml's, or pure
-    Python without libyaml), unless the document needs PyYAML's compose and
-    constructor."""
-    lines = _Lines(text)
+    data, built in one pass over the loader's events (libyaml's, or pure
+    Python without libyaml)."""
     try:
-        try:
-            return lines, _event_data(text)
-        except (_Irregular, yaml.YAMLError, *_UNREADABLE):
-            pass  # compose names a parse error's line, the constructor a bad scalar's
-        # both before construction, which flattens merge keys in place
-        lines.at()
-        _check_repeated_keys(lines.node)
-        return lines, _Constructor().construct_document(lines.node)
-    except yaml.YAMLError as exc:  # parse errors carry their own marks
+        return _Lines(text), _event_data(text)
+    except yaml.YAMLError as exc:  # a parse error, on the line the parser names
         mark = getattr(exc, "problem_mark", None)
         raise ScenarioInvalid(str(exc).replace("\n", " "), None if mark is None else mark.line + 1)
 
@@ -503,6 +487,7 @@ def _build_config(data: dict, lines: _Lines, entity_types: list[str]) -> SimConf
     placements = topology.get("placement") or {}
     for entity_type, partition in _shaped(dict, placements, "topology.placement", lines,
                                           "topology", "placement").items():
+        _string(partition, f"placement of {entity_type!r}", lines, "topology", "placement", entity_type)
         if entity_type not in placement:
             _fail(
                 f"placement names undeclared entity type {entity_type!r}",
@@ -585,8 +570,17 @@ def _build_processes(data: dict, lines: _Lines, registry: SchemaRegistry,
                 _fail(f"unknown handler kind {kind!r}", lines, *path, "handler")
             _check_template(handler, "handler", registry, config, lines, *path, "handler")
             steps.append(ProcessStepDef(step["id"], trigger, handler))
-        wiring = _shaped(dict, proc.get("wiring") or {}, "wiring", lines, "processes", i, "wiring")
-        out.append(ProcessDef(proc["id"], steps, dict(wiring)))
+        path = ("processes", i, "wiring")
+        wiring = _shaped(dict, proc.get("wiring") or {}, "wiring", lines, *path)
+        for msg_type, step_id in wiring.items():
+            _string(msg_type, "a wiring key", lines, *path, msg_type)
+            _string(step_id, f"wiring of {msg_type!r}", lines, *path, msg_type)
+        definition = ProcessDef(proc["id"], steps, dict(wiring))
+        try:
+            definition.validate()
+        except InvalidWiring as exc:
+            _fail(str(exc), lines, *path)
+        out.append(definition)
     return out
 
 
@@ -641,36 +635,33 @@ _PAYLOAD_FIELDS = ("deltas", "fields", "observed", "guard", "terms", "args", "pa
 
 def _check_json(value, where: str, lines: _Lines, *path) -> None:
     """Fail unless ``value`` is JSON that a line gives back as it is: a
-    mapping key that is not a str, or a leaf that is not a str, int, float,
-    bool or null, would come back changed or make the run fail."""
+    mapping key that is not a str would come back changed. Every scalar a
+    scenario holds is a JSON leaf."""
     if isinstance(value, dict):
         for key, item in value.items():
             if type(key) is not str:
-                # the line map names keys by their text, which ``str(key)`` is for a plain int
-                line = lines.at(*path, str(key))
+                line = lines.at(*path, key)  # None for a merged key: its mapping's line
                 raise ScenarioInvalid(f"key {key!r} in {where} must be a string",
                                       lines.at(*path) if line is None else line)
             _check_json(item, where, lines, *path, key)
     elif isinstance(value, list):
         for i, item in enumerate(value):
             _check_json(item, where, lines, *path, i)
-    elif type(value) not in JSON_LEAVES:
-        _fail(f"{value!r} in {where} is not a JSON value", lines, *path)
 
 
 def _check_payload(template: dict, where: str, config: SimConfig, lines: _Lines, *path) -> None:
-    """The payload fields a handler reads as mappings are mappings, and the
-    ones it adds or compares are numbers: each value of ``deltas`` and
-    ``observed``, a reserve's ``quantity``, its ``deadline`` unless null, and
-    a guard's ``min``. Every payload field, and each ``emit`` entry's
-    payload, holds JSON only (``_check_json``). A ``reservation_id`` keys a
+    """The payload fields a handler reads as mappings (an emit's ``payload``,
+    and each ``emit`` entry's, too) are mappings, and the ones it adds or
+    compares are numbers: each value of ``deltas`` and ``observed``, a
+    reserve's ``quantity``, its ``deadline`` unless null, and a guard's
+    ``min``. Every payload field holds JSON only (``_check_json``). A ``reservation_id`` keys a
     reservation: a string or an int. A ``cause`` names one, and a guard's
     ``field``, an ``emit`` entry's ``type``, each of its ``payload_from``
     entries (a list) and every ``<name>_from`` field (``key_from``, the
     message field a parameter is read from) name theirs: strings. An
     ``emit`` entry goes ``to`` ``self``, ``notify`` or a [replica,
     partition] pair whose replica hosts the partition."""
-    for key, required in {"deltas": (), "guard": ("field",), "fields": (), "observed": ()}.items():
+    for key, required in {"deltas": (), "guard": ("field",), "fields": (), "observed": (), "payload": ()}.items():
         if key in template:
             _shaped(dict, template[key], key, lines, *path, key, required=required)
     for key in _PAYLOAD_FIELDS:
@@ -692,6 +683,7 @@ def _check_payload(template: dict, where: str, config: SimConfig, lines: _Lines,
         _shaped(dict, emit, "emit entry", lines, *path, "emit", j, required=("type",))
         _string(emit["type"], "'type' in emit entry", lines, *path, "emit", j, "type")
         if "payload" in emit:
+            _shaped(dict, emit["payload"], "'payload' in emit entry", lines, *path, "emit", j, "payload")
             _check_json(emit["payload"], "emit payload", lines, *path, "emit", j, "payload")
         if "payload_from" in emit:
             names = _shaped(list, emit["payload_from"], "'payload_from' in emit entry",
@@ -766,7 +758,7 @@ def _build_actions(data: dict, lines: _Lines, registry: SchemaRegistry,
         where = f"action {do!r}"
         allowed = ACTION_BASE_FIELDS | ACTION_PARAMS[do]
         _check_fields(action, allowed, where, lines, "actions", i)
-        for key in ("replica", "label"):
+        for key in ("replica", "label", "session"):
             if key in action:
                 _string(action[key], f"{key!r} in {where}", lines, "actions", i, key)
         replica = action.get("replica")

@@ -279,12 +279,12 @@ class EventRecord(NamedTuple):
     @classmethod
     def from_line(cls, line: str) -> EventRecord:
         """Inverse of ``to_line``; raises MalformedEvent naming a bad line:
-        one that is not a JSON object of the eight fields, has a sequence
-        below 1 or an unknown op kind, or has a field of the wrong type
-        (the error names the field). The lww hint and each causal-stamp
-        entry must be ints (not bools), the entries positive; the op kind,
-        idempotence key and txn id strings; the payload and causal stamp
-        objects.
+        one that is not a JSON object of the eight fields, has an event id
+        whose sequence is not a positive decimal or an unknown op kind, or
+        has a field of the wrong type (the error names the field). The lww
+        hint and each causal-stamp entry must be ints (not bools), the
+        entries positive; the op kind, idempotence key and txn id strings;
+        the payload and causal stamp objects.
 
         A line is one scan of the JSON scanner from its first character;
         a line whose value does not end at its end (whitespace around it,
@@ -298,9 +298,8 @@ class EventRecord(NamedTuple):
             if end != len(line):
                 raw = json.loads(line)
             replica, _, seq = raw["event_id"].rpartition(":")
-            seq = int(seq)
-            if seq < 1:
-                raise ValueError(f"sequence {seq} is below 1")
+            if not (seq.isascii() and seq.isdigit() and seq[0] != "0"):  # as to_line writes it: [1-9][0-9]*
+                raise ValueError(f"sequence {seq!r} is not a positive decimal")
             op_kind, payload, stamp = raw["op_kind"], raw["payload"], raw["causal_stamp"]
             lww_hint, key, txn_id = raw["lww_hint"], raw["idempotence_key"], raw["origin_txn_id"]
             if not (type(op_kind) is str and type(payload) is dict and type(stamp) is dict
@@ -316,7 +315,7 @@ class EventRecord(NamedTuple):
             raise MalformedEvent(line, exc) from exc
         # every entry is checked positive, so the stamp is wrapped as it is
         return _tuple_new(cls, (
-            _tuple_new(EventId, (replica, seq)), _tuple_new(EntityRef, (entity_type, ref_key)), op_kind,
+            _tuple_new(EventId, (replica, int(seq))), _tuple_new(EntityRef, (entity_type, ref_key)), op_kind,
             canon(payload), VersionVector._of(stamp), lww_hint, key, txn_id,
         ))
 
@@ -1032,12 +1031,13 @@ class ReplicaStore:
         """Re-ingest an archival export (e.g. into a fresh replica); the log
         keeps each line as its event's archival line, as a sync merge does.
 
-        A line that is not an event record raises MalformedEvent, and an
-        event of an entity type the partition does not take WrongPartition
-        (naming the first such event by id), before anything is appended.
-        Events are appended in event-id order; one whose id the log holds
-        is skipped, as ``ingest_foreign`` skips it. Returns how many were
-        appended.
+        A line that is not an event record raises MalformedEvent, an event
+        of an entity type the partition does not take WrongPartition
+        (naming the first such event by id), and an origin's first event
+        that the log does not hold but sorts at or below its last one
+        SequenceGap, before anything is appended. Events are appended in
+        event-id order; one whose id the log holds is skipped, as
+        ``ingest_foreign`` skips it. Returns how many were appended.
         """
         from_line = EventRecord.from_line
         records = [from_line(line) for line in lines]
@@ -1051,15 +1051,18 @@ class ReplicaStore:
             for _, event, _ in keyed:  # raises at the first misrouted event
                 self._check_route(partition_id, event.entity_ref)
         log = self.partitions[partition_id]
-        held, append = log._by_id, log.append
+        held, append, last = log._by_id, log.append, log._max_seq
+        fresh = [entry for entry in keyed if entry[0] not in held]
+        # each origin's first fresh event, which the rest of its events sort after
+        for first in {event_id.replica: event_id for event_id, _, _ in reversed(fresh)}.values():
+            if first.seq <= last.get(first.replica, 0):
+                raise SequenceGap(f"{first} arrived after {first.replica}:{last[first.replica]}")
         appended, lamport = 0, self.lamport
-        try:
-            for event_id, event, line in keyed:
-                if event_id not in held:
-                    append(event, line)
-                    appended += 1
-                    if event.lww_hint > lamport:
-                        lamport = event.lww_hint
-        finally:
-            self.observe(lamport)
+        for event_id, event, line in fresh:
+            if event_id not in held:  # not a second line with one id
+                append(event, line)
+                appended += 1
+                if event.lww_hint > lamport:
+                    lamport = event.lww_hint
+        self.observe(lamport)
         return appended

@@ -15,18 +15,28 @@ indexes under the parent. For the whole session every plan the simulator
 makes is compared with the walk it replaced: every hosted entity's
 exceptions, filtered by kind, open status and parent.
 
-``scenario._compose`` builds the data of a plain document straight from
-the parser's event stream, with no node tree, and leaves any other
-document to PyYAML's compose and constructor. For
-the whole session every parse is compared with ``yaml.safe_load`` of the
+``scenario._compose`` builds a scenario's data in one pass over the
+parser's event stream, with no node tree and no constructor. For the
+whole session every parse is compared with ``yaml.safe_load`` of the
 same text: the data must be strictly equal (``True`` is not ``1``, ``1``
 is not ``1.0``, NaN equals NaN, and mappings keep their order), and a
-YAML error must be a ``ScenarioInvalid`` on the line PyYAML names. So
-must the raw error PyYAML's constructor raises on a scalar its tag cannot
-hold (``!!int abc``), on the line of the scalar it raised on. One
-departure is deliberate: where ``yaml.safe_load`` keeps the last of a key
-repeated in one mapping (merge keys aside), the parse must raise
-``ScenarioInvalid`` on the line of the first such repeat in the document.
+YAML error must be a ``ScenarioInvalid`` on the line PyYAML names. Three
+departures are deliberate; ``_RefusingLoader`` notes them as it composes:
+
+- where ``yaml.safe_load`` keeps the last of a key repeated in one
+  mapping (merge keys aside), the parse raises ``ScenarioInvalid`` on the
+  line of the repeat;
+- a node that a scenario cannot hold is a ``ScenarioInvalid`` on its
+  line where ``yaml.safe_load`` would build it: a tag other than str,
+  int, float, bool, null, map, seq and merge (a plain date is a
+  timestamp), a mapping or list as a key, a recursive alias, a merge key
+  anywhere but as a key. A scalar its tag cannot hold, a merge key's
+  value not made of mappings, an alias with no anchor, an anchor defined
+  twice and a second document are errors in both, on the same line, but
+  for an alias, which the parse names on its own line;
+- when a document has several problems, a parse error wins, and else
+  the first in document order is named, where PyYAML names the first
+  that its composer, then its constructor, meets.
 """
 
 from __future__ import annotations
@@ -94,68 +104,118 @@ def cross_check_fold_cache():
 
 
 # what PyYAML's scalar constructors raise on a value their tag cannot hold
-_UNREADABLE = (ValueError, LookupError, AttributeError)
+_UNREADABLE = (ValueError, LookupError)
+_TAG = "tag:yaml.org,2002:"
+_SCALAR_TAGS = {_TAG + kind for kind in ("str", "int", "float", "bool", "null")}
+_MERGE = _TAG + "merge"
 
 
-class _MarkingLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that marks a constructor's raw error with the line
-    of the node it was raised on."""
+def _construct_scalar(tag: str, text: str):
+    return yaml.constructor.SafeConstructor().construct_object(yaml.ScalarNode(tag, text))
 
-    def construct_object(self, node, deep=False):
+
+class _RefusingLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that notes, as it composes, the line of the first
+    node in document order that a scenario refuses (see the module
+    docstring), checking each node before its children."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.refused: int | None = None
+        self.open: list = []  # per node being composed: its anchor, if a mapping or list
+        self.merging = [False]  # per node being composed: whether it is a merge key's list
+
+    def refuse(self, mark) -> None:
+        if self.refused is None:
+            self.refused = mark.line + 1
+
+    def compose_node(self, parent, index):
+        event = self.peek_event()
+        key = isinstance(parent, yaml.MappingNode) and index is None
+        merge_value = isinstance(parent, yaml.MappingNode) and index is not None and index.tag == _MERGE
+        merge_entry = isinstance(parent, yaml.SequenceNode) and self.merging[-1]
+        if isinstance(event, yaml.AliasEvent):
+            node = self.anchors.get(event.anchor)
+            collection = isinstance(node, (yaml.MappingNode, yaml.SequenceNode))
+            if (
+                node is None  # compose raises
+                or event.anchor in self.open  # recursive
+                or key and collection
+                or not key and node.tag == _MERGE
+                or merge_value and not (isinstance(node, yaml.MappingNode) or isinstance(node, yaml.SequenceNode)
+                                        and all(isinstance(n, yaml.MappingNode) for n in node.value))
+                or merge_entry and not isinstance(node, yaml.MappingNode)
+            ):
+                self.refuse(event.start_mark)
+        elif event.anchor is not None and event.anchor in self.anchors:  # compose raises
+            self.refuse(event.start_mark)
+        if isinstance(event, yaml.ScalarEvent):
+            tag = event.tag
+            if tag is None or tag == "!":
+                tag = self.resolve(yaml.ScalarNode, event.value, event.implicit)
+            if tag == _MERGE:
+                if not key:
+                    self.refuse(event.start_mark)
+            elif tag not in _SCALAR_TAGS or merge_value or merge_entry:
+                self.refuse(event.start_mark)
+            else:
+                try:
+                    _construct_scalar(tag, event.value)
+                except _UNREADABLE:
+                    self.refuse(event.start_mark)
+        elif not isinstance(event, yaml.AliasEvent):
+            tag = _TAG + ("map" if isinstance(event, yaml.MappingStartEvent) else "seq")
+            if event.tag not in (None, "!", tag) or key or merge_entry and tag != _TAG + "map":
+                self.refuse(event.start_mark)
+        self.open.append(event.anchor if isinstance(event, yaml.CollectionStartEvent) else None)
+        self.merging.append(merge_value and isinstance(event, yaml.SequenceStartEvent))
         try:
-            return super().construct_object(node, deep)
-        except _UNREADABLE as exc:
-            if not hasattr(exc, "line"):  # the innermost node raised it
-                exc.line = node.start_mark.line + 1
-            raise
+            node = super().compose_node(parent, index)
+        finally:
+            self.open.pop()
+            self.merging.pop()
+        if key and node.tag != _MERGE and self.refused is None:
+            value = _construct_scalar(node.tag, node.value)
+            if value in [_construct_scalar(k.tag, k.value) for k, _ in parent.value if k.tag != _MERGE]:
+                self.refuse(node.start_mark)
+        return node
 
 
-def _repeated_key_line(node, walked: set) -> int | None:
-    """The line of the first scalar key, in document order, equal (as PyYAML
-    constructs it, or by tag and text if it cannot) to an earlier key of its
-    mapping, merge keys aside; None if there is none."""
-    if id(node) in walked:
-        return None
-    walked.add(id(node))
-    if isinstance(node, yaml.SequenceNode):
-        return next(filter(None, (_repeated_key_line(child, walked) for child in node.value)), None)
-    if not isinstance(node, yaml.MappingNode):
-        return None
-    keys = []
-    for key_node, value_node in node.value:
-        if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
-            try:
-                key = yaml.constructor.SafeConstructor().construct_object(key_node)
-            except _UNREADABLE:
-                key = (key_node.tag, key_node.value)
-            if key in keys:
-                return key_node.start_mark.line + 1
-            keys.append(key)
-        line = _repeated_key_line(key_node, walked) or _repeated_key_line(value_node, walked)
-        if line is not None:
-            return line
-    return None
+def _parse(text: str) -> None:
+    """Parse ``text`` up to a second document: PyYAML's error on a parse error."""
+    loader = yaml.SafeLoader(text)
+    try:
+        documents = 0
+        while documents < 2 and not loader.check_event(yaml.StreamEndEvent):
+            documents += isinstance(loader.get_event(), yaml.DocumentStartEvent)
+    finally:
+        loader.dispose()
 
 
 def _safe_load(text: str):
     """``yaml.safe_load(text)``, through the constructor bound at import,
-    except that a repeated key raises ScenarioInvalid on its line."""
-    loader = _MarkingLoader(text)
+    except that a parse error wins, and that otherwise the first node in
+    document order that a scenario refuses raises ScenarioInvalid on its
+    line."""
+    _parse(text)
+    loader = _RefusingLoader(text)
     try:
-        node = loader.get_single_node()
-        if node is None:
-            return None
-        line = _repeated_key_line(node, set())
-        if line is not None:
-            raise ScenarioInvalid("repeated key", line)
-        return _CONSTRUCT_DOCUMENT(loader, node)
+        try:
+            node = loader.get_single_node()
+        except yaml.composer.ComposerError:
+            if loader.refused is None:
+                raise
+        if loader.refused is not None:
+            raise ScenarioInvalid("refused", loader.refused)
+        return None if node is None else _CONSTRUCT_DOCUMENT(loader, node)
     finally:
         loader.dispose()
 
 
 def _strictly_equal(a, b, seen: set) -> bool:
     """``a == b`` where every value also has the same type, NaN equals NaN,
-    mappings keep the same order, and a recursive alias ends the walk."""
+    mappings keep the same order, and a pair met again (an alias) is not
+    walked again."""
     if type(a) is not type(b):
         return False
     if isinstance(a, float):
@@ -167,8 +227,6 @@ def _strictly_equal(a, b, seen: set) -> bool:
         if isinstance(a, dict):
             a, b = [x for kv in a.items() for x in kv], [x for kv in b.items() for x in kv]
         return len(a) == len(b) and all(_strictly_equal(x, y, seen) for x, y in zip(a, b))
-    if isinstance(a, set):
-        return _strictly_equal(sorted(a, key=repr), sorted(b, key=repr), seen)
     return a == b
 
 
@@ -180,8 +238,6 @@ def _error(exc: Exception) -> tuple:
     if isinstance(exc, yaml.YAMLError):
         mark = getattr(exc, "problem_mark", None)
         return ScenarioInvalid, None if mark is None else mark.line + 1
-    if isinstance(exc, _UNREADABLE) and hasattr(exc, "line"):
-        return ScenarioInvalid, exc.line
     return type(exc), str(exc)
 
 

@@ -267,7 +267,7 @@ topology:
         (SHAPES + "faults:\n  - {kind: partition, at: 3, groups: [r1]}\n",
          7, "partition group must be a list, got 'r1'"),
         (SHAPES + "seed: !!python/object:os.getcwd {}\n",
-         6, "could not determine a constructor for the tag"),
+         6, "unsupported tag !!python/object:os.getcwd on a mapping"),
         (SHAPES + "actions:\n  - {at: 1, replica: r1, do: delta, entity: account/x, deltas: {n: 1},\n"
          "     deferred: [1]}\n",
          8, "deferred write must be a mapping, got 1"),
@@ -322,7 +322,7 @@ topology:
          "     fields: {a: {b: [{2: x}]}}}\n",
          8, "key 2 in fields must be a string"),
         (SHAPES + "actions:\n  - {at: 1, replica: r1, do: insert, entity: account/x, fields: {a: !!set {x}}}\n",
-         7, "{'x'} in fields is not a JSON value"),
+         7, "unsupported tag !!set on a mapping"),
         (SHAPES + "actions:\n  - {at: 1, replica: r1, do: reserve, entity: account/x, reservation_id: r,\n"
          "     terms: {7: late}}\n",
          8, "key 7 in terms must be a string"),
@@ -346,7 +346,7 @@ topology:
          4, "entity type 'a/b' is not a string free of '/'"),
         (SHAPES + "actions:\n  - {at: 1, replica: r1, do: reserve, entity: account/x,\n"
          "     reservation_id: 2026-01-02}\n",
-         8, "'reservation_id' in action 'reserve' must be a string or an int, got datetime.date(2026, 1, 2)"),
+         8, "unsupported tag !!timestamp on '2026-01-02'"),
         (SHAPES + "actions:\n  - {at: 1, replica: r1, do: confirm, entity: account/x, reservation_id: [r]}\n",
          7, "'reservation_id' in action 'confirm' must be a string or an int, got ['r']"),
         (SHAPES + "processes:\n  - id: p\n    steps:\n      - id: s\n        trigger: t\n"
@@ -443,6 +443,7 @@ def test_malformed_structure_exits_two_with_the_line(tmp_path, capsys, text, lin
     assert f"line {line}: {message}" in err
 
 
+READ = "  - {at: 2, replica: A, do: read, id: r1, entity: account/x, "
 HANDLER = ("processes:\n  - id: p\n    steps:\n      - id: s\n        trigger: t\n        handler:\n"
            "          kind: insert\n          entity_type: account\n")
 CAPACITY = NAMES.replace("aggregates: [balance]}", "aggregates: [balance], capacity_field: slots}")
@@ -467,10 +468,26 @@ CAPACITY = NAMES.replace("aggregates: [balance]}", "aggregates: [balance], capac
          "capacity field 'slots' of entity type 'account' needs a number as its initial value, got 'x'"),
         (CAPACITY.replace("{balance: 0}", "{balance: 0, slots: [5]}"), 3,
          "capacity field 'slots' of entity type 'account' needs a number as its initial value, got [5]"),
+        (NAMES.replace("{balance: 1}}", "{balance: 1}, emit: [{type: x, payload: x}]}"), 6,
+         "'payload' in emit entry must be a mapping, got 'x'"),
+        (NAMES + HANDLER + "          emit: [{type: x, payload: 5}]\n", 15,
+         "'payload' in emit entry must be a mapping, got 5"),
+        (NAMES + "  - {at: 2, replica: A, do: emit, id: e1, type: x, payload: 5}\n", 7,
+         "payload must be a mapping, got 5"),
+        (NAMES.replace("{p0: [A, B]}}", "{p0: [A, B]}, placement: {account: {a: 1}}}"), 4,
+         "placement of 'account' must be a string, got {'a': 1}"),
+        (NAMES + "processes:\n  - id: p\n    wiring: {t1: nowhere}\n    steps: []\n", 9,
+         "'t1' wires to undeclared step 'nowhere'"),
+        (NAMES + "processes:\n  - id: p\n    wiring:\n      t1: [s]\n    steps: []\n", 10,
+         "wiring of 't1' must be a string, got ['s']"),
+        (NAMES.replace("id: a1,", "id: a1, session: [a],"), 6, "'session' in action 'delta' must be a string, got ['a']"),
+        (NAMES.replace("id: a1,", "id: a1, session: 5,"), 6, "'session' in action 'delta' must be a string, got 5"),
     ],
     ids=["default-id-repeats-an-explicit-one", "explicit-id-repeated", "payload-from-int",
          "payload-from-entry-list", "handler-key-from-list", "action-key-from-mapping",
-         "capacity-initial-string", "capacity-initial-list"],
+         "capacity-initial-string", "capacity-initial-list", "emit-payload-string",
+         "handler-emit-payload-int", "emit-action-payload-int", "placement-mapping",
+         "wiring-to-an-undeclared-step", "wiring-to-a-list", "session-list", "session-int"],
 )
 def test_fields_that_failed_while_running_exit_two_with_the_line(tmp_path, capsys, text, line, message):
     bad = tmp_path / "bad.yaml"
@@ -487,11 +504,48 @@ def test_fields_that_failed_while_running_exit_two_with_the_line(tmp_path, capsy
     NAMES + HANDLER + "          key_from: k\n",
     CAPACITY.replace("{balance: 0}", "{balance: 0, slots: 2.5}"),
     CAPACITY,  # an absent capacity field starts from 0
-], ids=["distinct-ids", "payload-from-names", "key-from-name", "capacity-float", "capacity-absent"])
+    NAMES.replace("{balance: 1}}", "{balance: 1}, emit: [{type: x, payload: {n: 1}}]}").replace(
+        "{p0: [A, B]}}", "{p0: [A, B]}, placement: {account: p0}}").replace("id: a1,", "id: a1, session: s1,")
+    + "processes:\n  - id: p\n    wiring: {x: s}\n    steps:\n"
+    "      - {id: s, trigger: x, handler: {kind: delta, entity: account/y, deltas: {balance: 1}}}\n",
+    # an anchored action, merged into the next one with an aliased deltas mapping
+    NAMES.replace("- {at: 1", "- &a1 {at: 1").replace("deltas: {balance: 1}}", "deltas: &d {balance: 1}}")
+    + "  - {<<: *a1, at: 2, id: a2, deltas: *d}\n",
+], ids=["distinct-ids", "payload-from-names", "key-from-name", "capacity-float", "capacity-absent",
+        "payload-placement-wiring-session", "alias-and-merge"])
 def test_the_fields_those_checks_read_run_when_well_formed(tmp_path, capsys, text):
     good = tmp_path / "good.yaml"
     good.write_text(text)
     assert main(["run", str(good)]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (NAMES.replace("deltas: {balance: 1}}", "deltas: &d {balance: 1, x: *d}}"), 6,
+         "alias *d is inside the mapping or list it names"),
+        (NAMES.replace("id: a1,", "id: a1, session: 2001-12-14,"), 6, "unsupported tag !!timestamp on '2001-12-14'"),
+        (NAMES + READ + "label: !!binary aGk=}\n", 7, "unsupported tag !!binary on 'aGk='"),
+        (NAMES + READ + "label: !!omap [a: 1]}\n", 7, "unsupported tag !!omap on a list"),
+        (NAMES + READ + "label: !mine x}\n", 7, "unsupported tag !mine on 'x'"),
+        (NAMES + READ + "[label]: x}\n", 7, "a mapping or list cannot be a key"),
+        (NAMES + READ + "label: *nowhere}\n", 7, "alias *nowhere has no anchor"),
+        (NAMES.replace("id: a1,", "id: &i a1, session: &i s,"), 6, "anchor &i is defined twice"),
+        (NAMES + READ + "<<: 5}\n", 7, "a merge key '<<' takes a mapping or a list of mappings"),
+        (NAMES + READ + "label: <<}\n", 7, "a merge key '<<' can only be a mapping key"),
+        (NAMES.replace("at: 1,", "at: !!int one,"), 6, "'one' is not a valid !!int"),
+        (NAMES + "---\nschema: eventual/1\n", 7, "a scenario file holds one YAML document"),
+    ],
+    ids=["recursive-alias", "session-date", "binary", "omap", "local-tag", "list-key", "undefined-alias",
+         "duplicate-anchor", "merge-of-a-scalar", "merge-key-as-a-value", "bad-int", "second-document"],
+)
+def test_yaml_a_scenario_cannot_hold_exits_two_with_the_line(tmp_path, capsys, text, line, message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    code = main(["run", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"line {line}: {message}" in err
 
 
 def test_unknown_schema_tag_is_rejected(tmp_path, capsys):

@@ -114,12 +114,12 @@ def test_a_valid_scenario_loads_in_one_parse_with_no_compose_constructor_or_line
     assert work == ["parse"]
 
 
-def test_a_merge_key_builds_the_line_map_before_the_constructor(work):
+def test_a_merge_key_is_built_in_the_one_parse(work):
     text = TEXTS["bank.yaml"] + "x-base: &base {kind: crash}\nfaults:\n  - {<<: *base, at: 3, target: B}\n"
     with pytest.raises(ScenarioInvalid, match="unknown field 'x-base' in scenario") as caught:
         parse_scenario(text)
     assert caught.value.line == text.splitlines().index("x-base: &base {kind: crash}") + 1
-    assert work == ["parse", "compose", "walk", "construct"]
+    assert work == ["parse", "compose", "walk"]
 
 
 def test_a_malformed_scenario_builds_the_line_map_once(work):
@@ -130,63 +130,80 @@ def test_a_malformed_scenario_builds_the_line_map_once(work):
     assert work == ["parse", "compose", "walk"]
 
 
-# (text, the path it takes): "fast" builds the data from the parser's events
-# (or fails in the parser or in compose), "fallback" hands the document to
-# PyYAML's constructor, and "refused" leaves the event builder but repeats a
-# key, so it never reaches the constructor; the cross-check compares each
-# with yaml.safe_load, errors and their lines included
+# texts the cross-check compares with yaml.safe_load, errors and their lines
+# included; none of them reaches PyYAML's constructor
 PARSES = {
-    "anchor-alias": ("a: &x {b: 1}\nc: *x\n", "fallback"),
-    "recursive-alias": ("a: &x [1, *x]\n", "fallback"),
-    "merge-key": ("base: &b {x: 1, y: 1}\nd:\n  <<: *b\n  y: 2\n", "fallback"),
-    "scalar-alias": ("a: &x 5\nb: *x\n", "fast"),
-    "octal": ("a: 0755\n", "fast"),
-    "hex": ("a: 0x1F\n", "fast"),
-    "underscores": ("a: 1_000\n", "fast"),
-    "sexagesimal": ("a: 1:30\n", "fast"),
-    "signed": ("a: [-0, +7, -12]\n", "fast"),
-    "explicit-int": ("a: !!int '12'\n", "fast"),
-    "yes-off": ("a: yes\nb: off\n", "fast"),
-    "null": ("a: ~\nb:\n", "fast"),
-    "inf": ("a: [.inf, -.inf]\n", "fast"),
-    "nan": ("a: .nan\n", "fast"),
-    "float": ("a: [1.5, 1.0, -2.5e+3]\n", "fast"),
-    "int-key": ("1: a\n2: b\n", "fast"),
-    "bool-key": ("true: a\n", "fallback"),
-    "timestamp": ("a: 2001-12-14\nb: 2001-12-14t21:59:43.10-05:00\n", "fallback"),
-    "binary": ("a: !!binary aGVsbG8=\n", "fallback"),
-    "set": ("a: !!set {x, y}\n", "fallback"),
-    "str-tag-on-mapping": ("a: !!str {b: 1}\n", "fallback"),
-    "map-tag-on-sequence": ("a: !!map [1, 2]\n", "fallback"),
-    "unknown-tag": ("a: 1\nb: !thing 2\n", "fallback"),
-    "unhashable-key": ("a: 1\n? [1]\n: 2\n", "fallback"),
-    # a repeated key is an error on the line of its repeat, in document order
-    "repeated-key": ("a: 1\nb: 2\na: 3\n", "fast"),
-    "repeated-int-key": ("1: a\n0x1: b\n", "fast"),
-    "repeated-nested-key": ("a: {x: 1, y: 2,\n    x: 3}\nb: 1\nb: 2\n", "fast"),
-    "repeated-key-beside-an-alias": ("a: &x [1]\nb: *x\nc: {d: 1, d: 2}\n", "refused"),
-    "repeated-key-after-a-bad-scalar": ("a: !!int x\nb: 1\nb: 2\n", "refused"),
-    "repeated-key-over-a-merge": ("base: &b {x: 1}\nd: {<<: *b, y: 1, y: 2}\n", "refused"),
-    "merged-key-overridden-twice": ("b: &b {x: 1}\nc: &c {<<: *b, x: 2}\nd: {<<: *c, x: 3}\n", "fallback"),
-    "repeated-alias-key": ("&k a: 1\nb: 2\n*k : 3\n", "fast"),
-    "repeated-key-before-an-alias": ("a: {d: 1, d: 2}\nb: &x [1]\nc: *x\n", "refused"),
-    "quoted": ("a: '12'\nb: \"true\"\nc: 'null'\n", "fast"),
-    "non-specific-tag": ("a: ! 12\nb: ! {c: 1}\nc: ! [d]\n", "fast"),
-    "explicit-map-and-seq": ("a: !!map {b: !!seq [1]}\n", "fast"),
-    "empty": ("", "fast"),
-    "empty-document": ("---\n", "fast"),
-    "syntax-error": ("a: [1\nb: 2\n", "fast"),
-    # compose refuses these, so they never reach the constructor
-    "repeated-key-before-a-syntax-error": ("a: 1\na: 2\nb: [1\n", "fast"),
-    "duplicate-anchor": ("a: &x 1\nb: &x 2\n", "fast"),
-    "undefined-alias": ("a: 1\nb: *x\n", "fast"),
-    "second-document": ("a: 1\n---\nb: 2\n", "fast"),
-    # a scalar its tag cannot hold: PyYAML's constructor raises, on the line
-    # of the scalar it meets first
-    "int-tag-on-a-word": ("a: 1\nb: !!int abc\n", "fallback"),
-    "float-tag-on-nothing": ("a: !!float ''\n", "fallback"),
-    "two-bad-scalars": ("a: {b: !!bool x}\nc: !!int y\n", "fallback"),
-    "bad-scalar-beside-an-alias": ("a: &x [1]\nb: *x\nc: [!!timestamp abc]\n", "fallback"),
+    "anchor-alias": "a: &x {b: 1}\nc: *x\n",
+    "alias-of-a-list": "a: &x [1, {b: 2}]\nc: [*x, *x]\n",
+    "merge-key": "base: &b {x: 1, y: 1}\nd:\n  <<: *b\n  y: 2\n",
+    "merge-list": "b: &b {x: 1, y: 1}\nc: &c {y: 2, z: 2}\nd: {w: 0, <<: [*b, *c], x: 9}\n",
+    "merge-list-alias": "l: &l [{a: 1}, {a: 2, b: 2}]\nd: {<<: *l, c: 3}\n",
+    "two-merge-keys": "b: &b {x: 1}\nc: &c {x: 2, y: 2}\nd: {<<: *b, <<: *c}\n",
+    "merge-inline": "d: {<<: {<<: {a: 1}, b: 2}, c: 3}\n",
+    "merge-tag": "!!merge x: {a: 1}\n",
+    "merged-key-overridden-twice": "b: &b {x: 1}\nc: &c {<<: *b, x: 2}\nd: {<<: *c, x: 3}\n",
+    "scalar-alias": "a: &x 5\nb: *x\n",
+    "octal": "a: 0755\n",
+    "hex": "a: 0x1F\n",
+    "underscores": "a: 1_000\n",
+    "sexagesimal": "a: 1:30\n",
+    "signed": "a: [-0, +7, -12]\n",
+    "explicit-int": "a: !!int '12'\n",
+    "yes-off": "a: yes\nb: off\n",
+    "null": "a: ~\nb:\n",
+    "inf": "a: [.inf, -.inf]\n",
+    "nan": "a: .nan\n",
+    "float": "a: [1.5, 1.0, -2.5e+3]\n",
+    "int-key": "1: a\n2: b\n",
+    "bool-key": "true: a\n",
+    "scalar-keys": "1.5: a\n~: b\nno: c\n",
+    "quoted": "a: '12'\nb: \"true\"\nc: 'null'\n",
+    "non-specific-tag": "a: ! 12\nb: ! {c: 1}\nc: ! [d]\n",
+    "explicit-map-and-seq": "a: !!map {b: !!seq [1]}\n",
+    "empty": "",
+    "empty-document": "---\n",
+    # refused: a ScenarioInvalid where yaml.safe_load builds the node
+    "timestamp": "a: 2001-12-14\nb: 2001-12-14t21:59:43.10-05:00\n",
+    "binary": "a: !!binary aGVsbG8=\n",
+    "set": "a: !!set {x, y}\n",
+    "omap": "a: 1\nb: !!omap [x: 1]\n",
+    "python-tag": "a: !!python/tuple [1]\n",
+    "str-tag-on-mapping": "a: !!str {b: 1}\n",
+    "map-tag-on-sequence": "a: !!map [1, 2]\n",
+    "unknown-tag": "a: 1\nb: !thing 2\n",
+    "value-tag": "=: a\n",
+    "unhashable-key": "a: 1\n? [1]\n: 2\n",
+    "alias-of-a-mapping-as-key": "a: &x {b: 1}\n? *x\n: 2\n",
+    "recursive-alias": "a: &x [1, *x]\n",
+    "recursive-alias-in-a-payload": "deltas: &d\n  balance: 1\n  x: *d\n",
+    "merge-of-a-scalar": "s: &s 5\nd: {<<: *s}\n",
+    "merge-list-of-a-scalar": "b: &b {x: 1}\nd:\n  <<:\n    - *b\n    - 5\n",
+    "merge-as-a-value": "a: 1\nb: <<\n",
+    # a repeated key is an error on the line of its repeat
+    "repeated-key": "a: 1\nb: 2\na: 3\n",
+    "repeated-int-key": "1: a\n0x1: b\n",
+    "repeated-nested-key": "a: {x: 1, y: 2,\n    x: 3}\nb: 1\nb: 2\n",
+    "repeated-key-beside-an-alias": "a: &x [1]\nb: *x\nc: {d: 1, d: 2}\n",
+    "repeated-key-over-a-merge": "base: &b {x: 1}\nd: {<<: *b, y: 1, y: 2}\n",
+    "repeated-alias-key": "&k a: 1\nb: 2\n*k : 3\n",
+    "repeated-key-before-an-alias": "a: {d: 1, d: 2}\nb: &x [1]\nc: *x\n",
+    # errors in yaml.safe_load too
+    "syntax-error": "a: [1\nb: 2\n",
+    "duplicate-anchor": "a: &x 1\nb: &x 2\n",
+    "undefined-alias": "a: 1\nb: *x\n",
+    "second-document": "a: 1\n---\nb: 2\n",
+    "int-tag-on-a-word": "a: 1\nb: !!int abc\n",
+    "float-tag-on-nothing": "a: !!float ''\n",
+    # several problems: a parse error wins, else the first in document order
+    "repeated-key-before-a-syntax-error": "a: 1\na: 2\nb: [1\n",
+    "undefined-alias-before-a-syntax-error": "a: *x\nb: [1\n",
+    "two-bad-scalars": "a: {b: !!bool x}\nc: !!int y\n",
+    "repeated-key-after-a-bad-scalar": "a: !!int x\nb: 1\nb: 2\n",
+    "bad-scalar-before-an-undefined-alias": "a: !!int x\nb: *y\n",
+    "bad-scalar-beside-an-alias": "a: &x [1]\nb: *x\nc: [!!timestamp abc]\n",
+    "list-key-holding-a-bad-scalar": "? [1,\n   !!int x]\n: 1\n",
+    "merge-list-of-a-list-holding-a-bad-scalar": "d:\n  <<:\n    - [a,\n       !!int x]\n",
+    "refused-tag-before-a-second-document": "a: !!set {x}\n---\nb: 2\n",
 }
 
 
@@ -206,39 +223,46 @@ def test_a_float_field_takes_an_int():
     assert type(config.drop) is float and type(config.max_time) is int
 
 
-@pytest.mark.parametrize("tag", ["int", "timestamp", "bool"])
-def test_a_tagged_scalar_its_tag_cannot_hold_is_invalid_on_its_line(tag):
+@pytest.mark.parametrize(
+    "tag, message",
+    [("int", "'abc' is not a valid !!int"), ("float", "'abc' is not a valid !!float"),
+     ("bool", "'abc' is not a valid !!bool"), ("timestamp", "unsupported tag !!timestamp on 'abc'")],
+    ids=["int", "float", "bool", "timestamp"],
+)
+def test_a_tagged_scalar_its_tag_cannot_hold_is_invalid_on_its_line(tag, message):
     text = TEXTS["bank.yaml"] + f"sync_interval: !!{tag} abc\n"
-    with pytest.raises(ScenarioInvalid, match=f"'abc' is not a valid !!{tag}") as caught:
+    with pytest.raises(ScenarioInvalid, match=message) as caught:
         parse_scenario(text)
     assert caught.value.line == len(text.splitlines())
 
 
 @pytest.mark.parametrize("name", sorted(PARSES))
 def test_every_parse_matches_safe_load(name, checked_compose):
-    text, path = PARSES[name]
     with _counted_work() as log:
         try:
-            checked_compose(text)
+            checked_compose(PARSES[name])
         except ScenarioInvalid:
             pass
-    assert log.count("construct") == (path == "fallback")
+    assert log == ["parse"]
+
+
+def test_an_alias_is_the_object_its_anchor_names():
+    data = scenario_module._compose(PARSES["alias-of-a-list"])[1]
+    assert data["c"][0] is data["c"][1] is data["a"]
 
 
 def _parse_outcome(text: str, checked_compose) -> tuple:
     """The data (by its repr: NaN, types and key order show) or the
-    ScenarioInvalid line of one checked parse, and its construct count."""
-    with _counted_work() as log:
-        try:
-            outcome = ("data", repr(checked_compose(text)[1]))
-        except ScenarioInvalid as exc:
-            outcome = ("error", exc.line)
-    return outcome, log.count("construct")
+    ScenarioInvalid line of one checked parse."""
+    try:
+        return ("data", repr(checked_compose(text)[1]))
+    except ScenarioInvalid as exc:
+        return ("error", exc.line)
 
 
 @pytest.mark.parametrize("name", sorted(PARSES) + sorted(TEXTS))
 def test_the_pure_python_loader_parses_as_libyaml_does(name, checked_compose, monkeypatch):
-    text = PARSES[name][0] if name in PARSES else TEXTS[name]
+    text = PARSES[name] if name in PARSES else TEXTS[name]
     expected = _parse_outcome(text, checked_compose)
     monkeypatch.setattr(scenario_module, "_LOADER", yaml.SafeLoader)
     assert _parse_outcome(text, checked_compose) == expected
@@ -255,8 +279,17 @@ _DATA = st.recursive(
 )
 
 
+# data that holds one mapping or list in several places, which yaml.safe_dump
+# writes once with an anchor and then as aliases
+_SHARING = st.builds(
+    lambda shared, others: {"a": shared, "b": [*others, shared], "c": {"d": shared}},
+    st.lists(_DATA, max_size=3) | st.dictionaries(_KEYS, _DATA, max_size=3),
+    st.lists(_DATA, max_size=2),
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=_DATA, flow=st.booleans())
+@given(data=_DATA | _SHARING, flow=st.booleans())
 def test_dumped_data_parses_like_safe_load_without_the_constructor(data, flow, checked_compose):
     text = yaml.safe_dump(data, default_flow_style=flow)
     with _counted_work() as log:

@@ -632,6 +632,9 @@ def test_a_zero_entry_is_absent():
         (lambda line: line.replace('"lww_hint"', '"lww_hnt"'), None),  # a missing field
         (lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:one"'), None),  # a bad event_id
         (lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:0"'), None),  # a sequence below 1
+        # a sequence int() reads but that is not how to_line writes it
+        *((lambda line, seq=seq: line.replace('"event_id":"A:1"', f'"event_id":"A:{seq}"'), None)
+          for seq in ("1_0", " 1", "+1", "01", "\\u0661")),
         (lambda line: line.replace('"op_kind":"delta"', '"op_kind":"bogus"'), None),  # an unknown op kind
         # a field of the wrong type is named in the error
         (lambda line: line.replace('"lww_hint":1', '"lww_hint":"1"'), "lww_hint"),
@@ -646,7 +649,8 @@ def test_a_zero_entry_is_absent():
         (lambda line: line.replace('"causal_stamp":{"A":1}', '"causal_stamp":{"A":"1"}'), "causal_stamp"),
         (lambda line: line.replace('"causal_stamp":{"A":1}', '"causal_stamp":{"A":true}'), "causal_stamp"),
     ],
-    ids=["truncated", "missing-field", "bad-event-id", "seq-zero", "unknown-op",
+    ids=["truncated", "missing-field", "bad-event-id", "seq-zero", "seq-underscore", "seq-space",
+         "seq-plus", "seq-leading-zero", "seq-arabic-indic-digit", "unknown-op",
          "hint-string", "hint-bool", "hint-float", "op-kind-list", "key-int", "txn-null",
          "payload-list", "stamp-string", "stamp-zero", "stamp-entry-string", "stamp-entry-bool"],
 )
@@ -787,6 +791,23 @@ def test_an_import_with_a_misrouted_event_appends_nothing():
     # now every type routes here; an event the log holds is skipped
     assert clone.import_partition("p0", lines + lines) == 2
     assert clone.export_partition("p0") == lines and clone.lamport == 3
+
+
+def test_an_import_with_a_sequence_gap_appends_nothing():
+    reg = make_registry()
+    sources = {origin: make_store(origin, reg) for origin in "AZ"}
+    for origin, source in sources.items():
+        for i in range(3):
+            delta(source, ACCOUNT, f"{origin}{i}", balance=1)
+    lines = {origin: source.export_partition("p0") for origin, source in sources.items()}
+    clone = make_store("C", reg)
+    for line in (lines["Z"][0], lines["Z"][2]):  # Z:1 and Z:3, without Z:2
+        clone.ingest_foreign("p0", EventRecord.from_line(line), line)
+    held = clone.export_partition("p0")
+    with pytest.raises(SequenceGap, match="Z:2 arrived after Z:3"):
+        clone.import_partition("p0", lines["A"] + lines["Z"])
+    assert clone.export_partition("p0") == held
+    assert clone.import_partition("p0", lines["A"]) == 3  # an origin the log holds nothing of
 
 
 def test_a_sequence_at_or_below_an_unseen_origin_s_is_a_sequence_gap():
