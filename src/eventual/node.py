@@ -2,7 +2,8 @@
 
 A ``Node`` owns one ``Replica`` and every reaction the engine runs for
 it: the commit path and what each committed batch sets off (follow-up,
-pending actions, outbox launch), message consumption and execution,
+pending actions, outbox launch), message consumption (one ``consume``
+task takes the partition's next inbox message and runs its steps),
 retries, expiry, cleansing, referential resolution, compensation,
 recovery, and the anti-entropy protocol (answer, finish, merge,
 reconcile). It reaches the outside world through one small interface,
@@ -273,10 +274,10 @@ class Node:
             self.commit_path_sends += 1
         self.host.send(dst, kind, body, env_id)
 
-    def _schedule_consume(self, partition: str) -> None:
-        """Drain the partition's inbox now."""
+    def _schedule_consume(self, partition: str, delay: int = 0) -> None:
+        """Take the partition's next message ``delay`` ticks from now."""
         detail = f"{self.replica.replica_id}:{partition}"
-        self.host.schedule(self.host.now, "consume", detail, partition=partition)
+        self.host.schedule(self.host.now + delay, "consume", detail, partition=partition)
 
     def _schedule_retry(self, message_id: str, at: int) -> None:
         self.host.schedule(at, "retry", message_id, message_id=message_id)
@@ -460,24 +461,14 @@ class Node:
         self._transmit(entry)
 
     def _task_consume(self, task: dict) -> None:
+        """Take the partition's next unprocessed message and run it: its
+        matched steps, else an ack-only batch, then the next message. A step
+        that meets a pending descriptor's lock takes the message again
+        ``lock_backoff`` ticks later."""
         replica = self.replica
         partition = task["partition"]
         message = bus.consume_next(replica, partition)
         if message is None:
-            return
-        self.host.schedule(
-            self.host.now, "exec", f"{replica.replica_id}:{message.message_id}",
-            partition=partition, message_id=message.message_id,
-        )
-
-    def _task_exec(self, task: dict) -> None:
-        replica = self.replica
-        partition = task["partition"]
-        message = next(
-            (m for m in replica.inbox.arrivals if m.message_id == task["message_id"]), None
-        )
-        if message is None or message.idempotence_key in replica.processed:
-            self._reconsume(partition)
             return
         steps = self._matched_steps(message)
         # a join's trigger that arrives before the rest is taken, not unmatched: the
@@ -501,10 +492,7 @@ class Node:
                 )
                 self._commit_path(self._execute_step, step_def, ctx)
         except LockConflict:
-            self.host.schedule(
-                self.host.now + self.config.lock_backoff, "exec", f"defer:{message.message_id}",
-                partition=partition, message_id=message.message_id,
-            )
+            self._schedule_consume(partition, self.config.lock_backoff)
             return
         if message.idempotence_key not in replica.processed:
             # zero matches, a rejection, or a rolled-back step: acknowledge via
@@ -520,10 +508,7 @@ class Node:
         self.handler_effects[message.idempotence_key] = (
             self.handler_effects.get(message.idempotence_key, 0) + 1
         )
-        self._reconsume(partition)
-
-    def _reconsume(self, partition: str) -> None:
-        if any(m.destination[1] == partition for m in self.replica.inbox.arrivals):
+        if any(m.destination[1] == partition for m in replica.inbox.arrivals):
             self._schedule_consume(partition)
 
     def _matched_steps(self, message: QueueMessage):
@@ -727,7 +712,6 @@ class Node:
 # each timer kind's handler, by the task's kind
 _TIMER_HANDLERS = {
     "consume": Node._task_consume,
-    "exec": Node._task_exec,
     "retry": Node._task_retry,
     "pending": Node._task_pending,
     "expiry": Node._task_expiry,

@@ -125,6 +125,28 @@ def test_an_open_discrepancy_schedules_one_cleanse_after_the_cleanse_lag():
     assert len(world.tasks("cleanse")) == 1
 
 
+def test_a_message_that_meets_a_pending_lock_is_consumed_again_after_the_backoff():
+    world = World([make_replica("A")], config=NodeConfig(pending_lag=2, lock_backoff=3), now=10)
+    node = world.nodes["A"]
+    # dep's descriptor holds the locks of account/alice and account/bob until
+    # its pending task applies the deferred delta, at tick 12
+    dep = client("A", "dep", kind="delta", entity="account/alice", deltas={"balance": 100},
+                 deferred=[{"entity": "account/bob", "deltas": {"balance": 1}}])
+    node.submit(dep)
+    world.run(until=10)
+    world.now = 11
+    node.submit(client("A", "pay", kind="delta", entity="account/alice", deltas={"balance": 5}))
+    world.run(until=11)
+    consume = {"kind": "consume", "detail": "A:p0", "partition": "p0"}
+    assert [(at, task) for at, task in world.tasks("consume") if at > 11] == [(14, consume)]
+    assert "client:pay" not in node.handler_effects
+    assert node.replica.store.rollup("p0", ACCOUNT).value["balance"] == 100
+    world.run(until=14)  # the pending task released the locks at 12
+    assert node.replica.store.rollup("p0", ACCOUNT).value["balance"] == 105
+    assert node.handler_effects["client:pay"] == 1
+    assert node.replica.inbox.arrivals == []
+
+
 def test_a_committed_message_is_sent_only_once_the_commit_path_has_exited():
     world = World([make_replica("A")], notify=("N", "notify"))
     pay = client("A", "pay", kind="delta", entity="account/alice", deltas={"balance": 5},
