@@ -12,10 +12,11 @@ str, int, float, bool, null, map, seq and merge (so a plain date), a
 scalar its tag cannot hold, a mapping or list as a key, a key repeated
 in its mapping (merged keys aside), an alias with no anchor or inside
 what it names, an anchor defined twice, a merge of anything but
-mappings, a second document. A parse error anywhere wins; else the first
-of these in document order is named. The path -> line map that
-diagnostics read is composed and walked only on the first failed check,
-so a valid scenario never builds it.
+mappings, a second document, mappings and lists nested more than
+``_MAX_DEPTH`` deep. A parse error anywhere wins; else the first of these
+in document order is named. The node tree that diagnostics read is
+composed only on the first failed check, and a lookup visits only the
+nodes along its path, so a valid scenario never builds it.
 
 The fields whose values become event or message payloads hold JSON only:
 mappings with str keys, lists, and str, int, float, bool or null leaves.
@@ -90,9 +91,8 @@ ACTION_PARAMS = {
 
 
 class _Lines:
-    """Path -> source line map of the text's YAML node tree, composed and
-    walked on first use: only an error message reads it, so a valid
-    scenario never builds it."""
+    """The source lines of the text's YAML node tree, composed on first use:
+    only an error message reads it, so a valid scenario never builds it."""
 
     def __init__(self, text: str):
         self._text = text
@@ -101,25 +101,20 @@ class _Lines:
     def node(self) -> yaml.Node | None:
         return yaml.compose(self._text, Loader=_LOADER)
 
-    @cached_property
-    def _map(self) -> dict[tuple, int]:
-        out: dict[tuple, int] = {}
-        if self.node is not None:
-            self._walk(self.node, (), out)
-        return out
-
-    def _walk(self, node, path, out) -> None:
-        out[path] = node.start_mark.line + 1
-        if isinstance(node, yaml.MappingNode):
-            for key_node, value_node in node.value:
-                # a key as the data holds it: the document built, so each key is a scalar
-                self._walk(value_node, path + (_scalar(key_node.tag, key_node.value),), out)
-        elif isinstance(node, yaml.SequenceNode):
-            for i, child in enumerate(node.value):
-                self._walk(child, path + (i,), out)
-
     def at(self, *path) -> int | None:
-        return self._map.get(tuple(path))
+        """The line of the node at ``path`` (mapping keys as the data holds
+        them, and list indexes), or None where no node is: a merged key,
+        say. Only the nodes along the path are visited."""
+        node = self.node
+        for step in path:
+            if isinstance(node, yaml.MappingNode):
+                # a key as the data holds it: the document built, so each key is a scalar
+                node = next((value for key, value in node.value if _scalar(key.tag, key.value) == step), None)
+            elif isinstance(node, yaml.SequenceNode) and isinstance(step, int) and 0 <= step < len(node.value):
+                node = node.value[step]
+            else:
+                return None
+        return None if node is None else node.start_mark.line + 1
 
 
 def _fail(message: str, lines: _Lines, *path) -> None:
@@ -246,6 +241,7 @@ def _scalar(tag: str, text: str):
 _SCALAR_EVENT, _ALIAS_EVENT = yaml.ScalarEvent, yaml.AliasEvent
 _MAPPING_START, _MAPPING_END = yaml.MappingStartEvent, yaml.MappingEndEvent
 _SEQUENCE_END = yaml.SequenceEndEvent
+_MAX_DEPTH = 100  # mappings and lists nested deeper are refused, not built
 _IMPLICIT = (None, "!")  # the tags the resolver replaces
 _OPEN = object()  # an anchored mapping or list while it is built: an alias of it is recursive
 _KEY = "a mapping or list cannot be a key"
@@ -292,8 +288,9 @@ def _event_data(text: str):
             anchor(event, value)
         return value
 
-    def build(event, merging=False):
-        """The value of the node ``event`` starts; ``merging``: a merge key's."""
+    def build(event, merging=False, depth=1):
+        """The value of the node ``event`` starts, ``depth`` mappings and lists
+        deep; ``merging``: a merge key's."""
         kind = type(event)
         if kind is _SCALAR_EVENT:
             return scalar(event)
@@ -304,6 +301,13 @@ def _event_data(text: str):
             elif value is _OPEN:
                 refuse(f"alias *{event.anchor} is inside the mapping or list it names", event)
             return value
+        if depth > _MAX_DEPTH:
+            refuse(f"mappings and lists nest at most {_MAX_DEPTH} deep", event)
+            opened = 1
+            while opened:  # past the node's end, building nothing
+                event = next_event()
+                opened += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+            return None
         if event.tag not in _IMPLICIT and event.tag != (_MAP if kind is _MAPPING_START else _SEQ):
             what = "a mapping" if kind is _MAPPING_START else "a list"
             refuse(f"unsupported tag {event.tag.replace(_TAG, '!!')} on {what}", event)
@@ -319,13 +323,13 @@ def _event_data(text: str):
                 else:
                     if type(event) is not _ALIAS_EVENT:
                         refuse(_KEY, event)  # before anything it holds
-                    key = build(event)
+                    key = build(event, depth=depth + 1)
                     if type(key) is dict or type(key) is list:
                         refuse(_KEY, event)
                         key = None
                 value = next_event()
                 if key is _MERGE_KEY:
-                    parts = build(value, merging=True)
+                    parts = build(value, True, depth + 1)
                     if type(parts) is dict:
                         merged.append(parts)
                     elif type(parts) is list and all(type(part) is dict for part in parts):
@@ -337,7 +341,7 @@ def _event_data(text: str):
                     # an alias key is named, as compose names it, where it was anchored
                     named = anchors[event.anchor][1] if type(event) is _ALIAS_EVENT else event
                     refuse(f"repeated key {key!r}", named)
-                item = scalar(value) if type(value) is _SCALAR_EVENT else build(value)
+                item = scalar(value) if type(value) is _SCALAR_EVENT else build(value, depth=depth + 1)
                 if item is _MERGE_KEY:
                     refuse(_MERGE_VALUE, value)
                 out[key] = item
@@ -352,7 +356,7 @@ def _event_data(text: str):
                 if merging and type(event) is not _MAPPING_START and (
                         type(event) is not _ALIAS_EVENT or type(anchors.get(event.anchor, (None,))[0]) is not dict):
                     refuse(_NOT_MERGEABLE, event)
-                item = scalar(event) if type(event) is _SCALAR_EVENT else build(event)
+                item = scalar(event) if type(event) is _SCALAR_EVENT else build(event, depth=depth + 1)
                 if item is _MERGE_KEY:
                     refuse(_MERGE_VALUE, event)
                 out.append(item)
@@ -636,17 +640,26 @@ _PAYLOAD_FIELDS = ("deltas", "fields", "observed", "guard", "terms", "args", "pa
 def _check_json(value, where: str, lines: _Lines, *path) -> None:
     """Fail unless ``value`` is JSON that a line gives back as it is: a
     mapping key that is not a str would come back changed. Every scalar a
-    scenario holds is a JSON leaf."""
-    if isinstance(value, dict):
+    scenario holds is a JSON leaf. A mapping or list that aliases share is
+    checked once, where it is first reached."""
+    seen: set[int] = set()
+
+    def check(value, path) -> None:
+        if not isinstance(value, (dict, list)) or id(value) in seen:
+            return
+        seen.add(id(value))
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                check(item, (*path, i))
+            return
         for key, item in value.items():
             if type(key) is not str:
                 line = lines.at(*path, key)  # None for a merged key: its mapping's line
                 raise ScenarioInvalid(f"key {key!r} in {where} must be a string",
                                       lines.at(*path) if line is None else line)
-            _check_json(item, where, lines, *path, key)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_json(item, where, lines, *path, i)
+            check(item, (*path, key))
+
+    check(value, path)
 
 
 def _check_payload(template: dict, where: str, config: SimConfig, lines: _Lines, *path) -> None:

@@ -30,7 +30,9 @@ departures are deliberate; ``_RefusingLoader`` notes them as it composes:
   line where ``yaml.safe_load`` would build it: a tag other than str,
   int, float, bool, null, map, seq and merge (a plain date is a
   timestamp), a mapping or list as a key, a recursive alias, a merge key
-  anywhere but as a key. A scalar its tag cannot hold, a merge key's
+  anywhere but as a key, a mapping or list nested deeper than
+  ``scenario._MAX_DEPTH`` (where ``yaml.safe_load`` builds it, or, far
+  deeper, raises ``RecursionError``). A scalar its tag cannot hold, a merge key's
   value not made of mappings, an alias with no anchor, an anchor defined
   twice and a second document are errors in both, on the same line, but
   for an alias, which the parse names on its own line;
@@ -124,6 +126,7 @@ class _RefusingLoader(yaml.SafeLoader):
         self.refused: int | None = None
         self.open: list = []  # per node being composed: its anchor, if a mapping or list
         self.merging = [False]  # per node being composed: whether it is a merge key's list
+        self.depth = 0  # the mappings and lists being composed
 
     def refuse(self, mark) -> None:
         if self.refused is None:
@@ -163,17 +166,28 @@ class _RefusingLoader(yaml.SafeLoader):
                     _construct_scalar(tag, event.value)
                 except _UNREADABLE:
                     self.refuse(event.start_mark)
+        elif self.depth == eventual.scenario._MAX_DEPTH and isinstance(event, yaml.CollectionStartEvent):
+            self.refuse(event.start_mark)
+            opened = 1
+            self.get_event()
+            while opened:  # past the node's end: composing it could overflow the stack
+                event = self.get_event()
+                opened += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+            return yaml.ScalarNode(_TAG + "null", "", event.start_mark, event.end_mark)
         elif not isinstance(event, yaml.AliasEvent):
             tag = _TAG + ("map" if isinstance(event, yaml.MappingStartEvent) else "seq")
             if event.tag not in (None, "!", tag) or key or merge_entry and tag != _TAG + "map":
                 self.refuse(event.start_mark)
-        self.open.append(event.anchor if isinstance(event, yaml.CollectionStartEvent) else None)
+        collection = isinstance(event, yaml.CollectionStartEvent)
+        self.open.append(event.anchor if collection else None)
         self.merging.append(merge_value and isinstance(event, yaml.SequenceStartEvent))
+        self.depth += collection
         try:
             node = super().compose_node(parent, index)
         finally:
             self.open.pop()
             self.merging.pop()
+            self.depth -= collection
         if key and node.tag != _MERGE and self.refused is None:
             value = _construct_scalar(node.tag, node.value)
             if value in [_construct_scalar(k.tag, k.value) for k, _ in parent.value if k.tag != _MERGE]:

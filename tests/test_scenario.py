@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -30,13 +31,12 @@ TEXTS = {
 @contextmanager
 def _counted_work():
     """Logs the parse work as it happens: ``"parse"`` per pass of the event
-    builder, ``"compose"`` per ``yaml.compose``, ``"construct"`` per
-    ``SafeConstructor.construct_document``, ``"walk"`` per line map built."""
+    builder, ``"compose"`` per ``yaml.compose`` (the line map's node tree
+    included), ``"construct"`` per ``SafeConstructor.construct_document``."""
     log: list[str] = []
     parse = scenario_module._event_data
     compose = yaml.compose
     construct = yaml.constructor.SafeConstructor.construct_document
-    walk = scenario_module._Lines._walk
 
     def counted_parse(text):
         log.append("parse")
@@ -50,16 +50,10 @@ def _counted_work():
         log.append("construct")
         return construct(*args, **kwargs)
 
-    def counted_walk(self, node, path, *rest):
-        if path == ():
-            log.append("walk")
-        return walk(self, node, path, *rest)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scenario_module, "_event_data", counted_parse)
         patch.setattr(yaml, "compose", counted_compose)
         patch.setattr(yaml.constructor.SafeConstructor, "construct_document", counted_construct)
-        patch.setattr(scenario_module._Lines, "_walk", counted_walk)
         yield log
 
 
@@ -81,7 +75,17 @@ def test_one_parse_gives_the_data_and_lines_of_the_pure_python_parse(name):
     assert data == yaml.safe_load(text)
     reference = scenario_module._Lines(text)
     reference.node = yaml.compose(text, Loader=yaml.SafeLoader)
-    assert lines._map == reference._map
+    paths = list(_paths(data))
+    assert [lines.at(*path) for path in paths] == [reference.at(*path) for path in paths]
+    assert lines.at("no such field") is None
+
+
+def _paths(value, path=()):
+    """Every path into ``value``: mapping keys and list indexes."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for step, item in items:
+        yield from _paths(item, (*path, step))
 
 
 @pytest.mark.parametrize(
@@ -119,7 +123,7 @@ def test_a_merge_key_is_built_in_the_one_parse(work):
     with pytest.raises(ScenarioInvalid, match="unknown field 'x-base' in scenario") as caught:
         parse_scenario(text)
     assert caught.value.line == text.splitlines().index("x-base: &base {kind: crash}") + 1
-    assert work == ["parse", "compose", "walk"]
+    assert work == ["parse", "compose"]
 
 
 def test_a_malformed_scenario_builds_the_line_map_once(work):
@@ -127,7 +131,43 @@ def test_a_malformed_scenario_builds_the_line_map_once(work):
     with pytest.raises(ScenarioInvalid, match="'drop' in network must be a number") as caught:
         parse_scenario(text)
     assert caught.value.line == len(text.splitlines())
-    assert work == ["parse", "compose", "walk"]
+    assert work == ["parse", "compose"]
+
+
+def test_nesting_past_the_bound_is_invalid_on_the_line_that_crosses_it():
+    depth = scenario_module._MAX_DEPTH
+    with pytest.raises(ScenarioInvalid, match=f"nest at most {depth} deep") as caught:
+        parse_scenario("a: " + "[" * 2000 + "]" * 2000)
+    assert caught.value.line == 1
+    # the top mapping is one level: its value's list number ``depth`` crosses the bound
+    text = "a:\n" + "".join(" " * (i + 1) + "[\n" for i in range(depth + 5)) + " " + "]" * (depth + 5) + "\n"
+    with pytest.raises(ScenarioInvalid, match=f"nest at most {depth} deep") as caught:
+        parse_scenario(text)
+    assert caught.value.line == 1 + depth
+    with pytest.raises(ScenarioInvalid, match="unknown field 'a'"):  # at the bound, it builds
+        parse_scenario("a: " + "[" * (depth - 1) + "]" * (depth - 1))
+    with pytest.raises(ScenarioInvalid, match="mapping values are not allowed") as caught:
+        parse_scenario("a: " + "[" * 2000 + "]" * 2000 + "\nb: c: d\n")  # a parse error still wins
+    assert caught.value.line == 2
+
+
+def _alias_chain(n: int) -> list[str]:
+    """``n`` entries, each a list holding the one before it twice: their
+    expansion doubles with each entry."""
+    return ["l0: &l0 [1, 1]"] + [f"l{i}: &l{i} [*l{i - 1}, *l{i - 1}]" for i in range(1, n)]
+
+
+def test_an_alias_chain_is_refused_in_time_linear_in_its_lines():
+    start = time.perf_counter()
+    with pytest.raises(ScenarioInvalid, match="unknown field 'l0' in scenario") as caught:
+        parse_scenario("\n".join(_alias_chain(24)) + "\n")
+    assert caught.value.line == 1
+    payload = "{" + ", ".join(_alias_chain(24)) + ", 5: x}"  # the bad key comes after the chain
+    text = TEXTS["bank.yaml"] + f"  - {{at: 3, replica: A, do: emit, type: x, payload: {payload}}}\n"
+    with pytest.raises(ScenarioInvalid, match="key 5 in payload must be a string") as caught:
+        parse_scenario(text)
+    assert caught.value.line == len(text.splitlines())
+    assert time.perf_counter() - start < 2
 
 
 # texts the cross-check compares with yaml.safe_load, errors and their lines
@@ -204,6 +244,7 @@ PARSES = {
     "list-key-holding-a-bad-scalar": "? [1,\n   !!int x]\n: 1\n",
     "merge-list-of-a-list-holding-a-bad-scalar": "d:\n  <<:\n    - [a,\n       !!int x]\n",
     "refused-tag-before-a-second-document": "a: !!set {x}\n---\nb: 2\n",
+    "nesting-past-the-bound": "a: {b: 1}\nc: " + "[" * 100 + "]" * 100 + "\nd: !!int x\n",
 }
 
 
