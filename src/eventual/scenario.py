@@ -109,7 +109,8 @@ class _Lines:
         for step in path:
             if isinstance(node, yaml.MappingNode):
                 # a key as the data holds it: the document built, so each key is a scalar
-                node = next((value for key, value in node.value if _scalar(key.tag, key.value) == step), None)
+                node = next((value for key, value in node.value
+                             if _scalar(key.tag, key.value) == step), None)
             elif isinstance(node, yaml.SequenceNode) and isinstance(step, int) and 0 <= step < len(node.value):
                 node = node.value[step]
             else:
@@ -241,6 +242,7 @@ def _scalar(tag: str, text: str):
 _SCALAR_EVENT, _ALIAS_EVENT = yaml.ScalarEvent, yaml.AliasEvent
 _MAPPING_START, _MAPPING_END = yaml.MappingStartEvent, yaml.MappingEndEvent
 _SEQUENCE_END = yaml.SequenceEndEvent
+_COLLECTION_START, _COLLECTION_END = yaml.CollectionStartEvent, yaml.CollectionEndEvent
 _MAX_DEPTH = 100  # mappings and lists nested deeper are refused, not built
 _IMPLICIT = (None, "!")  # the tags the resolver replaces
 _OPEN = object()  # an anchored mapping or list while it is built: an alias of it is recursive
@@ -306,7 +308,7 @@ def _event_data(text: str):
             opened = 1
             while opened:  # past the node's end, building nothing
                 event = next_event()
-                opened += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+                opened += isinstance(event, _COLLECTION_START) - isinstance(event, _COLLECTION_END)
             return None
         if event.tag not in _IMPLICIT and event.tag != (_MAP if kind is _MAPPING_START else _SEQ):
             what = "a mapping" if kind is _MAPPING_START else "a list"
@@ -323,7 +325,7 @@ def _event_data(text: str):
                 else:
                     if type(event) is not _ALIAS_EVENT:
                         refuse(_KEY, event)  # before anything it holds
-                    key = build(event, depth=depth + 1)
+                    key = build(event, False, depth + 1)
                     if type(key) is dict or type(key) is list:
                         refuse(_KEY, event)
                         key = None
@@ -341,7 +343,7 @@ def _event_data(text: str):
                     # an alias key is named, as compose names it, where it was anchored
                     named = anchors[event.anchor][1] if type(event) is _ALIAS_EVENT else event
                     refuse(f"repeated key {key!r}", named)
-                item = scalar(value) if type(value) is _SCALAR_EVENT else build(value, depth=depth + 1)
+                item = scalar(value) if type(value) is _SCALAR_EVENT else build(value, False, depth + 1)
                 if item is _MERGE_KEY:
                     refuse(_MERGE_VALUE, value)
                 out[key] = item
@@ -356,7 +358,7 @@ def _event_data(text: str):
                 if merging and type(event) is not _MAPPING_START and (
                         type(event) is not _ALIAS_EVENT or type(anchors.get(event.anchor, (None,))[0]) is not dict):
                     refuse(_NOT_MERGEABLE, event)
-                item = scalar(event) if type(event) is _SCALAR_EVENT else build(event, depth=depth + 1)
+                item = scalar(event) if type(event) is _SCALAR_EVENT else build(event, False, depth + 1)
                 if item is _MERGE_KEY:
                     refuse(_MERGE_VALUE, event)
                 out.append(item)
@@ -637,29 +639,28 @@ def _check_summable(field_name: str, entity_type: str, initial: dict, where: str
 _PAYLOAD_FIELDS = ("deltas", "fields", "observed", "guard", "terms", "args", "payload")
 
 
-def _check_json(value, where: str, lines: _Lines, *path) -> None:
+def _check_json(value, where: str, lines: _Lines, *path, seen: set[int] | None = None) -> None:
     """Fail unless ``value`` is JSON that a line gives back as it is: a
     mapping key that is not a str would come back changed. Every scalar a
     scenario holds is a JSON leaf. A mapping or list that aliases share is
-    checked once, where it is first reached."""
-    seen: set[int] = set()
-
-    def check(value, path) -> None:
-        if not isinstance(value, (dict, list)) or id(value) in seen:
-            return
-        seen.add(id(value))
-        if isinstance(value, list):
-            for i, item in enumerate(value):
-                check(item, (*path, i))
-            return
-        for key, item in value.items():
-            if type(key) is not str:
-                line = lines.at(*path, key)  # None for a merged key: its mapping's line
-                raise ScenarioInvalid(f"key {key!r} in {where} must be a string",
-                                      lines.at(*path) if line is None else line)
-            check(item, (*path, key))
-
-    check(value, path)
+    checked once, where it is first reached (``seen`` holds the ids of
+    those checked)."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    if seen is None:
+        seen = set()
+    seen.add(id(value))
+    for key, item in items:
+        if type(key) is not str and type(value) is dict:
+            line = lines.at(*path, key)  # None for a merged key: its mapping's line
+            raise ScenarioInvalid(f"key {key!r} in {where} must be a string",
+                                  lines.at(*path) if line is None else line)
+        if isinstance(item, (dict, list)) and id(item) not in seen:
+            _check_json(item, where, lines, *path, key, seen=seen)
 
 
 def _check_payload(template: dict, where: str, config: SimConfig, lines: _Lines, *path) -> None:

@@ -31,11 +31,11 @@ departures are deliberate; ``_RefusingLoader`` notes them as it composes:
   int, float, bool, null, map, seq and merge (a plain date is a
   timestamp), a mapping or list as a key, a recursive alias, a merge key
   anywhere but as a key, a mapping or list nested deeper than
-  ``scenario._MAX_DEPTH`` (where ``yaml.safe_load`` builds it, or, far
-  deeper, raises ``RecursionError``). A scalar its tag cannot hold, a merge key's
-  value not made of mappings, an alias with no anchor, an anchor defined
-  twice and a second document are errors in both, on the same line, but
-  for an alias, which the parse names on its own line;
+  ``scenario._MAX_DEPTH`` (which ``yaml.safe_load`` builds, or, far
+  deeper, ends in ``RecursionError``). A scalar its tag cannot hold, a
+  merge key's value not made of mappings, an alias with no anchor, an
+  anchor defined twice and a second document are errors in both, on the
+  same line, but for an alias, which the parse names on its own line;
 - when a document has several problems, a parse error wins, and else
   the first in document order is named, where PyYAML names the first
   that its composer, then its constructor, meets.
@@ -172,7 +172,8 @@ class _RefusingLoader(yaml.SafeLoader):
             self.get_event()
             while opened:  # past the node's end: composing it could overflow the stack
                 event = self.get_event()
-                opened += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+                opened += isinstance(event, yaml.CollectionStartEvent)
+                opened -= isinstance(event, yaml.CollectionEndEvent)
             return yaml.ScalarNode(_TAG + "null", "", event.start_mark, event.end_mark)
         elif not isinstance(event, yaml.AliasEvent):
             tag = _TAG + ("map" if isinstance(event, yaml.MappingStartEvent) else "seq")
