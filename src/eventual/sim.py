@@ -244,6 +244,7 @@ class Simulator:
         # (time, seq, task): seq is unique, so ties never compare tasks
         self._heap: list[tuple[int, int, dict]] = []
         self._seq = 0
+        self._running_seq = 0  # the seq of the task running now
         self._trace = hashlib.sha256()
         self._trace.update(self.config.fingerprint().encode())
 
@@ -394,11 +395,11 @@ class Simulator:
         lines: list[str] = []  # trace lines not hashed yet
         max_time_exceeded = False
         while heap:
-            at, _, task = heapq.heappop(heap)
+            at, seq, task = heapq.heappop(heap)
             if at > max_time:
                 max_time_exceeded = True
                 break
-            self.now = at
+            self.now, self._running_seq = at, seq
             kind = task["kind"]
             if task.get("volatile"):
                 replica = replicas[task["replica"]]
@@ -521,10 +522,12 @@ class Simulator:
         self.nodes[action.replica].submit(message)
 
     def _defer_client(self, task: dict, at: int) -> None:
-        """Run a client action again at ``at``; it stays pending, so the
-        run cannot quiesce before it has run."""
+        """Run a client action again at ``at``, keeping its place among
+        the tasks of a tick: it is pushed back with the sequence number it
+        ran with. It stays pending, so the run cannot quiesce before it has
+        run."""
         self._client_pending += 1
-        self._schedule(at, task)
+        heapq.heappush(self._heap, (at, self._running_seq, task))
 
     def _partition_for_template(self, replica: Replica, params: dict) -> str:
         if "entity" in params:

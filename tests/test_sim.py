@@ -894,10 +894,31 @@ actions:
     sim = Simulator(parse_scenario(text))
     report = sim.run()
     assert report.quiescent and check_invariants(report) == []
-    assert report.commit_times["A"] == [1, 10]  # nothing while A is down
+    # nothing while A is down; at tick 10 the compensate keeps its place
+    # before the recover fault, so it runs at 11
+    assert report.commit_times["A"] == [1, 11]
     assert list(sim.replicas["A"].store.log("p0").checkpoints) == [EntityRef("account", "alice")]
     for rollups in report.rollups.values():
         assert json.loads(rollups["account/alice"])["value"]["balance"] == 0
+
+
+def test_deferred_client_actions_keep_their_order():
+    # both wait for A; the compensate, due first, still runs first once A is back
+    text = """
+schema: eventual/1
+entities: {account: {}}
+topology: {partitions: {p0: [A]}}
+faults: [{kind: crash, at: 3, target: A}, {kind: recover, at: 10, target: A}]
+actions:
+  - {at: 2, replica: A, do: delta, id: dep, entity: account/alice, deltas: {balance: 100}}
+  - {at: 4, replica: A, do: compensate, action: dep}
+  - {at: 5, replica: A, do: summarize, entity: account/alice}
+"""
+    sim = Simulator(parse_scenario(text))
+    report = sim.run()
+    assert report.quiescent and check_invariants(report) == []
+    (checkpoint,) = sim.replicas["A"].store.log("p0").checkpoints.values()
+    assert checkpoint.covers_up_to.to_dict() == {"A": 2}  # the compensation included
 
 
 def test_a_summarize_of_a_locked_entity_runs_once_the_pending_action_releases_it():
