@@ -126,8 +126,19 @@ def semantic_digests() -> dict[str, str]:
 
 
 def _moved(expected: dict, actual: dict) -> list[str]:
+    """Each pin that moved, as ``run: pin`` (``report_sha256`` or
+    ``trace_hash``); a run pinned by one digest is named alone. A change to
+    the schedule alone then reads as ``trace_hash`` lines only."""
     assert sorted(actual) == sorted(expected)
-    return sorted(k for k in expected if actual[k] != expected[k])
+    moved = []
+    for run in sorted(expected):
+        pins, now = expected[run], actual[run]
+        if not isinstance(pins, dict):
+            if now != pins:
+                moved.append(run)
+            continue
+        moved.extend(f"{run}: {pin}" for pin in sorted(pins) if now.get(pin) != pins[pin])
+    return moved
 
 
 def test_bundled_scenarios_match_the_golden_digests():
