@@ -2,9 +2,10 @@
 
 The outbox is written only inside a commit batch; the inbox is drained
 only by the owning replica. Transport between them is at-least-once (the
-sending node retries until acknowledged), so consumers deduplicate
-by idempotence key: at-least-once delivery plus an idempotent consumer
-yields exactly-once effect.
+sending node retries until acknowledged), so messages are deduplicated by
+idempotence key on arrival: the inbox holds one message per key, and a
+key already processed is not queued again. At-least-once delivery plus
+that idempotent consumer yields exactly-once effect.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from .errors import OutsideTransaction
 
 
 class QueueMessage(NamedTuple):
-    """One message: a trigger notification or an event hand-off.
-
-    An immutable tuple; ``delivered`` returns a copy.
-    """
+    """One message: a trigger notification or an event hand-off; an
+    immutable tuple."""
 
     message_id: str
     destination: tuple[str, str]  # (replica_id, partition_id)
@@ -28,10 +27,6 @@ class QueueMessage(NamedTuple):
     idempotence_key: str
     enqueue_stamp: int
     sender: str = ""
-    delivery_count: int = 0
-
-    def delivered(self, count: int) -> QueueMessage:
-        return self._replace(delivery_count=count)
 
 
 @dataclass
@@ -88,22 +83,22 @@ class Outbox:
 
 
 class Inbox:
-    """Durable arrival queue; may hold duplicate copies of one message."""
+    """Durable arrival queue: one message per idempotence key, in arrival
+    order (``arrivals``, key -> message)."""
 
     def __init__(self) -> None:
-        self.arrivals: list[QueueMessage] = []
-        self._arrival_counts: dict[str, int] = {}
+        self.arrivals: dict[str, QueueMessage] = {}
 
-    def add(self, message: QueueMessage) -> QueueMessage:
-        count = self._arrival_counts.get(message.message_id, 0) + 1
-        self._arrival_counts[message.message_id] = count
-        copy = message.delivered(count)
-        self.arrivals.append(copy)
-        return copy
+    def add(self, message: QueueMessage) -> bool:
+        """Queue one message; a second one with a queued key is dropped."""
+        if message.idempotence_key in self.arrivals:
+            return False
+        self.arrivals[message.idempotence_key] = message
+        return True
 
-    def remove(self, message_id: str) -> None:
-        """Drop every copy of the message (it has been fully consumed)."""
-        self.arrivals = [m for m in self.arrivals if m.message_id != message_id]
+    def remove(self, key: str) -> None:
+        """Drop the message of this idempotence key (it has been consumed)."""
+        self.arrivals.pop(key, None)
 
     def __len__(self) -> int:
         return len(self.arrivals)
@@ -113,9 +108,9 @@ class ProcessedKeySet(dict):
     """Consumed idempotence keys for one replica, each mapped to the txn id
     that consumed it (None: acknowledged without a transaction).
 
-    A key in the set means redeliveries are acknowledged silently with no
-    second handler execution. Never pruned at desk scale; pruning would be
-    a retention-watermark knob.
+    A key in the set means redeliveries are acknowledged and not queued,
+    so the handler never runs twice. Never pruned at desk scale; pruning
+    would be a retention-watermark knob.
     """
 
     def add(self, key: str, txn_id: str | None = None) -> None:
@@ -133,24 +128,9 @@ def enqueue(batch, messages: list[QueueMessage]) -> None:
 
 
 def consume_next(replica, partition_id: str) -> QueueMessage | None:
-    """Next unprocessed inbox message for (replica, partition), or None.
+    """The first queued inbox message for (replica, partition), or None.
 
-    Duplicates of already-processed keys are acknowledged and dropped here;
-    the returned message stays in the inbox until the consuming step's
-    commit batch removes it and marks the key, so a crash before that
-    commit re-exposes the message.
+    It stays in the inbox until the commit batch that marks its key
+    processed removes it, so a crash before that commit re-exposes it.
     """
-    inbox: Inbox = replica.inbox
-    processed: ProcessedKeySet = replica.processed
-    while True:
-        candidate = None
-        for message in inbox.arrivals:
-            if message.destination[1] == partition_id:
-                candidate = message
-                break
-        if candidate is None:
-            return None
-        if candidate.idempotence_key in processed:
-            inbox.remove(candidate.message_id)
-            continue
-        return candidate
+    return next((m for m in replica.inbox.arrivals.values() if m.destination[1] == partition_id), None)

@@ -2,14 +2,16 @@
 
 A ``Node`` owns one ``Replica`` and every reaction the engine runs for
 it: the commit path and what each committed batch sets off (follow-up,
-pending actions, outbox launch), message consumption (one ``consume``
-task takes the partition's next inbox message and runs its steps),
-retries, expiry, cleansing, referential resolution, compensation,
-recovery, and the anti-entropy protocol (answer, finish, merge,
-reconcile). It reaches the outside world through one small interface,
-its ``Host``, so the same code runs in the deterministic simulator
-(``eventual.sim``), in the offline ``replication.sync``, and under a
-test's fakes. A host has:
+pending actions, outbox launch), message arrival (a submit, a received
+``queue_msg`` and a local send take one path, which queues a message
+unless its idempotence key is processed or already queued), message
+consumption (one ``consume`` task per queued message takes the
+partition's first queued message and runs its steps), retries, expiry,
+cleansing, referential resolution, compensation, recovery, and the
+anti-entropy protocol (answer, finish, merge, reconcile). It reaches
+the outside world through one small interface, its ``Host``, so the same
+code runs in the deterministic simulator (``eventual.sim``), in the
+offline ``replication.sync``, and under a test's fakes. A host has:
 
 - ``now``, the current tick;
 - ``schedule(at, kind, detail, **fields)``, a volatile task the node gets
@@ -145,9 +147,9 @@ class Node:
     # -- entry points ----------------------------------------------------------
 
     def submit(self, message: QueueMessage) -> None:
-        """A client request lands in the durable inbox, even on a replica that is down."""
-        self.replica.inbox.add(message)
-        self._schedule_consume(message.destination[1])
+        """A client request lands in the durable inbox, even on a replica
+        that is down, which consumes it once it recovers."""
+        self._arrive(message)
 
     def on_timer(self, task: dict) -> None:
         """Run a task this node scheduled, now due."""
@@ -157,9 +159,8 @@ class Node:
         """An envelope from node ``src``."""
         if kind == "queue_msg":
             message = QueueMessage(**body)
-            self.replica.inbox.add(message)
             self._send(src, "ack", {"message_id": message.message_id}, message.message_id)
-            self._schedule_consume(message.destination[1])
+            self._arrive(message)
         elif kind == "ack":
             self.replica.outbox.mark_acked(body["message_id"])
         elif kind == "sync_req":
@@ -177,14 +178,13 @@ class Node:
 
     def recover(self) -> None:
         """Bring the replica back and re-derive its volatile work from durable
-        state: consumption of its inbox, retries of its unacked outbox, the
-        locks and pending tasks of its unapplied descriptors, and the
+        state: a consume per queued message, retries of its unacked outbox,
+        the locks and pending tasks of its unapplied descriptors, and the
         follow-up of every hosted entity."""
         replica = self.replica
         replica.recover()
-        for partition_id in replica.partitions_hosted():
-            if any(m.destination[1] == partition_id for m in replica.inbox.arrivals):
-                self._schedule_consume(partition_id)
+        for message in replica.inbox.arrivals.values():
+            self._schedule_consume(message.destination[1])
         for entry in replica.outbox.pending():
             self._schedule_retry(entry.message.message_id, self.host.now + 1)
         for descriptor in replica.unapplied_descriptors():
@@ -273,6 +273,16 @@ class Node:
         if self._in_commit:
             self.commit_path_sends += 1
         self.host.send(dst, kind, body, env_id)
+
+    def _arrive(self, message: QueueMessage) -> None:
+        """Every arrival's one path: queue the message unless its
+        idempotence key is processed or already queued. A message queued on
+        a live replica gets one ``consume``; a down one's wait for ``recover``."""
+        replica = self.replica
+        if message.idempotence_key in replica.processed or not replica.inbox.add(message):
+            return
+        if replica.alive:
+            self._schedule_consume(message.destination[1])
 
     def _schedule_consume(self, partition: str, delay: int = 0) -> None:
         """Take the partition's next message ``delay`` ticks from now."""
@@ -430,9 +440,8 @@ class Node:
         dst = message.destination[0]
         if dst == replica.replica_id:
             # local destination: enqueue/dequeue are local, no network at all
-            replica.inbox.add(message)
             replica.outbox.mark_acked(message.message_id)
-            self._schedule_consume(message.destination[1])
+            self._arrive(message)
             return
         self._send(
             dst,
@@ -461,15 +470,16 @@ class Node:
         self._transmit(entry)
 
     def _task_consume(self, task: dict) -> None:
-        """Take the partition's next unprocessed message and run it: its
-        matched steps, else an ack-only batch, then the next message. A step
-        that meets a pending descriptor's lock takes the message again
-        ``lock_backoff`` ticks later."""
+        """Take the partition's first queued message and run it: its matched
+        steps, else an ack-only batch. Each queued message has one consume,
+        so none finds the inbox empty. A step that meets a pending
+        descriptor's lock takes the message again ``lock_backoff`` ticks
+        later."""
         replica = self.replica
         partition = task["partition"]
         message = bus.consume_next(replica, partition)
         if message is None:
-            return
+            return  # a recover of a replica that was not down re-scheduled its consumes
         steps = self._matched_steps(message)
         # a join's trigger that arrives before the rest is taken, not unmatched: the
         # join records it in its correlation entity and fires no step yet
@@ -477,9 +487,7 @@ class Node:
             replica.record(self.host.now, "message_unmatched", msg_type=message.msg_type)
         try:
             for i, (step_def, payload, session) in enumerate(steps):
-                marker = None
-                if i == len(steps) - 1:
-                    marker = (message.message_id, message.idempotence_key)
+                marker = message.idempotence_key if i == len(steps) - 1 else None
                 ctx = StepContext(
                     replica=replica,
                     now=self.host.now,
@@ -502,14 +510,11 @@ class Node:
                 session="sys",
                 processed_key=message.idempotence_key,
                 ack_only=True,
-                inbox_remove=message.message_id,
             )
             self._commit_batch(batch)
         self.handler_effects[message.idempotence_key] = (
             self.handler_effects.get(message.idempotence_key, 0) + 1
         )
-        if any(m.destination[1] == partition for m in replica.inbox.arrivals):
-            self._schedule_consume(partition)
 
     def _matched_steps(self, message: QueueMessage):
         """Builtin client templates, the apology recorder, and registered

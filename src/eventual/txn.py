@@ -117,7 +117,6 @@ class CommitBatch:
     descriptor: PendingActionDescriptor | None = None
     processed_key: str | None = None
     ack_only: bool = False  # consumes processed_key without a transaction
-    inbox_remove: str | None = None
     completions: list[str] = field(default_factory=list)
     lock_scope: list[EntityRef] = field(default_factory=list)
     open: bool = True
@@ -143,7 +142,7 @@ class StepContext:
     session: str
     payload: dict
     idempotence_base: str
-    consume_marker: tuple[str, str] | None = None  # (message_id, idempotence_key)
+    consume_marker: str | None = None  # the idempotence key of the message consumed
     notify: tuple[str, str] | None = None
     partition: str | None = None
 
@@ -454,7 +453,7 @@ def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
     if messages:
         bus.enqueue(batch, messages)
     if ctx.consume_marker is not None:
-        batch.inbox_remove, batch.processed_key = ctx.consume_marker
+        batch.processed_key = ctx.consume_marker
     if descriptor is not None:
         batch.lock_scope = list(lock_needs)
     commit(replica, batch, ctx.now)
@@ -512,7 +511,8 @@ def commit(replica: Replica, batch: CommitBatch, now: int = 0) -> None:
     sequence order. Events were routed, validated and stamped where they
     were made (``ReplicaStore.make_event``). Replaying an identical batch
     is a no-op (idempotent by event id), so crash-recovery replays leave
-    the log byte-identical. A processed key maps to its consuming txn id.
+    the log byte-identical. A processed key maps to its consuming txn id,
+    and its message leaves the inbox.
     The replica's ``on_commit`` hook gets the batch last, once it is durable.
     """
     events = batch.events
@@ -537,8 +537,7 @@ def commit(replica: Replica, batch: CommitBatch, now: int = 0) -> None:
         replica.descriptors[batch.descriptor.txn_id] = batch.descriptor
     if batch.processed_key is not None:
         replica.processed.add(batch.processed_key, None if batch.ack_only else batch.txn_id)
-    if batch.inbox_remove is not None:
-        replica.inbox.remove(batch.inbox_remove)
+        replica.inbox.remove(batch.processed_key)
     for ckey in batch.completions:
         replica.action_completions.add(ckey)
     batch.open = False

@@ -7,7 +7,7 @@ import pytest
 from eventual import bus
 from eventual.bus import Inbox, Outbox, ProcessedKeySet, QueueMessage
 from eventual.errors import OutsideTransaction
-from eventual.txn import CommitBatch, ProcessStepDef, StepContext, TriggerSpec, execute_step
+from eventual.txn import CommitBatch, ProcessStepDef, StepContext, TriggerSpec, commit, execute_step
 
 from test_txn import ctx_for, make_replica, step
 
@@ -76,17 +76,15 @@ def test_consume_next_empty_inbox_is_none():
     assert bus.consume_next(make_replica(), "p0") is None
 
 
-def test_consume_next_skips_processed_duplicates_silently():
+def test_the_commit_that_marks_a_key_processed_removes_its_message():
     replica = make_replica()
     replica.inbox.add(msg("m1", key="K"))
-    first = bus.consume_next(replica, "p0")
-    assert first is not None and first.message_id == "m1"
-    replica.processed.add("K")
-    replica.inbox.remove("m1")
-    # redelivery of the same key: acknowledged, never handed out again
-    replica.inbox.add(msg("m1-redelivery", key="K"))
-    assert bus.consume_next(replica, "p0") is None
-    assert len(replica.inbox) == 0
+    replica.inbox.add(msg("m2", key="L"))
+    assert bus.consume_next(replica, "p0").message_id == "m1"
+    commit(replica, CommitBatch(txn_id="t1", session="sys", processed_key="K", ack_only=True))
+    assert replica.processed == {"K": None}
+    assert bus.consume_next(replica, "p0").message_id == "m2"
+    assert len(replica.inbox) == 1
 
 
 def test_consume_next_is_partition_scoped():
@@ -97,34 +95,32 @@ def test_consume_next_is_partition_scoped():
     assert got is not None and got.message_id == "m1"
 
 
-def test_inbox_may_hold_duplicate_copies():
+def test_the_inbox_holds_one_message_per_idempotence_key_in_arrival_order():
     inbox = Inbox()
-    original = msg("m1")
-    first = inbox.add(original)
-    second = inbox.add(original)
-    assert first.delivery_count == 1
-    assert second.delivery_count == 2
-    assert len(inbox) == 2
-    inbox.remove("m1")
-    assert len(inbox) == 0
+    assert inbox.add(msg("m1", key="K"))
+    assert not inbox.add(msg("m1", key="K"))  # a second copy
+    assert not inbox.add(msg("m9", key="K"))  # another message with the key
+    assert inbox.add(msg("m2"))
+    assert [m.message_id for m in inbox.arrivals.values()] == ["m1", "m2"]
+    inbox.remove("K")
+    inbox.remove("K")  # removing a key not queued changes nothing
+    assert [m.message_id for m in inbox.arrivals.values()] == ["m2"]
+    assert len(inbox) == 1
 
 
 def test_a_message_is_an_immutable_record():
     original = msg("m1")
     with pytest.raises(AttributeError):
-        original.delivery_count = 3
+        original.sender = "C"
     assert msg("m1") == original != msg("m2")
-    copy = original.delivered(2)
-    assert copy.delivery_count == 2 and original.delivery_count == 0
-    assert copy._replace(delivery_count=0) == original
+    copy = original._replace(sender="C")
+    assert copy.sender == "C" and original.sender == "B"
 
 
 def test_outbox_collapses_reemissions_of_the_same_logical_send():
     replica = make_replica()
     batch1 = CommitBatch(txn_id="t1", session="s")
     bus.enqueue(batch1, [msg("t1:m0", key="K")])
-    from eventual.txn import commit
-
     commit(replica, batch1)
     batch2 = CommitBatch(txn_id="t2", session="s")
     bus.enqueue(batch2, [msg("t2:m0", key="K")])  # crash-replay re-emission
@@ -169,7 +165,7 @@ def test_crash_between_dequeue_and_commit_redelivers_for_one_net_effect():
     from test_txn import ctx_for, step
 
     ctx = ctx_for(replica, redelivered.idempotence_key)
-    ctx.consume_marker = (redelivered.message_id, redelivered.idempotence_key)
+    ctx.consume_marker = redelivered.idempotence_key
     outcome = execute_step(
         step("apply", {"kind": "delta", "entity": "account/alice", "deltas": {"balance": 1}}), ctx
     )

@@ -144,7 +144,56 @@ def test_a_message_that_meets_a_pending_lock_is_consumed_again_after_the_backoff
     world.run(until=14)  # the pending task released the locks at 12
     assert node.replica.store.rollup("p0", ACCOUNT).value["balance"] == 105
     assert node.handler_effects["client:pay"] == 1
-    assert node.replica.inbox.arrivals == []
+    assert len(node.replica.inbox) == 0
+
+
+# -- arrival: one path, one consume per queued message --------------------------------
+
+
+def test_a_second_copy_and_a_redelivery_of_a_processed_key_are_acked_and_not_queued():
+    world = World([make_replica("A"), make_replica("B")])
+    node = world.nodes["A"]
+    body = client("A", "pay", kind="delta", entity="account/alice", deltas={"balance": 5})._asdict()
+    node.receive("B", "queue_msg", body)
+    node.receive("B", "queue_msg", body)  # the network duplicated the envelope
+    assert [s["kind"] for s in world.sends] == ["ack", "ack"]
+    assert len(world.tasks("consume")) == 1 and len(node.replica.inbox) == 1
+    world.run(until=0)
+    assert "client:pay" in node.replica.processed and len(node.replica.inbox) == 0
+    node.receive("B", "queue_msg", body)  # a late redelivery of the processed key
+    assert [s["kind"] for s in world.sends] == ["ack"] * 3
+    assert len(world.tasks("consume")) == 1 and len(node.replica.inbox) == 0
+    assert node.handler_effects == {"client:pay": 1}
+    assert node.replica.store.rollup("p0", ACCOUNT).value["balance"] == 5
+
+
+def test_a_message_whose_key_is_already_queued_queues_nothing():
+    world = World([make_replica("A")])
+    node = world.nodes["A"]
+    payload = {"apology_id": "apology:r1", "subject": "r1", "cause": "overbooking", "entity": str(BOOK)}
+    for sender in ("B", "C"):  # two replicas apologize for one broken promise
+        apology = QueueMessage(f"{sender}:t1:a0", ("A", "p0"), "_apology.record", payload, "apology:r1", 0, sender)
+        node.receive(sender, "queue_msg", apology._asdict())
+    assert [m.sender for m in node.replica.inbox.arrivals.values()] == ["B"]
+    assert len(world.tasks("consume")) == 1
+    world.run(until=0)
+    assert [a.subject for a in scan_apologies(node.replica)] == ["r1"]
+    assert node.handler_effects == {"apology:r1": 1}
+
+
+def test_a_down_replica_queues_submits_and_consumes_each_once_recovered():
+    world = World([make_replica("A")])
+    node = world.nodes["A"]
+    node.replica.crash()
+    for action_id, amount in (("d1", 1), ("d2", 2)):
+        node.submit(client("A", action_id, kind="delta", entity="account/alice", deltas={"balance": amount}))
+    assert world.scheduled == [] and len(node.replica.inbox) == 2
+    node.recover()
+    consume = {"kind": "consume", "detail": "A:p0", "partition": "p0"}
+    assert world.tasks("consume") == [(0, consume), (0, consume)]
+    world.run(until=0)
+    assert len(node.replica.inbox) == 0
+    assert node.replica.store.rollup("p0", ACCOUNT).value["balance"] == 3
 
 
 def test_a_committed_message_is_sent_only_once_the_commit_path_has_exited():

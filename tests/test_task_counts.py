@@ -5,7 +5,8 @@ The count is read from the lines the run hashes into its trace hash
 ``Simulator._trace`` that forwards every update to the real hash. Its
 digest must equal the pinned trace hash, so the count covers exactly the
 hashed task stream. A change that adds or removes tasks moves these
-pins, and must say why.
+pins, and must say why. Each queued message has one ``consume``, so none
+finds its partition's inbox empty.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 from collections import Counter
 from pathlib import Path
 
+from eventual import bus
 from eventual.scenario import load_scenario
 from eventual.sim import Simulator
 
@@ -25,10 +27,10 @@ SEED = 1
 TASKS = {
     "bank": {"client": 4, "consume": 3, "sync": 2},
     "broken_merge": {"client": 2, "consume": 2, "deliver": 10, "sync": 6},
-    "gossip": {"client": 12, "consume": 35, "deliver": 133, "fault": 4, "retry": 56, "sync": 51},
+    "gossip": {"client": 12, "consume": 21, "deliver": 133, "fault": 4, "retry": 56, "sync": 51},
     "invoice": {"client": 4, "consume": 5, "pending": 2, "sync": 12},
     "negative_inventory": {"cleanse": 1, "client": 3, "consume": 3, "sync": 3},
-    "overbooking": {"client": 8, "consume": 22, "deliver": 52, "expiry": 8, "fault": 2, "retry": 13,
+    "overbooking": {"client": 8, "consume": 11, "deliver": 52, "expiry": 8, "fault": 2, "retry": 13,
                     "sync": 42},
     "ref_child_first": {"client": 2, "consume": 2, "pending": 1, "sync": 5},
     "ref_parent_first": {"client": 2, "consume": 2, "pending": 1, "sync": 5},
@@ -64,7 +66,16 @@ def _task_counts(path: Path) -> tuple[dict[str, int], str]:
     return dict(sorted(trace.kinds.items())), report.trace_hash
 
 
-def test_every_bundled_run_executes_its_pinned_tasks_per_kind():
+def test_every_bundled_run_executes_its_pinned_tasks_per_kind(monkeypatch):
+    found_nothing: Counter[str] = Counter()  # consumes that took no message, by scenario
+    consume_next = bus.consume_next
+
+    def counted(replica, partition):
+        message = consume_next(replica, partition)
+        found_nothing[path.stem] += message is None
+        return message
+
+    monkeypatch.setattr(bus, "consume_next", counted)
     golden = json.loads(GOLDEN.read_text())
     counts = {}
     for path in sorted(SCENARIOS.glob("*.yaml")):
@@ -72,8 +83,9 @@ def test_every_bundled_run_executes_its_pinned_tasks_per_kind():
         assert trace_hash == golden[f"{path.stem}@{SEED}"]["trace_hash"]
         counts[path.stem] = kinds
     assert counts == TASKS
+    assert +found_nothing == Counter()
     total = Counter()
     for kinds in counts.values():
         total.update(kinds)
-    assert sum(total.values()) == 637
+    assert sum(total.values()) == 612
     assert "exec" not in total  # a message takes one task, its consume
