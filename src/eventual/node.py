@@ -277,7 +277,8 @@ class Node:
     def _arrive(self, message: QueueMessage) -> None:
         """Every arrival's one path: queue the message unless its
         idempotence key is processed or already queued. A message queued on
-        a live replica gets one ``consume``; a down one's wait for ``recover``."""
+        a live replica gets one ``consume``; on a down one, ``recover``
+        schedules it."""
         replica = self.replica
         if message.idempotence_key in replica.processed or not replica.inbox.add(message):
             return
