@@ -669,7 +669,8 @@ def _check_payload(template: dict, where: str, config: SimConfig, lines: _Lines,
     compares are numbers: each value of ``deltas`` and ``observed``, a
     reserve's ``quantity``, its ``deadline`` unless null, and a guard's
     ``min``. Every payload field holds JSON only (``_check_json``). A ``reservation_id`` keys a
-    reservation: a string or an int. A ``cause`` names one, and a guard's
+    reservation: a string, or an int, which the step writes as its decimal
+    string. A ``cause`` names one, and a guard's
     ``field``, an ``emit`` entry's ``type``, each of its ``payload_from``
     entries (a list) and every ``<name>_from`` field (``key_from``, the
     message field a parameter is read from) name theirs: strings. An

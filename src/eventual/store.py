@@ -102,6 +102,8 @@ OP_DISCREPANCY = "discrepancy"
 OP_KINDS = frozenset(
     (OP_INSERT, OP_DELTA, OP_TOMBSTONE, OP_TENTATIVE, OP_CONFIRM, OP_CANCEL, OP_APOLOGY, OP_DISCREPANCY)
 )
+# the op kinds that name a reservation; the id they name is a string
+_RESERVATION_OPS = frozenset((OP_TENTATIVE, OP_CONFIRM, OP_CANCEL))
 
 # Reservation states, weakest to strongest. When concurrent lifecycle
 # events disagree, the strongest state wins, which makes the derived
@@ -196,8 +198,7 @@ def sorted_copy(obj):
     """A copy of engine state (a fold snapshot, a probed value) with dict
     keys sorted: dicts as new dicts, lists and tuples as new lists, any
     other value as it is. Unlike ``canon`` it checks nothing, since state
-    is not a payload: it may be keyed by a payload value, such as an int
-    reservation id."""
+    is not a payload."""
     if isinstance(obj, dict):
         out = {}
         for k in sorted(obj):
@@ -284,7 +285,8 @@ class EventRecord(NamedTuple):
         has a field of the wrong type (the error names the field). The lww
         hint and each causal-stamp entry must be ints (not bools), the
         entries positive; the op kind, idempotence key and txn id strings;
-        the payload and causal stamp objects.
+        the payload and causal stamp objects; the ``reservation_id`` of a
+        tentative, confirm or cancel, where it has one, a string.
 
         A line is one scan of the JSON scanner from its first character;
         a line whose value does not end at its end (whitespace around it,
@@ -307,6 +309,8 @@ class EventRecord(NamedTuple):
                 raise _wrong_field_type(raw)
             if op_kind not in OP_KINDS:
                 raise ValueError(f"unknown op kind {op_kind!r}")
+            if op_kind in _RESERVATION_OPS and type(payload.get("reservation_id", "")) is not str:
+                raise TypeError(f"reservation_id is not a string: {payload['reservation_id']!r}")
             for origin, n in stamp.items():
                 if type(n) is not int or n < 1:
                     raise TypeError(f"causal_stamp entry {origin!r} is not a positive int: {n!r}")
@@ -801,8 +805,9 @@ class ReplicaStore:
 
         Routes the entity (WrongPartition if no hosted partition takes its
         type) and validates the payload first. An op kind ``from_line``
-        does not know, an idempotence key or txn id that is not a str, or a
-        payload that is not a dict of JSON values (``canon``) raises
+        does not know, an idempotence key or txn id that is not a str, a
+        payload that is not a dict of JSON values (``canon``), or a
+        reservation event whose ``reservation_id`` is not a str raises
         InvalidRecord, so ``from_line(event.to_line()) == event`` for every
         event made here. The event takes the next
         sequence number and Lamport hint, a canonical copy of the payload
@@ -819,6 +824,8 @@ class ReplicaStore:
             )
         if not isinstance(payload, dict):
             raise InvalidRecord(f"payload is not a dict: {payload!r}")
+        if op_kind in _RESERVATION_OPS and type(payload.get("reservation_id", "")) is not str:
+            raise InvalidRecord(f"reservation id {payload['reservation_id']!r} is not a string")
         self.registry.validate_payload(entity_ref.entity_type, payload)
         payload = canon(payload)
         self.seq = seq = self.seq + 1

@@ -178,6 +178,14 @@ def _param(template: dict, payload: dict, name: str, default=None):
     return default
 
 
+def _reservation_id(template: dict, payload: dict):
+    """A reservation id is a string: an int one (a scenario or a message
+    may hold one) becomes its decimal string, the text its idempotence
+    keys already hold."""
+    rid = _param(template, payload, "reservation_id")
+    return str(rid) if type(rid) is int else rid
+
+
 def _entity(template: dict, payload: dict) -> EntityRef:
     if "entity" in template:
         return EntityRef.parse(template["entity"])
@@ -273,7 +281,7 @@ def interpret(template: dict, ctx: StepContext) -> StepPlan:
         return plan
 
     if kind == "reserve":
-        rid = _param(template, payload, "reservation_id")
+        rid = _reservation_id(template, payload)
         quantity = _param(template, payload, "quantity", 1)
         deadline = _param(template, payload, "deadline")
         if deadline is None and "deadline_offset" in template:
@@ -289,11 +297,11 @@ def interpret(template: dict, ctx: StepContext) -> StepPlan:
         return plan
 
     if kind == "confirm":
-        rid = _param(template, payload, "reservation_id")
+        rid = _reservation_id(template, payload)
         return _plan_confirm(ctx, entity, rid, _emits(template, payload))
 
     if kind == "cancel":
-        rid = _param(template, payload, "reservation_id")
+        rid = _reservation_id(template, payload)
         cause = template.get("cause", "cancelled")
         view = ctx.rollup(entity).value.get("reservations", {})
         if rid not in view:

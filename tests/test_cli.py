@@ -627,8 +627,9 @@ actions:
 
 
 def test_an_int_reservation_id_runs_summarizes_and_renders_its_report(tmp_path, capsys):
-    """A payload may hold any JSON value, so an int reservation id keys a
-    reservation in fold state; the checkpoint and the report take it as it is."""
+    """A scenario may give an int reservation id: the step writes it as its
+    decimal string, which keys the reservation in fold state, the checkpoint,
+    the events and the report."""
     path = tmp_path / "int_rid.yaml"
     path.write_text("""schema: eventual/1
 entities:
@@ -646,6 +647,7 @@ actions:
     capsys.readouterr()
     assert 'reservations A: {"5": "tentative"}' in report.read_text().splitlines()
     assert '"reservations": {"5": {' in report.read_text()
+    assert '"reservation_id":"5"' in report.read_text()
 
 
 def test_a_run_cut_at_max_time_fails_its_invariants_and_exits_one(tmp_path, capsys):

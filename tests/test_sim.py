@@ -215,6 +215,16 @@ def test_partitioned_overbooking_yields_exactly_three_apologies():
     assert sorted(states).count("expired") == 5
 
 
+def test_an_int_reservation_id_beside_string_ids_is_its_decimal_string():
+    # a scenario may give an int id: the step writes it as "7", so the fold,
+    # the scans and the report sort one type of id
+    report = run(parse_scenario(OVERBOOK.replace("reservation_id: rA2", "reservation_id: 7")), seed=0)
+    assert report.quiescent
+    assert converged(report)
+    assert len(report.apologies) == 3
+    assert list(report.reservations["A"]) == ["7", "rA1", "rA3", "rA4", "rB1", "rB2", "rB3", "rB4"]
+
+
 def test_no_apologies_when_total_reservations_fit():
     trimmed = OVERBOOK.replace(
         "  - {at: 7, replica: B, do: reserve, id: rB3, entity: book/moby, reservation_id: rB3, deadline: 200}\n", ""

@@ -514,8 +514,11 @@ def test_every_made_event_decodes_from_its_line_to_an_equal_record(op_kind, payl
         (OP_INSERT, {"fields": [b"raw"]}, "k"),
         ("upsert", {}, "k"),
         (OP_DELTA, {}, 7),
+        (OP_TENTATIVE, {"reservation_id": 7, "quantity": 1}, "k"),
+        (OP_CANCEL, {"reservation_id": ["r1"], "cause": "cancelled"}, "k"),
     ],
-    ids=["int-key", "mixed-keys", "set-leaf", "bytes-leaf", "unknown-op-kind", "int-idempotence-key"],
+    ids=["int-key", "mixed-keys", "set-leaf", "bytes-leaf", "unknown-op-kind", "int-idempotence-key",
+         "int-reservation-id", "list-reservation-id"],
 )
 def test_a_value_no_line_gives_back_is_refused_before_an_event_is_made(op_kind, payload, key):
     store = make_store()
@@ -648,11 +651,15 @@ def test_a_zero_entry_is_absent():
         (lambda line: line.replace('"causal_stamp":{"A":1}', '"causal_stamp":{"A":0}'), "causal_stamp"),
         (lambda line: line.replace('"causal_stamp":{"A":1}', '"causal_stamp":{"A":"1"}'), "causal_stamp"),
         (lambda line: line.replace('"causal_stamp":{"A":1}', '"causal_stamp":{"A":true}'), "causal_stamp"),
+        # a reservation id is a string
+        (lambda line: line.replace('"op_kind":"delta","payload":{"deltas":{"balance":100}}',
+                                   '"op_kind":"tentative","payload":{"reservation_id":7}'), "reservation_id"),
     ],
     ids=["truncated", "missing-field", "bad-event-id", "seq-zero", "seq-underscore", "seq-space",
          "seq-plus", "seq-leading-zero", "seq-arabic-indic-digit", "unknown-op",
          "hint-string", "hint-bool", "hint-float", "op-kind-list", "key-int", "txn-null",
-         "payload-list", "stamp-string", "stamp-zero", "stamp-entry-string", "stamp-entry-bool"],
+         "payload-list", "stamp-string", "stamp-zero", "stamp-entry-string", "stamp-entry-bool",
+         "reservation-id-int"],
 )
 def test_malformed_archive_lines_raise_a_typed_error_naming_the_line(corrupt, field):
     store = make_store()
