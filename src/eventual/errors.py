@@ -33,7 +33,8 @@ class MalformedEvent(EngineError):
 
 class InvalidRecord(EngineError):
     """A value has no exact JSON line: ``canon`` met a key that is not a
-    string or a leaf that is not a str, int, float, bool or None, or
+    string, a leaf that is not a str, int, float, bool or None, or a string
+    holding a surrogate pair (``EventRecord.to_line`` refuses one too), or
     ``ReplicaStore.make_event`` an unknown op kind or an idempotence key
     that is not a string, or ``SchemaRegistry.register`` an entity type
     holding a ``/``. ``EventRecord.from_line`` would not give back an

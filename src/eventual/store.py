@@ -72,6 +72,7 @@ event's route before it appends any.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
@@ -145,6 +146,27 @@ _FIELD_TYPES = (
 )
 
 
+# a high surrogate then a low one: a line writes them as two ``\u`` escapes,
+# which decode to one astral character, so no line gives such a string back
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+def _refuse_surrogate_pairs(obj) -> None:
+    """Raise InvalidRecord on the first string in ``obj`` (a str, or dicts,
+    lists and tuples of them, keys included) holding a surrogate pair.
+    Callers skip an ASCII string, which cannot hold one."""
+    if type(obj) is str:
+        if _SURROGATE_PAIR.search(obj):
+            raise InvalidRecord(f"{obj!r} holds a surrogate pair, which its line would decode to one character")
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            _refuse_surrogate_pairs(k)
+            _refuse_surrogate_pairs(v)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _refuse_surrogate_pairs(item)
+
+
 def _wrong_field_type(raw: dict) -> TypeError:
     """The error naming the first field of ``raw`` of the wrong type."""
     name, _, text = next(field for field in _FIELD_TYPES if type(raw[field[0]]) is not field[1])
@@ -157,9 +179,9 @@ def canon(obj):
 
     Dicts come back as new dicts with their keys sorted, lists and tuples
     as new lists, and leaves (str, int, float, bool, None) as they are;
-    a leaf is copied without a recursive call. A key that is not a str or
-    a leaf of any other type raises InvalidRecord: its JSON line would not
-    decode to it. Floats pass, inf and nan included: ``json`` writes and
+    a leaf is copied without a recursive call. A key that is not a str, a
+    leaf of any other type, or a string key or leaf holding a surrogate
+    pair raises InvalidRecord: its JSON line would not decode to it. Floats pass, inf and nan included: ``json`` writes and
     reads them back.
     """
     if isinstance(obj, dict):
@@ -171,8 +193,12 @@ def canon(obj):
         for k in keys:
             if type(k) is not str:
                 raise InvalidRecord(f"key {k!r} is not a string")
+            if not k.isascii():
+                _refuse_surrogate_pairs(k)
             v = obj[k]
             if type(v) in JSON_LEAVES:
+                if type(v) is str and not v.isascii():
+                    _refuse_surrogate_pairs(v)
                 out[k] = v
             elif isinstance(v, _CONTAINERS):
                 out[k] = canon(v)
@@ -183,6 +209,8 @@ def canon(obj):
         out = []
         for v in obj:
             if type(v) in JSON_LEAVES:
+                if type(v) is str and not v.isascii():
+                    _refuse_surrogate_pairs(v)
                 out.append(v)
             elif isinstance(v, _CONTAINERS):
                 out.append(canon(v))
@@ -190,6 +218,8 @@ def canon(obj):
                 raise InvalidRecord(f"list item is not JSON: {v!r}")
         return out
     if type(obj) in JSON_LEAVES:
+        if type(obj) is str and not obj.isascii():
+            _refuse_surrogate_pairs(obj)
         return obj
     raise InvalidRecord(f"value is not JSON: {obj!r}")
 
@@ -268,14 +298,21 @@ class EventRecord(NamedTuple):
         """One-line archival form, fields in fixed canonical order: the
         bytes ``_line_json`` writes for the record's eight-field dict, with
         the stamp's origins sorted. The fields are written in place; only
-        the payload goes through the encoder."""
+        the payload goes through the encoder.
+
+        A string holding a surrogate pair raises InvalidRecord: the line
+        writes it as two ``\\u`` escapes, which decode to one character.
+        Only a line holding a ``\\ud`` escape is searched for one."""
         (replica, seq), (entity_type, key), op_kind, payload, stamp, lww_hint, ikey, txn_id = self
         entries = ",".join([f"{_quoted(origin)}:{n}" for origin, n in stamp.items()])
-        return (
+        line = (
             f'{{"event_id":{_quoted(f"{replica}:{seq}")},"entity_ref":{_quoted(f"{entity_type}/{key}")},'
             f'"op_kind":{_quoted(op_kind)},"payload":{_line_json(payload)},"causal_stamp":{{{entries}}},'
             f'"lww_hint":{lww_hint},"idempotence_key":{_quoted(ikey)},"origin_txn_id":{_quoted(txn_id)}}}'
         )
+        if "\\ud" in line:
+            _refuse_surrogate_pairs((replica, entity_type, key, op_kind, payload, stamp.to_dict(), ikey, txn_id))
+        return line
 
     @classmethod
     def from_line(cls, line: str) -> EventRecord:
@@ -286,7 +323,9 @@ class EventRecord(NamedTuple):
         hint and each causal-stamp entry must be ints (not bools), the
         entries positive; the op kind, idempotence key and txn id strings;
         the payload and causal stamp objects; the ``reservation_id`` of a
-        tentative, confirm or cancel, where it has one, a string.
+        tentative, confirm or cancel, where it has one, a string. A line
+        that is not ASCII may hold a raw surrogate pair, which ``to_line``
+        would not write back: one that does is malformed.
 
         A line is one scan of the JSON scanner from its first character;
         a line whose value does not end at its end (whitespace around it,
@@ -314,8 +353,10 @@ class EventRecord(NamedTuple):
             for origin, n in stamp.items():
                 if type(n) is not int or n < 1:
                     raise TypeError(f"causal_stamp entry {origin!r} is not a positive int: {n!r}")
+            if not line.isascii():
+                _refuse_surrogate_pairs(raw)
             entity_type, _, ref_key = raw["entity_ref"].partition("/")
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, InvalidRecord) as exc:
             raise MalformedEvent(line, exc) from exc
         # every entry is checked positive, so the stamp is wrapped as it is
         return _tuple_new(cls, (
@@ -806,9 +847,9 @@ class ReplicaStore:
         Routes the entity (WrongPartition if no hosted partition takes its
         type) and validates the payload first. An op kind ``from_line``
         does not know, an idempotence key or txn id that is not a str, a
-        payload that is not a dict of JSON values (``canon``), or a
-        reservation event whose ``reservation_id`` is not a str raises
-        InvalidRecord, so ``from_line(event.to_line()) == event`` for every
+        payload that is not a dict of JSON values (``canon``), a reservation
+        event whose ``reservation_id`` is not a str, or a string holding a
+        surrogate pair raises InvalidRecord, so ``from_line(event.to_line()) == event`` for every
         event made here. The event takes the next
         sequence number and Lamport hint, a canonical copy of the payload
         (``canon``), and as causal stamp its partition log's frontier with
@@ -824,6 +865,9 @@ class ReplicaStore:
             )
         if not isinstance(payload, dict):
             raise InvalidRecord(f"payload is not a dict: {payload!r}")
+        for text in (idempotence_key, origin_txn_id, *entity_ref):
+            if not text.isascii():
+                _refuse_surrogate_pairs(text)
         if op_kind in _RESERVATION_OPS and type(payload.get("reservation_id", "")) is not str:
             raise InvalidRecord(f"reservation id {payload['reservation_id']!r} is not a string")
         self.registry.validate_payload(entity_ref.entity_type, payload)

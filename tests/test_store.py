@@ -6,9 +6,10 @@ import copy
 import itertools
 import json
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eventual.clocks import VersionVector
@@ -455,6 +456,22 @@ def test_an_entity_ref_parses_back_from_its_text(entity_type, key):
     assert EntityRef.parse(str(ref)) == ref
 
 
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+def _holds_surrogate_pair(obj) -> bool:
+    """Whether a string in ``obj``, keys included, holds a high surrogate
+    then a low one: a line writes them as two escapes, which decode to one
+    character, so every line codec refuses them."""
+    if isinstance(obj, str):
+        return _SURROGATE_PAIR.search(obj) is not None
+    if isinstance(obj, dict):
+        return any(_holds_surrogate_pair(k) or _holds_surrogate_pair(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return any(_holds_surrogate_pair(v) for v in obj)
+    return False
+
+
 _payloads = st.recursive(
     st.integers() | st.floats(allow_nan=False) | st.text() | st.booleans() | st.none(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
@@ -473,6 +490,10 @@ def test_an_event_line_decodes_to_an_equal_record(payload, stamp, replica, seq):
     event = EventRecord(
         EventId(replica, seq), ACCOUNT, OP_DELTA, payload, VersionVector(stamp), seq, "k", "t"
     )
+    if _holds_surrogate_pair(payload):
+        with pytest.raises(InvalidRecord, match="surrogate pair"):
+            event.to_line()
+        return
     assert EventRecord.from_line(event.to_line()) == event
 
 
@@ -498,6 +519,12 @@ def test_every_made_event_decodes_from_its_line_to_an_equal_record(op_kind, payl
     # A run hands its receivers the sender's record for a line instead of
     # decoding it, which is sound only if decoding would give that record back.
     store = make_store()
+    if _holds_surrogate_pair([payload, later]):
+        # no line gives such a string back: the store refuses it before making an event
+        held = payload if _holds_surrogate_pair(payload) else later
+        with pytest.raises(InvalidRecord, match="surrogate pair"):
+            store.make_event(EntityRef("profile", "p/1"), op_kind, held, "k", "t")
+        return
     first = store.make_event(EntityRef("profile", "p/1"), op_kind, payload, "k", "t")
     store.append_event("p0", first)
     second = store.make_event(ACCOUNT, op_kind, later, "k2", "t2")
@@ -516,9 +543,13 @@ def test_every_made_event_decodes_from_its_line_to_an_equal_record(op_kind, payl
         (OP_DELTA, {}, 7),
         (OP_TENTATIVE, {"reservation_id": 7, "quantity": 1}, "k"),
         (OP_CANCEL, {"reservation_id": ["r1"], "cause": "cancelled"}, "k"),
+        (OP_DELTA, {"note": ["x", "\ud800\udc00"]}, "k"),
+        (OP_DELTA, {"n\udbff\udfffote": 1}, "k"),
+        (OP_DELTA, {}, "k\ud800\udc00"),
     ],
     ids=["int-key", "mixed-keys", "set-leaf", "bytes-leaf", "unknown-op-kind", "int-idempotence-key",
-         "int-reservation-id", "list-reservation-id"],
+         "int-reservation-id", "list-reservation-id", "surrogate-pair-leaf", "surrogate-pair-key",
+         "surrogate-pair-idempotence-key"],
 )
 def test_a_value_no_line_gives_back_is_refused_before_an_event_is_made(op_kind, payload, key):
     store = make_store()
@@ -538,19 +569,23 @@ def test_the_kept_encoders_write_what_json_dumps_writes(value, payload, deleted)
     compact = {"separators": (",", ":")}
     canonical = {"sort_keys": True, **compact}
     event = _record()._replace(payload=payload)
-    assert event.to_line() == json.dumps(
-        {
-            "event_id": "A:3",
-            "entity_ref": "account/alice",
-            "op_kind": OP_DELTA,
-            "payload": payload,
-            "causal_stamp": {"A": 3, "B": 1},
-            "lww_hint": 4,
-            "idempotence_key": "k",
-            "origin_txn_id": "t",
-        },
-        **compact,
-    )
+    if _holds_surrogate_pair(payload):
+        with pytest.raises(InvalidRecord, match="surrogate pair"):
+            event.to_line()
+    else:
+        assert event.to_line() == json.dumps(
+            {
+                "event_id": "A:3",
+                "entity_ref": "account/alice",
+                "op_kind": OP_DELTA,
+                "payload": payload,
+                "causal_stamp": {"A": 3, "B": 1},
+                "lww_hint": 4,
+                "idempotence_key": "k",
+                "origin_txn_id": "t",
+            },
+            **compact,
+        )
     state = EntityState(ACCOUNT, {"n": value, **payload}, VersionVector({"A": 1}), deleted)
     assert state.canonical_dump() == json.dumps(
         {"entity": "account/alice", "value": state.value, "version": {"A": 1}, "deleted": deleted},
@@ -598,6 +633,10 @@ _nested = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(_nested)
 def test_canon_returns_what_the_reference_returns_in_the_same_key_order(value):
+    if _holds_surrogate_pair(value):
+        with pytest.raises(InvalidRecord, match="surrogate pair"):
+            store_module.canon(value)
+        return
     made = store_module.canon(value)
     expected = _canon_reference(value)
     assert json.dumps(made) == json.dumps(expected)  # no sort_keys: key order counts
@@ -654,12 +693,16 @@ def test_a_zero_entry_is_absent():
         # a reservation id is a string
         (lambda line: line.replace('"op_kind":"delta","payload":{"deltas":{"balance":100}}',
                                    '"op_kind":"tentative","payload":{"reservation_id":7}'), "reservation_id"),
+
+        # a raw surrogate pair, which to_line writes as two escapes: one character once decoded
+        (lambda line: line.replace('"idempotence_key":"d1"', '"idempotence_key":"d\ud800\udc00"'), None),
+        (lambda line: line.replace('"idempotence_key":"d1"', '"idempotence_key":"d\ud800\\udc00"'), None),
     ],
     ids=["truncated", "missing-field", "bad-event-id", "seq-zero", "seq-underscore", "seq-space",
          "seq-plus", "seq-leading-zero", "seq-arabic-indic-digit", "unknown-op",
          "hint-string", "hint-bool", "hint-float", "op-kind-list", "key-int", "txn-null",
          "payload-list", "stamp-string", "stamp-zero", "stamp-entry-string", "stamp-entry-bool",
-         "reservation-id-int"],
+         "reservation-id-int", "raw-surrogate-pair", "raw-high-escaped-low-surrogate"],
 )
 def test_malformed_archive_lines_raise_a_typed_error_naming_the_line(corrupt, field):
     store = make_store()
@@ -721,7 +764,7 @@ _line_payloads = st.dictionaries(
         max_leaves=10,
     ),
     max_size=4,
-).map(store_module.canon)
+).map(lambda payload: payload if _holds_surrogate_pair(payload) else store_module.canon(payload))
 _records = st.builds(
     lambda replica, seq, entity_type, key, op_kind, payload, stamp, hint, ikey, txn_id: EventRecord(
         EventId(replica, seq), EntityRef(entity_type, key), op_kind, payload, VersionVector(stamp),
@@ -742,7 +785,13 @@ _records = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(_records)
+@example(_record()._replace(origin_txn_id=chr(0xD800) + chr(0xDC00)))
 def test_a_line_is_the_reference_dump_and_decodes_to_an_equal_record(event):
+    if _holds_surrogate_pair([*event, event.causal_stamp.to_dict()]):
+        # a line writes the pair as two escapes, which decode to one character
+        with pytest.raises(InvalidRecord, match="surrogate pair"):
+            event.to_line()
+        return
     line = event.to_line()
     assert line == _reference_line(event)
     decoded = EventRecord.from_line(line)
