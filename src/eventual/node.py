@@ -148,19 +148,22 @@ class Node:
 
     def submit(self, message: QueueMessage) -> None:
         """A client request lands in the durable inbox, even on a replica
-        that is down, which consumes it once it recovers."""
-        self._arrive(message)
+        that is down, which consumes it once it recovers. A live replica
+        consumes it in this call."""
+        self._arrive(message, self._consume)
 
     def on_timer(self, task: dict) -> None:
         """Run a task this node scheduled, now due."""
         _TIMER_HANDLERS[task["kind"]](self, task)
 
     def receive(self, src: str, kind: str, body: dict) -> None:
-        """An envelope from node ``src``."""
+        """An envelope from node ``src``. A ``queue_msg`` is acked first,
+        then consumed in this call, so the ack is never a commit path's
+        send."""
         if kind == "queue_msg":
             message = QueueMessage(**body)
             self._send(src, "ack", {"message_id": message.message_id}, message.message_id)
-            self._arrive(message)
+            self._arrive(message, self._consume)
         elif kind == "ack":
             self.replica.outbox.mark_acked(body["message_id"])
         elif kind == "sync_req":
@@ -177,11 +180,14 @@ class Node:
         self._send(peer, "sync_req", {"frontiers": frontiers}, f"sync:{replica.replica_id}->{peer}")
 
     def recover(self) -> None:
-        """Bring the replica back and re-derive its volatile work from durable
-        state: a consume per queued message, retries of its unacked outbox,
-        the locks and pending tasks of its unapplied descriptors, and the
-        follow-up of every hosted entity."""
+        """Bring a down replica back and re-derive its volatile work from
+        durable state: a consume per queued message, retries of its unacked
+        outbox, the locks and pending tasks of its unapplied descriptors,
+        and the follow-up of every hosted entity. A replica that is not
+        down lost nothing, so recovering it changes nothing."""
         replica = self.replica
+        if replica.alive:
+            return
         replica.recover()
         for message in replica.inbox.arrivals.values():
             self._schedule_consume(message.destination[1])
@@ -274,16 +280,19 @@ class Node:
             self.commit_path_sends += 1
         self.host.send(dst, kind, body, env_id)
 
-    def _arrive(self, message: QueueMessage) -> None:
+    def _arrive(self, message: QueueMessage, consume) -> None:
         """Every arrival's one path: queue the message unless its
         idempotence key is processed or already queued. A message queued on
-        a live replica gets one ``consume``; on a down one, ``recover``
-        schedules it."""
+        a live replica gets one consume, ``consume(partition)``: a submit
+        and a received ``queue_msg`` run it at once (``_consume``), and a
+        local send schedules it (``_schedule_consume``), since it runs
+        inside ``_react``, where a consume would nest its commit in another
+        consume's reactions. On a down replica, ``recover`` schedules it."""
         replica = self.replica
         if message.idempotence_key in replica.processed or not replica.inbox.add(message):
             return
         if replica.alive:
-            self._schedule_consume(message.destination[1])
+            consume(message.destination[1])
 
     def _schedule_consume(self, partition: str, delay: int = 0) -> None:
         """Take the partition's next message ``delay`` ticks from now."""
@@ -442,7 +451,7 @@ class Node:
         if dst == replica.replica_id:
             # local destination: enqueue/dequeue are local, no network at all
             replica.outbox.mark_acked(message.message_id)
-            self._arrive(message)
+            self._arrive(message, self._schedule_consume)
             return
         self._send(
             dst,
@@ -471,16 +480,19 @@ class Node:
         self._transmit(entry)
 
     def _task_consume(self, task: dict) -> None:
+        """A scheduled consume: recovery's (one per queued message), a lock
+        backoff's, or a local send's."""
+        self._consume(task["partition"])
+
+    def _consume(self, partition: str) -> None:
         """Take the partition's first queued message and run it: its matched
-        steps, else an ack-only batch. Each queued message has one consume,
-        so none finds the inbox empty. A step that meets a pending
+        steps, else an ack-only batch. On a live replica, the queued
+        messages are the consumes running plus the consumes scheduled, so
+        none finds the inbox empty. A step that meets a pending
         descriptor's lock takes the message again ``lock_backoff`` ticks
         later."""
         replica = self.replica
-        partition = task["partition"]
         message = bus.consume_next(replica, partition)
-        if message is None:
-            return  # a recover of a replica that was not down re-scheduled its consumes
         steps = self._matched_steps(message)
         # a join's trigger that arrives before the rest is taken, not unmatched: the
         # join records it in its correlation entity and fires no step yet

@@ -125,20 +125,30 @@ def test_an_open_discrepancy_schedules_one_cleanse_after_the_cleanse_lag():
     assert len(world.tasks("cleanse")) == 1
 
 
+def _locking_alice(world: World, **template) -> Node:
+    """Node A, with ``dep`` committed at ``world.now``: its descriptor holds
+    the locks of account/alice and account/bob until its pending task
+    applies the deferred delta, ``pending_lag`` ticks later."""
+    node = world.nodes["A"]
+    node.submit(client("A", "dep", kind="delta", entity="account/alice", deltas={"balance": 100},
+                       deferred=[{"entity": "account/bob", "deltas": {"balance": 1}}], **template))
+    return node
+
+
+def _pay(replica_id: str = "A") -> QueueMessage:
+    return client(replica_id, "pay", kind="delta", entity="account/alice", deltas={"balance": 5})
+
+
+CONSUME = {"kind": "consume", "detail": "A:p0", "partition": "p0"}
+
+
 def test_a_message_that_meets_a_pending_lock_is_consumed_again_after_the_backoff():
     world = World([make_replica("A")], config=NodeConfig(pending_lag=2, lock_backoff=3), now=10)
-    node = world.nodes["A"]
-    # dep's descriptor holds the locks of account/alice and account/bob until
-    # its pending task applies the deferred delta, at tick 12
-    dep = client("A", "dep", kind="delta", entity="account/alice", deltas={"balance": 100},
-                 deferred=[{"entity": "account/bob", "deltas": {"balance": 1}}])
-    node.submit(dep)
+    node = _locking_alice(world)  # locked until tick 12
     world.run(until=10)
     world.now = 11
-    node.submit(client("A", "pay", kind="delta", entity="account/alice", deltas={"balance": 5}))
-    world.run(until=11)
-    consume = {"kind": "consume", "detail": "A:p0", "partition": "p0"}
-    assert [(at, task) for at, task in world.tasks("consume") if at > 11] == [(14, consume)]
+    node.submit(_pay())  # consumed in the call: the lock refuses its step
+    assert world.tasks("consume") == [(14, CONSUME)]  # the one backoff consume
     assert "client:pay" not in node.handler_effects
     assert node.replica.store.rollup("p0", ACCOUNT).value["balance"] == 100
     world.run(until=14)  # the pending task released the locks at 12
@@ -150,32 +160,58 @@ def test_a_message_that_meets_a_pending_lock_is_consumed_again_after_the_backoff
 # -- arrival: one path, one consume per queued message --------------------------------
 
 
-def test_a_second_copy_and_a_redelivery_of_a_processed_key_are_acked_and_not_queued():
-    world = World([make_replica("A"), make_replica("B")])
+def test_a_submit_on_a_live_replica_commits_in_the_call_and_schedules_no_consume():
+    world = World([make_replica("A")])
     node = world.nodes["A"]
-    body = client("A", "pay", kind="delta", entity="account/alice", deltas={"balance": 5})._asdict()
+    node.submit(_pay())
+    assert node.replica.commit_times == [0]
+    assert node.replica.processed.get("client:pay") and len(node.replica.inbox) == 0
+    assert node.replica.store.rollup("p0", ACCOUNT).value["balance"] == 5
+    assert world.scheduled == []
+
+
+def test_a_peer_s_queue_msg_is_acked_before_its_consume_commits():
+    world = World([make_replica("A"), make_replica("B")], notify=("B", "p0"))
+    node = world.nodes["A"]
+    pay = client("A", "pay", kind="delta", entity="account/alice", deltas={"balance": 5},
+                 emit=[{"type": "paid", "to": "notify"}])
+    node.receive("B", "queue_msg", pay._asdict())
+    # the ack left before the commit path started; the emit once it had exited
+    assert [(s["dst"], s["kind"], s["in_commit"], s["commits"]) for s in world.sends] == [
+        ("B", "ack", False, 0), ("B", "queue_msg", False, 1),
+    ]
+    assert node.replica.processed.get("client:pay") and node.commit_path_sends == 0
+    assert world.tasks("consume") == []
+
+
+def test_a_second_copy_and_a_redelivery_of_a_processed_key_are_acked_and_not_queued():
+    world = World([make_replica("A"), make_replica("B")], config=NodeConfig(pending_lag=2, lock_backoff=3))
+    node = _locking_alice(world)  # the lock keeps the first copy queued until its backoff
+    body = _pay()._asdict()
     node.receive("B", "queue_msg", body)
     node.receive("B", "queue_msg", body)  # the network duplicated the envelope
     assert [s["kind"] for s in world.sends] == ["ack", "ack"]
-    assert len(world.tasks("consume")) == 1 and len(node.replica.inbox) == 1
-    world.run(until=0)
+    assert world.tasks("consume") == [(3, CONSUME)] and len(node.replica.inbox) == 1
+    world.run(until=3)
     assert "client:pay" in node.replica.processed and len(node.replica.inbox) == 0
     node.receive("B", "queue_msg", body)  # a late redelivery of the processed key
     assert [s["kind"] for s in world.sends] == ["ack"] * 3
     assert len(world.tasks("consume")) == 1 and len(node.replica.inbox) == 0
-    assert node.handler_effects == {"client:pay": 1}
-    assert node.replica.store.rollup("p0", ACCOUNT).value["balance"] == 5
+    assert node.handler_effects == {"client:dep": 1, "client:pay": 1}
+    assert node.replica.store.rollup("p0", ACCOUNT).value["balance"] == 105
 
 
 def test_a_message_whose_key_is_already_queued_queues_nothing():
     world = World([make_replica("A")])
     node = world.nodes["A"]
+    node.replica.crash()  # a down replica queues what arrives, and consumes it once recovered
     payload = {"apology_id": "apology:r1", "subject": "r1", "cause": "overbooking", "entity": str(BOOK)}
     for sender in ("B", "C"):  # two replicas apologize for one broken promise
         apology = QueueMessage(f"{sender}:t1:a0", ("A", "p0"), "_apology.record", payload, "apology:r1", 0, sender)
         node.receive(sender, "queue_msg", apology._asdict())
     assert [m.sender for m in node.replica.inbox.arrivals.values()] == ["B"]
-    assert len(world.tasks("consume")) == 1
+    node.recover()
+    assert world.tasks("consume") == [(0, CONSUME)]
     world.run(until=0)
     assert [a.subject for a in scan_apologies(node.replica)] == ["r1"]
     assert node.handler_effects == {"apology:r1": 1}
@@ -189,11 +225,22 @@ def test_a_down_replica_queues_submits_and_consumes_each_once_recovered():
         node.submit(client("A", action_id, kind="delta", entity="account/alice", deltas={"balance": amount}))
     assert world.scheduled == [] and len(node.replica.inbox) == 2
     node.recover()
-    consume = {"kind": "consume", "detail": "A:p0", "partition": "p0"}
-    assert world.tasks("consume") == [(0, consume), (0, consume)]
+    assert world.tasks("consume") == [(0, CONSUME), (0, CONSUME)]
     world.run(until=0)
     assert len(node.replica.inbox) == 0
     assert node.replica.store.rollup("p0", ACCOUNT).value["balance"] == 3
+
+
+def test_recovering_a_live_replica_schedules_nothing():
+    world = World([make_replica("A")], config=NodeConfig(pending_lag=2, lock_backoff=3), notify=("N", "notify"))
+    # dep's descriptor is unapplied and its message to N is unacked; pay waits for dep's lock
+    node = _locking_alice(world, emit=[{"type": "paid", "to": "notify"}])
+    node.submit(_pay())
+    replica = node.replica
+    assert len(replica.inbox) == 1 and replica.outbox.pending() and replica.unapplied_descriptors()
+    scheduled, locks = list(world.scheduled), replica.locks.holders()
+    node.recover()
+    assert world.scheduled == scheduled and replica.locks.holders() == locks
 
 
 def test_a_committed_message_is_sent_only_once_the_commit_path_has_exited():
