@@ -196,8 +196,9 @@ def canon(obj):
             if not k.isascii():
                 _refuse_surrogate_pairs(k)
             v = obj[k]
-            if type(v) in JSON_LEAVES:
-                if type(v) is str and not v.isascii():
+            t = type(v)
+            if t in JSON_LEAVES:
+                if t is str and not v.isascii():
                     _refuse_surrogate_pairs(v)
                 out[k] = v
             elif isinstance(v, _CONTAINERS):
@@ -302,7 +303,7 @@ class EventRecord(NamedTuple):
 
         A string holding a surrogate pair raises InvalidRecord: the line
         writes it as two ``\\u`` escapes, which decode to one character.
-        Only a line holding a ``\\ud`` escape is searched for one."""
+        Only a line holding an escape is searched for one."""
         (replica, seq), (entity_type, key), op_kind, payload, stamp, lww_hint, ikey, txn_id = self
         entries = ",".join([f"{_quoted(origin)}:{n}" for origin, n in stamp.items()])
         line = (
@@ -310,7 +311,7 @@ class EventRecord(NamedTuple):
             f'"op_kind":{_quoted(op_kind)},"payload":{_line_json(payload)},"causal_stamp":{{{entries}}},'
             f'"lww_hint":{lww_hint},"idempotence_key":{_quoted(ikey)},"origin_txn_id":{_quoted(txn_id)}}}'
         )
-        if "\\ud" in line:
+        if "\\" in line:
             _refuse_surrogate_pairs((replica, entity_type, key, op_kind, payload, stamp.to_dict(), ikey, txn_id))
         return line
 
@@ -865,9 +866,9 @@ class ReplicaStore:
             )
         if not isinstance(payload, dict):
             raise InvalidRecord(f"payload is not a dict: {payload!r}")
-        for text in (idempotence_key, origin_txn_id, *entity_ref):
-            if not text.isascii():
-                _refuse_surrogate_pairs(text)
+        if not (idempotence_key.isascii() and origin_txn_id.isascii()
+                and entity_ref.entity_type.isascii() and entity_ref.key.isascii()):
+            _refuse_surrogate_pairs((idempotence_key, origin_txn_id, entity_ref))
         if op_kind in _RESERVATION_OPS and type(payload.get("reservation_id", "")) is not str:
             raise InvalidRecord(f"reservation id {payload['reservation_id']!r} is not a string")
         self.registry.validate_payload(entity_ref.entity_type, payload)
