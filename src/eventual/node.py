@@ -5,10 +5,13 @@ it: the commit path and what each committed batch sets off (follow-up,
 pending actions, outbox launch), message arrival (a submit, a received
 ``queue_msg`` and a local send take one path, which queues a message
 unless its idempotence key is processed or already queued), message
-consumption (one ``consume`` task per queued message takes the
-partition's first queued message and runs its steps), retries, expiry,
-cleansing, referential resolution, compensation, recovery, and the
-anti-entropy protocol (answer, finish, merge, reconcile). It reaches
+consumption (each queued message gets one consume, which takes the
+partition's first queued message and runs its steps: a submit and a
+received ``queue_msg`` run it in the call that delivered them, and a
+``consume`` task runs it for recovery, a lock backoff and a local send),
+retries, expiry, cleansing, referential resolution, compensation,
+recovery, and the anti-entropy protocol (answer, finish, merge,
+reconcile). It reaches
 the outside world through one small interface, its ``Host``, so the same
 code runs in the deterministic simulator (``eventual.sim``), in the
 offline ``replication.sync``, and under a test's fakes. A host has:
@@ -35,9 +38,9 @@ offline ``replication.sync``, and under a test's fakes. A host has:
   envelope; like every body it is read-only, since a duplicated envelope
   delivers the same body twice.
 
-Scheduled work is volatile: a host that loses it (a crash, or an offline
-sync, which runs no timers) gets it back from ``recover``, which
-re-derives it from durable state.
+Scheduled work is volatile: a crash loses it, and ``recover`` re-derives
+it from durable state. An offline sync runs no timers, so it drops what
+its merges schedule, as a crash does.
 """
 
 from __future__ import annotations

@@ -99,8 +99,11 @@ def sync(a: Replica, b: Replica) -> tuple[int, int]:
     simulated run: it opens resurrection and unmergeable exceptions,
     and cancels overbooked reservations, each cancel's batch carrying its
     apology. Those commits are durable; the timers they arm (expiry,
-    cleansing, retries, consumption) are not run, and ``Node.recover``
-    re-derives them on a host that runs timers.
+    cleansing, retries, pending actions) are dropped, as a crash drops
+    them, and ``Node.recover`` re-derives them once the replica recovers
+    from a crash. A ``queue_msg`` the exchange delivers is consumed on
+    arrival, as in a simulated run; a message a node sends itself waits
+    in its inbox, since its consume is a timer.
 
     Returns (events a received, events b received).
     """
