@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable, Protocol
 
 from . import bus
 from .bus import OutboxEntry, QueueMessage
@@ -283,7 +283,7 @@ class Node:
             self.commit_path_sends += 1
         self.host.send(dst, kind, body, env_id)
 
-    def _arrive(self, message: QueueMessage, consume) -> None:
+    def _arrive(self, message: QueueMessage, consume: Callable[[str], None]) -> None:
         """Every arrival's one path: queue the message unless its
         idempotence key is processed or already queued. A message queued on
         a live replica gets one consume, ``consume(partition)``: a submit

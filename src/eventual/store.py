@@ -157,7 +157,7 @@ def _refuse_surrogate_pairs(obj) -> None:
     Callers skip an ASCII string, which cannot hold one."""
     if type(obj) is str:
         if _SURROGATE_PAIR.search(obj):
-            raise InvalidRecord(f"{obj!r} holds a surrogate pair, which its line would decode to one character")
+            raise InvalidRecord(f"{obj!r} holds a surrogate pair: its line would decode to another string")
     elif isinstance(obj, dict):
         for k, v in obj.items():
             _refuse_surrogate_pairs(k)
@@ -181,8 +181,8 @@ def canon(obj):
     as new lists, and leaves (str, int, float, bool, None) as they are;
     a leaf is copied without a recursive call. A key that is not a str, a
     leaf of any other type, or a string key or leaf holding a surrogate
-    pair raises InvalidRecord: its JSON line would not decode to it. Floats pass, inf and nan included: ``json`` writes and
-    reads them back.
+    pair raises InvalidRecord: its JSON line would not decode to it.
+    Floats pass, inf and nan included: ``json`` writes and reads them back.
     """
     if isinstance(obj, dict):
         try:
@@ -209,8 +209,9 @@ def canon(obj):
     if isinstance(obj, (list, tuple)):
         out = []
         for v in obj:
-            if type(v) in JSON_LEAVES:
-                if type(v) is str and not v.isascii():
+            t = type(v)
+            if t in JSON_LEAVES:
+                if t is str and not v.isascii():
                     _refuse_surrogate_pairs(v)
                 out.append(v)
             elif isinstance(v, _CONTAINERS):
@@ -312,7 +313,8 @@ class EventRecord(NamedTuple):
             f'"lww_hint":{lww_hint},"idempotence_key":{_quoted(ikey)},"origin_txn_id":{_quoted(txn_id)}}}'
         )
         if "\\" in line:
-            _refuse_surrogate_pairs((replica, entity_type, key, op_kind, payload, stamp.to_dict(), ikey, txn_id))
+            fields = (replica, entity_type, key, op_kind, payload, stamp.to_dict(), ikey, txn_id)
+            _refuse_surrogate_pairs(fields)
         return line
 
     @classmethod
@@ -850,12 +852,12 @@ class ReplicaStore:
         does not know, an idempotence key or txn id that is not a str, a
         payload that is not a dict of JSON values (``canon``), a reservation
         event whose ``reservation_id`` is not a str, or a string holding a
-        surrogate pair raises InvalidRecord, so ``from_line(event.to_line()) == event`` for every
-        event made here. The event takes the next
-        sequence number and Lamport hint, a canonical copy of the payload
-        (``canon``), and as causal stamp its partition log's frontier with
-        this replica's entry raised to the new sequence number, never
-        lowered: one copy of the frontier.
+        surrogate pair raises InvalidRecord, so
+        ``from_line(event.to_line()) == event`` for every event made here.
+        The event takes the next sequence number and Lamport hint, a
+        canonical copy of the payload (``canon``), and as causal stamp its
+        partition log's frontier with this replica's entry raised to the new
+        sequence number, never lowered: one copy of the frontier.
         """
         log = self.partitions[self.route(entity_ref)]
         if op_kind not in OP_KINDS:

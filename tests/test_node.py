@@ -232,7 +232,8 @@ def test_a_down_replica_queues_submits_and_consumes_each_once_recovered():
 
 
 def test_recovering_a_live_replica_schedules_nothing():
-    world = World([make_replica("A")], config=NodeConfig(pending_lag=2, lock_backoff=3), notify=("N", "notify"))
+    world = World([make_replica("A")], config=NodeConfig(pending_lag=2, lock_backoff=3),
+                  notify=("N", "notify"))
     # dep's descriptor is unapplied and its message to N is unacked; pay waits for dep's lock
     node = _locking_alice(world, emit=[{"type": "paid", "to": "notify"}])
     node.submit(_pay())
