@@ -693,7 +693,6 @@ def test_a_zero_entry_is_absent():
         # a reservation id is a string
         (lambda line: line.replace('"op_kind":"delta","payload":{"deltas":{"balance":100}}',
                                    '"op_kind":"tentative","payload":{"reservation_id":7}'), "reservation_id"),
-
         # a raw surrogate pair, which to_line writes as two escapes: one character once decoded
         (lambda line: line.replace('"idempotence_key":"d1"', '"idempotence_key":"d\ud800\udc00"'), None),
         (lambda line: line.replace('"idempotence_key":"d1"', '"idempotence_key":"d\ud800\\udc00"'), None),
