@@ -89,13 +89,23 @@ def _reference_failures(report: RunReport) -> list[str]:
 
 
 def render_report_file(report: RunReport, sim) -> str:
-    """Full persisted report: stable text plus the archival event dump."""
+    """Full persisted report: stable text plus the archival event dump.
+    Replicas share their origin's record of each event, so a record is
+    encoded once, for every log that holds no line of its own."""
     lines = [report.render().rstrip("\n")]
     lines.append("== events ==")
+    encoded: dict[int, str] = {}  # id(record) -> its line; every record stays held by a log meanwhile
+
+    def encode(event) -> str:
+        line = encoded.get(id(event))
+        if line is None:
+            line = encoded[id(event)] = event.to_line()
+        return line
+
     for rid in sorted(sim.replicas):
         replica = sim.replicas[rid]
         for partition_id in replica.partitions_hosted():
-            for line in replica.store.export_partition(partition_id):
+            for line in replica.store.export_partition(partition_id, encode):
                 lines.append(f"event {rid} {partition_id} {line}")
     return "\n".join(lines) + "\n"
 

@@ -28,13 +28,16 @@ offline ``replication.sync``, and under a test's fakes. A host has:
   - ``ack``: ``{"message_id": id}``;
   - ``sync_req``: ``{"frontiers": {partition: VersionVector}}``, the
     initiator's frontier of each shared partition;
-  - ``sync_resp``: ``{"events": {partition: [line, ...]}, "frontiers":
-    {partition: VersionVector}}``, the archival lines the initiator
-    lacks (only partitions with some) and the answerer's frontiers;
-  - ``sync_back``: ``{"events": {partition: [line, ...]}}``, what the
+  - ``sync_resp``: ``{"events": {partition: [record, ...]}, "frontiers":
+    {partition: VersionVector}}``, the ``EventRecord``s the initiator
+    lacks (only partitions with some), as the answerer's log holds them,
+    and the answerer's frontiers;
+  - ``sync_back``: ``{"events": {partition: [record, ...]}}``, what the
     answerer lacks.
 
-  A frontier is the vector ``PartitionLog.frontier()`` built for the
+  An entry of ``events`` may also be an archival line (a ``str``), as a
+  peer outside the run would ship it: the receiver decodes and validates
+  it. A frontier is the vector ``PartitionLog.frontier()`` built for the
   envelope; like every body it is read-only, since a duplicated envelope
   delivers the same body twice.
 
@@ -116,21 +119,19 @@ def notify_destination(partitions: dict[str, list[str]],
 class Node:
     """Runs one replica: its reactions to commits, messages, timers and peers.
 
-    ``notify`` defaults to the replica's first hosted partition. Nodes of
-    one run share ``records_by_line`` (every line of the run -> its one
-    record). What the node decides that no event shows goes to its
-    replica's records (``Replica.record``).
+    ``notify`` defaults to the replica's first hosted partition. Sync
+    ships records, not lines, so every replica of a run holds its origin's
+    one record of each event. What the node decides that no event shows
+    goes to its replica's records (``Replica.record``).
     """
 
     def __init__(self, replica: Replica, config: NodeConfig, host: Host, *,
-                 manager: ProcessManager | None = None, notify: tuple[str, str] | None = None,
-                 records_by_line: dict[str, EventRecord] | None = None):
+                 manager: ProcessManager | None = None, notify: tuple[str, str] | None = None):
         self.replica = replica
         self.config = config
         self.host = host
         self.manager = manager if manager is not None else ProcessManager()
         self.notify = notify or (replica.replica_id, replica.partitions_hosted()[0])
-        self.records_by_line = {} if records_by_line is None else records_by_line
         self.handler_effects: dict[str, int] = {}
         self.commit_path_sends = 0
         self.ingested = 0  # events taken in from peers
@@ -632,7 +633,7 @@ class Node:
     def _answer_sync(self, src: str, body: dict) -> None:
         """Node ``src`` sent its frontiers: ship what it lacks, and ours."""
         replica = self.replica
-        events = self._missing_lines(body["frontiers"])
+        events = self._missing_events(body["frontiers"])
         frontiers = {pid: replica.frontier(pid) for pid in sorted(body["frontiers"])}
         self._send(src, "sync_resp", {"events": events, "frontiers": frontiers},
                    f"resp:{replica.replica_id}->{src}")
@@ -640,48 +641,39 @@ class Node:
     def _finish_sync(self, src: str, body: dict) -> None:
         """The initiator merges the diff and returns the peer's gap."""
         self._merge_remote_events(body["events"])
-        back = self._missing_lines(body["frontiers"])
+        back = self._missing_events(body["frontiers"])
         if back:
             self._send(src, "sync_back", {"events": back}, f"back:{self.replica.replica_id}->{src}")
 
-    def _missing_lines(self, frontiers: dict[str, VersionVector]) -> dict[str, list[str]]:
-        """Archival lines of the events the replica holds beyond each
-        partition frontier. Each line shipped maps to its record in
-        ``records_by_line``, so no receiver of the run decodes it."""
-        lines = {}
-        records = self.records_by_line
+    def _missing_events(self, frontiers: dict[str, VersionVector]) -> dict[str, list[EventRecord]]:
+        """The events the replica holds beyond each partition frontier, as
+        its logs hold them (only partitions with some): nothing is encoded."""
+        events = {}
         for pid, frontier in sorted(frontiers.items()):
-            log = self.replica.store.log(pid)
-            missing = log.missing_for(frontier)
+            missing = self.replica.store.log(pid).missing_for(frontier)
             if missing:
-                lines[pid] = shipped = []
-                for event in missing:
-                    line = log.line(event)
-                    records[line] = event
-                    shipped.append(line)
-        return lines
+                events[pid] = missing
+        return events
 
     def _merge_remote_events(self, events_by_partition: dict) -> None:
-        """Ingest the shipped lines the replica lacks, then reconcile.
+        """Ingest the shipped events the replica lacks, then reconcile.
 
-        A line shipped in this run resolves to its sender's record through
-        ``records_by_line``: every replica holds the origin's one read-only
-        record, and within a run no line is decoded. A line no node of the
-        run shipped (a forged one) is decoded and validated, then mapped
-        the same way; a malformed one raises MalformedEvent, whether its id
-        is held or not. A receiver skips an event whose id it holds, and
-        otherwise keeps the line as the event's archival line, so relaying
-        it later encodes nothing.
+        A record entry is the sender's read-only record, held as it is: every
+        replica holds the origin's one record, and a merge encodes and
+        decodes nothing. A ``str`` entry (a line from outside the run, or a
+        forged one) is decoded and validated, so a malformed one raises
+        MalformedEvent whether its id is held or not; a valid one that the
+        replica lacks is kept as the event's archival line, exported as
+        received. A receiver skips an event whose id it holds.
         """
         replica = self.replica
         touched: dict[EntityRef, list[EventRecord]] = defaultdict(list)  # ref -> the events added
-        records = self.records_by_line
-        for pid, lines in sorted(events_by_partition.items()):
+        for pid, entries in sorted(events_by_partition.items()):
             log = replica.store.log(pid)
-            for line in lines:
-                event = records.get(line)
-                if event is None:
-                    event = records[line] = EventRecord.from_line(line)
+            for event in entries:
+                line = None
+                if isinstance(event, str):
+                    line, event = event, EventRecord.from_line(event)
                 if event.event_id in log:
                     continue
                 if replica.store.ingest_foreign(pid, event, line):

@@ -115,12 +115,10 @@ def sync(a: Replica, b: Replica) -> tuple[int, int]:
             hosts.setdefault(partition_id, []).append(replica.replica_id)
     notify = notify_destination(hosts)
     queue: deque = deque()
-    records_by_line: dict = {}
     nodes = {}
     for replica in (a, b):
         host = _Offline(replica.replica_id, queue)
-        nodes[replica.replica_id] = Node(replica, NodeConfig(), host, notify=notify,
-                                       records_by_line=records_by_line)
+        nodes[replica.replica_id] = Node(replica, NodeConfig(), host, notify=notify)
     try:
         nodes[a.replica_id].start_sync(b.replica_id, shared_partitions(a, b))
         while queue:

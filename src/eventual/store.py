@@ -44,19 +44,17 @@ events (``summarize`` raises ``CutNotClosed`` otherwise).
 Anti-entropy costs what the merge changed. A partition log indexes its
 events by origin in sequence order, so ``missing_for`` skips each origin
 the remote frontier covers and bisects the others at it. Each event
-crosses the wire as one line, encoded once, at its origin
-(``PartitionLog.line``), and within a run no line is decoded: the node
-that ships a line maps it to the record its log holds, and every
-receiver resolves the line to that one read-only record. That is sound
-because ``make_event`` accepts only what ``from_line`` accepts
-(``canon`` refuses a payload that is not JSON, with InvalidRecord), so
-``from_line(e.to_line()) == e`` for every record the engine makes. A
-log that ingests an event with the line it arrived as keeps that line,
-so a relay forwards the received bytes without encoding them again, and
-a valid line that is not canonical travels on as received. An archival
-export writes the same line (``PartitionLog.line``), and an import
-decodes and keeps each line it reads, so an event has one archival line
-however it travels: the one it arrived as, else its one encoding.
+crosses the wire as the record its sender's log holds, so within a run
+no line is encoded or decoded, and every receiver holds that one
+read-only record. That is sound because ``make_event`` accepts only what
+``from_line`` accepts (``canon`` refuses a payload that is not JSON, with
+InvalidRecord), so ``from_line(e.to_line()) == e`` for every record the
+engine makes: a shipped record is what its line would decode to. A log
+that ingests an event with the line it arrived as (from an import, or a
+line a peer shipped) keeps that line, so a valid line that is not
+canonical is exported as received. An archival export writes each
+event's archival line (``PartitionLog.line``): the one it arrived as,
+else its encoding, made once, at export.
 
 A line costs one JSON call each way, plus the checks. ``to_line`` writes
 the eight fields in their fixed order itself: each string through the
@@ -76,7 +74,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .clocks import VersionVector
 from .errors import (
@@ -749,13 +747,13 @@ class PartitionLog:
     def get(self, event_id: EventId) -> EventRecord:
         return self._by_id[event_id]
 
-    def line(self, event: EventRecord) -> str:
+    def line(self, event: EventRecord, encode: Callable[[EventRecord], str] | None = None) -> str:
         """The event's archival line: the line it was received as, else its
-        ``to_line``, encoded on first use only. A relay forwards the bytes
-        it received, so only the origin encodes."""
+        encoding (``encode``, by default ``to_line``), made on first use
+        only. Sync ships records, so a line is first needed at export."""
         line = self._lines.get(event.event_id)
         if line is None:
-            line = self._lines[event.event_id] = event.to_line()
+            line = self._lines[event.event_id] = event.to_line() if encode is None else encode(event)
         return line
 
     def live_events_for(self, entity_ref: EntityRef) -> list[EventRecord]:
@@ -1075,11 +1073,13 @@ class ReplicaStore:
         self._folds[partition_id].pop(entity_ref, None)
         return checkpoint
 
-    def export_partition(self, partition_id: str) -> list[str]:
-        """Archival export: each event's archival line (``PartitionLog.line``),
-        re-ingestable losslessly."""
+    def export_partition(self, partition_id: str,
+                         encode: Callable[[EventRecord], str] | None = None) -> list[str]:
+        """Archival export: each event's archival line (``PartitionLog.line``,
+        made with ``encode`` where the log holds none), re-ingestable
+        losslessly."""
         log = self.log(partition_id)
-        return [log.line(e) for e in log.missing_for(VersionVector())]
+        return [log.line(e, encode) for e in log.missing_for(VersionVector())]
 
     def import_partition(self, partition_id: str, lines: list[str]) -> int:
         """Re-ingest an archival export (e.g. into a fresh replica); the log

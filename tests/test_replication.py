@@ -19,7 +19,7 @@ from eventual.replication import (
     resolve,
     sync,
 )
-from eventual.store import OP_DELTA, OP_INSERT, OP_TENTATIVE, EntityRef, FoldState, canonical_sort
+from eventual.store import OP_DELTA, OP_INSERT, OP_TENTATIVE, EntityRef, EventRecord, FoldState, canonical_sort
 from eventual.txn import CommitBatch, commit, execute_step
 
 from test_txn import ctx_for, step
@@ -89,6 +89,20 @@ def test_sync_unions_event_sets_and_rollups_match():
     assert dump_a == dump_b
     assert a.store.rollup("p0", ACCOUNT).value["balance"] == 12
     assert a.frontier("p0") == b.frontier("p0")
+
+
+def test_an_offline_sync_encodes_no_line_and_each_replica_holds_the_other_s_record(monkeypatch):
+    # sync ships the records the logs hold: a line is first needed at export
+    reg = make_registry()
+    a, b = make_replica("A", reg), make_replica("B", reg)
+    made_a = local_delta(a, ACCOUNT, "d1", balance=5)
+    made_b = local_delta(b, ACCOUNT, "d2", balance=7)
+    encoded = []
+    monkeypatch.setattr(EventRecord, "to_line", encoded.append)
+    assert sync(a, b) == (1, 1)
+    assert encoded == []
+    assert b.store.log("p0").get(made_a.event_id) is made_a
+    assert a.store.log("p0").get(made_b.event_id) is made_b
 
 
 def test_random_pairwise_gossip_converges_for_many_seeds():
