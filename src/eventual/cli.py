@@ -90,17 +90,15 @@ def _reference_failures(report: RunReport) -> list[str]:
 
 def render_report_file(report: RunReport, sim) -> str:
     """Full persisted report: stable text plus the archival event dump.
-    Replicas share their origin's record of each event, so a record is
-    encoded once, for every log that holds no line of its own."""
+    Replicas share their origin's record, so each is encoded once."""
     lines = [report.render().rstrip("\n")]
     lines.append("== events ==")
-    encoded: dict[int, str] = {}  # id(record) -> its line; every record stays held by a log meanwhile
+    encoded: dict[int, str] = {}  # id(record) -> line; the logs keep each record alive
 
     def encode(event) -> str:
-        line = encoded.get(id(event))
-        if line is None:
-            line = encoded[id(event)] = event.to_line()
-        return line
+        if id(event) not in encoded:
+            encoded[id(event)] = event.to_line()
+        return encoded[id(event)]
 
     for rid in sorted(sim.replicas):
         replica = sim.replicas[rid]

@@ -93,17 +93,19 @@ def sync(a: Replica, b: Replica) -> tuple[int, int]:
     """Direct pairwise exchange of the partitions two replicas share.
 
     Two ``node.Node``s run the anti-entropy protocol over an in-memory
-    network that delivers each envelope in order until none is left:
-    ``a`` asks, ``b`` ships what ``a`` lacks, ``a`` merges it and ships
-    back what ``b`` lacks. So each merge reconciles and remediates as in a
-    simulated run: it opens resurrection and unmergeable exceptions,
-    and cancels overbooked reservations, each cancel's batch carrying its
-    apology. Those commits are durable; the timers they arm (expiry,
-    cleansing, retries, pending actions) are dropped, as a crash drops
-    them, and ``Node.recover`` re-derives them once the replica recovers
-    from a crash. A ``queue_msg`` the exchange delivers is consumed on
-    arrival, as in a simulated run; a message a node sends itself waits
-    in its inbox, since its consume is a timer.
+    network that delivers each envelope in order until none is left: ``a``
+    asks, ``b`` ships what ``a`` lacks, ``a`` merges it and ships back
+    what ``b`` lacks. Each event crosses as the record its sender's log
+    holds, so the exchange encodes and decodes no line, and each replica
+    ends holding the other's record. Each merge reconciles and remediates
+    as in a simulated run: it opens resurrection and unmergeable
+    exceptions, and cancels overbooked reservations, each cancel's batch
+    carrying its apology. Those commits are durable; the timers they arm
+    (expiry, cleansing, retries, pending actions) are dropped, as a crash
+    drops them, and ``Node.recover`` re-derives them once the replica
+    recovers from a crash. A ``queue_msg`` the exchange delivers is
+    consumed on arrival, as in a simulated run; a message a node sends
+    itself waits in its inbox, since its consume is a timer.
 
     Returns (events a received, events b received).
     """

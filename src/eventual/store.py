@@ -50,11 +50,10 @@ read-only record. That is sound because ``make_event`` accepts only what
 ``from_line`` accepts (``canon`` refuses a payload that is not JSON, with
 InvalidRecord), so ``from_line(e.to_line()) == e`` for every record the
 engine makes: a shipped record is what its line would decode to. A log
-that ingests an event with the line it arrived as (from an import, or a
-line a peer shipped) keeps that line, so a valid line that is not
-canonical is exported as received. An archival export writes each
-event's archival line (``PartitionLog.line``): the one it arrived as,
-else its encoding, made once, at export.
+keeps the line an event arrived as (by import, or as a line a peer
+shipped), so a valid line that is not canonical is exported as received.
+An archival export writes each event's archival line
+(``PartitionLog.line``): that line, else its encoding, made at export.
 
 A line costs one JSON call each way, plus the checks. ``to_line`` writes
 the eight fields in their fixed order itself: each string through the

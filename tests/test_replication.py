@@ -98,7 +98,7 @@ def test_an_offline_sync_encodes_no_line_and_each_replica_holds_the_other_s_reco
     made_a = local_delta(a, ACCOUNT, "d1", balance=5)
     made_b = local_delta(b, ACCOUNT, "d2", balance=7)
     encoded = []
-    monkeypatch.setattr(EventRecord, "to_line", encoded.append)
+    monkeypatch.setattr(EventRecord, "to_line", lambda event: encoded.append(event))
     assert sync(a, b) == (1, 1)
     assert encoded == []
     assert b.store.log("p0").get(made_a.event_id) is made_a
