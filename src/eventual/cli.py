@@ -89,21 +89,13 @@ def _reference_failures(report: RunReport) -> list[str]:
 
 
 def render_report_file(report: RunReport, sim) -> str:
-    """Full persisted report: stable text plus the archival event dump.
-    Replicas share their origin's record, so each is encoded once."""
+    """Full persisted report: stable text plus the archival event dump."""
     lines = [report.render().rstrip("\n")]
     lines.append("== events ==")
-    encoded: dict[int, str] = {}  # id(record) -> line; the logs keep each record alive
-
-    def encode(event) -> str:
-        if id(event) not in encoded:
-            encoded[id(event)] = event.to_line()
-        return encoded[id(event)]
-
     for rid in sorted(sim.replicas):
         replica = sim.replicas[rid]
         for partition_id in replica.partitions_hosted():
-            for line in replica.store.export_partition(partition_id, encode):
+            for line in replica.store.export_partition(partition_id):
                 lines.append(f"event {rid} {partition_id} {line}")
     return "\n".join(lines) + "\n"
 

@@ -35,15 +35,15 @@ offline ``replication.sync``, and under a test's fakes. A host has:
   - ``sync_back``: ``{"events": {partition: [record, ...]}}``, what the
     answerer lacks.
 
-  An entry of ``events`` may also be an archival line (a ``str``), as a
-  peer outside the run would ship it: the receiver decodes and validates
-  it. A frontier is the vector ``PartitionLog.frontier()`` built for the
+  A frontier is the vector ``PartitionLog.frontier()`` built for the
   envelope; like every body it is read-only, since a duplicated envelope
-  delivers the same body twice.
+  delivers the same body twice. Lines from outside the program enter
+  through ``ReplicaStore.import_partition``, which checks each one.
 
 Scheduled work is volatile: a crash loses it, and ``recover`` re-derives
-it from durable state. An offline sync runs no timers, so it drops what
-its merges schedule, as a crash does.
+it from durable state. An offline sync runs only the tasks due at its
+own tick (a local send's consume) and drops the rest of what its merges
+schedule, as a crash does.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class Node:
     """Runs one replica: its reactions to commits, messages, timers and peers.
 
     ``notify`` defaults to the replica's first hosted partition. Sync
-    ships records, not lines, so every replica of a run holds its origin's
-    one record of each event. What the node decides that no event shows
+    ships records, so every replica of a run holds its origin's one record
+    of each event. What the node decides that no event shows
     goes to its replica's records (``Replica.record``).
     """
 
@@ -658,25 +658,16 @@ class Node:
     def _merge_remote_events(self, events_by_partition: dict) -> None:
         """Ingest the shipped events the replica lacks, then reconcile.
 
-        A record entry is the sender's read-only record, held as it is: every
+        Each entry is the sender's read-only record, held as it is: every
         replica holds the origin's one record, and a merge encodes and
-        decodes nothing. A ``str`` entry (a line from outside the run, or a
-        forged one) is decoded and validated, so a malformed one raises
-        MalformedEvent whether its id is held or not; a valid one that the
-        replica lacks is kept as the event's archival line, exported as
-        received. A receiver skips an event whose id it holds.
+        decodes nothing. A receiver skips an event whose id it holds.
         """
         replica = self.replica
         touched: dict[EntityRef, list[EventRecord]] = defaultdict(list)  # ref -> the events added
         for pid, entries in sorted(events_by_partition.items()):
             log = replica.store.log(pid)
             for event in entries:
-                line = None
-                if isinstance(event, str):
-                    line, event = event, EventRecord.from_line(event)
-                if event.event_id in log:
-                    continue
-                if replica.store.ingest_foreign(pid, event, line):
+                if event.event_id not in log and replica.store.ingest_foreign(pid, event):
                     touched[event.entity_ref].append(event)
         if touched:
             self.ingested += sum(map(len, touched.values()))

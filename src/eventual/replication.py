@@ -69,9 +69,10 @@ def shared_partitions(a: Replica, b: Replica) -> list[str]:
 
 
 class _Offline:
-    """One node's host in an offline ``sync``: tick 0, no
-    timers (the work they would run is volatile, and dropped as a crash
-    drops it), and envelopes queued for the exchange's other node."""
+    """One node's host in an offline ``sync``: tick 0, and one queue, in
+    order, of the envelopes for the exchange's other node and the tasks
+    due at tick 0. A task due later is dropped, as a crash drops the
+    volatile work it would run."""
 
     now = 0
 
@@ -80,7 +81,8 @@ class _Offline:
         self._queue = queue
 
     def schedule(self, at: int, kind: str, detail: str, **fields) -> None:
-        pass
+        if at <= self.now:
+            self._queue.append((self._src, self._src, None, {"kind": kind, "detail": detail, **fields}))
 
     def rearm_syncs(self) -> None:
         pass
@@ -100,12 +102,14 @@ def sync(a: Replica, b: Replica) -> tuple[int, int]:
     ends holding the other's record. Each merge reconciles and remediates
     as in a simulated run: it opens resurrection and unmergeable
     exceptions, and cancels overbooked reservations, each cancel's batch
-    carrying its apology. Those commits are durable; the timers they arm
-    (expiry, cleansing, retries, pending actions) are dropped, as a crash
-    drops them, and ``Node.recover`` re-derives them once the replica
-    recovers from a crash. A ``queue_msg`` the exchange delivers is
-    consumed on arrival, as in a simulated run; a message a node sends
-    itself waits in its inbox, since its consume is a timer.
+    carrying its apology. Those commits are durable. A task due at the
+    exchange's tick runs in queue order: with the default ``NodeConfig``
+    that is the consume of a message a node sends itself, such as an
+    apology to its own notify partition. The tasks due later (expiry,
+    cleansing, retries, pending actions, lock backoffs) are dropped, as a
+    crash drops them, and ``Node.recover`` re-derives them once the
+    replica recovers from a crash. A ``queue_msg`` the exchange delivers
+    is consumed on arrival, as in a simulated run.
 
     Returns (events a received, events b received).
     """
@@ -125,7 +129,9 @@ def sync(a: Replica, b: Replica) -> tuple[int, int]:
         nodes[a.replica_id].start_sync(b.replica_id, shared_partitions(a, b))
         while queue:
             src, dst, kind, body = queue.popleft()
-            if dst in nodes:
+            if kind is None:  # a task due now
+                nodes[dst].on_timer(body)
+            elif dst in nodes:
                 nodes[dst].receive(src, kind, body)
     finally:
         for node in nodes.values():

@@ -50,10 +50,9 @@ read-only record. That is sound because ``make_event`` accepts only what
 ``from_line`` accepts (``canon`` refuses a payload that is not JSON, with
 InvalidRecord), so ``from_line(e.to_line()) == e`` for every record the
 engine makes: a shipped record is what its line would decode to. A log
-keeps the line an event arrived as (by import, or as a line a peer
-shipped), so a valid line that is not canonical is exported as received.
-An archival export writes each event's archival line
-(``PartitionLog.line``): that line, else its encoding, made at export.
+keeps no line: an archival export encodes each event (``to_line``), so an
+imported line that is valid but not canonical is exported as its record's
+canonical line.
 
 A line costs one JSON call each way, plus the checks. ``to_line`` writes
 the eight fields in their fixed order itself: each string through the
@@ -73,7 +72,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .clocks import VersionVector
 from .errors import (
@@ -692,8 +691,7 @@ class PartitionLog:
     (``payload["detail"]["parent"]``), the ref a referential violation
     waits on. The indexes only grow, like the log, and survive a crash
     with it, so they need no rebuild; summarizing archives an entity's
-    events but keeps its entries. ``line`` keeps each event's archival
-    line: the one it was appended with, or else its first encoding.
+    events but keeps its entries.
     """
 
     def __init__(self, partition_id: str):
@@ -707,19 +705,14 @@ class PartitionLog:
         # the last seq of each origin's list, kept apart: the frontier, and
         # each event made here (``ReplicaStore.make_event``) copies it
         self._max_seq: dict[str, int] = {}
-        self._lines: dict[EventId, str] = {}
         self.checkpoints: dict[EntityRef, Checkpoint] = {}
         self.archived: dict[EntityRef, list[EventRecord]] = {}
 
     def __contains__(self, event_id: EventId) -> bool:
         return event_id in self._by_id
 
-    def append(self, event: EventRecord, line: str | None = None) -> int:
-        """Append one event; returns its position in arrival order.
-
-        ``line``, when given, is the line the event was received as; the
-        log keeps it as the event's archival line (``PartitionLog.line``).
-        """
+    def append(self, event: EventRecord) -> int:
+        """Append one event; returns its position in arrival order."""
         origin = event.event_id.replica
         seq = event.event_id.seq
         if event.event_id in self._by_id:
@@ -732,8 +725,6 @@ class PartitionLog:
         self.events.append(event)
         self._by_id[event.event_id] = event
         self._live_by_entity.setdefault(event.entity_ref, []).append(event)
-        if line is not None:
-            self._lines[event.event_id] = line
         if event.op_kind == OP_DISCREPANCY:
             detail = event.payload.get("detail")
             if isinstance(detail, dict) and isinstance(detail.get("parent"), str):
@@ -745,15 +736,6 @@ class PartitionLog:
 
     def get(self, event_id: EventId) -> EventRecord:
         return self._by_id[event_id]
-
-    def line(self, event: EventRecord, encode: Callable[[EventRecord], str] | None = None) -> str:
-        """The event's archival line: the line it was received as, else its
-        encoding (``encode``, by default ``to_line``), made on first use
-        only. Sync ships records, so a line is first needed at export."""
-        line = self._lines.get(event.event_id)
-        if line is None:
-            line = self._lines[event.event_id] = event.to_line() if encode is None else encode(event)
-        return line
 
     def live_events_for(self, entity_ref: EntityRef) -> list[EventRecord]:
         return list(self._live_by_entity.get(entity_ref, []))
@@ -892,10 +874,10 @@ class ReplicaStore:
         if self.route(entity_ref) != partition_id:
             raise WrongPartition(f"{entity_ref} does not belong to partition {partition_id!r}")
 
-    def append_event(self, partition_id: str, event: EventRecord, line: str | None = None) -> int:
+    def append_event(self, partition_id: str, event: EventRecord) -> int:
         """Append to the addressed partition; raises on misrouting."""
         self._check_route(partition_id, event.entity_ref)
-        position = self.log(partition_id).append(event, line)
+        position = self.log(partition_id).append(event)
         self.observe(event.lww_hint)
         return position
 
@@ -904,11 +886,10 @@ class ReplicaStore:
         if lww_hint > self.lamport:
             self.lamport = lww_hint
 
-    def ingest_foreign(self, partition_id: str, event: EventRecord, line: str | None = None) -> bool:
-        """Append an event learned from a peer, with the line it arrived
-        as, if any; duplicate ids are fine."""
+    def ingest_foreign(self, partition_id: str, event: EventRecord) -> bool:
+        """Append an event learned from a peer; duplicate ids are fine."""
         try:
-            self.append_event(partition_id, event, line)
+            self.append_event(partition_id, event)
             return True
         except DuplicateEventId:
             return False
@@ -1072,17 +1053,13 @@ class ReplicaStore:
         self._folds[partition_id].pop(entity_ref, None)
         return checkpoint
 
-    def export_partition(self, partition_id: str,
-                         encode: Callable[[EventRecord], str] | None = None) -> list[str]:
-        """Archival export: each event's archival line (``PartitionLog.line``,
-        made with ``encode`` where the log holds none), re-ingestable
+    def export_partition(self, partition_id: str) -> list[str]:
+        """Archival export: each event's line (``to_line``), re-ingestable
         losslessly."""
-        log = self.log(partition_id)
-        return [log.line(e, encode) for e in log.missing_for(VersionVector())]
+        return [e.to_line() for e in self.log(partition_id).missing_for(VersionVector())]
 
     def import_partition(self, partition_id: str, lines: list[str]) -> int:
-        """Re-ingest an archival export (e.g. into a fresh replica); the log
-        keeps each line as its event's archival line, as a sync merge does.
+        """Re-ingest an archival export (e.g. into a fresh replica).
 
         A line that is not an event record raises MalformedEvent, an event
         of an entity type the partition does not take WrongPartition
@@ -1092,28 +1069,26 @@ class ReplicaStore:
         event-id order; one whose id the log holds is skipped, as
         ``ingest_foreign`` skips it. Returns how many were appended.
         """
-        from_line = EventRecord.from_line
-        records = [from_line(line) for line in lines]
+        # by event id, a record's first field; the sort is stable, so of two lines with one id the first is kept
+        records = sorted(map(EventRecord.from_line, lines), key=itemgetter(0))
         if not records:
             return 0
-        # by event id, each with its line; the sort is stable, so of two lines with one id the first is kept
-        keyed = sorted(zip([event.event_id for event in records], records, lines), key=itemgetter(0))
         # on a hosted partition, an entity type routes here exactly when it is placed here
         types = {event.entity_ref.entity_type for event in records}
         if partition_id not in self.partitions or any(self.placement.get(t) != partition_id for t in types):
-            for _, event, _ in keyed:  # raises at the first misrouted event
+            for event in records:  # raises at the first misrouted event
                 self._check_route(partition_id, event.entity_ref)
         log = self.partitions[partition_id]
         held, append, last = log._by_id, log.append, log._max_seq
-        fresh = [entry for entry in keyed if entry[0] not in held]
+        fresh = [event for event in records if event.event_id not in held]
         # each origin's first fresh event, which the rest of its events sort after
-        for first in {event_id.replica: event_id for event_id, _, _ in reversed(fresh)}.values():
+        for first in {event.event_id.replica: event.event_id for event in reversed(fresh)}.values():
             if first.seq <= last.get(first.replica, 0):
                 raise SequenceGap(f"{first} arrived after {first.replica}:{last[first.replica]}")
         appended, lamport = 0, self.lamport
-        for event_id, event, line in fresh:
-            if event_id not in held:  # not a second line with one id
-                append(event, line)
+        for event in fresh:
+            if event.event_id not in held:  # not a second line with one id
+                append(event)
                 appended += 1
                 if event.lww_hint > lamport:
                     lamport = event.lww_hint

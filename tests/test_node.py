@@ -14,7 +14,7 @@ from eventual.replication import sync
 from eventual.store import OP_CANCEL, OP_TENTATIVE
 from eventual.txn import CommitBatch
 
-from test_replication import ACCOUNT, BOOK, brute_force_losers, local_delta, make_registry, make_replica
+from test_replication import ACCOUNT, BOOK, brute_force_losers, make_registry, make_replica
 
 
 class World:
@@ -333,25 +333,8 @@ def test_an_offline_sync_remediates_as_the_nodes_do():
         node.detach()
     a, b = (node.replica for node in world.nodes.values())
     assert sync(a, b)[0] == 4
-    _assert_the_oracle_s_losers_are_cancelled_once_each({"A": a, "B": b})
+    oracle = _assert_the_oracle_s_losers_are_cancelled_once_each({"A": a, "B": b})
+    # A's apologies to its own notify partition are consumed at the sync's tick
+    assert {apology.subject for apology in scan_apologies(a)} == oracle
+    assert len(a.inbox) == 0 and len(b.inbox) == 0
     assert a.on_commit is None and b.on_commit is None  # sync leaves no hook behind
-
-
-# -- anti-entropy ------------------------------------------------------------------
-
-
-def test_a_synced_line_is_kept_as_received_and_a_synced_record_is_held_as_sent():
-    # A line (a peer outside the run ships one) is decoded, and the log
-    # keeps it as the event's archival line, so export writes the bytes
-    # received. A record is held as the sender's own object, with no line.
-    reg = make_registry()
-    source = make_replica("Z", reg)
-    as_line = local_delta(source, ACCOUNT, "d1", balance=5)
-    as_record = local_delta(source, ACCOUNT, "d2", balance=7)
-    padded = f" {as_line.to_line()}\n"
-    node = World([make_replica("A", reg)]).nodes["A"]
-    node._merge_remote_events({"p0": [padded, as_record]})
-    log = node.replica.store.log("p0")
-    assert log.get(as_line.event_id) == as_line and log.get(as_line.event_id) is not as_line
-    assert log.get(as_record.event_id) is as_record
-    assert node.replica.store.export_partition("p0") == [padded, as_record.to_line()]

@@ -414,13 +414,20 @@ def test_a_made_and_a_decoded_event_encode_the_same_canonical_line():
     assert f'"payload":{canonical},' in made.to_line()
 
 
-def test_an_imported_line_that_is_not_canonical_is_exported_as_imported():
-    # an event's archival line is the one it arrived as, by sync or import
+@pytest.mark.parametrize("form", ["unsorted-keys", "padded"])
+def test_an_imported_line_that_is_not_canonical_is_exported_as_its_encoding(form):
+    # a log keeps no line: an event's archival line is its record's encoding
     made, unsorted = _made_and_unsorted_line()
+    line = unsorted if form == "unsorted-keys" else f" {made.to_line()}\n"
+    assert line != made.to_line()
     clone = make_store("B")
-    assert clone.import_partition("p0", [unsorted]) == 1
-    assert clone.export_partition("p0") == [unsorted]
-    assert clone.log("p0").get(made.event_id) == made == EventRecord.from_line(made.to_line())
+    assert clone.import_partition("p0", [line]) == 1
+    assert clone.log("p0").get(made.event_id) == made
+    exported = clone.export_partition("p0")
+    assert exported == [made.to_line()]
+    again = make_store("C")
+    again.import_partition("p0", exported)
+    assert again.export_partition("p0") == exported
 
 
 
@@ -671,8 +678,14 @@ def test_a_zero_entry_is_absent():
     ("corrupt", "field"),
     [
         (lambda line: line[: len(line) // 2], None),  # truncated JSON
+        (lambda line: line[:-1], None),  # the closing brace cut off
+        (lambda line: line[: line.index(',"origin_txn_id"')] + "}", None),  # the last field cut off
+        (lambda line: "not json", None),
+        (lambda line: "", None),
+        (lambda line: '{"event_id":"', None),  # a bare head
         (lambda line: line.replace('"lww_hint"', '"lww_hnt"'), None),  # a missing field
         (lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:one"'), None),  # a bad event_id
+        (lambda line: line.replace('"event_id":"A:1"', '"event_id":"A1"'), None),  # an event_id with no colon
         (lambda line: line.replace('"event_id":"A:1"', '"event_id":"A:0"'), None),  # a sequence below 1
         # a sequence int() reads but that is not how to_line writes it
         *((lambda line, seq=seq: line.replace('"event_id":"A:1"', f'"event_id":"A:{seq}"'), None)
@@ -697,7 +710,8 @@ def test_a_zero_entry_is_absent():
         (lambda line: line.replace('"idempotence_key":"d1"', '"idempotence_key":"d\ud800\udc00"'), None),
         (lambda line: line.replace('"idempotence_key":"d1"', '"idempotence_key":"d\ud800\\udc00"'), None),
     ],
-    ids=["truncated", "missing-field", "bad-event-id", "seq-zero", "seq-underscore", "seq-space",
+    ids=["truncated", "no-brace", "no-last-field", "not-json", "empty", "bare-head", "missing-field",
+         "bad-event-id", "no-colon", "seq-zero", "seq-underscore", "seq-space",
          "seq-plus", "seq-leading-zero", "seq-arabic-indic-digit", "unknown-op",
          "hint-string", "hint-bool", "hint-float", "op-kind-list", "key-int", "txn-null",
          "payload-list", "stamp-string", "stamp-zero", "stamp-entry-string", "stamp-entry-bool",
@@ -715,10 +729,14 @@ def test_malformed_archive_lines_raise_a_typed_error_naming_the_line(corrupt, fi
     assert caught.value.line == bad and repr(bad) in str(caught.value)
     if field is not None:
         assert str(caught.value.__cause__).startswith(field)
-    clone = make_store("Z")
-    with pytest.raises(MalformedEvent):
-        clone.import_partition("p0", [bad, lines[1]])
-    assert clone.export_partition("p0") == []
+    # a clone holding nothing, and one holding the id the corrupt line names:
+    # either way the line is decoded, raises, and nothing is appended
+    for held in ([], [lines[0]]):
+        clone = make_store("Z")
+        clone.import_partition("p0", held)
+        with pytest.raises(MalformedEvent):
+            clone.import_partition("p0", [bad, lines[1]])
+        assert clone.export_partition("p0") == held
 
 
 # -- the archival line codec ------------------------------------------------
@@ -835,7 +853,7 @@ def test_an_import_with_a_misrouted_event_appends_nothing():
     for ref, partition in ((ACCOUNT, "p0"), (ACCOUNT, "p0"), (INVENTORY, "p1")):
         event = source.make_event(ref, OP_DELTA, {"deltas": {"n": 1}}, f"k{len(lines)}", "t")
         source.append_event(partition, event)
-        lines.append(source.log(partition).line(event))
+        lines.append(event.to_line())
     clone = make_store("Z", reg)
     clone.import_partition("p0", [lines[0]])
     clone.placement["inventory"] = "p1"  # a type this replica places on a partition it does not host
@@ -857,7 +875,7 @@ def test_an_import_with_a_sequence_gap_appends_nothing():
     lines = {origin: source.export_partition("p0") for origin, source in sources.items()}
     clone = make_store("C", reg)
     for line in (lines["Z"][0], lines["Z"][2]):  # Z:1 and Z:3, without Z:2
-        clone.ingest_foreign("p0", EventRecord.from_line(line), line)
+        clone.ingest_foreign("p0", EventRecord.from_line(line))
     held = clone.export_partition("p0")
     with pytest.raises(SequenceGap, match="Z:2 arrived after Z:3"):
         clone.import_partition("p0", lines["A"] + lines["Z"])
