@@ -11,10 +11,10 @@ from eventual.node import Node, NodeConfig
 from eventual.process import scan_apologies
 from eventual.replica import Replica
 from eventual.replication import sync
-from eventual.store import OP_CANCEL, OP_TENTATIVE
+from eventual.store import OP_CANCEL, OP_TENTATIVE, EventRecord
 from eventual.txn import CommitBatch
 
-from test_replication import ACCOUNT, BOOK, brute_force_losers, make_registry, make_replica
+from test_replication import ACCOUNT, BOOK, brute_force_losers, local_delta, make_registry, make_replica
 
 
 class World:
@@ -338,3 +338,27 @@ def test_an_offline_sync_remediates_as_the_nodes_do():
     assert {apology.subject for apology in scan_apologies(a)} == oracle
     assert len(a.inbox) == 0 and len(b.inbox) == 0
     assert a.on_commit is None and b.on_commit is None  # sync leaves no hook behind
+
+
+# -- anti-entropy ------------------------------------------------------------------
+
+
+def test_a_synced_record_is_held_as_sent_and_exported_as_its_encoding(monkeypatch):
+    # A sync entry is the sender's record: the log holds that object and
+    # encodes no line for it until export writes its record's encoding.
+    reg = make_registry()
+    source = make_replica("Z", reg)
+    made = [local_delta(source, ACCOUNT, f"d{i}", balance=i) for i in (1, 2)]
+    node = World([make_replica("A", reg)]).nodes["A"]
+    to_line, encodes = EventRecord.to_line, [0]
+
+    def counted_to_line(event):
+        encodes[0] += 1
+        return to_line(event)
+
+    monkeypatch.setattr(EventRecord, "to_line", counted_to_line)
+    node._merge_remote_events({"p0": made})
+    log = node.replica.store.log("p0")
+    assert all(log.get(event.event_id) is event for event in made)
+    assert encodes[0] == 0
+    assert node.replica.store.export_partition("p0") == [to_line(event) for event in made]

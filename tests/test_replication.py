@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from eventual.errors import Uncompensatable, UnmergeableCustom
 from eventual.registry import MergePolicy, RollupSpec, SchemaRegistry
 from eventual.replica import Replica
 from eventual.replication import (
+    _Offline,
     compensation_plan,
     concurrent_groups,
     detect_overbooking,
@@ -103,6 +105,21 @@ def test_an_offline_sync_encodes_no_line_and_each_replica_holds_the_other_s_reco
     assert encoded == []
     assert b.store.log("p0").get(made_a.event_id) is made_a
     assert a.store.log("p0").get(made_b.event_id) is made_b
+
+
+def test_an_offline_host_queues_the_tasks_due_at_its_tick_and_drops_later_ones():
+    # a task due at the exchange's tick waits in the one queue, after the
+    # envelopes sent before it; expiries, retries and backoffs come later
+    queue = deque()
+    host = _Offline("A", queue)
+    host.send("B", "sync_req", {"n": 1}, "e1")
+    host.schedule(host.now, "consume", "p0")
+    host.schedule(host.now + 1, "retry", "m1")
+    host.schedule(host.now + 5, "expire", "r1")
+    assert list(queue) == [
+        ("A", "B", "sync_req", {"n": 1}),
+        ("A", "A", None, {"kind": "consume", "detail": "p0"}),
+    ]
 
 
 def test_random_pairwise_gossip_converges_for_many_seeds():

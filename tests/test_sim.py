@@ -1464,6 +1464,28 @@ def test_a_report_file_encodes_each_dumped_line_at_render(monkeypatch):
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_every_event_line_of_a_report_file_is_its_held_record_s_encoding(path):
+    # The report file dumps what each replica's partition exports: one
+    # canonical line per held record, in the log's order.
+    scenario = load_scenario(path)
+    scenario.config.seed = 0
+    sim = Simulator(scenario)
+    report = sim.run()
+    dumped: dict = {}
+    for row in render_report_file(report, sim).splitlines():
+        if row.startswith("event "):
+            _, rid, pid, line = row.split(" ", 3)
+            assert EventRecord.from_line(line).to_line() == line, (rid, pid)
+            dumped.setdefault((rid, pid), []).append(line)
+    held = {
+        (rid, pid): [event.to_line() for event in replica.store.log(pid).missing_for(VersionVector())]
+        for rid, replica in sim.replicas.items()
+        for pid in replica.partitions_hosted()
+    }
+    assert dumped == {key: lines for key, lines in held.items() if lines}
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
 def test_replicas_share_each_synced_record_and_none_mutates_it(path):
     # Every replica holds its origin's one record of each event: no fold,
     # scan or step may edit it, or every replica would see the edit.
