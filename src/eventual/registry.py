@@ -16,12 +16,12 @@ from .errors import InvalidRecord, UnknownEntityType
 
 
 class MergePolicy(str, Enum):
+    """How an entity type's events fold. Every policy folds in canonical
+    order, so replicas holding the same events hold the same value."""
+
     COMMUTATIVE_DELTA = "commutative_delta"
     LWW_REGISTER = "lww_register"
     CUSTOM_MERGE = "custom_merge"
-    # Deliberately order-dependent policy kept as a negative control for
-    # convergence sweeps. Never use outside tests.
-    ARRIVAL_LWW = "arrival_lww"
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .store import (
     OP_TENTATIVE,
     OP_TOMBSTONE,
     EntityRef,
+    EventId,
     EventRecord,
     FoldState,
     canonical_json,
@@ -197,8 +198,10 @@ def concurrent_groups(ordered: list[EventRecord]) -> list[list[str]]:
 def resolve(entity_ref: EntityRef, events: list[EventRecord], spec: RollupSpec,
             state: FoldState) -> ConflictReport:
     """Report the concurrency on one entity and how its fold ``state`` of
-    ``events`` settled it: composed deltas are the fold's sums; groups, LWW
-    winner and losers come from canonical order. Raises UnmergeableCustom
+    ``events`` settled it: groups come from canonical order, composed deltas
+    are the fold's sums, and the LWW winner is the fold's ``base_winner``,
+    with the other inserts the fold took as losers (neither a resurrection
+    nor a repeat of an idempotence key is one). Raises UnmergeableCustom
     when a custom policy has no merge hook for concurrent writes; callers
     escalate it to a managed exception."""
     ordered = canonical_sort(events)
@@ -208,14 +211,16 @@ def resolve(entity_ref: EntityRef, events: list[EventRecord], spec: RollupSpec,
     if spec.merge_policy is MergePolicy.CUSTOM_MERGE and spec.fold is None and report.groups:
         raise UnmergeableCustom(str(entity_ref))
 
-    if spec.merge_policy in (MergePolicy.LWW_REGISTER, MergePolicy.ARRIVAL_LWW):
-        writes = [e for e in ordered if e.op_kind == OP_INSERT]
-        if writes:
-            winner = writes[-1]  # canonical order already applies the tiebreak
-            report.resolution = {
-                "winner": str(winner.event_id),
-                "losers": [str(e.event_id) for e in writes[:-1]],
-            }
+    if spec.merge_policy is MergePolicy.LWW_REGISTER and state.base_winner is not None:
+        first: dict[str, EventRecord] = {}  # each idempotence key's first event: the one the fold applied
+        for event in ordered:
+            first.setdefault(event.idempotence_key, event)
+        losers = [
+            str(e.event_id) for e in first.values()
+            if e.op_kind == OP_INSERT and e.canonical_key != state.base_winner
+            and str(e.event_id) not in state.resurrections
+        ]
+        report.resolution = {"winner": str(EventId(*state.base_winner[1:])), "losers": losers}
     elif spec.merge_policy is MergePolicy.COMMUTATIVE_DELTA:
         report.resolution = {"composed": dict(state.sums)}
     return report

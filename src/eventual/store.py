@@ -26,7 +26,7 @@ resurrection or a custom fold makes that read rebuild from the
 checkpoint. A read of one new event, most often a local commit, folds
 it without a sort. The cache is derived, volatile state: summarizing an
 entity drops its entry, and a crash drops them all. Reads at an
-``as_of`` cut and the arrival-order negative control are never cached.
+``as_of`` cut are never cached.
 
 Each kept fold also keeps its finalized value until an event that takes
 effect drops it, and its reservation view until a reservation event
@@ -476,7 +476,7 @@ class FoldState:
             if self._is_resurrection(event):
                 self.resurrections.append(str(event.event_id))
                 return
-            self._take_base(event, arrival_wins=spec.merge_policy is MergePolicy.ARRIVAL_LWW)
+            self._take_base(event)
         elif op == OP_TENTATIVE:
             self._fold_tentative(event)
         elif op in (OP_CONFIRM, OP_CANCEL):
@@ -530,9 +530,9 @@ class FoldState:
     def _is_resurrection(self, event: EventRecord) -> bool:
         return any(event.causal_stamp.strictly_dominates(t) for t in self.tombstone_stamps)
 
-    def _take_base(self, event: EventRecord, arrival_wins: bool = False) -> None:
+    def _take_base(self, event: EventRecord) -> None:
         key = event.canonical_key
-        if arrival_wins or self.base_winner is None or key > self.base_winner:
+        if self.base_winner is None or key > self.base_winner:
             self.base_winner = key
             self.base_fields = dict(event.payload.get("fields", {}))
 
@@ -619,7 +619,7 @@ class FoldState:
     def _build_value(self, spec: RollupSpec) -> dict:
         if spec.merge_policy is MergePolicy.CUSTOM_MERGE and spec.fold is not None:
             value = dict(self.custom_value if self.custom_value is not None else spec.initial_value)
-        elif spec.merge_policy in (MergePolicy.LWW_REGISTER, MergePolicy.ARRIVAL_LWW):
+        elif spec.merge_policy is MergePolicy.LWW_REGISTER:
             value = dict(spec.initial_value)
             value.update(self.base_fields)
         else:
@@ -949,9 +949,7 @@ class ReplicaStore:
         """The one fold: reads, checkpoints and scans all come through here.
 
         Resumes from the checkpoint when as_of reaches it, keeps the events
-        <= as_of (or all), and folds them in canonical order. The
-        ARRIVAL_LWW negative control folds in arrival order instead, which
-        diverges across replicas by construction, and never resumes.
+        <= as_of (or all), and folds them in canonical order.
 
         A read of the whole log (as_of None) returns the entity's cached
         state, advanced by the live events appended since the last read, in
@@ -961,15 +959,12 @@ class ReplicaStore:
         read rebuild the state from the checkpoint. A single new event, the
         tail of a read after one commit, is not sorted. The returned state
         is shared with the cache and later reads: callers must not mutate
-        it. Reads at a cut and the ARRIVAL_LWW control build a fresh state
-        every time.
+        it. Reads at a cut build a fresh state every time.
         """
         spec = self.registry.get(entity_ref.entity_type)
         log = self.log(partition_id)
-        arrival_order = spec.merge_policy is MergePolicy.ARRIVAL_LWW
-        cached = as_of is None and not arrival_order
         folds = self._folds[partition_id]
-        entry = folds.get(entity_ref) if cached else None
+        entry = folds.get(entity_ref) if as_of is None else None
         if entry is not None:
             state, done, top = entry
             # a checkpoint may exist before the entity has any live events here
@@ -989,7 +984,7 @@ class ReplicaStore:
                 last = tail[-1].canonical_key
                 folds[entity_ref] = (state, len(live), last if top is None or last > top else top)
                 return state
-        checkpoint = None if arrival_order else log.checkpoints.get(entity_ref)
+        checkpoint = log.checkpoints.get(entity_ref)
         if checkpoint is not None and (as_of is None or as_of.dominates(checkpoint.covers_up_to)):
             state = FoldState.from_snapshot(checkpoint.summarized_value)
             events = log.live_events_for(entity_ref)
@@ -998,11 +993,10 @@ class ReplicaStore:
             events = log.all_events_for(entity_ref)
         if as_of is not None:
             events = [e for e in events if as_of.covers(e.event_id.replica, e.event_id.seq)]
-        if not arrival_order:
-            events = canonical_sort(events)
+        events = canonical_sort(events)
         for event in events:
             state.fold(event, spec)
-        if cached and (events or checkpoint is not None):
+        if as_of is None and (events or checkpoint is not None):
             # without a checkpoint nothing is archived: events are the live list
             folds[entity_ref] = (state, len(events), events[-1].canonical_key if events else None)
         return state

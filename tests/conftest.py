@@ -1,5 +1,5 @@
 """Suite-wide checks of the store's fold cache and the referential index,
-and a fold counter.
+a fold counter, and the convergence sweep's negative control.
 
 ``ReplicaStore.fold_state`` keeps one fold per entity and advances it on
 read. For the whole session every whole-log read is compared with a fold
@@ -9,6 +9,14 @@ whole-log ``ReplicaStore.rollup`` also compares its value with the
 finalized scratch fold, so the fold's kept reservation view is checked
 too: one not dropped when a reservation event folded, or mutated by a
 caller, differs from the scratch fold's fresh view.
+
+The ``arrival_order_fold`` fixture is the negative control: inside a test
+that requests it, and only there, every replica folds each entity in the
+order its log received the events, keeping the last insert it folded. It
+replaces both checked wrappers for that test, since such a fold differs
+from the canonical one by design. Replicas that received concurrent
+writes in different orders then diverge, which every convergence check
+must flag.
 
 ``plan_referential_resolutions`` reads only the entities a partition log
 indexes under the parent. For the whole session every plan the simulator
@@ -53,7 +61,6 @@ import eventual.scenario
 import eventual.node
 from eventual.errors import ScenarioInvalid
 from eventual.process import plan_referential_resolutions, scan_exceptions
-from eventual.registry import MergePolicy
 from eventual.store import FoldState, ReplicaStore, canonical_sort
 
 _FOLD = FoldState.fold  # bound at import: the cross-check's own folds are never counted
@@ -81,8 +88,7 @@ def _scratch_fold(store: ReplicaStore, partition_id: str, ref) -> FoldState:
 
 def _checked_fold_state(store, partition_id, entity_ref, as_of=None):
     state = _FOLD_STATE(store, partition_id, entity_ref, as_of)
-    spec = store.registry.get(entity_ref.entity_type)
-    if as_of is None and spec.merge_policy is not MergePolicy.ARRIVAL_LWW:
+    if as_of is None:
         expected = _scratch_fold(store, partition_id, entity_ref).to_snapshot()
         assert state.to_snapshot() == expected, f"cached fold of {entity_ref} diverged"
     return state
@@ -91,7 +97,7 @@ def _checked_fold_state(store, partition_id, entity_ref, as_of=None):
 def _checked_rollup(store, partition_id, entity_ref, as_of=None):
     result = _ROLLUP(store, partition_id, entity_ref, as_of)
     spec = store.registry.get(entity_ref.entity_type)
-    if as_of is None and spec.merge_policy is not MergePolicy.ARRIVAL_LWW:
+    if as_of is None:
         expected = _scratch_fold(store, partition_id, entity_ref).finalize(spec)
         assert result.value == expected, f"rollup of {entity_ref} diverged"
     return result
@@ -103,6 +109,33 @@ def cross_check_fold_cache():
         patch.setattr(ReplicaStore, "fold_state", _checked_fold_state)
         patch.setattr(ReplicaStore, "rollup", _checked_rollup)
         yield
+
+
+class _ArrivalFoldState(FoldState):
+    """A FoldState whose insert rule keeps the last insert folded."""
+
+    def _take_base(self, event) -> None:
+        self.base_winner = event.canonical_key
+        self.base_fields = dict(event.payload.get("fields", {}))
+
+
+def _arrival_fold_state(store, partition_id, entity_ref, as_of=None):
+    """The entity's events (<= as_of, or all) folded in arrival order, with
+    no cache and no checkpoint."""
+    spec = store.registry.get(entity_ref.entity_type)
+    state = _ArrivalFoldState()
+    for event in store.log(partition_id).all_events_for(entity_ref):
+        if as_of is None or as_of.covers(event.event_id.replica, event.event_id.seq):
+            state.fold(event, spec)
+    return state
+
+
+@pytest.fixture
+def arrival_order_fold(monkeypatch):
+    """Every replica folds in arrival order for this test (see the module
+    docstring)."""
+    monkeypatch.setattr(ReplicaStore, "fold_state", _arrival_fold_state)
+    monkeypatch.setattr(ReplicaStore, "rollup", _ROLLUP)
 
 
 # what PyYAML's scalar constructors raise on a value their tag cannot hold

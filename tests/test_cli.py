@@ -176,6 +176,7 @@ entities:
         ("  shelf:\n    parents: [{field: book_id, type: [book]}]\n", 9,
          "'type' in parent must be a string, got ['book']"),
         ("  shelf:\n    parents: [{field: book_id, type: boook}]\n", 9, "undeclared entity type 'boook'"),
+        ("  shelf:\n    merge: arrival_lww\n", 9, "entity 'shelf': unknown merge policy 'arrival_lww'"),
     ],
     ids=["action-entity", "action-entity-type", "disaster-entity", "deferred-entity", "action-at",
          "missing-at", "fault-at", "network-drop", "lags-pending", "sync-interval", "action-at-bool",
@@ -183,7 +184,7 @@ entities:
          "network-drop-str", "handler-entity", "handler-entities", "reserve-deadline-str",
          "reserve-quantity-str", "delta-value-str", "deferred-delta-bool", "observed-str", "reorder-str",
          "reorder-list", "notify-partition-list", "capacity-field-list", "aggregates-entry-list",
-         "parent-field-list", "parent-type-list", "parent-type-undeclared"],
+         "parent-field-list", "parent-type-list", "parent-type-undeclared", "merge-policy-unknown"],
 )
 def test_malformed_entities_and_numbers_exit_two_with_the_line(tmp_path, capsys, tail, line, message):
     bad = tmp_path / "bad.yaml"
@@ -571,12 +572,42 @@ def test_seed_sweep_passes_on_the_gossip_scenario(capsys):
     assert "violating_seeds: []" in out
 
 
-def test_seed_sweep_flags_the_broken_merge_fixture(capsys):
-    code = main(["sweep", str(SCENARIOS / "broken_merge.yaml"), "--sweep-seeds", "8"])
+# Two replicas write one register concurrently: with the arrival-order
+# control (the ``arrival_order_fold`` fixture) each keeps the write it
+# received last, so they diverge.
+ARRIVAL_CONTROL = """schema: eventual/1
+entities:
+  profile:
+    merge: lww_register
+topology:
+  partitions: {p0: [A, B]}
+sync_interval: 4
+max_time: 1000
+actions:
+  - {at: 2, replica: A, do: lww_set, id: a1, entity: profile/p, fields: {color: red}}
+  - {at: 2, replica: B, do: lww_set, id: a2, entity: profile/p, fields: {color: blue}}
+"""
+
+
+def _sweep_arrival_control(tmp_path) -> int:
+    path = tmp_path / "arrival_control.yaml"
+    path.write_text(ARRIVAL_CONTROL)
+    return main(["sweep", str(path), "--sweep-seeds", "8"])
+
+
+def test_seed_sweep_flags_the_broken_merge_fixture(tmp_path, capsys, arrival_order_fold):
+    code = _sweep_arrival_control(tmp_path)
     out = capsys.readouterr().out
     assert code == 1
     assert "DIVERGED" in out
     assert "violating_seeds: []" not in out
+
+
+def test_seed_sweep_passes_the_arrival_control_text_under_the_canonical_fold(tmp_path, capsys):
+    code = _sweep_arrival_control(tmp_path)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "violating_seeds: []" in out
 
 
 def test_crash_sweep_passes_on_the_reference_scenario(capsys):

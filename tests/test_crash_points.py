@@ -16,6 +16,7 @@ import test_sim
 from eventual.cli import check_invariants, commit_points, crash_violations
 from eventual.scenario import parse_scenario
 from eventual.sim import CRASH_RECOVERY_GAP, Simulator, run
+from test_cli import ARRIVAL_CONTROL
 from test_scenario import TEXTS  # every bundled and inline scenario, by name
 
 
@@ -56,12 +57,15 @@ def test_the_crashed_replica_loses_its_task_and_recovers_after_the_gap():
     assert check_invariants(report) == []
 
 
+def test_check_invariants_flags_the_arrival_order_control_without_a_crash(arrival_order_fold):
+    failures = check_invariants(run(parse_scenario(ARRIVAL_CONTROL)))
+    assert "DIVERGED: profile/p differs across replicas" in failures
+
+
 # Every commit point of every bundled and inline scenario, at the scenario's
 # own seed, that fails an invariant or ends in another business state than
 # the no-crash run, as (scenario, replica, point).
 KNOWN_MISMATCHES = {
-    # negative control: the fixture diverges without any crash
-    ("broken_merge.yaml", None, "baseline"),
     # the LWW winner of the concurrent profile/p writes flips with crash
     # timing; the value is still one of the candidates
     ("gossip.yaml", "A", "commit=1"),

@@ -143,7 +143,7 @@ def _moved(expected: dict, actual: dict) -> list[str]:
 
 def test_bundled_scenarios_match_the_golden_digests():
     expected = json.loads(GOLDEN.read_text())
-    assert len(expected) == 90
+    assert len(expected) == 80
     assert _moved(expected, digests()) == []
 
 
@@ -155,7 +155,7 @@ def test_fault_paths_match_the_golden_digests():
 
 def test_every_golden_run_keeps_its_semantic_digest():
     expected = json.loads(GOLDEN_SEMANTIC.read_text())
-    assert len(expected) == 90 + 323
+    assert len(expected) == 80 + 323
     assert _moved(expected, semantic_digests()) == []
 
 

@@ -207,6 +207,93 @@ def test_the_fold_names_an_insert_after_a_tombstone_and_ignores_it():
     assert state.value == {"x": 1}
 
 
+def test_an_lww_resolution_names_the_fold_s_winner_not_a_resurrection():
+    reg = make_registry()
+    a, b = make_replica("A", reg), make_replica("B", reg)
+    red = a.store.make_event(PROFILE, OP_INSERT, {"fields": {"color": "red"}}, "k-red", "t1")
+    a.store.append_event("p0", red)
+    green = b.store.make_event(PROFILE, OP_INSERT, {"fields": {"color": "green"}}, "k-green", "t2")
+    b.store.append_event("p0", green)
+    tomb = b.store.mark_deleted("p0", PROFILE, "t3")
+    sync(a, b)
+    blue = a.store.make_event(PROFILE, OP_INSERT, {"fields": {"color": "blue"}}, "k-blue", "t4")
+    a.store.append_event("p0", blue)
+    state = a.store.fold_state("p0", PROFILE)
+    assert state.resurrections == [str(blue.event_id)]
+    assert state.base_winner == green.canonical_key
+    assert a.store.rollup("p0", PROFILE).value == {"color": "green"}
+    report = resolve_folded(PROFILE, [red, green, tomb, blue], reg.get("profile"))
+    assert report.resolution == {"winner": "B:1", "losers": ["A:1"]}
+
+
+def test_an_lww_resolution_names_no_repeat_of_an_idempotence_key_as_a_loser():
+    reg = make_registry()
+    a, b = make_replica("A", reg), make_replica("B", reg)
+    ea = a.store.make_event(PROFILE, OP_INSERT, {"fields": {"color": "red"}}, "k", "t1")
+    a.store.append_event("p0", ea)
+    eb = b.store.make_event(PROFILE, OP_INSERT, {"fields": {"color": "blue"}}, "k", "t2")
+    b.store.append_event("p0", eb)
+    a.store.ingest_foreign("p0", eb)
+    assert a.store.rollup("p0", PROFILE).value == {"color": "red"}  # the first copy of k folds
+    report = resolve_folded(PROFILE, [ea, eb], reg.get("profile"))
+    assert report.groups == [["A:1", "B:1"]]
+    assert report.resolution == {"winner": "A:1", "losers": []}
+
+
+def test_an_lww_resolution_reads_a_fold_resumed_from_a_checkpoint():
+    reg = make_registry()
+    a, b = make_replica("A", reg), make_replica("B", reg)
+    red = a.store.make_event(PROFILE, OP_INSERT, {"fields": {"color": "red"}}, "k-red", "t1")
+    a.store.append_event("p0", red)
+    blue = b.store.make_event(PROFILE, OP_INSERT, {"fields": {"color": "blue"}}, "k-blue", "t2")
+    b.store.append_event("p0", blue)
+    sync(a, b)
+    a.store.summarize("p0", PROFILE, a.frontier("p0"))
+    green = a.store.make_event(PROFILE, OP_INSERT, {"fields": {"color": "green"}}, "k-green", "t3")
+    a.store.append_event("p0", green)
+    events = a.store.log("p0").all_events_for(PROFILE)
+    spec = reg.get("profile")
+    report = resolve(PROFILE, events, spec, a.store.fold_state("p0", PROFILE))
+    assert report.resolution == {"winner": "A:2", "losers": ["A:1", "B:1"]}
+    assert report.dump() == resolve_folded(PROFILE, events, spec).dump()
+
+
+def test_every_replica_names_the_lww_winner_its_rollup_shows():
+    # random inserts (some repeating an idempotence key) and tombstones on
+    # three replicas: after a full sync every replica's report from its
+    # kept fold is the one a fold of the events in any order gives, and
+    # its winner wrote the value
+    spec = make_registry().get("profile")
+    for seed in range(40):
+        rng = random.Random(seed)
+        replicas = [make_replica(r) for r in ("A", "B", "C")]
+        for i in range(rng.randint(2, 8)):
+            who = rng.choice(replicas)
+            if rng.random() < 0.2 and who.store.log("p0").all_events_for(PROFILE):
+                who.store.mark_deleted("p0", PROFILE, f"t{i}")
+            else:
+                key = rng.choice(["k0", "k1", f"k{i}"])
+                event = who.store.make_event(PROFILE, OP_INSERT, {"fields": {"n": i}}, key, f"t{i}")
+                who.store.append_event("p0", event)
+            if rng.random() < 0.5:
+                sync(*rng.sample(replicas, 2))
+        for x, y in ((0, 1), (1, 2), (0, 1)):
+            sync(replicas[x], replicas[y])
+        dumps = set()
+        for replica in replicas:
+            events = replica.store.log("p0").all_events_for(PROFILE)
+            state = replica.store.fold_state("p0", PROFILE)
+            report = resolve(PROFILE, events, spec, state)
+            assert report.dump() == resolve_folded(PROFILE, rng.sample(events, len(events)), spec).dump()
+            dumps.add(report.dump())
+            if report.resolution:
+                winner = next(e for e in events if str(e.event_id) == report.resolution["winner"])
+                assert replica.store.rollup("p0", PROFILE).value["n"] == winner.payload["fields"]["n"]
+                assert report.resolution["winner"] not in report.resolution["losers"]
+                assert not set(report.resolution["losers"]) & set(state.resurrections)
+        assert len(dumps) == 1, f"seed {seed}"
+
+
 def test_custom_merge_without_hook_escalates_on_concurrency():
     reg = make_registry()
     a, b = make_replica("A", reg), make_replica("B", reg)

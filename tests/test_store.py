@@ -9,7 +9,7 @@ import random
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eventual.clocks import VersionVector
@@ -525,6 +525,10 @@ _json_payloads = st.dictionaries(
 def test_every_made_event_decodes_from_its_line_to_an_equal_record(op_kind, payload, later):
     # A run hands its receivers the sender's record for a line instead of
     # decoding it, which is sound only if decoding would give that record back.
+    # a reservation op's id other than a string is refused before an event
+    # is made (test_a_value_no_line_gives_back_is_refused_before_an_event_is_made)
+    assume(op_kind not in store_module._RESERVATION_OPS
+           or all(type(p.get("reservation_id", "")) is str for p in (payload, later)))
     store = make_store()
     if _holds_surrogate_pair([payload, later]):
         # no line gives such a string back: the store refuses it before making an event

@@ -28,7 +28,6 @@ SEED = 1
 # tasks per kind of each bundled scenario at seed 1
 TASKS = {
     "bank": {"client": 4, "sync": 2},
-    "broken_merge": {"client": 2, "deliver": 10, "sync": 6},
     "gossip": {"client": 12, "deliver": 138, "fault": 4, "retry": 54, "sync": 51},
     "invoice": {"client": 4, "consume": 3, "pending": 2, "sync": 12},
     "negative_inventory": {"cleanse": 1, "client": 3, "sync": 3},
@@ -88,5 +87,5 @@ def test_every_bundled_run_executes_its_pinned_tasks_per_kind(monkeypatch):
     total = Counter()
     for kinds in counts.values():
         total.update(kinds)
-    assert sum(total.values()) == 558
+    assert sum(total.values()) == 540
     assert "exec" not in total  # a message takes one task, its consume
