@@ -44,7 +44,8 @@ class LockTable:
         return lock
 
     def blocked(self, entity_ref: EntityRef, session: str) -> bool:
-        return any(l.owner_session != session for l in self._held.get(entity_ref, []))
+        locks = self._held.get(entity_ref)
+        return locks is not None and any(l.owner_session != session for l in locks)
 
     def is_locked(self, entity_ref: EntityRef) -> bool:
         return bool(self._held.get(entity_ref))

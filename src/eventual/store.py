@@ -23,10 +23,12 @@ integer sums, an insert that resurrects nothing, a reservation's first
 tentative, a confirm or cancel, a new apology or discrepancy. A late
 tombstone, a second copy of an idempotence key, a float delta, a
 resurrection or a custom fold makes that read rebuild from the
-checkpoint. A read of one new event, most often a local commit, folds
-it without a sort. The cache is derived, volatile state: summarizing an
-entity drops its entry, and a crash drops them all. Reads at an
-``as_of`` cut are never cached.
+checkpoint. A read of one new event takes it without a sort or a slice:
+one that sorts past the greatest folded key, as every local commit
+does, is folded straight on and its key kept as the new greatest, and
+only a late one goes through the rule above. The cache is derived,
+volatile state: summarizing an entity drops its entry, and a crash
+drops them all. Reads at an ``as_of`` cut are never cached.
 
 Each kept fold also keeps its finalized value until an event that takes
 effect drops it, and its reservation view until a reservation event
@@ -38,7 +40,9 @@ Records are immutable tuples (``typing.NamedTuple``): the fields of an
 event, its id and its entity ref are read and compared in C, ids and refs
 hash in C, and a record's payload is made canonical once, where the
 record is made or decoded; an event's only serial form is its archival
-line. A checkpoint's cut must be causally closed over the entity's
+line. Where the engine makes records (``make_event``, ``from_line``,
+``EntityRef.parse``), it builds the tuple directly, after its own checks,
+rather than through the class's Python-level ``__new__``. A checkpoint's cut must be causally closed over the entity's
 events (``summarize`` raises ``CutNotClosed`` otherwise).
 
 Anti-entropy costs what the merge changed. A partition log indexes its
@@ -101,6 +105,8 @@ OP_KINDS = frozenset(
 )
 # the op kinds that name a reservation; the id they name is a string
 _RESERVATION_OPS = frozenset((OP_TENTATIVE, OP_CONFIRM, OP_CANCEL))
+# read on every finalize: the enum class's Python ``__getattr__`` hook slows every read off it
+_LWW_REGISTER = MergePolicy.LWW_REGISTER
 
 # Reservation states, weakest to strongest. When concurrent lifecycle
 # events disagree, the strongest state wins, which makes the derived
@@ -261,7 +267,7 @@ class EntityRef(NamedTuple):
     @classmethod
     def parse(cls, text: str) -> EntityRef:
         entity_type, _, key = text.partition("/")
-        return cls(entity_type, key)
+        return _tuple_new(cls, (entity_type, key))
 
 
 class EventRecord(NamedTuple):
@@ -368,7 +374,7 @@ def canonical_sort(events: list[EventRecord]) -> list[EventRecord]:
     return sorted(events, key=lambda e: e.canonical_key)
 
 
-@dataclass
+@dataclass(slots=True)
 class EntityState:
     """Derived value: a pure function of (rollup spec, event set).
 
@@ -454,7 +460,7 @@ class FoldState:
         self.seen_keys.add(event.idempotence_key)
         self._value = None
 
-        if spec.merge_policy is MergePolicy.CUSTOM_MERGE and spec.fold is not None:
+        if spec.fold is not None and spec.merge_policy is MergePolicy.CUSTOM_MERGE:
             if self.custom_value is None:
                 self.custom_value = dict(spec.initial_value)
             self.custom_value = spec.fold(self.custom_value, event)
@@ -508,7 +514,7 @@ class FoldState:
         """
         if event.idempotence_key in self.seen_keys:
             return False
-        if spec.merge_policy is MergePolicy.CUSTOM_MERGE and spec.fold is not None:
+        if spec.fold is not None and spec.merge_policy is MergePolicy.CUSTOM_MERGE:
             return False
         op, payload = event.op_kind, event.payload
         if op == OP_DELTA:
@@ -617,9 +623,9 @@ class FoldState:
         return self._value
 
     def _build_value(self, spec: RollupSpec) -> dict:
-        if spec.merge_policy is MergePolicy.CUSTOM_MERGE and spec.fold is not None:
+        if spec.fold is not None and spec.merge_policy is MergePolicy.CUSTOM_MERGE:
             value = dict(self.custom_value if self.custom_value is not None else spec.initial_value)
-        elif spec.merge_policy is MergePolicy.LWW_REGISTER:
+        elif spec.merge_policy is _LWW_REGISTER:
             value = dict(spec.initial_value)
             value.update(self.base_fields)
         else:
@@ -859,16 +865,10 @@ class ReplicaStore:
         stamp = dict(log._max_seq)
         if seq > stamp.get(self.replica_id, 0):
             stamp[self.replica_id] = seq
-        return EventRecord(
-            EventId(self.replica_id, seq),
-            entity_ref,
-            op_kind,
-            payload,
-            VersionVector._of(stamp),
-            self.lamport,
-            idempotence_key,
-            origin_txn_id,
-        )
+        return _tuple_new(EventRecord, (
+            _tuple_new(EventId, (self.replica_id, seq)), entity_ref, op_kind, payload,
+            VersionVector._of(stamp), self.lamport, idempotence_key, origin_txn_id,
+        ))
 
     def _check_route(self, partition_id: str, entity_ref: EntityRef) -> None:
         if self.route(entity_ref) != partition_id:
@@ -957,7 +957,10 @@ class ReplicaStore:
         canonical key is folded onto it, and so is a late one that
         ``FoldState.folds_late`` allows; any other late event makes the
         read rebuild the state from the checkpoint. A single new event, the
-        tail of a read after one commit, is not sorted. The returned state
+        tail of a read after one commit, is neither sorted nor sliced: when
+        its key sorts past the greatest folded one, as a local commit's
+        always does, it is folded and its key recorded with no other work.
+        The returned state
         is shared with the cache and later reads: callers must not mutate
         it. Reads at a cut build a fresh state every time.
         """
@@ -971,8 +974,18 @@ class ReplicaStore:
             live = log._live_by_entity.get(entity_ref, ())
             if len(live) == done:
                 return state
-            # one new event, most often a local commit, needs no sort
-            tail = live[done:] if len(live) == done + 1 else canonical_sort(live[done:])
+            if len(live) == done + 1:
+                # one new event needs no sort; one sorting past every folded
+                # event, as every local commit does, folds straight onto them
+                event = live[done]
+                key = event.canonical_key
+                if top is None or key > top:
+                    state.fold(event, spec)
+                    folds[entity_ref] = (state, done + 1, key)
+                    return state
+                tail = [event]
+            else:
+                tail = canonical_sort(live[done:])
             # whether the tail starts with late events, sorting before the greatest folded key
             late = top is not None and tail[0].canonical_key < top
             for event in tail:

@@ -263,11 +263,13 @@ def interpret(template: dict, ctx: StepContext) -> StepPlan:
         if "resolves" in template:
             body["resolves"] = template["resolves"]
         plan.events.append((entity, OP_DELTA, body, None))
-        for deferred in template.get("deferred", []):
-            plan.pending.append(
-                PendingAction(AGGREGATE_UPDATE, {"target": deferred["entity"], "deltas": deferred["deltas"]})
-            )
-        plan.messages = _emits(template, payload)
+        if "deferred" in template:
+            for deferred in template["deferred"]:
+                plan.pending.append(
+                    PendingAction(AGGREGATE_UPDATE, {"target": deferred["entity"], "deltas": deferred["deltas"]})
+                )
+        if "emit" in template:
+            plan.messages = _emits(template, payload)
         return plan
 
     if kind == "insert":
@@ -398,6 +400,12 @@ def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
     validates its payload and stamps it, and ``commit`` appends the batch.
     A plan that rejects the step commits nothing and leaves a
     ``guard_failed`` record on the replica.
+
+    A one-delta step builds its plan, its entity ref, its event, its txn
+    id and key, one batch and the outcome, and calls
+    ``SchemaRegistry.validate_payload`` and ``LockTable.blocked`` once
+    each: a template without ``deferred`` or ``emit`` builds no list for
+    them.
     """
     plan = step.handler(ctx) if callable(step.handler) else interpret(step.handler, ctx)
 
@@ -428,10 +436,9 @@ def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
     txn_id = replica.next_txn_id(ctx.session)
     make_event = replica.store.make_event
     base = f"{ctx.idempotence_base}:{step.step_id}"
-    events = [
-        make_event(ref, op_kind, payload, key_override or f"{base}:{i}", txn_id)
-        for i, (ref, op_kind, payload, key_override) in enumerate(planned)
-    ]
+    events = []
+    for i, (ref, op_kind, payload, key_override) in enumerate(planned):
+        events.append(make_event(ref, op_kind, payload, key_override or f"{base}:{i}", txn_id))
 
     messages = []
     for i, draft in enumerate(plan.messages):
@@ -457,12 +464,13 @@ def execute_step(step: ProcessStepDef, ctx: StepContext) -> StepOutcome:
         # referential checks take no lock, so the scope is what was checked above
         descriptor = PendingActionDescriptor(txn_id, ctx.session, actions, lock_needs)
 
-    batch = CommitBatch(txn_id, ctx.session, events, descriptor=descriptor)
+    batch = CommitBatch(txn_id, ctx.session, events)
     if messages:
         bus.enqueue(batch, messages)
     if ctx.consume_marker is not None:
         batch.processed_key = ctx.consume_marker
     if descriptor is not None:
+        batch.descriptor = descriptor
         batch.lock_scope = list(lock_needs)
     commit(replica, batch, ctx.now)
 

@@ -149,7 +149,41 @@ def _construct_scalar(tag: str, text: str):
     return yaml.constructor.SafeConstructor().construct_object(yaml.ScalarNode(tag, text))
 
 
-class _RefusingLoader(yaml.SafeLoader):
+class _LinearKeys:
+    """Scanner mixin: PyYAML's simple-key bookkeeping in time linear in
+    flow depth, with the stock scanner's tokens and errors.
+
+    ``possible_simple_keys`` holds at most one key per open flow level, in
+    level order: a key is saved only at the current level, and a level's
+    key goes when the level closes. So index, line and token number all
+    grow along it. The stock scanner walks every level on every token,
+    which is quadratic in depth; here the next key is the first, and stale
+    keys are dropped from the front up to the first fresh one, raising the
+    same ScannerError at the same key."""
+
+    def next_possible_simple_key(self):
+        for key in self.possible_simple_keys.values():
+            return key.token_number
+        return None
+
+    def stale_possible_simple_keys(self):
+        keys = self.possible_simple_keys
+        while keys:
+            level = next(iter(keys))
+            key = keys[level]
+            if key.line == self.line and self.index - key.index <= 1024:
+                return
+            if key.required:
+                raise yaml.scanner.ScannerError("while scanning a simple key", key.mark,
+                                                "could not find expected ':'", self.get_mark())
+            del keys[level]
+
+
+class _ReferenceLoader(_LinearKeys, yaml.SafeLoader):
+    """``yaml.SafeLoader`` with the linear simple-key scan."""
+
+
+class _RefusingLoader(_ReferenceLoader):
     """``yaml.SafeLoader`` that notes, as it composes, the line of the first
     node in document order that a scenario refuses (see the module
     docstring), checking each node before its children."""
@@ -231,7 +265,7 @@ class _RefusingLoader(yaml.SafeLoader):
 
 def _parse(text: str) -> None:
     """Parse ``text`` up to a second document: PyYAML's error on a parse error."""
-    loader = yaml.SafeLoader(text)
+    loader = _ReferenceLoader(text)
     try:
         documents = 0
         while documents < 2 and not loader.check_event(yaml.StreamEndEvent):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_golden
+from conftest import _ReferenceLoader
 from eventual import scenario as scenario_module
 from eventual.cli import crash_sweep, main
 from eventual.errors import ScenarioInvalid
@@ -307,6 +308,49 @@ def test_the_pure_python_loader_parses_as_libyaml_does(name, checked_compose, mo
     expected = _parse_outcome(text, checked_compose)
     monkeypatch.setattr(scenario_module, "_LOADER", yaml.SafeLoader)
     assert _parse_outcome(text, checked_compose) == expected
+
+
+def _tokens(loader_class, text: str) -> tuple:
+    """Every token a scanner gives for ``text`` (kind, marks, value), then
+    the text of the ScannerError it stops on, if any."""
+    loader = loader_class(text)
+    tokens = []
+    try:
+        while (token := loader.get_token()) is not None:
+            tokens.append((type(token).__name__, token.start_mark.index, token.end_mark.index,
+                           getattr(token, "value", None)))
+    except yaml.scanner.ScannerError as exc:
+        return tokens, str(exc)
+    finally:
+        loader.dispose()
+    return tokens, None
+
+
+# flow levels deep, on one line and one per line; keys that go stale across a
+# line or past 1024 characters, required in a block and optional in a flow
+_SCANS = {
+    "deep-flow": "a: " + "[" * 300 + "]" * 300 + "\n",
+    "deep-flow-lines": "a:\n" + "".join(" " * (i + 1) + "[\n" for i in range(120)) + " " + "]" * 120 + "\n",
+    "deep-flow-mappings": "a: " + "{b: " * 150 + "c" + "}" * 150 + "\n",
+    "flow-keys-across-lines": "a: {b: [c, {d: e,\n  f: g}], h: [i,\n  j]}\n",
+    "flow-collections-as-keys": "[a, [b]]: c\n{d: [e]}: f\n",
+    "keys-stale-at-three-levels": "[[x\n  : y]]\n",
+    "stale-flow-key": "a: {b\n  : c}\n",
+    "stale-block-key": "a: 1\nb\nc: 2\n",
+    "stale-key-in-deep-flow": "a: " + "[" * 50 + "b,\n" + " c" + "]" * 50 + "\n",
+    "long-block-key": "a" * 1100 + ": 1\n",
+    "long-flow-key": "{" + "a" * 1100 + ": 1}\n",
+    "long-key-in-deep-flow": "[" * 40 + "a" * 1100 + ": 1" + "]" * 40 + "\n",
+    "unclosed-flow": "a: " + "[" * 60 + "\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSES) + sorted(TEXTS) + sorted(_SCANS))
+def test_the_reference_scanner_scans_as_the_stock_one(name):
+    """The cross-check's loader (``conftest._LinearKeys``) gives the stock
+    scanner's tokens, and its error on the same key."""
+    text = {**PARSES, **TEXTS, **_SCANS}[name]
+    assert _tokens(_ReferenceLoader, text) == _tokens(yaml.SafeLoader, text)
 
 
 _KEYS = st.text(max_size=8) | st.integers()

@@ -461,6 +461,22 @@ def test_records_with_equal_fields_are_equal():
 def test_an_entity_ref_parses_back_from_its_text(entity_type, key):
     ref = EntityRef(entity_type, key)
     assert EntityRef.parse(str(ref)) == ref
+    assert type(EntityRef.parse(str(ref))) is EntityRef
+
+
+def test_a_made_event_is_the_record_its_fields_build():
+    store = make_store()
+    store.append_event("p0", store.make_event(INVENTORY, OP_DELTA, {"deltas": {"on_hand": 1}}, "k0", "t0"))
+    made = store.make_event(ACCOUNT, OP_DELTA, {"note": {"z": 1, "a": 2}}, "k1", "t1")
+    built = EventRecord(
+        EventId("A", 2), EntityRef("account", "alice"), OP_DELTA, {"note": {"a": 2, "z": 1}},
+        VersionVector({"A": 2}), 2, "k1", "t1",
+    )
+    assert (type(made), type(made.event_id), type(made.entity_ref)) == (EventRecord, EventId, EntityRef)
+    assert made == built and made.canonical_key == built.canonical_key == (2, "A", 2)
+    assert hash(made.event_id) == hash(built.event_id) and hash(made.causal_stamp) == hash(built.causal_stamp)
+    assert {made.event_id: 1}[EventId.parse("A:2")] == 1
+    assert EventRecord.from_line(made.to_line()) == made and made.to_line() == built.to_line()
 
 
 _SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")

@@ -15,7 +15,7 @@ from eventual.errors import (
     UnknownReservation,
 )
 from eventual.registry import MergePolicy, ParentConstraint, RollupSpec, SchemaRegistry
-from eventual.replica import Record, Replica
+from eventual.replica import LockTable, Record, Replica
 from eventual.store import EntityRef, ReplicaStore
 from eventual.txn import (
     CommitBatch,
@@ -146,10 +146,12 @@ def test_one_delta_step_routes_twice_and_copies_the_frontier_once(monkeypatch):
     """Work counters of one local write: ``make_event`` and ``commit`` each
     route the entity once; the stamp is the one version vector built (each
     wraps a fresh copy of the frontier dict); ``canon`` copies the payload
-    dict and its one nested dict, not the leaf."""
+    dict and its one nested dict, not the leaf; the payload is validated
+    once, and the one lock the step needs is checked once."""
     replica = make_replica()
-    counts = {"route": 0, "vector": 0, "canon": 0}
+    counts = {"route": 0, "vector": 0, "canon": 0, "validate": 0, "blocked": 0}
     route, of, canon = ReplicaStore.route, VersionVector._of.__func__, store_module.canon
+    validate, blocked = SchemaRegistry.validate_payload, LockTable.blocked
 
     def counted(name, original):
         def call(*args):
@@ -161,12 +163,14 @@ def test_one_delta_step_routes_twice_and_copies_the_frontier_once(monkeypatch):
     monkeypatch.setattr(ReplicaStore, "route", counted("route", route))
     monkeypatch.setattr(VersionVector, "_of", classmethod(counted("vector", of)))
     monkeypatch.setattr(store_module, "canon", counted("canon", canon))
+    monkeypatch.setattr(SchemaRegistry, "validate_payload", counted("validate", validate))
+    monkeypatch.setattr(LockTable, "blocked", counted("blocked", blocked))
     outcome = execute_step(
         step("deposit", {"kind": "delta", "entity": "account/alice", "deltas": {"balance": 5}}),
         ctx_for(replica, "act1"),
     )
     assert outcome.status == "committed"
-    assert counts == {"route": 2, "vector": 1, "canon": 2}
+    assert counts == {"route": 2, "vector": 1, "canon": 2, "validate": 1, "blocked": 1}
 
 
 TWO_PARTITIONS = {**PLACEMENT, "customer": "p1"}
@@ -301,6 +305,16 @@ def test_logical_lock_blocks_other_sessions_until_actions_complete():
         ctx_for(replica, "act3", session="s2"),
     )
     assert replica.store.rollup("p0", TOTAL).value["total"] == 26
+
+
+def test_a_lock_blocks_only_other_sessions_while_held():
+    locks = make_replica().locks
+    assert not locks.blocked(ACCOUNT, "s1")
+    locks.acquire(ACCOUNT, "s1", "t1")
+    assert not locks.blocked(ACCOUNT, "s1") and locks.blocked(ACCOUNT, "s2")
+    assert not locks.blocked(TOTAL, "s2")
+    locks.release_txn("t1")
+    assert not locks.blocked(ACCOUNT, "s2")
 
 
 def test_lock_reacquire_by_same_session_is_reentrant():
